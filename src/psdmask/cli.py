@@ -25,7 +25,6 @@ from .patterns import classify_sequence, rule_from_json
 from .suite import format_suite_lines, run_theorem_suite
 from .verify import VerifyConfig, refute_scalar_outside_interval, verify_preservation
 from .witnesses import (
-    Witness,
     all_ones_witness,
     corner_extend,
     corner_extend_auto,
@@ -136,7 +135,8 @@ def _cmd_refute(args) -> int:
     return EXIT_REFUTED
 
 
-def _witness_from_args(args) -> tuple[Witness | None, dict]:
+def _witness_from_args(args) -> tuple[np.ndarray, dict]:
+    """The witness matrix the arguments name, and its JSON body."""
     name = args.name
     domain = _load_domain(args)
     if name == "all_ones":
@@ -154,24 +154,21 @@ def _witness_from_args(args) -> tuple[Witness | None, dict]:
         wit = tensor_blowup(args.m, matrix_from_json(_load_json(args.matrix)))
     elif name == "pad":
         M = pad_embed(matrix_from_json(_load_json(args.matrix)), args.n, domain=domain)
-        return None, {"provenance": "pad_embed", "params": {"N": args.n}, "matrix": matrix_to_json(M)}
+        return M, {"provenance": "pad_embed", "params": {"N": args.n}, "matrix": matrix_to_json(M)}
     elif name == "corner":
         A = matrix_from_json(_load_json(args.matrix))
         if args.eps is not None:
             M, eps = corner_extend(A, args.eps, domain), args.eps
         else:
             M, eps = corner_extend_auto(A, domain)
-        return None, {"provenance": "corner_extension", "params": {"eps": eps}, "matrix": matrix_to_json(M)}
+        return M, {"provenance": "corner_extension", "params": {"eps": eps}, "matrix": matrix_to_json(M)}
     else:
         raise PsdMaskError(f"unknown witness name {name!r}")
-    return wit, wit.to_json()
+    return wit.matrix, wit.to_json()
 
 
 def _cmd_witness(args) -> int:
-    _, body = _witness_from_args(args)
-    M = np.asarray(
-        [[complex(c[0], c[1]) for c in row] for row in body["matrix"]["entries"]],
-    )
+    M, body = _witness_from_args(args)
     report = is_psd(M, 1e-10)
     body["psd"] = report.to_json()
     lines = [

@@ -63,12 +63,30 @@ def _as_square_grid(raw) -> np.ndarray:
     return A
 
 
+# Per-dimension (row, column, diagonal) index arrays of exact_hermitian, filled on first use.
+_HERMITIAN_INDEX: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _hermitian_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    index = _HERMITIAN_INDEX.get(n)
+    if index is None:
+        index = (*np.tril_indices(n, -1), np.arange(n))
+        for a in index:
+            a.flags.writeable = False
+        _HERMITIAN_INDEX[n] = index
+    return index
+
+
 def exact_hermitian(H: np.ndarray) -> np.ndarray:
-    """Force exactly conjugate-symmetric storage (mirror upper triangle, real diagonal)."""
+    """Force exactly conjugate-symmetric storage (mirror upper triangle, real diagonal).
+
+    Accepts one matrix or a stack ``(k, n, n)``; each matrix of a stack comes
+    out bit for bit as it would alone.
+    """
     H = np.array(H, dtype=np.complex128)
-    lower = np.tril_indices(H.shape[0], -1)
-    H[lower] = np.conj(H.T[lower])
-    np.fill_diagonal(H, H.diagonal().real)
+    rows, cols, diag = _hermitian_index(H.shape[-1])
+    H[..., rows, cols] = np.conj(H[..., cols, rows])
+    H.imag[..., diag, diag] = 0.0
     return H
 
 
@@ -88,17 +106,33 @@ def symmetrize(raw, asym_tol: float = ASYM_TOL) -> np.ndarray:
     return exact_hermitian((A + A.conj().T) / 2.0)
 
 
-def eig_extremes(M: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix."""
+def eig_extremes(M: np.ndarray):
+    """Smallest and largest eigenvalue of a Hermitian matrix.
+
+    For one matrix the pair is two floats; for a stack ``(k, n, n)`` it is
+    two arrays of length k, each entry bit for bit the single-matrix value.
+    """
     M = np.asarray(M, dtype=np.complex128)
-    n = M.shape[0]
+    n = M.shape[-1]
     if n > EIG_DIM_CAP:
         raise EigFailure(f"dimension {n} exceeds the eigensolver cap {EIG_DIM_CAP}")
     try:
         w = np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    return float(w[0]), float(w[-1])
+    if M.ndim == 2:
+        return float(w[0]), float(w[-1])
+    return w[..., 0], w[..., -1]
+
+
+def psd_holds(min_eig, max_eig, tol: float):
+    """The relative-tolerance PSD test min_eig >= -tol * max(1, |max_eig|).
+
+    Works on floats and on arrays alike.  A NaN ``min_eig`` fails the test,
+    and a NaN ``max_eig`` counts as scale 1, as Python's ``max(1.0, nan)``
+    does.
+    """
+    return min_eig >= -tol * np.fmax(1.0, np.abs(max_eig))
 
 
 def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
@@ -106,7 +140,7 @@ def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     lo, hi = eig_extremes(M)
-    return PsdReport(min_eig=lo, max_eig=hi, is_psd=lo >= -tol * max(1.0, abs(hi)), tol_used=tol)
+    return PsdReport(min_eig=lo, max_eig=hi, is_psd=bool(psd_holds(lo, hi, tol)), tol_used=tol)
 
 
 def schur_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

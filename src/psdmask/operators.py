@@ -48,35 +48,45 @@ def empty_pattern(n: int) -> BlockPattern:
 
 def _check_input(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[-1]
     if spec.pattern.n != n:
         raise DimensionMismatchError(
             f"pattern is on range({spec.pattern.n}) but the matrix is {n} x {n}"
         )
     inside = spec.domain.contains_array(A)
     if not inside.all():
-        i, j = map(int, np.argwhere(~inside)[0])
+        where = tuple(int(k) for k in np.argwhere(~inside)[0])
+        i, j = where[-2:]
         raise OutOfDomainError(
-            f"entry ({i},{j}) = {A[i, j]} lies outside {spec.domain.kind}(rho={spec.domain.rho})"
+            f"entry ({i},{j}) = {A[where]} lies outside {spec.domain.kind}(rho={spec.domain.rho})"
         )
     return A
 
 
 def _settle_hermitian(raw: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.abs(raw).max()))
-    gap = float(np.abs(raw - raw.conj().T).max())
-    if gap > OUTPUT_ASYM_TOL * scale:
+    raw_h = np.swapaxes(raw, -1, -2).conj()
+    # per matrix; fmax and `>` keep NaN as Python's max(1.0, nan) and nan > x do
+    scale = np.fmax(1.0, np.abs(raw).max(axis=(-2, -1)))
+    gap = np.abs(raw - raw_h).max(axis=(-2, -1))
+    asym = gap > OUTPUT_ASYM_TOL * scale
+    if asym.any():
+        first = float(gap[asym][0])
         raise NonHermitianOutputError(
-            f"entrywise image is non-Hermitian (asymmetry {gap:.3e}); "
+            f"entrywise image is non-Hermitian (asymmetry {first:.3e}); "
             "check the conjugate equivariance of g and f"
         )
-    return exact_hermitian((raw + raw.conj().T) / 2.0)
+    return exact_hermitian((raw + raw_h) / 2.0)
 
 
 def apply(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
-    """Apply the operator entrywise and return the symmetrized image."""
+    """Apply the operator entrywise and return the symmetrized image.
+
+    ``A`` is one matrix or a stack ``(k, n, n)``; each matrix of a stack is
+    mapped bit for bit as it would be alone.  An input or output error
+    describes the first offending matrix of the stack.
+    """
     A = _check_input(spec, A)
     mask = mask_matrix(spec.pattern)
     G = spec.g.evaluate_array(A)

@@ -1,0 +1,176 @@
+"""Stacked primitives against the same primitives one matrix at a time.
+
+``verify_preservation`` checks matrices in stacks ``(k, n, n)`` and promises
+verdicts byte-identical to a per-matrix check, so every comparison here is
+bitwise (``tobytes``, NaN components aside, see ``_bits``), never to a
+tolerance.  A failure means this platform's
+numpy or LAPACK treats a matrix differently inside a stack than alone; report
+it rather than loosening the test.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_psd
+from psdmask.errors import EigFailure
+from psdmask.functions import Domain, HerzMonomial, HerzSeries, scaled_identity
+from psdmask.linalg import eig_extremes, exact_hermitian, psd_holds
+from psdmask.operators import OperatorSpec, apply
+from psdmask.patterns import contiguous_partition_rule, empty_rule, overlapping_chain_rule
+from psdmask.verify import SAMPLE_CHUNK, VerifyConfig, _random_battery, _rng, sample_psd
+
+SIZES = range(1, 9)
+NAN_AT = 4
+
+
+def _exact_hermitian_reference(H):
+    """The per-matrix definition: mirror the upper triangle, zero the diagonal's imaginary part."""
+    H = np.array(H, dtype=np.complex128)
+    lower = np.tril_indices(H.shape[0], -1)
+    H[lower] = np.conj(H.T[lower])
+    np.fill_diagonal(H, H.diagonal().real)
+    return H
+
+
+def _bits(a):
+    """The bytes of a, with every NaN component set to the same quiet NaN.
+
+    IEEE 754 leaves the sign and payload of a NaN result open, and numpy's
+    vector and scalar loops pass on different ones: a 1 x 1 image of NaNs
+    carries another NaN sign bit alone than inside a stack.  No verdict can
+    see that; every other bit must match.
+    """
+    parts = np.array(a, dtype=a.dtype).view(np.float64) if np.ndim(a) else np.float64(a)
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and _bits(a) == _bits(b)
+
+
+def _psd_stack(rng, n, real, nan=True, k=9, peak=0.9):
+    """k PSD matrices scaled to the given peak modulus; matrix NAN_AT may carry a NaN pair."""
+    stack = []
+    for _ in range(k):
+        M = exact_hermitian(random_psd(rng, n, complex_entries=not real))
+        stack.append(M * (peak / np.abs(M).max()))
+    S = np.array(stack)
+    if nan:
+        S[NAN_AT, 0, n - 1] = S[NAN_AT, n - 1, 0] = np.nan
+    return S
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", SIZES)
+def test_exact_hermitian_stack_matches_each(rng, n, real):
+    raw = rng.standard_normal((9, n, n))
+    if not real:
+        raw = raw + 1j * rng.standard_normal((9, n, n))
+    raw[NAN_AT, n - 1, 0] = np.nan
+    stacked = exact_hermitian(raw)
+    for j, M in enumerate(raw):
+        assert _same_bits(stacked[j], exact_hermitian(M)), f"n={n} matrix {j}"
+        assert _same_bits(stacked[j], _exact_hermitian_reference(M)), f"n={n} matrix {j}"
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", SIZES)
+def test_eig_extremes_stack_matches_each(rng, n, real):
+    S = _psd_stack(rng, n, real)
+    alone = {}
+    for j, M in enumerate(S):
+        try:
+            alone[j] = eig_extremes(M)
+        except EigFailure:  # LAPACK may give up on the NaN-bearing matrix
+            assert j == NAN_AT
+    if len(alone) < len(S):
+        with pytest.raises(EigFailure):
+            eig_extremes(S)
+    keep = sorted(alone)
+    lo, hi = eig_extremes(S[keep])
+    assert lo.shape == hi.shape == (len(keep),)
+    for i, j in enumerate(keep):
+        lo_j, hi_j = alone[j]
+        assert isinstance(lo_j, float) and isinstance(hi_j, float)
+        assert _same_bits(lo[i], np.float64(lo_j)), f"n={n} matrix {j}"
+        assert _same_bits(hi[i], np.float64(hi_j)), f"n={n} matrix {j}"
+        assert bool(psd_holds(lo, hi, 1e-8)[i]) == bool(psd_holds(lo_j, hi_j, 1e-8))
+        if j == NAN_AT:
+            assert not psd_holds(lo_j, hi_j, 1e-8)
+
+
+def test_eig_extremes_stack_raises_where_one_matrix_does():
+    bad = np.eye(3, dtype=np.complex128)
+    bad[0, 1] = bad[1, 0] = np.inf
+    with pytest.raises(EigFailure):
+        eig_extremes(bad)
+    with pytest.raises(EigFailure):
+        eig_extremes(np.array([np.eye(3), bad, np.eye(3)]))
+
+
+def test_psd_holds_keeps_scalar_nan_semantics():
+    nan = float("nan")
+    assert psd_holds(-1e-12, nan, 1e-9) == (-1e-12 >= -1e-9 * max(1.0, nan))
+    assert not psd_holds(nan, 1.0, 1e-9)
+    assert list(psd_holds(np.array([nan, 0.0, -0.5]), np.array([1.0, nan, 2.0]), 1e-9)) \
+        == [False, True, False]
+
+
+_SPECS = {
+    "partition_negative_scalar": lambda n, dom: OperatorSpec(
+        f=scaled_identity(-0.4), pattern=contiguous_partition_rule(3).pattern(n), domain=dom),
+    "chain_series": lambda n, dom: OperatorSpec(
+        f=HerzSeries({(0, 0): 0.1, (1, 0): 0.5, (2, 1): 0.3}),
+        pattern=overlapping_chain_rule().pattern(n), domain=dom, g=HerzMonomial(1.5, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_SPECS))
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", SIZES)
+def test_apply_stack_matches_each(rng, n, real, spec):
+    dom = Domain.open_sym(1.0) if real else Domain.disc(1.0)
+    op = _SPECS[spec](n, dom)
+    S = _psd_stack(rng, n, real, nan=False)  # apply rejects NaN inputs
+    stacked = apply(op, S)
+    for j, M in enumerate(S):
+        assert _same_bits(stacked[j], apply(op, M)), f"n={n} matrix {j}"
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_apply_stack_with_overflowing_image_matches_each(rng, n):
+    op = OperatorSpec(f=HerzMonomial(1, 400, 0), pattern=empty_rule().pattern(n),
+                      domain=Domain.disc(math.inf))
+    S = _psd_stack(rng, n, real=False, nan=False)
+    S[NAN_AT] *= 8.0  # 8^400 overflows: the image holds inf and NaN entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = apply(op, S)
+        each = [apply(op, M) for M in S]
+    assert np.isnan(stacked[NAN_AT]).any()
+    for j, M in enumerate(each):
+        assert _same_bits(stacked[j], M), f"n={n} matrix {j}"
+
+
+@pytest.mark.parametrize("dom", [Domain.disc(1.0), Domain.disc(), Domain.open_sym(2.0),
+                                 Domain.half_open_nonneg(1.0), Domain.open_pos(1.0)],
+                         ids=["disc", "disc_inf", "open_sym", "half_open_nonneg", "open_pos"])
+def test_random_battery_matches_sample_psd_one_at_a_time(dom):
+    cfg = VerifyConfig(max_n=5, samples_per_n=150, seed=4)
+    stacks = list(_random_battery(dom, cfg))
+    assert len(stacks) == cfg.max_n * math.ceil(cfg.samples_per_n / SAMPLE_CHUNK)
+    for n in range(1, cfg.max_n + 1):
+        rng = _rng(cfg.seed, "random_gram", n)
+        s = 0
+        for W, n_w, family, params in stacks:
+            if n_w != n:
+                continue
+            assert family == "random_gram" and len(params) == len(W) <= SAMPLE_CHUNK
+            for p, M in zip(params, W):
+                rank = 1 if s % 2 == 0 else int(rng.integers(1, n + 1))
+                assert p == {"sample_index": s, "rank": rank}
+                assert _same_bits(M, sample_psd(rng, n, dom, rank)), f"n={n} sample {s}"
+                s += 1
+        assert s == cfg.samples_per_n

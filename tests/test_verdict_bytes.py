@@ -1,0 +1,107 @@
+"""Verdict bytes for a fixed set of (rule, f, domain, seed) cases.
+
+``verdict_bytes.json`` holds the sorted-key, whitespace-free JSON of each
+verdict (the ``canonical_json`` form, with NaN written as ``NaN`` so that
+the z^400 overflow case can be recorded), or the type and message of the
+error the call raises.  A change to the check kernel must reproduce every
+entry byte for byte.  Regenerate the file only from a commit whose verdicts
+are known good:
+
+    PYTHONPATH=src python tests/test_verdict_bytes.py
+"""
+
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+from psdmask.errors import PsdMaskError
+from psdmask.functions import (
+    Custom,
+    Domain,
+    HerzMonomial,
+    HerzSeries,
+    Identity,
+    scaled_identity,
+)
+from psdmask.patterns import (
+    all_singletons_rule,
+    contiguous_partition_rule,
+    empty_rule,
+    overlapping_chain_rule,
+    proper_subpartition_rule,
+    single_block_rule,
+)
+from psdmask.verify import VerifyConfig, verify_preservation
+
+EXPECTED = pathlib.Path(__file__).with_name("verdict_bytes.json")
+
+CASES = {
+    # one preserved case per domain kind; 100 and 130 samples leave partial chunks
+    "preserved_disc_partition3_boundary": lambda: verify_preservation(
+        Identity(), scaled_identity(-0.5), contiguous_partition_rule(3), Domain.disc(1.0),
+        VerifyConfig(seed=0)),
+    "preserved_disc_inf_series": lambda: verify_preservation(
+        Identity(), HerzSeries({(0, 0): 0.2, (1, 1): 0.3, (2, 0): 0.1}), empty_rule(),
+        Domain.disc(), VerifyConfig(max_n=6, samples_per_n=100, seed=2)),
+    "preserved_open_sym_singletons": lambda: verify_preservation(
+        Identity(), HerzSeries({(1, 0): 0.5, (3, 0): 0.2}), all_singletons_rule(),
+        Domain.open_sym(1.0), VerifyConfig(max_n=6, samples_per_n=100, seed=5)),
+    "preserved_half_open_subpartition": lambda: verify_preservation(
+        Identity(), scaled_identity(0.5), proper_subpartition_rule(2),
+        Domain.half_open_nonneg(1.0), VerifyConfig(max_n=7, samples_per_n=130, seed=11)),
+    "preserved_open_pos_single_block": lambda: verify_preservation(
+        Identity(), scaled_identity(0.3), single_block_rule({0, 1}), Domain.open_pos(1.0),
+        VerifyConfig(max_n=5, samples_per_n=70, seed=13)),
+    "preserved_disc_chain_rank_one": lambda: verify_preservation(
+        Identity(), Identity(), overlapping_chain_rule(), Domain.disc(2.0),
+        VerifyConfig(max_n=6, samples_per_n=65, seed=17, rank_one_only=True)),
+    # the first failure comes from the deterministic battery
+    "battery_refuted_partition3": lambda: verify_preservation(
+        Identity(), scaled_identity(-0.75), contiguous_partition_rule(3), Domain.disc(1.0),
+        VerifyConfig(seed=7)),
+    # the first failure comes from random_gram sample 3 at n = 4
+    "random_refuted_abs": lambda: verify_preservation(
+        Identity(), Custom(lambda z: complex(abs(z)), conjugate_equivariant=True),
+        empty_rule(), Domain.disc(1.0), VerifyConfig(seed=3)),
+    # overflow gives a NaN min_eig: a known false refutation, recorded as it stands
+    "overflow_z400_disc_inf": lambda: verify_preservation(
+        Identity(), HerzMonomial(1, 400, 0), empty_rule(), Domain.disc(math.inf)),
+    "raises_fold_non_equivariant": lambda: verify_preservation(
+        Identity(), Custom(lambda z: complex(z.real, abs(z.imag)), name="fold"),
+        empty_rule(), Domain.disc(1.0), VerifyConfig(seed=1)),
+}
+
+
+def verdict_bytes(case: str) -> str:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            verdict = CASES[case]()
+    except PsdMaskError as exc:
+        return json.dumps({"raises": type(exc).__name__, "message": str(exc)}, sort_keys=True)
+    return json.dumps(verdict.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_verdict_bytes_unchanged(case):
+    expected = json.loads(EXPECTED.read_text())
+    assert verdict_bytes(case) == expected[case]
+
+
+def test_cases_cover_the_stages():
+    expected = {k: json.loads(v) for k, v in json.loads(EXPECTED.read_text()).items()}
+    assert set(expected) == set(CASES)
+    random = expected["random_refuted_abs"]
+    assert random["outcome"] == "Refuted"
+    assert random["counterexample"]["provenance"] == "random_gram"
+    assert random["counterexample"]["params"]["sample_index"] == 3
+    assert random["stats"]["checked"] == 1557
+    assert expected["battery_refuted_partition3"]["counterexample"]["provenance"] != "random_gram"
+    assert expected["raises_fold_non_equivariant"]["raises"] == "NonHermitianOutputError"
+    assert math.isnan(expected["overflow_z400_disc_inf"]["counterexample"]["min_eig"])
+
+
+if __name__ == "__main__":
+    EXPECTED.write_text(json.dumps({k: verdict_bytes(k) for k in sorted(CASES)}, indent=1) + "\n")

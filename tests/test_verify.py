@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_psd
-from psdmask.errors import CNotOutsideError, NonHermitianOutputError, RegimeMismatchError
+from psdmask.errors import (
+    CNotOutsideError,
+    NonHermitianOutputError,
+    OutOfDomainError,
+    RegimeMismatchError,
+)
 from psdmask.functions import (
     Custom,
     Domain,
@@ -25,6 +30,7 @@ from psdmask.patterns import (
 )
 from psdmask.verify import (
     OUTCOME_PRESERVED,
+    _first_failure,
     VerifyConfig,
     canonical_json,
     correlation_bound_check,
@@ -207,6 +213,42 @@ class TestPerturbedFamilies:
             Identity(), scaled_identity(-0.05), proper_subpartition_rule(2), DISC1, BATTERY_ONLY
         )
         assert verdict.refuted
+
+
+class TestStackOrder:
+    """In a stack the first failure wins; an error raised by a later matrix does not."""
+
+    SPEC = OperatorSpec(
+        f=Custom(lambda z: -0.6 * complex(z.real, abs(z.imag)), name="folded scalar"),
+        pattern=all_singletons_rule().pattern(3), domain=DISC1,
+    )
+    OK = 0.5 * identity(3)
+    REFUTES = 0.5 * all_ones(3)  # image: 0.5 on the diagonal, -0.3 off it; eigenvalue -0.1
+    NON_HERMITIAN = exact_hermitian(0.2 * identity(3) + 0.1j * (all_ones(3) - identity(3)))
+    OUTSIDE = 2.0 * identity(3)
+
+    def test_all_pass(self):
+        assert _first_failure(self.SPEC, np.array([self.OK, self.OK]), 1e-8) is None
+
+    def test_first_refutation_wins(self):
+        stack = np.array([self.OK, self.REFUTES, self.REFUTES])
+        j, min_eig = _first_failure(self.SPEC, stack, 1e-8)
+        assert j == 1 and min_eig == is_psd(apply(self.SPEC, self.REFUTES)).min_eig
+
+    @pytest.mark.parametrize("bad", ["NON_HERMITIAN", "OUTSIDE"])
+    def test_error_after_refutation_is_not_raised(self, bad):
+        stack = np.array([self.OK, self.REFUTES, getattr(self, bad)])
+        assert _first_failure(self.SPEC, stack, 1e-8)[0] == 1
+
+    @pytest.mark.parametrize("bad, error", [("NON_HERMITIAN", NonHermitianOutputError),
+                                            ("OUTSIDE", OutOfDomainError)])
+    def test_error_before_refutation_is_raised_as_alone(self, bad, error):
+        with pytest.raises(error) as alone:
+            apply(self.SPEC, getattr(self, bad))
+        stack = np.array([self.OK, getattr(self, bad), self.REFUTES])
+        with pytest.raises(error) as stacked:
+            _first_failure(self.SPEC, stack, 1e-8)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestRefuteScalar:
