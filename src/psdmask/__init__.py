@@ -21,7 +21,6 @@ from .functions import (
     admissible_family,
     conjugate_equivariance_check,
     dominance_check,
-    evaluate,
     function_from_json,
     scaled_identity,
 )
@@ -93,7 +92,6 @@ from .witnesses import (
     pad_embed,
     rank_one_gram,
     tail_gram,
-    tail_image,
     tensor_blowup,
 )
 

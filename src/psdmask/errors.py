@@ -80,7 +80,7 @@ class ZeroVectorError(PsdMaskError):
 
 
 class EpsTooLargeError(PsdMaskError):
-    """The corner-extension weight makes the output fail PSD or leave the domain."""
+    """The corner-extension weight exceeds 1 or pushes the border outside the domain."""
 
 
 class NonPositiveEntriesError(PsdMaskError):

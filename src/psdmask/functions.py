@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonRealValueError, OutOfDomainError, RegimeMismatchError
+from .errors import NonRealValueError, RegimeMismatchError
 from .patterns import (
     R1_EMPTY,
     R2_SINGLETONS,
@@ -342,14 +342,6 @@ def function_from_json(data: dict) -> PreserverFunction:
     if variant == "scalar_multiple":
         return ScalarMultiple(params["c"], function_from_json(params["inner"]))
     raise ValueError(f"unknown function variant {variant!r}")
-
-
-def evaluate(f: PreserverFunction, z, domain: Domain) -> complex:
-    """Evaluate f at a point of the domain; error outside it."""
-    z = complex(z)
-    if not domain.contains(z):
-        raise OutOfDomainError(f"{z} is outside {domain.kind}(rho={domain.rho})")
-    return f(z)
 
 
 def conjugate_equivariance_check(f: PreserverFunction, samples, tol: float = 1e-10) -> bool:

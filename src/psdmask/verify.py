@@ -399,6 +399,7 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         stats["checked"] += checked
         if hit is not None:
             j, min_eig = hit
+            # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
             if not is_psd(W[j], 1e-10).is_psd:
                 raise ArithmeticError(f"battery produced a non-PSD input in family {family}")
             ce = CounterExample(family=family, params=params[j], n=n, matrix=W[j], min_eig=min_eig)

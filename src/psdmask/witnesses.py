@@ -1,14 +1,18 @@
 """Explicit PSD witness constructors and the embeddings that lift them.
 
-Each constructor returns a ``Witness`` (matrix + provenance tag + params)
-and asserts that the matrix is PSD with entries inside the requested domain.
-``pad_embed`` lifts a witness by zero-padding (domains containing 0);
-``corner_extend`` appends a positively-weighted row-sum border instead, which
-keeps every entry strictly positive for the (0, rho) domain.
+Each constructor returns a ``Witness`` (matrix + provenance tag + params).
+Its validated parameters make the matrix PSD by construction: it is a
+rank-one Gram or a nonnegative multiple of the all-ones matrix, so no
+eigen-solve re-checks it; the constructor checks only that the entries are
+finite and inside the requested domain.  ``pad_embed`` lifts a witness by
+zero-padding (domains containing 0); ``corner_extend`` appends a
+positively-weighted row-sum border instead, which keeps every entry strictly
+positive for the (0, rho) domain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +20,13 @@ import numpy as np
 from .errors import (
     DomainLacksZeroError,
     EpsTooLargeError,
+    NonFiniteEntryError,
     NonPositiveEntriesError,
     OutOfDomainError,
     ZeroVectorError,
 )
-from .functions import Domain, PreserverFunction
+from .functions import Domain
 from .linalg import exact_hermitian, is_psd, kron, permute_conjugate
-from .operators import OperatorSpec, apply
-from .patterns import normalize
 
 WITNESS_PSD_TOL = 1e-10
 
@@ -57,11 +60,8 @@ def _jsonable(v):
 
 
 def _assert_witness(M: np.ndarray, domain: Domain | None, provenance: str) -> None:
-    report = is_psd(M, WITNESS_PSD_TOL)
-    if not report.is_psd:
-        raise ArithmeticError(
-            f"witness {provenance} is not PSD (min_eig={report.min_eig:.3e}); invalid parameters"
-        )
+    if not np.isfinite(M).all():
+        raise NonFiniteEntryError(f"witness {provenance} has non-finite entries")
     if domain is not None and not domain.contains_array(M).all():
         raise OutOfDomainError(f"witness {provenance} has entries outside the domain")
 
@@ -158,17 +158,6 @@ def tail_gram(w, t, domain: Domain) -> Witness:
     return wit
 
 
-def tail_image(w, t, g: PreserverFunction, f: PreserverFunction, domain: Domain) -> np.ndarray:
-    """Image of ``tail_gram`` under the operator with the single block {0, 1}.
-
-    Returned raw (not as a ``Witness``): for general (g, f) its PSD status is
-    the question being probed, not a guarantee.
-    """
-    base = tail_gram(w, t, domain)
-    spec = OperatorSpec(f=f, pattern=normalize([{0, 1}], 3), domain=domain, g=g)
-    return apply(spec, base.matrix)
-
-
 def all_ones_witness(x, n: int, domain: Domain) -> Witness:
     """x times the all-ones matrix (rank one, spectrum {0, ..., 0, n x})."""
     x = float(x)
@@ -219,19 +208,26 @@ def pad_embed(A: np.ndarray, N: int, sigma=None, domain: Domain | None = None) -
 def corner_extend(A: np.ndarray, eps: float, domain: Domain | None = None) -> np.ndarray:
     """Border a positive-entried PSD matrix with eps-weighted row sums.
 
-    Output is [[A, eps A 1], [eps (A 1)^T, eps sum(A)]]; PSD for eps in (0, 1]
-    and strictly positive everywhere.  Raises EpsTooLargeError when the output
-    fails the PSD check or leaves the domain.
+    Output is [[A, eps A 1], [eps (A 1)^T, eps 1^T A 1]], strictly positive
+    everywhere.  The border column eps A 1 lies in the range of A, so the
+    Schur complement of A is eps 1^T A 1 - eps^2 1^T A 1 = eps (1 - eps) 1^T A 1
+    >= 0: the output is PSD for every eps in (0, 1] whenever A is, and only A
+    is eigen-checked.  Raises ValueError when A is not PSD and
+    EpsTooLargeError when eps > 1 or the border leaves the domain.
     """
     A = np.asarray(A, dtype=np.complex128)
     n = A.shape[0]
-    if np.any(A.imag != 0.0) or np.any(A.real <= 0.0):
-        raise NonPositiveEntriesError("A must have strictly positive real entries")
+    if A.size == 0 or np.any(A.imag != 0.0) or np.any(A.real <= 0.0):
+        raise NonPositiveEntriesError("A must be nonempty with strictly positive real entries")
     if domain is not None and not domain.contains_array(A).all():
         raise OutOfDomainError("A has entries outside the domain")
     eps = float(eps)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    if eps > 1.0:
+        raise EpsTooLargeError(f"eps={eps} > 1 makes the Schur complement negative")
+    if not is_psd(A, WITNESS_PSD_TOL).is_psd:
+        raise ValueError("A must be PSD")
     row_sums = A.real.sum(axis=1)
     M = np.zeros((n + 1, n + 1), dtype=np.complex128)
     M[:n, :n] = A
@@ -239,23 +235,30 @@ def corner_extend(A: np.ndarray, eps: float, domain: Domain | None = None) -> np
     M[n, :n] = eps * row_sums
     M[n, n] = eps * A.real.sum()
     M = exact_hermitian(M)
-    if not is_psd(M, WITNESS_PSD_TOL).is_psd:
-        raise EpsTooLargeError(f"eps={eps} breaks positive semidefiniteness")
     if domain is not None and not domain.contains_array(M).all():
         raise EpsTooLargeError(f"eps={eps} pushes entries outside the domain")
     return M
 
 
 def corner_extend_auto(A: np.ndarray, domain: Domain | None = None) -> tuple[np.ndarray, float]:
-    """Corner extension with the largest eps in {2^-1, ..., 2^-30} that passes."""
-    last_error = None
-    for p in range(1, 31):
-        eps = 2.0 ** -p
-        try:
-            return corner_extend(A, eps, domain), eps
-        except EpsTooLargeError as exc:
-            last_error = exc
-    raise EpsTooLargeError(f"no eps in 2^-1..2^-30 works: {last_error}")
+    """Corner extension with the largest eps = 2^-p, p in 1..30, inside the domain.
+
+    Every eps <= 1 keeps the output PSD (see ``corner_extend``), so the domain
+    alone bounds eps.  A has positive entries, so the largest border entry is
+    the corner eps 1^T A 1; scaling by 2^-p is exact, so p is the least
+    p >= 1 with 2^-p 1^T A 1 <= upper, read off the binary exponents.  When
+    even p = 30 leaves the domain, ``corner_extend`` raises EpsTooLargeError.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    upper = math.inf if domain is None else domain.upper
+    total = float(A.real.sum())
+    p = 1
+    if total > upper:
+        (m_total, e_total), (m_upper, e_upper) = math.frexp(total), math.frexp(upper)
+        # total = m_total 2^e_total, upper = m_upper 2^e_upper with mantissas in [1/2, 1)
+        p = min(30, max(1, e_total - e_upper + (m_total > m_upper)))
+    eps = 2.0 ** -p
+    return corner_extend(A, eps, domain), eps
 
 
 def embed_at(W: np.ndarray, n: int, coords, domain: Domain) -> np.ndarray:

@@ -234,6 +234,20 @@ class TestWitness:
         assert report["psd"]["is_psd"]
         assert report["params"]["eps"] > 0
 
+    @pytest.mark.parametrize("eps_flag", [[], ["--eps", "0.5"]])
+    def test_corner_rejects_non_psd_matrix(self, tmp_path, capsys, eps_flag):
+        dom = tmp_path / "pos.json"
+        dom.write_text(json.dumps({"kind": "open_pos", "rho": 10.0}))
+        mat = tmp_path / "A.json"
+        mat.write_text(json.dumps({"n": 2, "entries": [[1.0, 2.0], [2.0, 1.0]]}))
+        code, out, err = run(
+            ["witness", "corner", "--matrix", str(mat), "--domain", str(dom), *eps_flag],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "PSD" in err
+
 
 class TestSuite:
     def test_full_suite_passes_and_writes_report(self, files, capsys, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psdmask.errors import NonRealValueError, OutOfDomainError, RegimeMismatchError
+from psdmask.errors import NonRealValueError, RegimeMismatchError
 from psdmask.functions import (
     Custom,
     Domain,
@@ -17,7 +17,6 @@ from psdmask.functions import (
     admissible_family,
     conjugate_equivariance_check,
     dominance_check,
-    evaluate,
     function_from_json,
     scaled_identity,
 )
@@ -84,21 +83,17 @@ class TestDomain:
 class TestEvaluate:
     def test_identity_monomial(self):
         z = 0.5 + 0.2j
-        assert evaluate(HerzMonomial(1, 1, 0), z, Domain.disc(1.0)) == z
+        assert HerzMonomial(1, 1, 0)(z) == z
 
     def test_modulus_square_monomial(self):
         z = 0.3 - 0.4j
-        val = evaluate(HerzMonomial(2, 1, 1), z, Domain.disc(1.0))
+        val = HerzMonomial(2, 1, 1)(z)
         assert val == pytest.approx(2 * abs(z) ** 2)
         assert val.imag == pytest.approx(0.0, abs=1e-16)
 
     def test_series_sum(self):
         f = HerzSeries({(0, 0): 1.0, (1, 1): 1.0})
-        assert evaluate(f, 0.5, Domain.disc(1.0)) == pytest.approx(1.25)
-
-    def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
-            evaluate(Identity(), 2.0, Domain.disc(1.0))
+        assert f(0.5) == pytest.approx(1.25)
 
     def test_series_monotone_in_max_degree(self):
         coeffs = {(m, k): 0.3 for m in range(3) for k in range(3)}

@@ -1,18 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import det2, random_psd
+from psdmask import witnesses
 from psdmask.errors import (
     DomainLacksZeroError,
     EpsTooLargeError,
+    NonFiniteEntryError,
     NonPositiveEntriesError,
     OutOfDomainError,
     ZeroVectorError,
 )
-from psdmask.functions import Domain, Identity, scaled_identity
-from psdmask.linalg import all_ones, eig_extremes, is_psd, symmetrize
-from psdmask.operators import apply_star
+from psdmask.functions import BOUNDARY_SLACK, Domain, Identity, scaled_identity
+from psdmask.linalg import all_ones, eig_extremes, exact_hermitian, is_psd, symmetrize
+from psdmask.operators import OperatorSpec, apply, apply_star
+from psdmask.patterns import normalize
 from psdmask.witnesses import (
+    WITNESS_PSD_TOL,
     all_ones_witness,
     corner_extend,
     corner_extend_auto,
@@ -22,12 +28,17 @@ from psdmask.witnesses import (
     pad_embed,
     rank_one_gram,
     tail_gram,
-    tail_image,
     tensor_blowup,
 )
 
 DISC1 = Domain.disc(1.0)
 DISC = Domain.disc()
+
+
+def tail_image(w, t, g, f, domain):
+    """Image of tail_gram(w, t) under the operator with the single block {0, 1}."""
+    spec = OperatorSpec(f=f, pattern=normalize([{0, 1}], 3), domain=domain, g=g)
+    return apply(spec, tail_gram(w, t, domain).matrix)
 
 
 class TestRankOneGram:
@@ -253,3 +264,97 @@ class TestEmbedAt:
         assert np.array_equal(M[np.ix_((0, 2, 4), (0, 2, 4))], W)
         assert dom.contains_array(M).all()
         assert is_psd(M, 1e-10).is_psd
+
+
+class TestWitnessFiniteness:
+    def test_infinite_all_ones_scale(self):
+        with pytest.raises(NonFiniteEntryError):
+            all_ones_witness(math.inf, 3, DISC)
+
+    def test_overflowing_gram(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteEntryError):
+            rank_one_gram([1e200, 1])
+
+
+def old_corner_extend_auto(A, domain):
+    """The eig-checked dyadic search that the closed-form eps replaced, kept as a reference."""
+    A = np.asarray(A, dtype=np.complex128)
+    n = A.shape[0]
+    row_sums = A.real.sum(axis=1)
+    for p in range(1, 31):
+        eps = 2.0 ** -p
+        M = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        M[:n, :n] = A
+        M[:n, n] = eps * row_sums
+        M[n, :n] = eps * row_sums
+        M[n, n] = eps * A.real.sum()
+        M = exact_hermitian(M)
+        if is_psd(M, WITNESS_PSD_TOL).is_psd and (domain is None or domain.contains_array(M).all()):
+            return M, eps
+    raise EpsTooLargeError("no eps in 2^-1..2^-30 works")
+
+
+def positive_psd(rng, n, top):
+    """A positive-entried real PSD matrix whose largest entry is top."""
+    B = np.abs(rng.standard_normal((n, int(rng.integers(1, n + 1))))) + 0.05
+    A = B @ B.T
+    return symmetrize(A * (top / A.max()))
+
+
+class TestCornerExtendClosedForm:
+    @pytest.mark.parametrize("rho", [1e-2, 0.3, 1.0, 7.5, 1e2, 1e4, math.inf])
+    def test_same_eps_and_bytes_as_search(self, rng, rho):
+        dom = Domain.open_pos(rho)
+        top = 1.0 if math.isinf(rho) else 0.999 * dom.upper
+        for n in range(1, 8):
+            for frac in (1.0, 0.5, 0.13, 1e-3):
+                A = positive_psd(rng, n, frac * top)
+                for domain in (dom, None):
+                    M, eps = corner_extend_auto(A, domain)
+                    M_ref, eps_ref = old_corner_extend_auto(A, domain)
+                    assert eps == eps_ref
+                    assert M.tobytes() == M_ref.tobytes()
+
+    def test_corner_on_the_boundary(self):
+        dom = Domain.open_pos(0.5 / (1.0 - BOUNDARY_SLACK))
+        assert dom.upper == 0.5
+        A = 0.5 * all_ones(2)  # 1^T A 1 = 2 = upper * 2^2
+        M, eps = corner_extend_auto(A, dom)
+        M_ref, eps_ref = old_corner_extend_auto(A, dom)
+        assert eps == eps_ref == 0.25
+        assert M[2, 2] == 0.5
+        assert M.tobytes() == M_ref.tobytes()
+
+    def test_one_corner_extend_per_auto_call(self, monkeypatch):
+        calls = []
+        real = witnesses.corner_extend
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(witnesses, "corner_extend", counting)
+        corner_extend_auto(0.9 * all_ones(3), Domain.open_pos(1.0))
+        assert len(calls) == 1
+        embed_at(0.4 * all_ones(3), 7, (0, 3, 6), Domain.open_pos(1.0))
+        assert len(calls) == 1 + 4
+
+    def test_non_psd_input_rejected(self):
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1, positive entries
+        with pytest.raises(ValueError, match="PSD"):
+            corner_extend(A, 0.5)
+        with pytest.raises(ValueError, match="PSD"):
+            corner_extend_auto(A, Domain.open_pos())
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(NonPositiveEntriesError):
+            corner_extend_auto(np.zeros((0, 0)))
+
+    def test_eps_above_one_rejected(self):
+        with pytest.raises(EpsTooLargeError):
+            corner_extend(all_ones(2), 1.5)
+
+    def test_eps_one_allowed(self):
+        M = corner_extend(all_ones(2), 1.0)
+        assert is_psd(M, 1e-10).is_psd
+        assert M[2, 2] == 4.0
