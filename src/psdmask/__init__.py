@@ -87,7 +87,6 @@ from .witnesses import (
     corner_extend,
     corner_extend_auto,
     duplicated_pair_gram,
-    embed_at,
     overlap_probe,
     pad_embed,
     rank_one_gram,

@@ -111,8 +111,11 @@ def eig_extremes(M: np.ndarray):
 
     For one matrix the pair is two floats; for a stack ``(k, n, n)`` it is
     two arrays of length k, each entry bit for bit the single-matrix value.
+    Empty (0 x 0) or non-square matrices raise NonSquareError.
     """
     M = np.asarray(M, dtype=np.complex128)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise NonSquareError(f"expected nonempty square matrices, got shape {M.shape}")
     n = M.shape[-1]
     if n > EIG_DIM_CAP:
         raise EigFailure(f"dimension {n} exceeds the eigensolver cap {EIG_DIM_CAP}")

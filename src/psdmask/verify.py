@@ -6,10 +6,10 @@ size->=2-block and overlap position of the materialized patterns, tensor
 blowups) and then a seeded randomized battery.  The first output matrix that
 fails the PSD check yields a Refuted verdict carrying the witness; battery
 order is the priority order, so the reported counterexample is reproducible.
-Every check runs on a stack ``(k, n, n)``: battery witnesses one at a time,
-random samples in chunks of ``SAMPLE_CHUNK``.  Within a stack the first
-failing matrix wins, and each matrix is judged bit for bit as it would be
-alone.
+Every check runs on a stack ``(k, n, n)``: a run of same-family battery
+witnesses, each built and grown once per call, or ``SAMPLE_CHUNK`` random
+samples.  Within a stack the first failing matrix wins, and each matrix is
+judged bit for bit as it would be alone.
 
 Sample streams are split per (family, n) from the master seed as
 ``default_rng([seed, family_id, n])``, which makes every battery stage
@@ -21,8 +21,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -60,9 +61,10 @@ from .patterns import (
 from .witnesses import (
     _jsonable,
     all_ones_witness,
+    corner_extend_auto,
     duplicated_pair_gram,
-    embed_at,
     overlap_probe,
+    pad_embed,
     tail_gram,
     tensor_blowup,
 )
@@ -107,14 +109,7 @@ class VerifyConfig:
             raise ValueError("probe_N must be >= 3")
 
     def to_json(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "samples_per_n": self.samples_per_n,
-            "seed": self.seed,
-            "tol": self.tol,
-            "probe_N": self.probe_N,
-            "rank_one_only": self.rank_one_only,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,58 +276,87 @@ def _anchor_positions(pattern: BlockPattern) -> dict:
     return {"pairs": sorted(set(pairs)), "overlaps": sorted(set(overlaps))}
 
 
+def _run(items, size: int, domain: Domain):
+    """Build (params, constructor) items in order, each witness grown to size x size.
+
+    Returns (L, params, stops): L[i] holds witness i as far as it grew, and
+    stops[i] is (that size, the error that stopped it short of size or None).
+    A witness that cannot be built stops at size 0 and ends the run.
+    """
+    L = np.zeros((len(items), size, size), dtype=np.complex128)
+    stops = []
+    for (_, make), out in zip(items, L):
+        M = None
+        try:
+            M = make().matrix
+            M = pad_embed(M, size, domain) if domain.has_zero else M
+            while len(M) < size:
+                M, _ = corner_extend_auto(M, domain)
+            stops.append((size, None))
+        except Exception as exc:  # _emit raises it where the battery first needs what failed
+            stops.append((0 if M is None else len(M), exc))
+        if M is None:
+            break
+        out[:len(M), :len(M)] = M
+    return L, [p for p, _ in items], stops
+
+
+def _emit(run, n: int, family: str, extra: dict, coords=()):
+    """Yield the run's witnesses that reach n as one n x n stack, their leading
+    blocks placed on coords; then raise the error of the first that does not."""
+    L, params, stops = run
+    j = next((i for i, (size, _) in enumerate(stops) if size < n), len(stops))
+    if j:  # coords take the leading block, the other indices the rest of the growth in order
+        s = np.argsort([*coords, *(q for q in range(n) if q not in coords)])
+        yield L[:j, s[:, None], s], n, family, [{**p, **extra} for p in params[:j]]
+    if j < len(stops):
+        raise stops[j][1]
+
+
 def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], max_n: int):
-    """Yield (witness matrix, n, family, params) in refutation priority order."""
+    """Yield (stack (k, n, n), n, family, params per matrix) in refutation priority order.
+
+    Each stack is a run of consecutive same-family witnesses.  An all-ones or
+    3x3 witness is built and grown to max_n once, on first use; growth keeps
+    every smaller growth as its leading block, so one index places it at each (n, coords).
+    """
     r0 = domain.reference_radius()
+    ones = _run([({"x": x}, partial(all_ones_witness, x, max_n, domain)) for x in _all_ones_grid(domain)],
+                max_n, domain)
     for n in range(1, max_n + 1):
-        for x in _all_ones_grid(domain):
-            wit = all_ones_witness(x, n, domain)
-            yield wit.matrix, n, "all_ones", {"x": x, "n": n}
+        yield from _emit(ones, n, "all_ones", {"n": n})
     w_grid = [f * r0 for f in (0.3, 0.6, 0.9)]
     t_top = 0.95 * r0
+    items = {("overlap_probe", None): [({"r": r, "z": z}, partial(overlap_probe, r, z, domain))
+                                       for r in w_grid for z in _pair_zs(r, domain)]}
+    for w in w_grid:
+        items["duplicated_pair_gram", w] = [({"w": w, "z": z}, partial(duplicated_pair_gram, w, z, domain))
+                                            for z in _pair_zs(w, domain)]
+        items["tail_gram", w] = [({"w": w, "t": t}, partial(tail_gram, w, t, domain))
+                                 for t in sorted({w, (w + t_top) / 2.0, t_top})]
+    runs = {}
+
+    def placed(family, w, n, coords):
+        if (family, w) not in runs:
+            runs[family, w] = _run(items[family, w], max_n, domain)
+        return _emit(runs[family, w], n, family, {"coords": coords}, coords)
+
     for n in range(3, max_n + 1):
         anchors = _anchor_positions(patterns[n])
         for coords in anchors["pairs"]:
             for w in w_grid:
-                for z in _pair_zs(w, domain):
-                    wit = duplicated_pair_gram(w, z, domain)
-                    yield (
-                        embed_at(wit.matrix, n, coords, domain),
-                        n,
-                        "duplicated_pair_gram",
-                        {"w": w, "z": z, "coords": coords},
-                    )
-                for t in sorted({w, (w + t_top) / 2.0, t_top}):
-                    if t < w:
-                        continue
-                    wit = tail_gram(w, t, domain)
-                    yield (
-                        embed_at(wit.matrix, n, coords, domain),
-                        n,
-                        "tail_gram",
-                        {"w": w, "t": t, "coords": coords},
-                    )
+                yield from placed("duplicated_pair_gram", w, n, coords)
+                yield from placed("tail_gram", w, n, coords)
         for coords in anchors["overlaps"]:
-            for r in w_grid:
-                for z in _pair_zs(r, domain):
-                    wit = overlap_probe(r, z, domain)
-                    yield (
-                        embed_at(wit.matrix, n, coords, domain),
-                        n,
-                        "overlap_probe",
-                        {"r": r, "z": z, "coords": coords},
-                    )
-    for base_n in (2, 3):
-        for m in range(2, 5):
-            N = m * base_n
-            if N > max_n:
-                continue
-            seeds = [all_ones_witness(0.5 * r0, base_n, domain).matrix]
-            if base_n == 3:
-                seeds.append(duplicated_pair_gram(0.6 * r0, 0.3 * r0, domain).matrix)
-            for idx, A0 in enumerate(seeds):
-                wit = tensor_blowup(m, A0)
-                yield wit.matrix, N, "tensor_blowup", {"m": m, "base_n": base_n, "seed_index": idx}
+            yield from placed("overlap_probe", None, n, coords)
+    for base_n in [b for b in (2, 3) if 2 * b <= max_n]:
+        seeds = [all_ones_witness(0.5 * r0, base_n, domain).matrix]
+        if base_n == 3:
+            seeds.append(duplicated_pair_gram(0.6 * r0, 0.3 * r0, domain).matrix)
+        for m in range(2, min(4, max_n // base_n) + 1):
+            blowups = [({"m": m, "base_n": base_n, "seed_index": idx}, partial(tensor_blowup, m, A0))
+                       for idx, A0 in enumerate(seeds)]
+            yield from _emit(_run(blowups, m * base_n, domain), m * base_n, "tensor_blowup", {})
 
 
 def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float) -> tuple[int, float] | None:
@@ -388,10 +412,9 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
     }
 
     specs = {n: OperatorSpec(f=f, pattern=p, domain=domain, g=g) for n, p in patterns.items()}
-    witnesses = ((W[None], n, family, [params])
-                 for W, n, family, params in _deterministic_battery(domain, patterns, cfg.max_n))
+    battery = itertools.chain(_deterministic_battery(domain, patterns, cfg.max_n), _random_battery(domain, cfg))
     # each stack's matrix j has provenance params[j]
-    for W, n, family, params in itertools.chain(witnesses, _random_battery(domain, cfg)):
+    for W, n, family, params in battery:
         hit = _first_failure(specs[n], W, cfg.tol)
         checked = len(W) if hit is None else hit[0] + 1
         fam = stats["families"].setdefault(family, {})

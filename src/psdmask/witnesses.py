@@ -1,13 +1,14 @@
-"""Explicit PSD witness constructors and the embeddings that lift them.
+"""Explicit PSD witness constructors and the growths that lift them.
 
 Each constructor returns a ``Witness`` (matrix + provenance tag + params).
 Its validated parameters make the matrix PSD by construction: it is a
 rank-one Gram or a nonnegative multiple of the all-ones matrix, so no
 eigen-solve re-checks it; the constructor checks only that the entries are
-finite and inside the requested domain.  ``pad_embed`` lifts a witness by
+finite and inside the requested domain.  ``pad_embed`` grows a witness by
 zero-padding (domains containing 0); ``corner_extend`` appends a
 positively-weighted row-sum border instead, which keeps every entry strictly
-positive for the (0, rho) domain.
+positive for the (0, rho) domain.  Both keep the grown matrix as the
+leading block bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .functions import Domain
-from .linalg import exact_hermitian, is_psd, kron, permute_conjugate
+from .linalg import exact_hermitian, is_psd, kron, matrix_to_json
 
 WITNESS_PSD_TOL = 1e-10
 
@@ -40,8 +41,6 @@ class Witness:
     params: dict
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         return {
             "provenance": self.provenance,
             "params": {k: _jsonable(v) for k, v in self.params.items()},
@@ -92,10 +91,14 @@ def duplicated_pair_gram(w, z, domain: Domain) -> Witness:
         raise OutOfDomainError(f"w={w} is outside the domain")
     if abs(z) > aw:
         raise OutOfDomainError(f"|z|={abs(z)} exceeds |w|={aw}")
+    try:
+        corner = abs(z) ** 2 / aw
+    except OverflowError:  # Python float power raises where numpy would give inf
+        corner = math.inf
     z1 = z * w.conjugate() / aw
     M = exact_hermitian(np.array(
         [
-            [abs(z) ** 2 / aw, z1, z1],
+            [corner, z1, z1],
             [z1.conjugate(), aw, aw],
             [z1.conjugate(), aw, aw],
         ],
@@ -186,8 +189,8 @@ def tensor_blowup(m: int, A: np.ndarray) -> Witness:
     return Witness(M, "tensor_blowup", {"m": m, "n": int(A.shape[0])})
 
 
-def pad_embed(A: np.ndarray, N: int, sigma=None, domain: Domain | None = None) -> np.ndarray:
-    """Zero-pad A to N x N and conjugate by the permutation sigma.
+def pad_embed(A: np.ndarray, N: int, domain: Domain | None = None) -> np.ndarray:
+    """Zero-pad A to N x N, keeping A as the leading block bit for bit.
 
     Padding introduces zero entries, so the domain (when given) must contain 0
     unless N equals the original dimension.
@@ -200,8 +203,6 @@ def pad_embed(A: np.ndarray, N: int, sigma=None, domain: Domain | None = None) -
         raise DomainLacksZeroError("zero-padding is unavailable on (0, rho); use corner_extend")
     M = np.zeros((N, N), dtype=np.complex128)
     M[:n, :n] = A
-    if sigma is not None:
-        M = permute_conjugate(M, sigma)
     return M
 
 
@@ -259,31 +260,3 @@ def corner_extend_auto(A: np.ndarray, domain: Domain | None = None) -> tuple[np.
         p = min(30, max(1, e_total - e_upper + (m_total > m_upper)))
     eps = 2.0 ** -p
     return corner_extend(A, eps, domain), eps
-
-
-def embed_at(W: np.ndarray, n: int, coords, domain: Domain) -> np.ndarray:
-    """Place a small witness at the given coordinates of an n x n PSD matrix.
-
-    Zero-pads when the domain contains 0, otherwise grows the matrix by
-    repeated corner extensions; then permutes so that W lands exactly on the
-    principal submatrix indexed by ``coords``.
-    """
-    W = np.asarray(W, dtype=np.complex128)
-    d = W.shape[0]
-    coords = [int(c) for c in coords]
-    if len(coords) != d or len(set(coords)) != d or any(c < 0 or c >= n for c in coords):
-        raise ValueError(f"coords must be {d} distinct indices below {n}")
-    if domain.has_zero:
-        big = pad_embed(W, n, domain=domain)
-    else:
-        big = W
-        while big.shape[0] < n:
-            big, _ = corner_extend_auto(big, domain)
-    sigma = [-1] * n
-    for p, c in enumerate(coords):
-        sigma[c] = p
-    spare = iter(range(d, n))
-    for q in range(n):
-        if sigma[q] < 0:
-            sigma[q] = next(spare)
-    return permute_conjugate(big, sigma)

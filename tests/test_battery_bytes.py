@@ -1,9 +1,11 @@
 """Witness bytes of the deterministic battery on the positive domain.
 
 On (0, rho) every witness of size below n is grown by corner extensions, so
-these hashes pin each corner-extended witness bit for bit.  The verdict-bytes
-cases cannot: every open_pos refutation there stops at an all-ones witness.
-The hashes were generated before the corner-extension eps became closed-form.
+these hashes pin each corner-extended witness bit for bit; the verdict-bytes
+cases pin only the open_pos witnesses up to their first refutation.  The
+hashes were generated before the corner-extension eps became closed-form,
+and before the battery became stacks grown once per call.  The reference
+embedding below is the per-witness ``embed_at`` those stacks replaced.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from psdmask.functions import Domain
+from psdmask.linalg import permute_conjugate
 from psdmask.patterns import (
     contiguous_partition_rule,
     overlapping_chain_rule,
@@ -19,6 +22,13 @@ from psdmask.patterns import (
     single_block_rule,
 )
 from psdmask.verify import _deterministic_battery
+from psdmask.witnesses import (
+    corner_extend_auto,
+    duplicated_pair_gram,
+    overlap_probe,
+    pad_embed,
+    tail_gram,
+)
 
 MAX_N = 8
 
@@ -48,8 +58,57 @@ def test_battery_witness_bytes(rule_name, rho):
     patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
     digest = hashlib.sha256()
     count = 0
-    for W, n, family, _params in _deterministic_battery(Domain.open_pos(rho), patterns, MAX_N):
-        digest.update(f"{n}:{family}:".encode())
-        digest.update(np.ascontiguousarray(W, dtype=np.complex128).tobytes())
-        count += 1
+    for stack, n, family, _params in _deterministic_battery(Domain.open_pos(rho), patterns, MAX_N):
+        for W in stack:
+            digest.update(f"{n}:{family}:".encode())
+            digest.update(np.ascontiguousarray(W, dtype=np.complex128).tobytes())
+            count += 1
     assert (count, digest.hexdigest()) == EXPECTED[(rule_name, rho)]
+
+
+def reference_embed_at(W, n, coords, domain):
+    """The per-witness embedding the stacked battery replaced, kept as a reference.
+
+    Grows W from its own size to n (zero-padding, or a fresh chain of corner
+    extensions), then conjugates by the permutation that puts W on coords.
+    """
+    W = np.asarray(W, dtype=np.complex128)
+    d = W.shape[0]
+    if domain.has_zero:
+        big = pad_embed(W, n, domain=domain)
+    else:
+        big = W
+        while big.shape[0] < n:
+            big, _ = corner_extend_auto(big, domain)
+    sigma = [-1] * n
+    for p, c in enumerate(coords):
+        sigma[c] = p
+    spare = iter(range(d, n))
+    for q in range(n):
+        if sigma[q] < 0:
+            sigma[q] = next(spare)
+    return permute_conjugate(big, sigma)
+
+
+BUILD = {
+    "duplicated_pair_gram": lambda p, dom: duplicated_pair_gram(p["w"], p["z"], dom),
+    "tail_gram": lambda p, dom: tail_gram(p["w"], p["t"], dom),
+    "overlap_probe": lambda p, dom: overlap_probe(p["r"], p["z"], dom),
+}
+
+
+@pytest.mark.parametrize("rule_name", sorted(RULES))
+@pytest.mark.parametrize("domain", [Domain.open_pos(0.3), Domain.open_pos(1e4), Domain.disc(1.0),
+                                    Domain.half_open_nonneg(1.0)], ids=lambda d: f"{d.kind}-{d.rho:g}")
+def test_stacked_embedding_matches_reference(rule_name, domain):
+    rule = RULES[rule_name]()
+    patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
+    placed = 0
+    for stack, n, family, params in _deterministic_battery(domain, patterns, MAX_N):
+        if family not in BUILD:
+            continue
+        for W, p in zip(stack, params):
+            expected = reference_embed_at(BUILD[family](p, domain).matrix, n, p["coords"], domain)
+            assert W.tobytes() == expected.tobytes()
+            placed += 1
+    assert placed > 0

@@ -97,6 +97,17 @@ class TestEigExtremes:
         with pytest.raises(EigFailure):
             eig_extremes(np.eye(65))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (2, 3), (4, 2, 3), (3,)])
+    def test_empty_or_non_square_rejected(self, shape):
+        with pytest.raises(NonSquareError):
+            eig_extremes(np.zeros(shape))
+        with pytest.raises(NonSquareError):
+            is_psd(np.zeros(shape))
+
+    def test_empty_stack_of_matrices_allowed(self):
+        lo, hi = eig_extremes(np.zeros((0, 3, 3)))
+        assert lo.shape == hi.shape == (0,)
+
 
 class TestIsPsd:
     def test_zero_matrix(self):

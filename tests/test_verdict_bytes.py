@@ -38,6 +38,13 @@ from psdmask.verify import VerifyConfig, verify_preservation
 
 EXPECTED = pathlib.Path(__file__).with_name("verdict_bytes.json")
 
+
+
+def _bump(z: complex) -> complex:
+    """1.5 z on the ring |z| = (0.3 +- 0.02) 1e300, 0.5 z elsewhere."""
+    return 1.5 * z if abs(abs(z) / 1e300 - 0.3) <= 0.02 else 0.5 * z
+
+
 CASES = {
     # one preserved case per domain kind; 100 and 130 samples leave partial chunks
     "preserved_disc_partition3_boundary": lambda: verify_preservation(
@@ -66,6 +73,19 @@ CASES = {
     "random_refuted_abs": lambda: verify_preservation(
         Identity(), Custom(lambda z: complex(abs(z)), conjugate_equivariant=True),
         empty_rule(), Domain.disc(1.0), VerifyConfig(seed=3)),
+    # the first failure is the 5th witness of a duplicated_pair_gram run at n = 4
+    "pair_refuted_conj_subpartition": lambda: verify_preservation(
+        Identity(), HerzMonomial(1, 0, 1), proper_subpartition_rule(2), Domain.disc(1.0),
+        VerifyConfig(seed=0)),
+    # the first failure is a duplicated_pair_gram grown to n = 4 by corner extension
+    "pair_refuted_open_pos_corner": lambda: verify_preservation(
+        Identity(), HerzMonomial(1, 2, 0), proper_subpartition_rule(2), Domain.open_pos(0.3),
+        VerifyConfig(samples_per_n=10)),
+    # the pair witness with z = 0 refutes before its run's next witness (z = 0.5 w)
+    # overflows: a witness that cannot be built must not pre-empt an earlier refutation
+    "pair_refuted_before_overflow": lambda: verify_preservation(
+        Identity(), Custom(_bump, conjugate_equivariant=True), single_block_rule({0, 1}),
+        Domain.disc(1e300), VerifyConfig(samples_per_n=0)),
     # overflow gives a NaN min_eig: a known false refutation, recorded as it stands
     "overflow_z400_disc_inf": lambda: verify_preservation(
         Identity(), HerzMonomial(1, 400, 0), empty_rule(), Domain.disc(math.inf)),
@@ -101,6 +121,13 @@ def test_cases_cover_the_stages():
     assert expected["battery_refuted_partition3"]["counterexample"]["provenance"] != "random_gram"
     assert expected["raises_fold_non_equivariant"]["raises"] == "NonHermitianOutputError"
     assert math.isnan(expected["overflow_z400_disc_inf"]["counterexample"]["min_eig"])
+    for case, n, checked in (("pair_refuted_conj_subpartition", 4, 53),
+                              ("pair_refuted_open_pos_corner", 4, 41),
+                              ("pair_refuted_before_overflow", 3, 49)):
+        ce = expected[case]["counterexample"]
+        assert (ce["provenance"], ce["n"]) == ("duplicated_pair_gram", n)
+        assert expected[case]["stats"]["checked"] == checked
+    assert expected["pair_refuted_before_overflow"]["counterexample"]["params"]["z"] == 0.0
 
 
 if __name__ == "__main__":

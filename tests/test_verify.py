@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import random_psd
+from psdmask import verify
 from psdmask.errors import (
     CNotOutsideError,
+    EpsTooLargeError,
     NonHermitianOutputError,
     OutOfDomainError,
     RegimeMismatchError,
+    ZeroVectorError,
 )
 from psdmask.functions import (
     Custom,
@@ -30,6 +33,7 @@ from psdmask.patterns import (
 )
 from psdmask.verify import (
     OUTCOME_PRESERVED,
+    _deterministic_battery,
     _first_failure,
     VerifyConfig,
     canonical_json,
@@ -41,6 +45,7 @@ from psdmask.verify import (
     sample_psd,
     verify_preservation,
 )
+from psdmask.witnesses import duplicated_pair_gram, overlap_probe
 
 DISC1 = Domain.disc(1.0)
 FAST = VerifyConfig(max_n=6, samples_per_n=40)
@@ -249,6 +254,126 @@ class TestStackOrder:
         with pytest.raises(error) as stacked:
             _first_failure(self.SPEC, stack, 1e-8)
         assert str(stacked.value) == str(alone.value)
+
+
+def battery(domain, rule, max_n=8):
+    return _deterministic_battery(domain, {n: rule.pattern(n) for n in range(1, max_n + 1)}, max_n)
+
+
+def flat(stacks):
+    """(n, family, params, matrix bytes) per matrix of a stack stream."""
+    return [(n, family, params, W.tobytes()) for stack, n, family, ps in stacks
+            for W, params in zip(stack, ps)]
+
+
+def consume(stacks, out):
+    """Append the stream's stacks to out; an error it raises propagates."""
+    for item in stacks:
+        out.append(item)
+
+
+class TestBatteryStacks:
+    """The deterministic battery yields stacks in the random battery's format."""
+
+    def test_stack_format(self):
+        previous = None
+        for stack, n, family, params in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
+            assert stack.dtype == np.complex128 and stack.shape == (len(params), n, n)
+            assert len(params) >= 1 and isinstance(family, str)
+            if family in ("duplicated_pair_gram", "tail_gram", "overlap_probe"):
+                assert all(p["coords"] == params[0]["coords"] for p in params)
+            previous = family
+        assert previous == "tensor_blowup"
+
+    def test_zero_padding_placement(self):
+        seen = 0
+        for stack, n, family, params in battery(DISC1, overlapping_chain_rule(), max_n=6):
+            if family != "overlap_probe":
+                continue
+            for M, p in zip(stack, params):
+                W = overlap_probe(p["r"], p["z"], DISC1).matrix
+                coords = list(p["coords"])
+                rest = [q for q in range(n) if q not in coords]
+                assert np.array_equal(M[np.ix_(coords, coords)], W)
+                assert not M[rest].any() and not M[:, rest].any()
+                assert eig_extremes(M)[0] >= -1e-12
+                seen += 1
+        assert seen > 0
+
+    def test_positive_domain_growth(self):
+        dom = Domain.open_pos(1.0)
+        seen = 0
+        for stack, n, family, params in battery(dom, proper_subpartition_rule(2), max_n=6):
+            if family != "duplicated_pair_gram":
+                continue
+            for M, p in zip(stack, params):
+                W = duplicated_pair_gram(p["w"], p["z"], dom).matrix
+                coords = list(p["coords"])
+                assert np.array_equal(M[np.ix_(coords, coords)], W)
+                assert dom.contains_array(M).all()
+                assert is_psd(M, 1e-10).is_psd
+                seen += 1
+        assert seen > 0
+
+    def test_each_base_witness_built_once(self, monkeypatch):
+        calls = []
+        for name in ("duplicated_pair_gram", "tail_gram", "overlap_probe"):
+            real = getattr(verify, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append((_name, args[:2]))
+                return _real(*args)
+
+            monkeypatch.setattr(verify, name, counting)
+        for _, _, family, _ in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
+            if family == "tensor_blowup":  # its seed is a pair gram of its own
+                break
+        assert len(calls) == len(set(calls)) == 6 + 9 + 6
+
+    def test_all_ones_refutation_builds_no_pair_witness(self, monkeypatch):
+        for name in ("duplicated_pair_gram", "tail_gram", "overlap_probe", "corner_extend_auto"):
+            monkeypatch.setattr(verify, name, lambda *args: pytest.fail("built past the refutation"))
+        v = verify_preservation(Identity(), scaled_identity(-0.75), contiguous_partition_rule(3),
+                                Domain.open_pos(1.0), BATTERY_ONLY)
+        assert v.refuted and v.counterexample.family == "all_ones"
+
+    def test_build_error_follows_the_run_prefix(self, monkeypatch):
+        dom = Domain.open_pos(1.0)
+        reference = flat(battery(dom, single_block_rule({0, 1})))
+        real = verify.tail_gram
+        t_bad = [params["t"] for _, family, params, _ in reference if family == "tail_gram"][4]
+
+        def failing(w, t, domain):
+            if t == t_bad:
+                raise ZeroVectorError("refused")
+            return real(w, t, domain)
+
+        monkeypatch.setattr(verify, "tail_gram", failing)
+        got = []
+        with pytest.raises(ZeroVectorError, match="refused"):
+            consume(battery(dom, single_block_rule({0, 1})), got)
+        stop = next(i for i, (_, family, params, _) in enumerate(reference)
+                    if family == "tail_gram" and params["t"] == t_bad)
+        assert flat(got) == reference[:stop]
+        assert got[-1][2] == "tail_gram" and len(got[-1][0]) == 1  # the prefix of the failing run
+
+    def test_growth_error_surfaces_at_the_size_it_fails(self, monkeypatch):
+        dom = Domain.open_pos(1.0)
+        reference = flat(battery(dom, single_block_rule({0, 1})))
+        real = verify.corner_extend_auto
+
+        def failing(A, domain):
+            if A.shape[0] == 6:
+                raise EpsTooLargeError("no room")
+            return real(A, domain)
+
+        monkeypatch.setattr(verify, "corner_extend_auto", failing)
+        got = []
+        with pytest.raises(EpsTooLargeError, match="no room"):
+            consume(battery(dom, single_block_rule({0, 1})), got)
+        stop = next(i for i, (n, family, _, _) in enumerate(reference)
+                    if n == 7 and family == "duplicated_pair_gram")
+        assert flat(got) == reference[:stop]
 
 
 class TestRefuteScalar:

@@ -16,14 +16,14 @@ from psdmask.errors import (
 from psdmask.functions import BOUNDARY_SLACK, Domain, Identity, scaled_identity
 from psdmask.linalg import all_ones, eig_extremes, exact_hermitian, is_psd, symmetrize
 from psdmask.operators import OperatorSpec, apply, apply_star
-from psdmask.patterns import normalize
+from psdmask.patterns import normalize, single_block_rule
+from psdmask.verify import _deterministic_battery
 from psdmask.witnesses import (
     WITNESS_PSD_TOL,
     all_ones_witness,
     corner_extend,
     corner_extend_auto,
     duplicated_pair_gram,
-    embed_at,
     overlap_probe,
     pad_embed,
     rank_one_gram,
@@ -250,22 +250,6 @@ class TestCornerExtend:
         assert np.array_equal(M[:2, :2], padded[:2, :2])
 
 
-class TestEmbedAt:
-    def test_zero_padding_placement(self):
-        W = overlap_probe(0.5, 0.25, DISC1).matrix
-        M = embed_at(W, 5, (1, 3, 4), DISC1)
-        assert np.array_equal(M[np.ix_((1, 3, 4), (1, 3, 4))], W)
-        assert eig_extremes(M)[0] >= -1e-12
-
-    def test_positive_domain_growth(self):
-        dom = Domain.open_pos(1.0)
-        W = duplicated_pair_gram(0.5, 0.25, dom).matrix
-        M = embed_at(W, 5, (0, 2, 4), dom)
-        assert np.array_equal(M[np.ix_((0, 2, 4), (0, 2, 4))], W)
-        assert dom.contains_array(M).all()
-        assert is_psd(M, 1e-10).is_psd
-
-
 class TestWitnessFiniteness:
     def test_infinite_all_ones_scale(self):
         with pytest.raises(NonFiniteEntryError):
@@ -274,6 +258,11 @@ class TestWitnessFiniteness:
     def test_overflowing_gram(self):
         with np.errstate(over="ignore"), pytest.raises(NonFiniteEntryError):
             rank_one_gram([1e200, 1])
+
+    def test_overflowing_pair_gram(self):
+        # |z|^2 overflows in Python float arithmetic; |z| <= |w| keeps the other entries finite
+        with pytest.raises(NonFiniteEntryError):
+            duplicated_pair_gram(3e299, 1.5e299, Domain.disc(1e300))
 
 
 def old_corner_extend_auto(A, domain):
@@ -336,8 +325,11 @@ class TestCornerExtendClosedForm:
         monkeypatch.setattr(witnesses, "corner_extend", counting)
         corner_extend_auto(0.9 * all_ones(3), Domain.open_pos(1.0))
         assert len(calls) == 1
-        embed_at(0.4 * all_ones(3), 7, (0, 3, 6), Domain.open_pos(1.0))
-        assert len(calls) == 1 + 4
+        # the battery grows each of its 15 pair and tail witnesses from 3 x 3 to 8 x 8 once
+        patterns = {n: single_block_rule({0, 1}).pattern(n) for n in range(1, 9)}
+        for _ in _deterministic_battery(Domain.open_pos(1.0), patterns, 8):
+            pass
+        assert len(calls) == 1 + 15 * 5
 
     def test_non_psd_input_rejected(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1, positive entries
@@ -358,3 +350,28 @@ class TestCornerExtendClosedForm:
         M = corner_extend(all_ones(2), 1.0)
         assert is_psd(M, 1e-10).is_psd
         assert M[2, 2] == 4.0
+
+
+def grown(A, k, domain):
+    """A grown to k x k by zero-padding where the domain has 0, else by corner extensions."""
+    if domain.has_zero:
+        return pad_embed(A, k, domain=domain)
+    while A.shape[0] < k:
+        A, _ = corner_extend_auto(A, domain)
+    return A
+
+
+class TestLeadingBlocks:
+    """Growing once to the largest size carries every smaller growth as its leading block."""
+
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 1e4, math.inf])
+    @pytest.mark.parametrize("make", [Domain.open_pos, Domain.disc])
+    def test_grow_once_then_take_leading_block(self, rng, rho, make):
+        dom = make(rho)
+        top = 1.0 if math.isinf(rho) else 0.9 * dom.upper
+        for n in range(1, 8):
+            A = positive_psd(rng, n, top)
+            big = grown(A, 8, dom)
+            assert big.shape == (8, 8)
+            for k in range(n, 9):
+                assert big[:k, :k].tobytes() == grown(A, k, dom).tobytes()
