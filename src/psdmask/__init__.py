@@ -40,7 +40,6 @@ from .linalg import (
 from .operators import (
     OperatorSpec,
     apply,
-    apply_star,
     decompose,
     mask_factorization,
     star_pattern,

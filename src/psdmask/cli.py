@@ -191,12 +191,12 @@ def _add_output_flags(sp) -> None:
     sp.add_argument("--json", action="store_true", help="print raw JSON instead of the summary")
 
 
-def _add_config_flags(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-n", dest="max_n", type=int, default=8)
-    sp.add_argument("--samples", type=int, default=500)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--probe-n", dest="probe_n", type=int, default=12)
+def _add_config_flags(sp, defaults: VerifyConfig) -> None:
+    sp.add_argument("--seed", type=int, default=defaults.seed)
+    sp.add_argument("--max-n", dest="max_n", type=int, default=defaults.max_n)
+    sp.add_argument("--samples", type=int, default=defaults.samples_per_n)
+    sp.add_argument("--tol", type=float, default=defaults.tol)
+    sp.add_argument("--probe-n", dest="probe_n", type=int, default=defaults.probe_N)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,10 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-masked entrywise operations on PSD matrices: classify, verify, refute.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = VerifyConfig()  # flag defaults read off the library's, so the two cannot drift apart
 
     sp = sub.add_parser("classify", help="classify a pattern rule and print its admissible family")
     sp.add_argument("--rule", required=True)
-    sp.add_argument("--probe-n", dest="probe_n", type=int, default=12)
+    sp.add_argument("--probe-n", dest="probe_n", type=int, default=defaults.probe_N)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_classify)
 
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", required=True)
     sp.add_argument("--g")
     sp.add_argument("--domain")
-    _add_config_flags(sp)
+    _add_config_flags(sp, defaults)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_verify)
 
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", required=True, help="scalar, as a fraction like -11/20 or a decimal")
     sp.add_argument("--domain")
     sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--probe-n", dest="probe_n", type=int, default=12)
+    sp.add_argument("--probe-n", dest="probe_n", type=int, default=defaults.probe_N)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_refute)
 
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_witness)
 
     sp = sub.add_parser("suite", help="run the full acceptance suite")
-    _add_config_flags(sp)
+    _add_config_flags(sp, defaults)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_suite)
 

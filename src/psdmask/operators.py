@@ -42,10 +42,6 @@ def star_pattern(n: int) -> BlockPattern:
     return normalize([{j} for j in range(n)], n)
 
 
-def empty_pattern(n: int) -> BlockPattern:
-    return normalize([], n)
-
-
 def _check_input(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
@@ -94,13 +90,6 @@ def apply(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     return _settle_hermitian(np.where(mask, G, F))
 
 
-def apply_star(f: PreserverFunction, A: np.ndarray, domain: Domain,
-               g: PreserverFunction = Identity()) -> np.ndarray:
-    """Apply with the all-singletons pattern: g (default: keep) on the diagonal, f off it."""
-    n = np.asarray(A).shape[0]
-    return apply(OperatorSpec(f=f, pattern=star_pattern(n), domain=domain, g=g), A)
-
-
 def decompose(spec: OperatorSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split the image as (f applied everywhere) + (g - f on the mask, 0 elsewhere).
 
@@ -108,7 +97,7 @@ def decompose(spec: OperatorSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray
     reassemble the ``apply`` image entrywise to working precision.
     """
     out = apply(spec, A)
-    part1 = apply(OperatorSpec(f=spec.f, pattern=empty_pattern(spec.pattern.n), domain=spec.domain), A)
+    part1 = apply(OperatorSpec(f=spec.f, pattern=normalize([], spec.pattern.n), domain=spec.domain), A)
     mask = mask_matrix(spec.pattern)
     part2 = np.where(mask, out - part1, 0.0 + 0.0j)
     return part1, exact_hermitian(part2)

@@ -46,11 +46,11 @@ from .linalg import (
     exact_hermitian,
     identity,
     is_psd,
-    matrix_to_json,
     psd_holds,
 )
 from .operators import OperatorSpec, apply
 from .patterns import (
+    DEFAULT_PROBE_N,
     R3A_PARTITION_ALL,
     BlockPattern,
     PatternRule,
@@ -59,7 +59,7 @@ from .patterns import (
     validate_rule,
 )
 from .witnesses import (
-    _jsonable,
+    Witness,
     all_ones_witness,
     corner_extend_auto,
     duplicated_pair_gram,
@@ -93,7 +93,7 @@ class VerifyConfig:
     samples_per_n: int = 500
     seed: int = 0
     tol: float = 1e-8
-    probe_N: int = 12
+    probe_N: int = DEFAULT_PROBE_N
     rank_one_only: bool = False
 
     def __post_init__(self):
@@ -121,13 +121,7 @@ class CounterExample:
     min_eig: float
 
     def to_json(self) -> dict:
-        return {
-            "provenance": self.family,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
-            "n": self.n,
-            "matrix": matrix_to_json(self.matrix),
-            "min_eig": self.min_eig,
-        }
+        return {**Witness(self.matrix, self.family, self.params).to_json(), "n": self.n, "min_eig": self.min_eig}
 
 
 @dataclass(frozen=True, eq=False)

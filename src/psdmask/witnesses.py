@@ -65,6 +65,14 @@ def _assert_witness(M: np.ndarray, domain: Domain | None, provenance: str) -> No
         raise OutOfDomainError(f"witness {provenance} has entries outside the domain")
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where Python's complex abs overflows (numpy's gives inf)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def rank_one_gram(v, domain: Domain | None = None) -> Witness:
     """The rank-one Gram matrix v v* of a nonzero vector."""
     v = np.asarray(v, dtype=np.complex128).ravel()
@@ -84,15 +92,15 @@ def duplicated_pair_gram(w, z, domain: Domain) -> Witness:
     """
     w = complex(w)
     z = complex(z)
-    aw = abs(w)
+    aw, az = _modulus(w), _modulus(z)
     if aw == 0.0:
         raise ZeroVectorError("w must be nonzero")
     if not domain.contains(w):
         raise OutOfDomainError(f"w={w} is outside the domain")
-    if abs(z) > aw:
-        raise OutOfDomainError(f"|z|={abs(z)} exceeds |w|={aw}")
+    if az > aw:
+        raise OutOfDomainError(f"|z|={az} exceeds |w|={aw}")
     try:
-        corner = abs(z) ** 2 / aw
+        corner = az ** 2 / aw
     except OverflowError:  # Python float power raises where numpy would give inf
         corner = math.inf
     z1 = z * w.conjugate() / aw
@@ -120,8 +128,8 @@ def overlap_probe(r, z, domain: Domain) -> Witness:
     z = complex(z)
     if not (r > 0.0 and domain.contains(r)):
         raise OutOfDomainError(f"r={r} must be a positive real inside the domain")
-    if abs(z) > r:
-        raise OutOfDomainError(f"|z|={abs(z)} exceeds r={r}")
+    if _modulus(z) > r:
+        raise OutOfDomainError(f"|z|={_modulus(z)} exceeds r={r}")
     M = exact_hermitian(np.array(
         [
             [r, z, z],
@@ -143,7 +151,7 @@ def tail_gram(w, t, domain: Domain) -> Witness:
     """
     w = complex(w)
     t = float(t)
-    aw = abs(w)
+    aw = _modulus(w)
     if aw == 0.0:
         raise ZeroVectorError("w must be nonzero")
     if not (t >= aw and domain.contains(t) and domain.contains(w)):

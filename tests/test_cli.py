@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from psdmask.cli import EXIT_OK, EXIT_REFUTED, EXIT_SUITE_FAIL, EXIT_USAGE, main
+from psdmask.cli import EXIT_OK, EXIT_REFUTED, EXIT_SUITE_FAIL, EXIT_USAGE, _config_from, build_parser, main
 from psdmask.linalg import matrix_from_json
-from psdmask.verify import canonical_json
+from psdmask.verify import VerifyConfig, canonical_json
 
 
 @pytest.fixture
@@ -40,6 +40,18 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestParserDefaults:
+    def test_config_flags_default_to_verify_config(self):
+        parser = build_parser()
+        for argv in (["suite"], ["verify", "--rule", "r.json", "--f", "f.json"]):
+            assert _config_from(parser.parse_args(argv)) == VerifyConfig()
+
+    def test_probe_depth_defaults_to_verify_config(self):
+        parser = build_parser()
+        for argv in (["classify", "--rule", "r.json"], ["refute", "--rule", "r.json", "--c", "-1"]):
+            assert parser.parse_args(argv).probe_n == VerifyConfig().probe_N
 
 
 class TestClassify:

@@ -68,6 +68,16 @@ class TestDomain:
             for j in range(3):
                 assert flags[i, j] == d.contains(Z[i, j])
 
+    @pytest.mark.parametrize("rho", [1.0, math.inf])
+    @pytest.mark.parametrize("kind", ["disc", "open_sym", "half_open_nonneg", "open_pos"])
+    def test_contains_is_contains_array_on_edge_values(self, kind, rho):
+        d = Domain(kind, rho)
+        values = [0, 0.0, -0.0, d.upper, math.nextafter(d.upper, math.inf), -d.upper,
+                  math.inf, -math.inf, math.nan, complex(0.5, 0.5), complex(0.5, math.nan),
+                  complex(1.5e308, 1.5e308)]
+        for z in values:
+            assert d.contains(z) == bool(d.contains_array(z)), z
+
     def test_probe_points_inside_and_conj_closed(self):
         for d in (Domain.disc(1.0), Domain.open_sym(2.0),
                   Domain.half_open_nonneg(1.0), Domain.open_pos(0.5), Domain.disc()):
@@ -135,6 +145,29 @@ class TestConjugateEquivariance:
     def test_constant_imaginary_fails(self):
         f = Custom(lambda z: 1j, name="const_i")
         assert not conjugate_equivariance_check(f, [0.5, 0.5j, -0.5j])
+
+    def test_single_bad_probe_fails(self):
+        f = Custom(lambda z: 1j if z == 0.3 else z, name="bad_at_0.3")
+        assert conjugate_equivariance_check(f, [0.1, 0.5j, -0.5j, 0.7])
+        assert not conjugate_equivariance_check(f, [0.1, 0.5j, -0.5j, 0.3, 0.7])
+
+    def test_nan_gap_passes(self):
+        # nan > tol is False, so a probe whose gap is NaN does not fail the check
+        f = Custom(lambda z: complex(math.nan, 0.0) if z == 0.5 else z, name="nan_at_0.5")
+        assert conjugate_equivariance_check(f, [0.2, 0.5, -0.5])
+        with np.errstate(over="ignore", invalid="ignore"):  # z^400 overflows to NaN gaps
+            assert conjugate_equivariance_check(HerzMonomial(1.0, 400, 0), [0j, 1e3, -1e3, 1e3j, -1e3j])
+
+    def test_two_evaluations_per_function(self):
+        calls = []
+
+        class Counted(Identity):
+            def evaluate_array(self, Z):
+                calls.append(np.shape(Z))
+                return super().evaluate_array(Z)
+
+        assert conjugate_equivariance_check(Counted(), [0j, 0.3, 0.1 + 0.4j, 0.1 - 0.4j])
+        assert calls == [(4,), (4,)]
 
 
 class TestAdmissibleFamily:

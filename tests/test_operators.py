@@ -13,7 +13,6 @@ from psdmask.linalg import all_ones, eig_extremes, identity, permute_conjugate, 
 from psdmask.operators import (
     OperatorSpec,
     apply,
-    apply_star,
     decompose,
     mask_factorization,
     star_pattern,
@@ -74,22 +73,28 @@ class TestApply:
         assert np.all(out[~mask] == 0)
 
 
+def star_spec(f, n):
+    return OperatorSpec(f=f, pattern=star_pattern(n), domain=DISC)
+
+
 class TestApplyStar:
+    """``apply`` with the all-singletons pattern: the identity on the diagonal, f off it."""
+
     def test_zero_keeps_diagonal(self, rng):
         A = symmetrize(random_psd(rng, 4))
-        out = apply_star(Zero(), A, DISC)
+        out = apply(star_spec(Zero(), 4), A)
         assert np.array_equal(out, np.diag(A.diagonal()))
 
     def test_scaled_identity_on_all_ones(self):
         # f = c id on x J_n gives c x J_n + (1-c) x Id_n
         n, c, x = 4, -0.25, 0.8
-        out = apply_star(scaled_identity(c), x * all_ones(n), DISC)
+        out = apply(star_spec(scaled_identity(c), n), x * all_ones(n))
         expected = c * x * all_ones(n) + (1 - c) * x * identity(n)
         assert np.allclose(out, expected, atol=1e-15)
 
     def test_identity_is_noop(self, rng):
         A = symmetrize(random_psd(rng, 3))
-        assert np.array_equal(apply_star(Identity(), A, DISC), A)
+        assert np.array_equal(apply(star_spec(Identity(), 3), A), A)
 
 
 class TestDecompose:

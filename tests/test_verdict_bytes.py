@@ -71,7 +71,7 @@ CASES = {
         VerifyConfig(seed=7)),
     # the first failure comes from random_gram sample 3 at n = 4
     "random_refuted_abs": lambda: verify_preservation(
-        Identity(), Custom(lambda z: complex(abs(z)), conjugate_equivariant=True),
+        Identity(), Custom(lambda z: complex(abs(z))),
         empty_rule(), Domain.disc(1.0), VerifyConfig(seed=3)),
     # the first failure is the 5th witness of a duplicated_pair_gram run at n = 4
     "pair_refuted_conj_subpartition": lambda: verify_preservation(
@@ -84,7 +84,7 @@ CASES = {
     # the pair witness with z = 0 refutes before its run's next witness (z = 0.5 w)
     # overflows: a witness that cannot be built must not pre-empt an earlier refutation
     "pair_refuted_before_overflow": lambda: verify_preservation(
-        Identity(), Custom(_bump, conjugate_equivariant=True), single_block_rule({0, 1}),
+        Identity(), Custom(_bump), single_block_rule({0, 1}),
         Domain.disc(1e300), VerifyConfig(samples_per_n=0)),
     # overflow gives a NaN min_eig: a known false refutation, recorded as it stands
     "overflow_z400_disc_inf": lambda: verify_preservation(

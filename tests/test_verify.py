@@ -95,7 +95,7 @@ class TestVerifyPreservation:
         assert ce.min_eig == pytest.approx(-0.2 * ce.params["x"], abs=1e-10)
 
     def test_custom_bump_refuted_under_chain(self):
-        bump = Custom(lambda z: 0.5 * z + 0.1 * z * z, name="bump", conjugate_equivariant=True)
+        bump = Custom(lambda z: 0.5 * z + 0.1 * z * z, name="bump")
         verdict = verify_preservation(Identity(), bump, overlapping_chain_rule(), DISC1, BATTERY_ONLY)
         assert verdict.refuted
         assert verdict.counterexample.family != "random_gram"

@@ -15,7 +15,7 @@ from psdmask.errors import (
 )
 from psdmask.functions import BOUNDARY_SLACK, Domain, Identity, scaled_identity
 from psdmask.linalg import all_ones, eig_extremes, exact_hermitian, is_psd, symmetrize
-from psdmask.operators import OperatorSpec, apply, apply_star
+from psdmask.operators import OperatorSpec, apply, star_pattern
 from psdmask.patterns import normalize, single_block_rule
 from psdmask.verify import _deterministic_battery
 from psdmask.witnesses import (
@@ -147,7 +147,7 @@ class TestAllOnesWitness:
         # f = c id star-applied to x J_4 is PSD exactly for c in [-1/3, 1]
         wit = all_ones_witness(0.9, 4, DISC1)
         for c, expect in ((-1.0 / 3.0, True), (1.0, True), (-0.4, False), (1.1, False)):
-            out = apply_star(scaled_identity(c), wit.matrix, DISC1)
+            out = apply(OperatorSpec(f=scaled_identity(c), pattern=star_pattern(4), domain=DISC1), wit.matrix)
             assert is_psd(out, 1e-9).is_psd == expect
 
     def test_negative_scale_rejected(self):
@@ -263,6 +263,19 @@ class TestWitnessFiniteness:
         # |z|^2 overflows in Python float arithmetic; |z| <= |w| keeps the other entries finite
         with pytest.raises(NonFiniteEntryError):
             duplicated_pair_gram(3e299, 1.5e299, Domain.disc(1e300))
+
+    def test_overflowing_pair_gram_modulus(self):
+        # both parts of w are finite, but |w| exceeds the float range
+        with pytest.raises(NonFiniteEntryError):
+            duplicated_pair_gram(complex(1.5e308, 1.5e308), 0, DISC)
+
+    def test_overflowing_tail_gram_modulus(self):
+        with pytest.raises(NonFiniteEntryError):
+            tail_gram(complex(1.5e308, 1.5e308), math.inf, DISC)
+
+    def test_overflowing_overlap_modulus(self):
+        with pytest.raises(OutOfDomainError):
+            overlap_probe(1.0, complex(1.5e308, 1.5e308), DISC)
 
 
 def old_corner_extend_auto(A, domain):
