@@ -51,13 +51,6 @@ def _check_input(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"pattern is on range({spec.pattern.n}) but the matrix is {n} x {n}"
         )
-    inside = spec.domain.contains_array(A)
-    if not inside.all():
-        where = tuple(int(k) for k in np.argwhere(~inside)[0])
-        i, j = where[-2:]
-        raise OutOfDomainError(
-            f"entry ({i},{j}) = {A[where]} lies outside {spec.domain.kind}(rho={spec.domain.rho})"
-        )
     return A
 
 
@@ -76,6 +69,23 @@ def _settle_hermitian(raw: np.ndarray) -> np.ndarray:
     return exact_hermitian((raw + raw_h) / 2.0)
 
 
+def _image(g: PreserverFunction, f: PreserverFunction, domain: Domain,
+           mask: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The kernel of ``apply``: g where the mask holds and f elsewhere, settled
+    Hermitian, on complex matrices A whose entries must lie in the domain.
+
+    A stack ``(k, n, n)`` of masks broadcasts against a stack of matrices.
+    """
+    inside = domain.contains_array(A)
+    if not inside.all():
+        where = tuple(int(k) for k in np.argwhere(~inside)[0])
+        i, j = where[-2:]
+        raise OutOfDomainError(
+            f"entry ({i},{j}) = {A[where]} lies outside {domain.kind}(rho={domain.rho})"
+        )
+    return _settle_hermitian(np.where(mask, g.evaluate_array(A), f.evaluate_array(A)))
+
+
 def apply(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     """Apply the operator entrywise and return the symmetrized image.
 
@@ -84,10 +94,7 @@ def apply(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     describes the first offending matrix of the stack.
     """
     A = _check_input(spec, A)
-    mask = mask_matrix(spec.pattern)
-    G = spec.g.evaluate_array(A)
-    F = spec.f.evaluate_array(A)
-    return _settle_hermitian(np.where(mask, G, F))
+    return _image(spec.g, spec.f, spec.domain, mask_matrix(spec.pattern), A)
 
 
 def decompose(spec: OperatorSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,6 +73,17 @@ class BlockPattern:
                     return True
         return False
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only boolean grid: True where some block contains both indices
+        (g-territory).  Built on first use and kept as long as the pattern."""
+        member = np.zeros((len(self.blocks), self.n), dtype=bool)  # member[j, i]: block j holds i
+        for row, b in zip(member, self.blocks):
+            row[list(b)] = True
+        mask = member.T @ member
+        mask.flags.writeable = False
+        return mask
+
 
 def normalize(blocks, n: int) -> BlockPattern:
     """Drop empty sets, drop subsets contained in another block, order canonically."""
@@ -121,12 +133,8 @@ def classify_pattern(pattern: BlockPattern) -> PatternClass:
 
 
 def mask_matrix(pattern: BlockPattern) -> np.ndarray:
-    """Boolean grid: True where some block contains both indices (g-territory)."""
-    mask = np.zeros((pattern.n, pattern.n), dtype=bool)
-    for b in pattern.blocks:
-        idx = sorted(b)
-        mask[np.ix_(idx, idx)] = True
-    return mask
+    """The pattern's read-only mask: True where some block contains both indices (g-territory)."""
+    return pattern.mask
 
 
 # -- rule sequences -----------------------------------------------------------

@@ -146,8 +146,11 @@ def _rng(seed: int, family: str, n: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), _FAMILY_IDS[family], int(n)])
 
 
-def _gram(rng: np.random.Generator, n: int, domain: Domain, rank: int) -> np.ndarray:
-    """The Gram matrix of a seeded n x rank Gaussian factor suited to the domain."""
+def _gram(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = None) -> np.ndarray:
+    """The Gram matrix of a seeded n x rank Gaussian factor suited to the domain,
+    unsettled; without a rank, the rank is drawn first, in 1..n."""
+    if rank is None:
+        rank = int(rng.integers(1, n + 1))
     if domain.kind == DISC:
         B = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     elif domain.kind == OPEN_SYM:
@@ -177,8 +180,6 @@ def sample_psd(rng: np.random.Generator, n: int, domain: Domain, rank: int | Non
     over (-rho, rho), absolute values (shifted strictly positive for (0, rho))
     otherwise; scaled to 0.95 rho for finite rho.
     """
-    if rank is None:
-        rank = int(rng.integers(1, n + 1))
     return _into_domain(_gram(rng, n, domain, rank)[None], domain)[0]
 
 

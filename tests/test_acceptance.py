@@ -1,9 +1,20 @@
-"""Acceptance gate: every criterion at its stated tolerance, one line each."""
+"""Acceptance gate: every criterion at its stated tolerance, one line each.
+
+``suite_bytes.json`` pins the sha256 of the ``canonical_json`` suite report
+for four configs, recorded from the one-matrix-at-a-time suite before its
+criteria ran on stacks; a faster suite must reproduce every byte.
+"""
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 
-from psdmask.suite import run_theorem_suite
+from psdmask.suite import _criterion_dominance_necessity, run_theorem_suite
 from psdmask.verify import VerifyConfig, canonical_json
+
+SUITE_BYTES = json.loads((pathlib.Path(__file__).parent / "suite_bytes.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +115,22 @@ def test_rerun_reproduces_report_bytes():
     a = run_theorem_suite(VerifyConfig(seed=3))
     b = run_theorem_suite(VerifyConfig(seed=3))
     assert canonical_json(a) == canonical_json(b)
+
+
+def _sha256(report):
+    return hashlib.sha256(canonical_json(report).encode()).hexdigest()
+
+
+def test_suite_body_bytes_seed_0(report):
+    assert SUITE_BYTES["seed_0"]["config"] == {}
+    assert _sha256(report) == SUITE_BYTES["seed_0"]["sha256"]
+
+
+@pytest.mark.parametrize("name", ["seed_7919", "tol_0", "max_n_3"])
+def test_suite_body_bytes(name):
+    pin = SUITE_BYTES[name]
+    assert _sha256(run_theorem_suite(VerifyConfig(**pin["config"]))) == pin["sha256"]
+
+
+def test_dominance_necessity_keeps_its_2x2_witness_at_max_n_1():
+    assert _criterion_dominance_necessity(VerifyConfig(max_n=1))["passed"]

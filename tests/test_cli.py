@@ -275,6 +275,11 @@ class TestSuite:
         code, out, _ = run(["suite", "--max-n", "3"], capsys)
         assert code == EXIT_OK
 
+    def test_one_dimension_budget_passes(self, files, capsys):
+        # criterion 11's 2 x 2 witness keeps its own budget
+        code, out, _ = run(["suite", "--max-n", "1"], capsys)
+        assert code == EXIT_OK, out
+
     def test_zero_tolerance_documents_boundary_failures(self, files, capsys):
         code, out, _ = run(["suite", "--tol", "0"], capsys)
         assert code == EXIT_SUITE_FAIL

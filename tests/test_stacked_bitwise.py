@@ -18,8 +18,23 @@ from psdmask.errors import EigFailure
 from psdmask.functions import Domain, HerzMonomial, HerzSeries, scaled_identity
 from psdmask.linalg import eig_extremes, exact_hermitian, psd_holds
 from psdmask.operators import OperatorSpec, apply
-from psdmask.patterns import contiguous_partition_rule, empty_rule, overlapping_chain_rule
-from psdmask.verify import SAMPLE_CHUNK, VerifyConfig, _random_battery, _rng, sample_psd
+from psdmask.patterns import (
+    contiguous_partition_rule,
+    empty_rule,
+    mask_matrix,
+    normalize,
+    overlapping_chain_rule,
+)
+from psdmask.suite import _partition_labels
+from psdmask.verify import (
+    SAMPLE_CHUNK,
+    VerifyConfig,
+    _gram,
+    _into_domain,
+    _random_battery,
+    _rng,
+    sample_psd,
+)
 
 SIZES = range(1, 9)
 NAN_AT = 4
@@ -174,3 +189,69 @@ def test_random_battery_matches_sample_psd_one_at_a_time(dom):
                 assert _same_bits(M, sample_psd(rng, n, dom, rank)), f"n={n} sample {s}"
                 s += 1
         assert s == cfg.samples_per_n
+
+
+_DOMAIN_KINDS = {"disc": Domain.disc, "open_sym": Domain.open_sym,
+                 "half_open_nonneg": Domain.half_open_nonneg, "open_pos": Domain.open_pos}
+
+
+@pytest.mark.parametrize("rho", [1.0, math.inf], ids=["rho1", "rho_inf"])
+@pytest.mark.parametrize("kind", sorted(_DOMAIN_KINDS))
+def test_draws_settled_per_n_match_sample_psd_one_at_a_time(kind, rho):
+    """The suite's draw order: Grams drawn in one stream with mixed n, each n settled as one stack."""
+    dom = _DOMAIN_KINDS[kind](rho)
+    ns = np.random.default_rng(11).integers(1, 9, size=200).tolist()
+    drawing, sampling = np.random.default_rng(5), np.random.default_rng(5)
+    grams = [_gram(drawing, n, dom) for n in ns]
+    alone = [sample_psd(sampling, n, dom) for n in ns]
+    assert drawing.random() == sampling.random()  # both streams consumed the same draws
+    for n in SIZES:
+        at = [i for i, m in enumerate(ns) if m == n]
+        stacked = _into_domain(np.array([grams[i] for i in at]), dom)
+        for j, i in enumerate(at):
+            assert _same_bits(stacked[j], alone[i]), f"n={n} draw {i}"
+
+
+def _same_mask(a, b):
+    return a.dtype == b.dtype == bool and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_partition_reference(rng, n, k):
+    """The partition pattern drawn one at a time, as the suite drew it before its masks were label-built."""
+    perm = rng.permutation(n)
+    assign = np.empty(n, dtype=int)
+    assign[perm[:k]] = np.arange(k)
+    if n > k:
+        assign[perm[k:]] = rng.integers(0, k, size=n - k)
+    return normalize([np.where(assign == j)[0].tolist() for j in range(k)], n)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_label_masks_match_partition_pattern_masks(k):
+    labelling, partitioning = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(50):
+        for n in range(k, 9):
+            assign = _partition_labels(labelling, n, k)
+            want = mask_matrix(_random_partition_reference(partitioning, n, k))
+            assert _same_mask(assign[:, None] == assign[None, :], want), f"n={n}"
+    assert labelling.random() == partitioning.random()
+
+
+def _mask_reference(pattern):
+    mask = np.zeros((pattern.n, pattern.n), dtype=bool)
+    for b in pattern.blocks:
+        idx = sorted(b)
+        mask[np.ix_(idx, idx)] = True
+    return mask
+
+
+@pytest.mark.parametrize("blocks,n", [([], 3), ([{0, 1}, {2}], 3), ([{0, 1}, {1, 2}], 3),
+                                      ([{0, 2, 5}, {1, 3}], 7), ([{j} for j in range(8)], 8)])
+def test_mask_matrix_is_built_once_and_read_only(blocks, n):
+    pattern = normalize(blocks, n)
+    mask = mask_matrix(pattern)
+    assert _same_mask(mask, _mask_reference(pattern))
+    assert mask_matrix(pattern) is mask
+    with pytest.raises(ValueError):
+        mask[0, 0] = not mask[0, 0]
+    assert _same_mask(mask_matrix(pattern), _mask_reference(pattern))
