@@ -163,28 +163,39 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def schur_complement(M: np.ndarray, block) -> np.ndarray:
     """Complement M[rest,rest] - M[rest,block] M[block,block]^{-1} M[block,rest].
 
-    ``block`` is a set of 0-based indices; its principal submatrix must be
-    invertible (smallest singular value above 1e-12 times the spectral scale
-    of M), otherwise ``SingularBlockError`` is raised.
+    ``M`` is one matrix or a stack ``(k, n, n)``; each matrix of a stack comes
+    out bit for bit as it would alone.  ``block`` is a set of 0-based
+    indices; its principal submatrix must be invertible (smallest singular
+    value above 1e-12 times the spectral scale of M), otherwise
+    ``SingularBlockError`` is raised, naming the first such matrix of a stack.
     """
-    M = _as_square_grid(M)
-    n = M.shape[0]
+    M = np.asarray(M, dtype=np.complex128)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise NonSquareError(f"expected a nonempty square grid, got shape {M.shape}")
+    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
+        raise NonFiniteEntryError("matrix entries must be finite")
+    n = M.shape[-1]
     blk = sorted(set(int(i) for i in block))
     if not blk or any(i < 0 or i >= n for i in blk):
         raise ValueError(f"block must be a nonempty subset of range({n})")
     rest = [i for i in range(n) if i not in set(blk)]
     if not rest:
         raise ValueError("block must be a proper subset (nonempty complement)")
+    blk, rest = np.array(blk), np.array(rest)
     lo, hi = eig_extremes(M)
-    scale = max(abs(lo), abs(hi))
-    P = M[np.ix_(blk, blk)]
-    smin = float(np.linalg.svd(P, compute_uv=False)[-1])
-    if smin <= 1e-12 * scale or smin == 0.0:
+    scale = np.fmax(np.abs(lo), np.abs(hi))
+    P = M[..., blk[:, None], blk]
+    smin = np.linalg.svd(P, compute_uv=False)[..., -1]
+    singular = np.flatnonzero((smin <= 1e-12 * scale) | (smin == 0.0))
+    if singular.size:
+        j = int(singular[0])
+        where = f"matrix {j}: " if M.ndim == 3 else ""
         raise SingularBlockError(
-            f"pivot block min singular value {smin:.3e} <= 1e-12 * {scale:.3e}"
+            f"{where}pivot block min singular value {smin.flat[j]:.3e} <= 1e-12 * {scale.flat[j]:.3e}"
         )
-    C = M[np.ix_(rest, rest)] - M[np.ix_(rest, blk)] @ np.linalg.solve(P, M[np.ix_(blk, rest)])
-    return exact_hermitian((C + C.conj().T) / 2.0)
+    solved = np.linalg.solve(P, M[..., blk[:, None], rest])
+    C = M[..., rest[:, None], rest] - M[..., rest[:, None], blk] @ solved
+    return exact_hermitian((C + np.swapaxes(C, -1, -2).conj()) / 2.0)
 
 
 def permute_conjugate(M: np.ndarray, sigma) -> np.ndarray:

@@ -51,7 +51,19 @@ def _check_input(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"pattern is on range({spec.pattern.n}) but the matrix is {n} x {n}"
         )
+    _check_domain(spec.domain, A)
     return A
+
+
+def _check_domain(domain: Domain, A: np.ndarray) -> None:
+    """Raise OutOfDomainError naming the first entry of A, in stack order, outside the domain."""
+    inside = domain.contains_array(A)
+    if not inside.all():
+        where = tuple(int(k) for k in np.argwhere(~inside)[0])
+        i, j = where[-2:]
+        raise OutOfDomainError(
+            f"entry ({i},{j}) = {A[where]} lies outside {domain.kind}(rho={domain.rho})"
+        )
 
 
 def _settle_hermitian(raw: np.ndarray) -> np.ndarray:
@@ -69,21 +81,40 @@ def _settle_hermitian(raw: np.ndarray) -> np.ndarray:
     return exact_hermitian((raw + raw_h) / 2.0)
 
 
-def _image(g: PreserverFunction, f: PreserverFunction, domain: Domain,
-           mask: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The kernel of ``apply``: g where the mask holds and f elsewhere, settled
-    Hermitian, on complex matrices A whose entries must lie in the domain.
+def _image(mask: np.ndarray, G: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The kernel of ``apply``: the values G of g where the mask holds and the
+    values F of f elsewhere, settled Hermitian.
 
-    A stack ``(k, n, n)`` of masks broadcasts against a stack of matrices.
+    G and F are the functions evaluated on the (domain-checked) input; a
+    stack ``(k, n, n)`` of masks broadcasts against stacks of values.
     """
-    inside = domain.contains_array(A)
-    if not inside.all():
-        where = tuple(int(k) for k in np.argwhere(~inside)[0])
-        i, j = where[-2:]
-        raise OutOfDomainError(
-            f"entry ({i},{j}) = {A[where]} lies outside {domain.kind}(rho={domain.rho})"
-        )
-    return _settle_hermitian(np.where(mask, g.evaluate_array(A), f.evaluate_array(A)))
+    return _settle_hermitian(np.where(mask, G, F))
+
+
+def _decomposition(mask: np.ndarray, G: np.ndarray, F: np.ndarray):
+    """The kernel of ``decompose``: the image, f's image everywhere, and the
+    second part (image minus f's image on the mask, exact zeros elsewhere)."""
+    out = _image(mask, G, F)
+    part1 = _settle_hermitian(F)
+    return out, part1, exact_hermitian(np.where(mask, out - part1, 0.0 + 0.0j))
+
+
+def _factorization(mask: np.ndarray, c, A: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """The kernel of ``mask_factorization``: A entrywise-times the mask image
+    (ones on the mask, c elsewhere), checked entrywise against ``image``.
+
+    For a stack, c may hold one slope per matrix, shaped ``(k, 1, 1)``; a
+    mismatch above 1e-14 relative raises ArithmeticError naming the first
+    matrix that has it.
+    """
+    lhs = schur_product(A, exact_hermitian(np.where(mask, 1.0 + 0.0j, c)))
+    gap = np.abs(lhs - image).max(axis=(-2, -1))
+    bad = np.flatnonzero(gap > 1e-14 * np.fmax(1.0, np.abs(image).max(axis=(-2, -1))))
+    if bad.size:
+        j = int(bad[0])
+        where = f"matrix {j}: " if lhs.ndim == 3 else ""
+        raise ArithmeticError(f"{where}mask factorization mismatch: entrywise gap {gap.flat[j]:.3e}")
+    return lhs
 
 
 def apply(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
@@ -94,7 +125,7 @@ def apply(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     describes the first offending matrix of the stack.
     """
     A = _check_input(spec, A)
-    return _image(spec.g, spec.f, spec.domain, mask_matrix(spec.pattern), A)
+    return _image(mask_matrix(spec.pattern), spec.g.evaluate_array(A), spec.f.evaluate_array(A))
 
 
 def decompose(spec: OperatorSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,29 +134,23 @@ def decompose(spec: OperatorSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray
     The unmasked entries of the second part are exact zeros; the parts
     reassemble the ``apply`` image entrywise to working precision.
     """
-    out = apply(spec, A)
-    part1 = apply(OperatorSpec(f=spec.f, pattern=normalize([], spec.pattern.n), domain=spec.domain), A)
-    mask = mask_matrix(spec.pattern)
-    part2 = np.where(mask, out - part1, 0.0 + 0.0j)
-    return part1, exact_hermitian(part2)
+    A = _check_input(spec, A)
+    _, part1, part2 = _decomposition(mask_matrix(spec.pattern), spec.g.evaluate_array(A),
+                                     spec.f.evaluate_array(A))
+    return part1, part2
 
 
 def mask_factorization(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     """For linear f = c*id and g = id: the image as A entrywise-times the mask image.
 
     The factor is the operator applied to the all-ones matrix (ones on the
-    mask, c elsewhere); the result is checked entrywise against ``apply``.
+    mask, c elsewhere); the result is checked entrywise against ``apply``,
+    per matrix of a stack.
     """
     c = spec.f.linear_slope()
     if c is None:
         raise NonLinearFunctionError("f must be linear (f(z) = c*z) for the mask factorization")
     if spec.g.linear_slope() != 1.0:
         raise NonLinearFunctionError("g must be the identity for the mask factorization")
-    mask = mask_matrix(spec.pattern)
-    ones_image = np.where(mask, 1.0 + 0.0j, complex(c))
-    lhs = schur_product(np.asarray(A, dtype=np.complex128), exact_hermitian(ones_image))
-    rhs = apply(spec, A)
-    gap = float(np.abs(lhs - rhs).max())
-    if gap > 1e-14 * max(1.0, float(np.abs(rhs).max())):
-        raise ArithmeticError(f"mask factorization mismatch: entrywise gap {gap:.3e}")
-    return lhs
+    image = apply(spec, A)
+    return _factorization(mask_matrix(spec.pattern), complex(c), np.asarray(A, dtype=np.complex128), image)

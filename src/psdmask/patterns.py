@@ -329,14 +329,21 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> dict:
     Raises FlagMismatchError on any contradiction and RejectedFullBlockError
     if the rule materializes the full block at some n >= 2.
     """
+    return _validate(rule, probe_N)[0]
+
+
+def _validate(rule: PatternRule, probe_N: int) -> tuple[dict, dict[int, BlockPattern]]:
+    """``validate_rule``'s evidence, and the patterns it built by dimension
+    (T_1..T_probe_N and the flags' witness dimensions), each built once."""
     if probe_N < 3:
         raise ValueError("probe_N must be >= 3")
     flags = rule.flags
+    patterns: dict[int, BlockPattern] = {}
     probed_nonempty = False
     probed_big = False
     probed_overlap = False
     for n in range(1, probe_N + 1):
-        p = rule.pattern(n)
+        p = patterns[n] = rule.pattern(n)
         cls = classify_pattern(p)
         if n >= 2 and cls.block_count > 0:
             probed_nonempty = True
@@ -355,13 +362,13 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> dict:
                 f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
             )
     if flags.has_block_ge2_at is not None:
-        at = rule.pattern(flags.has_block_ge2_at)
+        at = _pattern_at(rule, patterns, flags.has_block_ge2_at)
         if at.max_block_size() < 2:
             raise FlagMismatchError(
                 f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
             )
     if flags.overlap_at is not None:
-        at = rule.pattern(flags.overlap_at)
+        at = _pattern_at(rule, patterns, flags.overlap_at)
         if not at.has_overlap():
             raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
     declared_big = flags.has_block_ge2_at is not None or flags.overlap_at is not None
@@ -373,7 +380,14 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> dict:
         "nonempty": probed_nonempty or flags.eventually_nonempty,
         "big_block": probed_big or flags.has_block_ge2_at is not None,
         "overlap": probed_overlap or flags.overlap_at is not None,
-    }
+    }, patterns
+
+
+def _pattern_at(rule: PatternRule, patterns: dict[int, BlockPattern], n: int) -> BlockPattern:
+    """T_n from patterns, built and added there if it is not yet."""
+    if n not in patterns:
+        patterns[n] = rule.pattern(n)
+    return patterns[n]
 
 
 def classify_sequence(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
@@ -384,7 +398,11 @@ def classify_sequence(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
     (proper subpartition somewhere, or unbounded block count); else nonempty
     -> R2; else R1.
     """
-    ev = validate_rule(rule, probe_N)
+    return _regime(rule, validate_rule(rule, probe_N))
+
+
+def _regime(rule: PatternRule, ev: dict) -> str:
+    """``classify_sequence`` from the evidence ``validate_rule`` returned."""
     if ev["overlap"]:
         return R4_OVERLAPPING
     if ev["big_block"]:

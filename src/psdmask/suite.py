@@ -3,9 +3,14 @@ pass/fail record with the measured quantities, plus a determinism cross-run.
 
 Every criterion re-derives its random stream from the config seed, so a
 rerun with the same seed reproduces the report byte for byte (checked by the
-final criterion itself).  Criteria 1-3 draw their samples in stream order,
-then settle, apply and eigen-solve them as one stack per n; each matrix of a
-stack comes out bit for bit as it would alone.
+final criterion itself).  Criteria 1-7 and 9 draw all their cases in stream
+order and evaluate each case's own g and f once on its own matrix; the
+domain check, the settle, the eigen-solve, determinant or Schur complement
+and the gap reductions then run once per stack of same-size cases, through
+the same kernels as ``apply``, ``decompose``, ``mask_factorization`` and
+``schur_complement``.  Each matrix of a stack comes out bit for bit as it
+would alone, and every reported extreme is a running min or max over the
+per-case values in draw order.
 """
 
 from __future__ import annotations
@@ -35,9 +40,18 @@ from .linalg import (
     is_psd,
     kron,
     psd_holds,
+    schur_complement,
     schur_product,
 )
-from .operators import OperatorSpec, _image, apply, decompose, mask_factorization, star_pattern
+from .operators import (
+    OperatorSpec,
+    _check_domain,
+    _decomposition,
+    _factorization,
+    _image,
+    apply,
+    star_pattern,
+)
 from .patterns import (
     R1_EMPTY,
     R2_SINGLETONS,
@@ -182,7 +196,9 @@ def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> dict:
             grams.append(_gram(rng, n, dom))
         low = np.empty(500)
         for at, mask, A in _by_n(ns, masks, grams):
-            low[at] = eig_extremes(_image(Identity(), f, dom, mask, _into_domain(A, dom)))[0]
+            A = _into_domain(A, dom)
+            _check_domain(dom, A)
+            low[at] = eig_extremes(_image(mask, A, f.evaluate_array(A)))[0]
         lows += low.tolist()
     worst = reduce(min, lows, math.inf)
     refuted = True
@@ -223,20 +239,22 @@ def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> dict:
 def _criterion_chain_determinant(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 104)
     dom = Domain.disc(1.0)
-    pattern = normalize([{0, 1}, {1, 2}], 3)
-    max_rel = 0.0
-    max_imag = 0.0
+    mask = normalize([{0, 1}, {1, 2}], 3).mask
+    B, G, F, laws = [], [], [], []
     for _ in range(200):
         g = HerzMonomial(0.5 + 1.5 * rng.random(), int(rng.integers(0, 3)), int(rng.integers(0, 3)))
         f = _random_builtin(rng, g)
         r = 0.2 + 0.7 * rng.random()
         z = r * rng.random() * np.exp(2j * math.pi * rng.random())
-        B = overlap_probe(r, complex(z), dom)
-        img = apply(OperatorSpec(f=f, pattern=pattern, domain=dom, g=g), B.matrix)
-        det = complex(np.linalg.det(img))
-        law = -(g(r).real) * abs(f(complex(z)) - g(complex(z))) ** 2
-        max_rel = max(max_rel, abs(det.real - law) / max(1.0, abs(law)))
-        max_imag = max(max_imag, abs(det.imag))
+        M = overlap_probe(r, complex(z), dom).matrix
+        B.append(M)
+        G.append(g.evaluate_array(M))
+        F.append(f.evaluate_array(M))
+        laws.append(-(g(r).real) * abs(f(complex(z)) - g(complex(z))) ** 2)
+    _check_domain(dom, np.array(B))
+    dets = np.linalg.det(_image(mask, np.array(G), np.array(F))).tolist()
+    max_rel = reduce(max, [abs(d.real - law) / max(1.0, abs(law)) for d, law in zip(dets, laws)], 0.0)
+    max_imag = reduce(max, [abs(d.imag) for d in dets], 0.0)
     return {
         "id": 4,
         "name": "chain-determinant-identity",
@@ -246,13 +264,10 @@ def _criterion_chain_determinant(cfg: VerifyConfig) -> dict:
 
 
 def _criterion_split_pair_complement(cfg: VerifyConfig) -> dict:
-    from .linalg import schur_complement
-
     rng = _rng(cfg, 105)
     dom = Domain.disc(1.0)
-    pattern = normalize([{0, 1}, {2}], 3)
-    max_rel = 0.0
-    max_scaled_zero = 0.0
+    mask = normalize([{0, 1}, {2}], 3).mask
+    W, G, F, laws = [], [], [], []
     for _ in range(200):
         # low exponents and |w| away from 0 keep the 1/g(|w|)^2 factor
         # well-conditioned against the 1e-10 tolerance
@@ -260,18 +275,23 @@ def _criterion_split_pair_complement(cfg: VerifyConfig) -> dict:
         w = (0.4 + 0.5 * rng.random()) * np.exp(2j * math.pi * rng.random())
         z = abs(w) * rng.random() * np.exp(2j * math.pi * rng.random())
         c = -1.0 + 2.0 * rng.random()
-        for f, want_zero in ((_random_builtin(rng, g), False), (ScalarMultiple(c, g), True)):
-            wit = duplicated_pair_gram(complex(w), complex(z), dom)
-            img = apply(OperatorSpec(f=f, pattern=pattern, domain=dom, g=g), wit.matrix)
-            comp = schur_complement(img, {2})
-            det = complex(comp[0, 0] * comp[1, 1] - comp[0, 1] * comp[1, 0])
-            aw = abs(w)
-            z1 = complex(z) * np.conj(w) / aw
-            gw = g(aw).real
-            law = -abs(f(aw) * g(z1) - gw * f(z1)) ** 2 / gw ** 2
-            max_rel = max(max_rel, abs(det.real - law) / max(1.0, abs(law)))
-            if want_zero:
-                max_scaled_zero = max(max_scaled_zero, abs(det))
+        M = duplicated_pair_gram(complex(w), complex(z), dom).matrix
+        GM = g.evaluate_array(M)
+        aw = abs(w)
+        z1 = complex(z) * np.conj(w) / aw
+        gw = g(aw).real
+        # a random f, then c*g, whose determinant must vanish
+        for f in (_random_builtin(rng, g), ScalarMultiple(c, g)):
+            W.append(M)
+            G.append(GM)
+            F.append(f.evaluate_array(M))
+            laws.append(-abs(f(aw) * g(z1) - gw * f(z1)) ** 2 / gw ** 2)
+    _check_domain(dom, np.array(W))
+    comp = schur_complement(_image(mask, np.array(G), np.array(F)), {2})
+    # numpy scalars, as one matrix alone: the vector complex product may round differently
+    dets = [complex(C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]) for C in comp]
+    max_rel = reduce(max, [abs(d.real - law) / max(1.0, abs(law)) for d, law in zip(dets, laws)], 0.0)
+    max_scaled_zero = reduce(max, [abs(d) for d in dets[1::2]], 0.0)
     return {
         "id": 5,
         "name": "split-pair-schur-determinant",
@@ -284,33 +304,49 @@ def _criterion_split_pair_complement(cfg: VerifyConfig) -> dict:
     }
 
 
+def _values(fns: list, A: np.ndarray) -> np.ndarray:
+    """Each case's own function evaluated once on its own matrix, stacked."""
+    return np.array([fn.evaluate_array(M) for fn, M in zip(fns, A)])
+
+
+def _rel_gaps(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per matrix: the largest entrywise |X - Y| relative to max(1, largest |Y|)."""
+    return np.abs(X - Y).max(axis=(-2, -1)) / np.fmax(1.0, np.abs(Y).max(axis=(-2, -1)))
+
+
 def _criterion_decomposition(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 106)
     dom = Domain.disc(1.0)
-    max_gap = 0.0
+    ns, masks, gs, fs, grams = [], [], [], [], []
     for _ in range(200):
         n = int(rng.integers(2, 9))
-        pattern = _random_pattern(rng, n)
-        g = _random_builtin(rng, Identity())
-        f = _random_builtin(rng, Identity())
-        A = sample_psd(rng, n, dom)
-        spec = OperatorSpec(f=f, pattern=pattern, domain=dom, g=g)
-        out = apply(spec, A)
-        p1, p2 = decompose(spec, A)
-        gap = float(np.abs(p1 + p2 - out).max()) / max(1.0, float(np.abs(out).max()))
-        max_gap = max(max_gap, gap)
-    max_tensor_gap = 0.0
+        ns.append(n)
+        masks.append(_random_pattern(rng, n).mask)
+        gs.append(_random_builtin(rng, Identity()))
+        fs.append(_random_builtin(rng, Identity()))
+        grams.append(_gram(rng, n, dom))
+    gaps = np.empty(200)
+    for at, mask, A in _by_n(ns, masks, grams):
+        A = _into_domain(A, dom)
+        _check_domain(dom, A)
+        out, p1, p2 = _decomposition(mask, _values([gs[i] for i in at], A), _values([fs[i] for i in at], A))
+        gaps[at] = _rel_gaps(p1 + p2, out)
+    max_gap = reduce(max, gaps.tolist(), 0.0)
+    tensor_gaps = []
     for m in (2, 3, 4):
+        grams, gs, fs = [], [], []
         for _ in range(10):
-            A0 = sample_psd(rng, 2, dom)
-            g = _random_builtin(rng, Identity())
-            f = _random_builtin(rng, Identity())
-            big = kron(np.ones((m, m)), A0)
-            lhs = apply(OperatorSpec(f=f, pattern=star_pattern(2 * m), domain=dom, g=g), big)
-            f_img, diag_term = decompose(OperatorSpec(f=f, pattern=star_pattern(2), domain=dom, g=g), A0)
-            rhs = kron(np.ones((m, m)), f_img) + kron(np.eye(m), diag_term)
-            gap = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(lhs).max()))
-            max_tensor_gap = max(max_tensor_gap, gap)
+            grams.append(_gram(rng, 2, dom))
+            gs.append(_random_builtin(rng, Identity()))
+            fs.append(_random_builtin(rng, Identity()))
+        A0 = _into_domain(np.array(grams), dom)
+        big = kron(np.ones((m, m)), A0)
+        _check_domain(dom, big)
+        lhs = _image(star_pattern(2 * m).mask, _values(gs, big), _values(fs, big))
+        _, f_img, diag_term = _decomposition(star_pattern(2).mask, _values(gs, A0), _values(fs, A0))
+        rhs = kron(np.ones((m, m)), f_img) + kron(np.eye(m), diag_term)
+        tensor_gaps += _rel_gaps(rhs, lhs).tolist()
+    max_tensor_gap = reduce(max, tensor_gaps, 0.0)
     return {
         "id": 6,
         "name": "decomposition-identities",
@@ -322,17 +358,22 @@ def _criterion_decomposition(cfg: VerifyConfig) -> dict:
 def _criterion_mask_factorization(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 107)
     dom = Domain.disc(1.0)
-    max_gap = 0.0
+    ns, masks, cs, grams = [], [], [], []
     for _ in range(200):
         n = int(rng.integers(2, 9))
-        pattern = _random_pattern(rng, n)
-        c = -1.0 + 2.0 * rng.random()
-        A = sample_psd(rng, n, dom)
-        spec = OperatorSpec(f=scaled_identity(c), pattern=pattern, domain=dom)
-        lhs = mask_factorization(spec, A)
-        rhs = apply(spec, A)
-        gap = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
-        max_gap = max(max_gap, gap)
+        ns.append(n)
+        masks.append(_random_pattern(rng, n).mask)
+        cs.append(-1.0 + 2.0 * rng.random())
+        grams.append(_gram(rng, n, dom))
+    fs = [scaled_identity(c) for c in cs]
+    gaps = np.empty(200)
+    for at, mask, c, A in _by_n(ns, masks, cs, grams):
+        A = _into_domain(A, dom)
+        _check_domain(dom, A)
+        rhs = _image(mask, A, _values([fs[i] for i in at], A))
+        lhs = _factorization(mask, c[:, None, None], A, rhs)
+        gaps[at] = _rel_gaps(lhs, rhs)
+    max_gap = reduce(max, gaps.tolist(), 0.0)
     return {
         "id": 7,
         "name": "mask-factorization",
@@ -365,13 +406,18 @@ def _criterion_corner_extension(cfg: VerifyConfig) -> dict:
 
 def _criterion_correlation_bound(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 109)
-    ok = True
-    worst = math.inf
+    ns, samples = [], []
     for _ in range(200):
         n = int(rng.integers(2, 9))
-        C = sample_correlation(rng, n)
-        ok = ok and correlation_bound_check(n, [C], tol=1e-8)
-        worst = min(worst, eig_extremes(n * identity(n) - C)[0])
+        ns.append(n)
+        samples.append(sample_correlation(rng, n))
+    ok = True
+    lows = np.empty(200)
+    for at, C in _by_n(ns, samples):
+        n = C.shape[-1]
+        ok = ok and correlation_bound_check(n, C, tol=1e-8)
+        lows[at] = eig_extremes(n * identity(n) - C)[0]
+    worst = reduce(min, lows.tolist(), math.inf)
     return {
         "id": 9,
         "name": "correlation-spectral-bound",

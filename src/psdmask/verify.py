@@ -54,9 +54,10 @@ from .patterns import (
     R3A_PARTITION_ALL,
     BlockPattern,
     PatternRule,
-    classify_sequence,
+    _pattern_at,
+    _regime,
+    _validate,
     normalize,
-    validate_rule,
 )
 from .witnesses import (
     Witness,
@@ -394,10 +395,10 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
                 f"{tag} fails conjugate equivariance on the domain probe set; "
                 "its entrywise images cannot stay Hermitian"
             )
-    evidence = validate_rule(rule, cfg.probe_N)
+    evidence, built = _validate(rule, cfg.probe_N)
     if (evidence["big_block"] or evidence["overlap"]) and cfg.max_n < 3:
         raise ValueError("max_n must be >= 3 for rules with blocks of size >= 2")
-    patterns = {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
+    patterns = {n: _pattern_at(rule, built, n) for n in range(1, cfg.max_n + 1)}
     stats: dict = {
         "families": {},
         "checked": 0,
@@ -444,7 +445,8 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     (1 + (K-1)c) x or (1 - c) x.
     """
     cfg = cfg or VerifyConfig()
-    regime = classify_sequence(rule, cfg.probe_N)
+    evidence, patterns = _validate(rule, cfg.probe_N)
+    regime = _regime(rule, evidence)
     if regime != R3A_PARTITION_ALL:
         raise RegimeMismatchError(f"rule is in regime {regime}, not a partition-of-all sequence")
     K = int(K)
@@ -458,7 +460,7 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
         raise CNotOutsideError(f"c={c_frac} lies inside [{lo}, 1]")
     target_n = None
     for n in range(1, max(cfg.probe_N, K + 2) + 1):
-        if len(rule.pattern(n).blocks) == K:
+        if len(_pattern_at(rule, patterns, n).blocks) == K:
             target_n = n
             break
     if target_n is None:
@@ -466,7 +468,7 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     if x is None:
         x = 0.5 * domain.reference_radius()
     witness = all_ones_witness(x, target_n, domain)
-    pattern = rule.pattern(target_n)
+    pattern = patterns[target_n]
     spec = OperatorSpec(f=scaled_identity(float(c_frac)), pattern=pattern, domain=domain)
     image = apply(spec, witness.matrix)
     reps = sorted(min(b) for b in pattern.blocks)

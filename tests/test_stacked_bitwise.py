@@ -14,10 +14,17 @@ import numpy as np
 import pytest
 
 from conftest import random_psd
-from psdmask.errors import EigFailure
-from psdmask.functions import Domain, HerzMonomial, HerzSeries, scaled_identity
-from psdmask.linalg import eig_extremes, exact_hermitian, psd_holds
-from psdmask.operators import OperatorSpec, apply
+from psdmask.errors import EigFailure, SingularBlockError
+from psdmask.functions import Domain, HerzMonomial, HerzSeries, Identity, Zero, scaled_identity
+from psdmask.linalg import eig_extremes, exact_hermitian, identity, psd_holds, schur_complement
+from psdmask.operators import (
+    OperatorSpec,
+    _decomposition,
+    _factorization,
+    apply,
+    decompose,
+    mask_factorization,
+)
 from psdmask.patterns import (
     contiguous_partition_rule,
     empty_rule,
@@ -25,7 +32,7 @@ from psdmask.patterns import (
     normalize,
     overlapping_chain_rule,
 )
-from psdmask.suite import _partition_labels
+from psdmask.suite import _partition_labels, _random_pattern
 from psdmask.verify import (
     SAMPLE_CHUNK,
     VerifyConfig,
@@ -57,7 +64,7 @@ def _bits(a):
     carries another NaN sign bit alone than inside a stack.  No verdict can
     see that; every other bit must match.
     """
-    parts = np.array(a, dtype=a.dtype).view(np.float64) if np.ndim(a) else np.float64(a)
+    parts = np.array(a, dtype=a.dtype, ndmin=1).view(np.float64)  # a complex scalar keeps both parts
     return np.where(np.isnan(parts), np.nan, parts).tobytes()
 
 
@@ -255,3 +262,82 @@ def test_mask_matrix_is_built_once_and_read_only(blocks, n):
     with pytest.raises(ValueError):
         mask[0, 0] = not mask[0, 0]
     assert _same_mask(mask_matrix(pattern), _mask_reference(pattern))
+
+
+def _pivoted_stack(rng, n, k=9):
+    """k positive definite matrices, peak modulus 0.9, so every principal block is invertible."""
+    return np.array([M + 0.1 * identity(n) for M in _psd_stack(rng, n, real=False, nan=False, k=k)])
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_schur_complement_stack_matches_each(rng, n):
+    S = _pivoted_stack(rng, n)
+    for block in ({n - 1}, {0}, set(range(n // 2))):
+        stacked = schur_complement(S, block)
+        for j, M in enumerate(S):
+            assert _same_bits(stacked[j], schur_complement(M, block)), f"n={n} block={block} matrix {j}"
+
+
+def test_schur_complement_stack_names_first_singular_matrix(rng):
+    S = _pivoted_stack(rng, 3)
+    S[[3, 6], 2, :] = S[[3, 6], :, 2] = 0.0  # a zero pivot, and a zero row with it
+    with pytest.raises(SingularBlockError) as alone:
+        schur_complement(S[3], {2})
+    with pytest.raises(SingularBlockError, match="^matrix 3: ") as stacked:
+        schur_complement(S, {2})
+    assert str(stacked.value) == f"matrix 3: {alone.value}"
+    assert _same_bits(schur_complement(S[:3], {2})[2], schur_complement(S[2], {2}))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", SIZES)
+def test_det_stack_matches_each(rng, n, real):
+    S = _psd_stack(rng, n, real, nan=False) - 0.2 * identity(n)  # determinants of either sign
+    stacked = np.linalg.det(S)
+    for j, M in enumerate(S):
+        assert _same_bits(stacked[j], np.linalg.det(M)), f"n={n} matrix {j}"
+
+
+def _mixed_patterns(n, k=9):
+    """k random patterns on range(n) (a stack of their masks), drawn as the suite draws them."""
+    rng = np.random.default_rng(n)
+    return [_random_pattern(rng, n) for _ in range(k)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mask_factorization_kernel_with_per_matrix_c_matches_each(rng, n):
+    S = _psd_stack(rng, n, real=False, nan=False)
+    patterns = _mixed_patterns(n)
+    cs = np.linspace(-1.0, 1.0, len(S))
+    specs = [OperatorSpec(f=scaled_identity(c), pattern=p, domain=Domain.disc(1.0))
+             for c, p in zip(cs, patterns)]
+    image = np.array([apply(spec, M) for spec, M in zip(specs, S)])
+    masks = np.array([p.mask for p in patterns])
+    stacked = _factorization(masks, cs[:, None, None], S, image)
+    for j, (spec, M) in enumerate(zip(specs, S)):
+        assert _same_bits(stacked[j], mask_factorization(spec, M)), f"n={n} matrix {j}"
+    image[[2, 5], 0, 0] += 1e-6
+    with pytest.raises(ArithmeticError, match="^matrix 2: mask factorization mismatch"):
+        _factorization(masks, cs[:, None, None], S, image)
+
+
+_FUNCTIONS = [Identity(), Zero(), HerzMonomial(0.7, 2, 1), scaled_identity(-0.3),
+              HerzSeries({(0, 0): 0.2, (1, 1): 0.5, (3, 0): 0.1})]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_decomposition_kernel_matches_each(rng, n):
+    S = _psd_stack(rng, n, real=False, nan=False)
+    patterns = _mixed_patterns(n)
+    gs = [_FUNCTIONS[j % len(_FUNCTIONS)] for j in range(len(S))]
+    fs = [_FUNCTIONS[(j + 2) % len(_FUNCTIONS)] for j in range(len(S))]
+    out, part1, part2 = _decomposition(
+        np.array([p.mask for p in patterns]),
+        np.array([g.evaluate_array(M) for g, M in zip(gs, S)]),
+        np.array([f.evaluate_array(M) for f, M in zip(fs, S)]),
+    )
+    for j, M in enumerate(S):
+        spec = OperatorSpec(f=fs[j], pattern=patterns[j], domain=Domain.disc(1.0), g=gs[j])
+        p1, p2 = decompose(spec, M)
+        assert _same_bits(out[j], apply(spec, M)), f"n={n} matrix {j}"
+        assert _same_bits(part1[j], p1) and _same_bits(part2[j], p2), f"n={n} matrix {j}"

@@ -1,3 +1,5 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -403,6 +405,40 @@ class TestRefuteScalar:
     def test_wrong_k(self):
         with pytest.raises(RegimeMismatchError):
             refute_scalar_outside_interval(contiguous_partition_rule(3), 4, -0.6, DISC1)
+
+
+class TestPatternsBuiltOnce:
+    """A verify call builds each T_n at most once: validation's patterns serve the battery."""
+
+    CFG = VerifyConfig(max_n=6, samples_per_n=2, probe_N=4)
+
+    @staticmethod
+    def _counted(rule):
+        calls = Counter()
+
+        def generator(n):
+            calls[n] += 1
+            return rule.generator(n)
+
+        return dataclasses.replace(rule, generator=generator), calls
+
+    @pytest.mark.parametrize("rule", [contiguous_partition_rule(3), proper_subpartition_rule(3),
+                                      overlapping_chain_rule(), single_block_rule({0, 4}),
+                                      all_singletons_rule(), empty_rule()],
+                             ids=lambda r: r.name)
+    def test_verify_preservation(self, rule):
+        counted, calls = self._counted(rule)
+        verify_preservation(Identity(), Identity(), counted, DISC1, self.CFG)
+        assert set(calls) >= set(range(1, self.CFG.max_n + 1))
+        assert max(calls.values()) == 1, calls
+
+    @pytest.mark.parametrize("probe_N", [3, 4, 12])
+    def test_refute_scalar_outside_interval(self, probe_N):
+        counted, calls = self._counted(contiguous_partition_rule(3))
+        cfg = VerifyConfig(probe_N=probe_N)
+        assert refute_scalar_outside_interval(counted, 3, -0.6, DISC1, cfg=cfg).refuted
+        assert set(calls) >= set(range(1, probe_N + 1))
+        assert max(calls.values()) == 1, calls
 
 
 class TestCorrelationBound:
