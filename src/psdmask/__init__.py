@@ -20,7 +20,6 @@ from .functions import (
     admissible_c_interval_pair,
     admissible_family,
     conjugate_equivariance_check,
-    dominance_check,
     function_from_json,
     scaled_identity,
 )
@@ -55,14 +54,11 @@ from .patterns import (
     contiguous_partition_rule,
     empty_rule,
     explicit_rule,
-    mask_matrix,
     normalize,
     overlapping_chain_rule,
     pattern_from_json,
-    pattern_to_json,
     proper_subpartition_rule,
     rule_from_json,
-    rule_to_json,
     single_block_rule,
     validate_rule,
 )
@@ -72,11 +68,7 @@ from .verify import (
     Verdict,
     VerifyConfig,
     canonical_json,
-    correlation_bound_check,
-    induction_step_check,
-    reduce_scalar,
     refute_scalar_outside_interval,
-    sample_correlation,
     sample_psd,
     verify_preservation,
 )

@@ -55,10 +55,6 @@ class OutOfDomainError(PsdMaskError):
     """A value (or matrix entry) lies outside the declared domain."""
 
 
-class NonRealValueError(PsdMaskError):
-    """A function returned a non-real value on a nonnegative real input."""
-
-
 class RegimeMismatchError(PsdMaskError):
     """The requested operation does not apply to this sequence regime."""
 

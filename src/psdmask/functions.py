@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonRealValueError, RegimeMismatchError
+from .errors import RegimeMismatchError
 from .patterns import (
     R1_EMPTY,
     R2_SINGLETONS,
@@ -227,14 +227,6 @@ class HerzSeries(PreserverFunction):
         self.coeffs = dict(sorted(terms.items()))
         self.max_degree = int(max_degree)
 
-    @classmethod
-    def from_power_series(cls, coefficients, max_degree: int | None = None) -> "HerzSeries":
-        """Real power series sum c_j x^j encoded with holomorphic terms (m=j, k=0)."""
-        coeffs = {(j, 0): c for j, c in enumerate(coefficients)}
-        if max_degree is None:
-            max_degree = max(8, len(list(coefficients)) - 1)
-        return cls(coeffs, max_degree=max_degree)
-
     def active_terms(self):
         return {t: c for t, c in self.coeffs.items() if t[0] + t[1] <= self.max_degree}
 
@@ -337,21 +329,6 @@ def conjugate_equivariance_check(f: PreserverFunction, samples, tol: float = 1e-
     Z = np.array([complex(z) for z in samples], dtype=np.complex128)
     gap = np.abs(f.evaluate_array(np.conj(Z)) - np.conj(f.evaluate_array(Z)))
     return not (gap > tol).any()
-
-
-def dominance_check(g: PreserverFunction, f: PreserverFunction, domain: Domain, samples,
-                    tol: float = 1e-12) -> bool:
-    """True iff g(x) - f(x) >= -tol on the given nonnegative real samples."""
-    for x in samples:
-        x = complex(x)
-        if x.imag != 0.0 or x.real < 0.0 or not domain.contains(x):
-            raise ValueError(f"sample {x} is not a nonnegative real point of the domain")
-        gv, fv = g(x), f(x)
-        if abs(gv.imag) > 1e-12 or abs(fv.imag) > 1e-12:
-            raise NonRealValueError(f"non-real value at x={x.real}: g={gv}, f={fv}")
-        if gv.real - fv.real < -tol:
-            return False
-    return True
 
 
 # -- admissible families per regime --------------------------------------------

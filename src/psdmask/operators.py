@@ -21,7 +21,7 @@ from .errors import (
 )
 from .functions import Domain, Identity, PreserverFunction
 from .linalg import exact_hermitian, schur_product
-from .patterns import BlockPattern, mask_matrix, normalize
+from .patterns import BlockPattern, normalize
 
 # Relative tolerance above which an entrywise image is rejected as non-Hermitian.
 OUTPUT_ASYM_TOL = 1e-8
@@ -125,7 +125,7 @@ def apply(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     describes the first offending matrix of the stack.
     """
     A = _check_input(spec, A)
-    return _image(mask_matrix(spec.pattern), spec.g.evaluate_array(A), spec.f.evaluate_array(A))
+    return _image(spec.pattern.mask, spec.g.evaluate_array(A), spec.f.evaluate_array(A))
 
 
 def decompose(spec: OperatorSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +135,7 @@ def decompose(spec: OperatorSpec, A: np.ndarray) -> tuple[np.ndarray, np.ndarray
     reassemble the ``apply`` image entrywise to working precision.
     """
     A = _check_input(spec, A)
-    _, part1, part2 = _decomposition(mask_matrix(spec.pattern), spec.g.evaluate_array(A),
+    _, part1, part2 = _decomposition(spec.pattern.mask, spec.g.evaluate_array(A),
                                      spec.f.evaluate_array(A))
     return part1, part2
 
@@ -153,4 +153,4 @@ def mask_factorization(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
     if spec.g.linear_slope() != 1.0:
         raise NonLinearFunctionError("g must be the identity for the mask factorization")
     image = apply(spec, A)
-    return _factorization(mask_matrix(spec.pattern), complex(c), np.asarray(A, dtype=np.complex128), image)
+    return _factorization(spec.pattern.mask, complex(c), np.asarray(A, dtype=np.complex128), image)

@@ -14,7 +14,7 @@ Indices are 0-based in Python; the JSON wire format is 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -132,11 +132,6 @@ def classify_pattern(pattern: BlockPattern) -> PatternClass:
     return PatternClass(kind=kind, block_count=count, covers_all=covers, max_block_size=size)
 
 
-def mask_matrix(pattern: BlockPattern) -> np.ndarray:
-    """The pattern's read-only mask: True where some block contains both indices (g-territory)."""
-    return pattern.mask
-
-
 # -- rule sequences -----------------------------------------------------------
 
 
@@ -163,7 +158,6 @@ class PatternRule:
     name: str
     generator: Callable[[int], BlockPattern]
     flags: RuleFlags
-    params: dict = field(default_factory=dict)
 
     def pattern(self, n: int) -> BlockPattern:
         p = self.generator(n)
@@ -238,7 +232,6 @@ def single_block_rule(block) -> PatternRule:
             max_block_count=1,
             has_block_ge2_at=first_n if len(blk) >= 2 else None,
         ),
-        params={"block": sorted(i + 1 for i in blk)},
     )
 
 
@@ -256,7 +249,6 @@ def contiguous_partition_rule(k: int) -> PatternRule:
             max_block_count=k,
             has_block_ge2_at=k + 1,
         ),
-        params={"k": k},
     )
 
 
@@ -274,7 +266,6 @@ def proper_subpartition_rule(k: int) -> PatternRule:
             max_block_count=k,
             has_block_ge2_at=k + 2,
         ),
-        params={"k": k},
     )
 
 
@@ -319,7 +310,6 @@ def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str
         name=name,
         generator=gen,
         flags=flags,
-        params={"patterns": {m: p for m, p in listed.items()}},
     )
 
 
@@ -424,29 +414,10 @@ def _regime(rule: PatternRule, ev: dict) -> str:
 #          "inf" for an unbounded max_block_count.
 
 
-def pattern_to_json(pattern: BlockPattern) -> dict:
-    return {
-        "n": pattern.n,
-        "blocks": [sorted(i + 1 for i in b) for b in pattern.blocks],
-    }
-
-
 def pattern_from_json(data: dict) -> BlockPattern:
     n = int(data["n"])
     blocks = [[int(i) - 1 for i in b] for b in data.get("blocks", [])]
     return normalize(blocks, n)
-
-
-def flags_to_json(flags: RuleFlags) -> dict:
-    K = flags.max_block_count
-    return {
-        "eventually_nonempty": flags.eventually_nonempty,
-        "all_singletons": flags.all_singletons,
-        "covers_all_n": flags.covers_all_n,
-        "max_block_count": "inf" if K == math.inf else int(K),
-        "has_block_ge2_at": flags.has_block_ge2_at,
-        "overlap_at": flags.overlap_at,
-    }
 
 
 def flags_from_json(data: dict) -> RuleFlags:
@@ -459,15 +430,6 @@ def flags_from_json(data: dict) -> RuleFlags:
         has_block_ge2_at=data.get("has_block_ge2_at"),
         overlap_at=data.get("overlap_at"),
     )
-
-
-def rule_to_json(rule: PatternRule) -> dict:
-    params = dict(rule.params)
-    if rule.name == "explicit":
-        params = {
-            "patterns": [pattern_to_json(p) for _, p in sorted(rule.params["patterns"].items())]
-        }
-    return {"kind": rule.name, "params": params, "flags": flags_to_json(rule.flags)}
 
 
 def rule_from_json(data: dict) -> PatternRule:

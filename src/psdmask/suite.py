@@ -3,14 +3,16 @@ pass/fail record with the measured quantities, plus a determinism cross-run.
 
 Every criterion re-derives its random stream from the config seed, so a
 rerun with the same seed reproduces the report byte for byte (checked by the
-final criterion itself).  Criteria 1-7 and 9 draw all their cases in stream
-order and evaluate each case's own g and f once on its own matrix; the
-domain check, the settle, the eigen-solve, determinant or Schur complement
-and the gap reductions then run once per stack of same-size cases, through
-the same kernels as ``apply``, ``decompose``, ``mask_factorization`` and
-``schur_complement``.  Each matrix of a stack comes out bit for bit as it
-would alone, and every reported extreme is a running min or max over the
-per-case values in draw order.
+final criterion itself).  Criteria 1-7, 9 and 12 draw all their cases in
+stream order and evaluate each case's own g and f once on its own matrix;
+the domain check, the settle, the eigen-solve, determinant or Schur
+complement and the gap reductions then run once per stack of same-size
+cases, through the same kernels as ``apply``, ``decompose``,
+``mask_factorization`` and ``schur_complement``.  The correlation bound
+(criterion 9) and the peel-one-block recursion (criterion 12) are checked
+here, per matrix of such a stack.  Each matrix of a stack comes out bit for
+bit as it would alone, and every reported extreme is a running min or max
+over the per-case values in draw order.
 """
 
 from __future__ import annotations
@@ -72,11 +74,7 @@ from .verify import (
     _gram,
     _into_domain,
     canonical_json,
-    correlation_bound_check,
-    induction_step_check,
-    reduce_scalar,
     refute_scalar_outside_interval,
-    sample_correlation,
     sample_psd,
     verify_preservation,
 )
@@ -404,19 +402,47 @@ def _criterion_corner_extension(cfg: VerifyConfig) -> dict:
     }
 
 
+def _correlations(B: np.ndarray) -> np.ndarray:
+    """Real correlation matrices from a stack of factors B (k, n, m): the Grams
+    of B's rows scaled to unit norm, with the diagonal set to exactly 1."""
+    B = B / np.sqrt((B ** 2).sum(axis=-1))[..., None]
+    C = exact_hermitian(B @ np.swapaxes(B, -1, -2))
+    n = C.shape[-1]
+    C[..., range(n), range(n)] = 1.0
+    return C
+
+
+def _correlation_bound(C: np.ndarray, tol: float = 1e-8):
+    """Per matrix of a stack of n x n correlation matrices C: whether n I - C
+    is PSD by both proof routes, and the min eigenvalue of n I - C.
+
+    Spectral route: min_eig(n I - C) >= -tol because lambda_max(C) <= tr(C) = n.
+    Gershgorin route: n I - C is diagonally dominant row by row.
+    """
+    n = C.shape[-1]
+    D = n * identity(n) - C
+    lo, _ = eig_extremes(D)
+    _, lam_max = eig_extremes(C)
+    trace = np.trace(C, axis1=-2, axis2=-1).real
+    diag = np.diagonal(D, axis1=-2, axis2=-1)
+    off = np.abs(D).sum(axis=-1) - np.abs(diag)
+    fails = ((lo < -tol) | (np.abs(trace - n) > tol * n) | (lam_max > trace + tol)
+             | (diag.real - off < -tol).any(axis=-1))
+    return ~fails, lo
+
+
 def _criterion_correlation_bound(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 109)
-    ns, samples = [], []
+    ns, factors = [], []
     for _ in range(200):
         n = int(rng.integers(2, 9))
         ns.append(n)
-        samples.append(sample_correlation(rng, n))
+        factors.append(rng.standard_normal((n, n + 2)))
     ok = True
     lows = np.empty(200)
-    for at, C in _by_n(ns, samples):
-        n = C.shape[-1]
-        ok = ok and correlation_bound_check(n, C, tol=1e-8)
-        lows[at] = eig_extremes(n * identity(n) - C)[0]
+    for at, B in _by_n(ns, factors):
+        holds, lows[at] = _correlation_bound(_correlations(B))
+        ok = ok and bool(holds.all())
     worst = reduce(min, lows.tolist(), math.inf)
     return {
         "id": 9,
@@ -486,27 +512,52 @@ def _criterion_dominance_necessity(cfg: VerifyConfig) -> dict:
     }
 
 
+def _reduce_scalar(c):
+    """The contraction c -> c/(1+c) used when peeling one block off a partition."""
+    return c / (1 + c)
+
+
+def _induction_step(c: list, A: np.ndarray, sizes: list, tol: float = 1e-12) -> np.ndarray:
+    """Per matrix of a stack A: whether the peel-one-block recursion holds for
+    the scalar c[i] (a Fraction) and the contiguous blocks of sizes sizes[i].
+
+    With k + 1 blocks, A must be positive definite and c in [-1/k, 0) must map
+    onto c' = c/(1+c) in [-1/(k-1), 0).  With A' the leading principal part
+    holding the first k blocks, (f_T[A'] - c^2 A') / (1 - c^2) must equal the
+    same pattern map with scalar c' entrywise.
+    """
+    holds = (eig_extremes(A)[0] > 0) & np.array(
+        [Fraction(-1, len(s) - 1) <= x < 0 and Fraction(-1, len(s) - 2) <= _reduce_scalar(x) < 0
+         for x, s in zip(c, sizes)])
+    # each leading index's block, over the first k blocks
+    labels = [np.repeat(np.arange(len(s) - 1), s[:-1]) for s in sizes]
+    for at, label, cf in _by_n([len(lab) for lab in labels], labels, [float(x) for x in c]):
+        m = label.shape[-1]
+        mask = label[:, :, None] == label[:, None, :]
+        cf = cf[:, None, None]
+        A1 = exact_hermitian(A[at, :m, :m])
+        lhs = (_image(mask, A1, cf * A1) - cf * cf * A1) / (1.0 - cf * cf)
+        rhs = _image(mask, A1, _reduce_scalar(cf) * A1)
+        holds[at] &= np.abs(lhs - rhs).max(axis=(-2, -1)) <= tol * np.fmax(1.0, np.abs(A1).max(axis=(-2, -1)))
+    return holds
+
+
 def _criterion_induction_step(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 112)
     dom = Domain.disc(1.0)
-    ok = True
+    sizes, grams, cs = [], [], []
     for i in range(100):
         k = 2 if i % 2 == 0 else 3
-        sizes = [int(rng.integers(1, 3)) for _ in range(k + 1)]
-        n = sum(sizes)
-        A = exact_hermitian(sample_psd(rng, n, dom) + 0.05 * identity(n))
-        c = Fraction(-1, k) * Fraction(int(rng.integers(1, 11)), 10)
-        ok = ok and induction_step_check(c, k, A, sizes)
-    endpoint_maps = [
-        [str(Fraction(-1, 3)), str(reduce_scalar(Fraction(-1, 3)))],
-        [str(Fraction(-1, 4)), str(reduce_scalar(Fraction(-1, 4)))],
-        [str(Fraction(-1, 2)), str(reduce_scalar(Fraction(-1, 2)))],
-    ]
-    maps_ok = (
-        reduce_scalar(Fraction(-1, 3)) == Fraction(-1, 2)
-        and reduce_scalar(Fraction(-1, 4)) == Fraction(-1, 3)
-        and reduce_scalar(Fraction(-1, 2)) == Fraction(-1, 1)
-    )
+        sizes.append([int(rng.integers(1, 3)) for _ in range(k + 1)])
+        grams.append(_gram(rng, sum(sizes[-1]), dom))
+        cs.append(Fraction(-1, k) * Fraction(int(rng.integers(1, 11)), 10))
+    ok = True
+    for at, A in _by_n([sum(s) for s in sizes], grams):
+        A = exact_hermitian(_into_domain(A, dom) + 0.05 * identity(A.shape[-1]))
+        ok = ok and bool(_induction_step([cs[i] for i in at], A, [sizes[i] for i in at]).all())
+    ends = [Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 2)]
+    endpoint_maps = [[str(c), str(_reduce_scalar(c))] for c in ends]
+    maps_ok = [_reduce_scalar(c) for c in ends] == [Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 1)]
     return {
         "id": 12,
         "name": "induction-step-algebra",

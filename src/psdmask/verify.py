@@ -44,7 +44,6 @@ from .functions import (
 from .linalg import (
     eig_extremes,
     exact_hermitian,
-    identity,
     is_psd,
     psd_holds,
 )
@@ -57,7 +56,6 @@ from .patterns import (
     _pattern_at,
     _regime,
     _validate,
-    normalize,
 )
 from .witnesses import (
     Witness,
@@ -201,15 +199,6 @@ def _random_battery(domain: Domain, cfg: VerifyConfig):
                 params.append({"sample_index": s, "rank": rank})
                 grams[s - start] = _gram(rng, n, domain, rank)
             yield _into_domain(grams, domain), n, "random_gram", params
-
-
-def sample_correlation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A random real correlation matrix: Gram of unit-norm rows."""
-    B = rng.standard_normal((n, n + 2))
-    B /= np.sqrt((B ** 2).sum(axis=1))[:, None]
-    C = exact_hermitian(B @ B.T)
-    np.fill_diagonal(C, 1.0)
-    return C
 
 
 # -- deterministic parameter grids ----------------------------------------------
@@ -439,10 +428,10 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
                                    cfg: VerifyConfig | None = None) -> Verdict:
     """Refute f(z) = c z for a partition-of-all rule when c leaves [-1/(K-1), 1].
 
-    Uses the scaled all-ones witness at the first dimension whose pattern has
-    K blocks; the reported eigenvalue is the negative one of the K x K
-    principal submatrix taken at one representative index per block, i.e.
-    (1 + (K-1)c) x or (1 - c) x.
+    Uses the scaled all-ones witness x J (x > 0; ValueError otherwise) at the
+    first dimension whose pattern has K blocks; the reported eigenvalue is the
+    negative one of the K x K principal submatrix taken at one representative
+    index per block, i.e. (1 + (K-1)c) x or (1 - c) x.
     """
     cfg = cfg or VerifyConfig()
     evidence, patterns = _validate(rule, cfg.probe_N)
@@ -467,6 +456,8 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
         raise RegimeMismatchError(f"no dimension up to {max(cfg.probe_N, K + 2)} realizes {K} blocks")
     if x is None:
         x = 0.5 * domain.reference_radius()
+    elif not x > 0:
+        raise ValueError(f"x={x} must be > 0")
     witness = all_ones_witness(x, target_n, domain)
     pattern = patterns[target_n]
     spec = OperatorSpec(f=scaled_identity(float(c_frac)), pattern=pattern, domain=domain)
@@ -482,79 +473,6 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     )
     stats = {"families": {"all_ones": {str(target_n): 1}}, "checked": 1, "K": K}
     return Verdict(OUTCOME_REFUTED, ce, stats)
-
-
-def correlation_bound_check(n: int, samples, tol: float = 1e-8) -> bool:
-    """Check n Id - C is PSD for correlation matrices C, via both proof routes.
-
-    Spectral route: min_eig(n Id - C) >= -tol because lambda_max(C) <= tr(C) = n.
-    Gershgorin route: n Id - C is diagonally dominant row by row.
-    """
-    eye = identity(n)
-    for C in samples:
-        C = np.asarray(C, dtype=np.complex128)
-        lo, _ = eig_extremes(n * eye - C)
-        if lo < -tol:
-            return False
-        _, lam_max = eig_extremes(C)
-        trace = float(np.trace(C).real)
-        if abs(trace - n) > tol * n or lam_max > trace + tol:
-            return False
-        D = n * eye - C
-        for i in range(n):
-            off = float(np.abs(D[i]).sum() - abs(D[i, i]))
-            if float(D[i, i].real) - off < -tol:
-                return False
-    return True
-
-
-def reduce_scalar(c):
-    """The contraction c -> c/(1+c) used when peeling one block off a partition."""
-    if isinstance(c, Fraction):
-        return c / (1 + c)
-    return float(c) / (1.0 + float(c))
-
-
-def induction_step_check(c, k: int, A: np.ndarray, block_sizes, tol: float = 1e-12) -> bool:
-    """Numerically verify the peel-one-block recursion on a positive definite sample.
-
-    With A' the leading principal part holding the first k of k+1 contiguous
-    blocks, (f_T[A'] - c^2 A') / (1 - c^2) must equal the same pattern map
-    with scalar c' = c/(1+c) entrywise, and c in [-1/k, 0) must map onto
-    c' in [-1/(k-1), 0).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    sizes = [int(s) for s in block_sizes]
-    if len(sizes) != k + 1 or any(s < 1 for s in sizes):
-        raise ValueError(f"block_sizes must be {k + 1} positive integers")
-    A = np.asarray(A, dtype=np.complex128)
-    n = A.shape[0]
-    if sum(sizes) != n:
-        raise ValueError(f"block sizes sum to {sum(sizes)}, matrix is {n} x {n}")
-    lo, _ = eig_extremes(A)
-    if lo <= 0:
-        raise ValueError("A must be positive definite")
-    c_frac = _as_fraction(c)
-    if not (Fraction(-1, k) <= c_frac < 0):
-        raise ValueError(f"c={c_frac} must lie in [-1/{k}, 0)")
-    cf = float(c_frac)
-    m = n - sizes[-1]
-    blocks, start = [], 0
-    for s in sizes[:-1]:
-        blocks.append(set(range(start, start + s)))
-        start += s
-    pattern = normalize(blocks, m)
-    dom = Domain.disc(math.inf)
-    A1 = exact_hermitian(A[:m, :m])
-    img = apply(OperatorSpec(f=scaled_identity(cf), pattern=pattern, domain=dom), A1)
-    lhs = (img - cf * cf * A1) / (1.0 - cf * cf)
-    c_next = reduce_scalar(cf)
-    rhs = apply(OperatorSpec(f=scaled_identity(c_next), pattern=pattern, domain=dom), A1)
-    gap = float(np.abs(lhs - rhs).max())
-    entrywise_ok = gap <= tol * max(1.0, float(np.abs(A1).max()))
-    next_frac = reduce_scalar(c_frac)
-    return bool(entrywise_ok and Fraction(-1, k - 1) <= next_frac < 0)
 
 
 def canonical_json(obj) -> str:

@@ -152,6 +152,15 @@ class TestRefute:
         assert "inside" in err
 
 
+    def test_zero_x_is_usage_error(self, files, capsys):
+        code, out, err = run(
+            ["refute", "--rule", files["rule_k3"], "--c=-1", "--x", "0", "--domain", files["disc1"]],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "x=0.0" in err and out == ""
+
+
 class TestWitness:
     def test_all_ones(self, files, capsys):
         code, out, _ = run(

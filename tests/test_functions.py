@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from psdmask.errors import NonRealValueError, RegimeMismatchError
+from psdmask.errors import RegimeMismatchError
 from psdmask.functions import (
     Custom,
     Domain,
@@ -16,7 +16,6 @@ from psdmask.functions import (
     admissible_c_interval_pair,
     admissible_family,
     conjugate_equivariance_check,
-    dominance_check,
     function_from_json,
     scaled_identity,
 )
@@ -117,10 +116,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             HerzMonomial(-1.0, 1, 0)
 
-    def test_power_series_helper(self):
-        f = HerzSeries.from_power_series([1.0, 0.0, 2.0])
-        assert f(0.5).real == pytest.approx(1.0 + 2.0 * 0.25)
-
     def test_zero_and_scalar(self):
         assert Zero()(0.3) == 0
         assert ScalarMultiple(-0.5, Identity())(0.4) == pytest.approx(-0.2)
@@ -214,30 +209,6 @@ class TestScalarIntervalPair:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
             admissible_c_interval_pair(R3A_PARTITION_ALL, 2, HerzMonomial(0.0, 1, 0))
-
-
-class TestDominance:
-    def test_half_identity_dominated(self):
-        samples = [0.0, 0.25, 0.5, 0.9]
-        assert dominance_check(Identity(), scaled_identity(0.5), Domain.disc(1.0), samples)
-
-    def test_doubling_violates(self):
-        assert not dominance_check(Identity(), scaled_identity(2.0), Domain.disc(1.0), [0.5])
-
-    def test_equality_is_allowed(self):
-        f = HerzMonomial(1.0, 1, 0)
-        assert dominance_check(f, f, Domain.disc(1.0), [0.1, 0.6])
-
-    def test_non_real_value(self):
-        f = Custom(lambda z: 1j * z + 0.5, name="tilted")
-        with pytest.raises(NonRealValueError):
-            dominance_check(Identity(), f, Domain.disc(1.0), [0.5])
-
-    def test_scalar_multiples_of_monomial_dominated(self):
-        g = HerzMonomial(1.3, 2, 1)
-        samples = [0.0, 0.2, 0.5, 0.9]
-        for c in (0.0, 0.25, 0.75, 1.0):
-            assert dominance_check(g, ScalarMultiple(c, g), Domain.disc(1.0), samples)
 
 
 class TestFunctionJson:

@@ -17,7 +17,7 @@ from psdmask.operators import (
     mask_factorization,
     star_pattern,
 )
-from psdmask.patterns import mask_matrix, normalize
+from psdmask.patterns import normalize
 
 DISC1 = Domain.disc(1.0)
 DISC = Domain.disc()
@@ -68,7 +68,7 @@ class TestApply:
         f = Zero()
         spec = spec_of(f, [{0, 1}], 4, g=g, domain=DISC1)
         out = apply(spec, A)
-        mask = mask_matrix(spec.pattern)
+        mask = spec.pattern.mask
         assert np.allclose(out[mask], g.evaluate_array(A)[mask], atol=1e-15)
         assert np.all(out[~mask] == 0)
 
@@ -137,7 +137,7 @@ class TestDecompose:
             g=Identity(),
         )
         _, p2 = decompose(spec, A)
-        mask = mask_matrix(spec.pattern)
+        mask = spec.pattern.mask
         assert np.all(p2[~mask] == 0)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,15 +26,11 @@ from psdmask.patterns import (
     empty_rule,
     explicit_rule,
     flags_from_json,
-    flags_to_json,
-    mask_matrix,
     normalize,
     overlapping_chain_rule,
     pattern_from_json,
-    pattern_to_json,
     proper_subpartition_rule,
     rule_from_json,
-    rule_to_json,
     single_block_rule,
     validate_rule,
 )
@@ -108,17 +105,17 @@ class TestClassifyPattern:
 
 class TestMaskMatrix:
     def test_empty_mask(self):
-        assert not mask_matrix(normalize([], 3)).any()
+        assert not normalize([], 3).mask.any()
 
     def test_partition_mask(self):
-        mask = mask_matrix(normalize([{0, 1}, {2}], 3))
+        mask = normalize([{0, 1}, {2}], 3).mask
         expected = np.array(
             [[True, True, False], [True, True, False], [False, False, True]]
         )
         assert np.array_equal(mask, expected)
 
     def test_chain_mask(self):
-        mask = mask_matrix(normalize([{0, 1}, {1, 2}], 3))
+        mask = normalize([{0, 1}, {1, 2}], 3).mask
         expected = np.ones((3, 3), dtype=bool)
         expected[0, 2] = expected[2, 0] = False
         assert np.array_equal(mask, expected)
@@ -128,7 +125,7 @@ class TestMaskMatrix:
             n = int(rng.integers(1, 7))
             blocks = [set(rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist())
                       for _ in range(int(rng.integers(0, 4)))]
-            mask = mask_matrix(normalize(blocks, n))
+            mask = normalize(blocks, n).mask
             assert np.array_equal(mask, mask.T)
 
 
@@ -254,18 +251,50 @@ class TestRuleValidation:
             validate_rule(bad)
 
 
+# Rule files as the CLI reads them: 1-based indices, "inf" for an unbounded block count.
+BUILTIN_DOCS = [
+    ("""{"kind": "empty", "params": {},
+         "flags": {"eventually_nonempty": false, "all_singletons": true, "covers_all_n": false,
+                   "max_block_count": 0, "has_block_ge2_at": null, "overlap_at": null}}""",
+     empty_rule()),
+    ("""{"kind": "all_singletons", "params": {},
+         "flags": {"eventually_nonempty": true, "all_singletons": true, "covers_all_n": true,
+                   "max_block_count": "inf", "has_block_ge2_at": null, "overlap_at": null}}""",
+     all_singletons_rule()),
+    ("""{"kind": "single_block", "params": {"block": [1, 2]},
+         "flags": {"eventually_nonempty": true, "all_singletons": false, "covers_all_n": false,
+                   "max_block_count": 1, "has_block_ge2_at": 3, "overlap_at": null}}""",
+     single_block_rule({0, 1})),
+    ("""{"kind": "contiguous_partition", "params": {"k": 4},
+         "flags": {"eventually_nonempty": true, "all_singletons": false, "covers_all_n": true,
+                   "max_block_count": 4, "has_block_ge2_at": 5, "overlap_at": null}}""",
+     contiguous_partition_rule(4)),
+    ("""{"kind": "proper_subpartition", "params": {"k": 2},
+         "flags": {"eventually_nonempty": true, "all_singletons": false, "covers_all_n": false,
+                   "max_block_count": 2, "has_block_ge2_at": 4, "overlap_at": null}}""",
+     proper_subpartition_rule(2)),
+    ("""{"kind": "overlapping_chain", "params": {},
+         "flags": {"eventually_nonempty": true, "all_singletons": false, "covers_all_n": false,
+                   "max_block_count": 2, "has_block_ge2_at": 3, "overlap_at": 3}}""",
+     overlapping_chain_rule()),
+]
+
+EXPLICIT_DOC = """{"kind": "explicit", "params": {"patterns": [{"n": 3, "blocks": [[1, 2], [2, 3]]}]},
+                   "flags": {"eventually_nonempty": true, "all_singletons": false, "covers_all_n": false,
+                             "max_block_count": "inf", "has_block_ge2_at": 3, "overlap_at": 3}}"""
+
+FLAGS_DOC = """{"eventually_nonempty": true, "all_singletons": true, "covers_all_n": true,
+                "max_block_count": "inf", "has_block_ge2_at": null, "overlap_at": null}"""
+
+
 class TestJson:
     def test_pattern_round_trip_is_one_based(self):
-        p = normalize([{0, 1}, {2}], 3)
-        data = pattern_to_json(p)
-        assert data == {"n": 3, "blocks": [[1, 2], [3]]}
-        assert pattern_from_json(data) == p
+        p = pattern_from_json(json.loads('{"n": 3, "blocks": [[1, 2], [3]]}'))
+        assert p == normalize([{0, 1}, {2}], 3)
 
     def test_rule_round_trip_builtins(self):
-        for rule in (empty_rule(), all_singletons_rule(), single_block_rule({0, 1}),
-                     contiguous_partition_rule(4), proper_subpartition_rule(2),
-                     overlapping_chain_rule()):
-            back = rule_from_json(rule_to_json(rule))
+        for doc, rule in BUILTIN_DOCS:
+            back = rule_from_json(json.loads(doc))
             assert back.name == rule.name
             assert back.flags == rule.flags
             for n in range(1, 9):
@@ -278,16 +307,19 @@ class TestJson:
                 eventually_nonempty=True,
                 all_singletons=False,
                 covers_all_n=False,
-                max_block_count=2,
+                max_block_count=math.inf,
                 has_block_ge2_at=3,
                 overlap_at=3,
             ),
         )
-        back = rule_from_json(rule_to_json(rule))
+        back = rule_from_json(json.loads(EXPLICIT_DOC))
+        assert back.name == rule.name
+        assert back.flags == rule.flags
         assert classify_sequence(back) == R4_OVERLAPPING
-        assert back.pattern(6) == rule.pattern(6)
+        for n in range(1, 9):
+            assert back.pattern(n) == rule.pattern(n)
 
     def test_flags_inf_round_trip(self):
-        flags = all_singletons_rule().flags
-        back = flags_from_json(flags_to_json(flags))
+        back = flags_from_json(json.loads(FLAGS_DOC))
         assert back.max_block_count == math.inf
+        assert back == all_singletons_rule().flags

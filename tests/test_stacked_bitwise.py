@@ -28,7 +28,6 @@ from psdmask.operators import (
 from psdmask.patterns import (
     contiguous_partition_rule,
     empty_rule,
-    mask_matrix,
     normalize,
     overlapping_chain_rule,
 )
@@ -239,7 +238,7 @@ def test_label_masks_match_partition_pattern_masks(k):
     for _ in range(50):
         for n in range(k, 9):
             assign = _partition_labels(labelling, n, k)
-            want = mask_matrix(_random_partition_reference(partitioning, n, k))
+            want = _random_partition_reference(partitioning, n, k).mask
             assert _same_mask(assign[:, None] == assign[None, :], want), f"n={n}"
     assert labelling.random() == partitioning.random()
 
@@ -256,12 +255,12 @@ def _mask_reference(pattern):
                                       ([{0, 2, 5}, {1, 3}], 7), ([{j} for j in range(8)], 8)])
 def test_mask_matrix_is_built_once_and_read_only(blocks, n):
     pattern = normalize(blocks, n)
-    mask = mask_matrix(pattern)
+    mask = pattern.mask
     assert _same_mask(mask, _mask_reference(pattern))
-    assert mask_matrix(pattern) is mask
+    assert pattern.mask is mask
     with pytest.raises(ValueError):
         mask[0, 0] = not mask[0, 0]
-    assert _same_mask(mask_matrix(pattern), _mask_reference(pattern))
+    assert _same_mask(pattern.mask, _mask_reference(pattern))
 
 
 def _pivoted_stack(rng, n, k=9):

@@ -39,14 +39,11 @@ from psdmask.verify import (
     _first_failure,
     VerifyConfig,
     canonical_json,
-    correlation_bound_check,
-    induction_step_check,
-    reduce_scalar,
     refute_scalar_outside_interval,
-    sample_correlation,
     sample_psd,
     verify_preservation,
 )
+from psdmask.suite import _correlation_bound, _correlations, _induction_step, _reduce_scalar
 from psdmask.witnesses import duplicated_pair_gram, overlap_probe
 
 DISC1 = Domain.disc(1.0)
@@ -69,8 +66,7 @@ class TestSampling:
         assert np.linalg.matrix_rank(M, tol=1e-10) == 1
 
     def test_correlation_sampler(self, rng):
-        for _ in range(10):
-            C = sample_correlation(rng, 5)
+        for C in _correlations(rng.standard_normal((10, 5, 7))):
             assert np.all(C.diagonal().real == 1.0)
             assert is_psd(C, 1e-9).is_psd
 
@@ -392,6 +388,12 @@ class TestRefuteScalar:
         )
         assert verdict.counterexample.min_eig == pytest.approx(1 - 1.1, abs=1e-10)
 
+    @pytest.mark.parametrize("x", [0.0, -0.5])
+    def test_requires_positive_x(self, x):
+        # x J with x <= 0 is the zero matrix or negative semidefinite: no counterexample
+        with pytest.raises(ValueError, match="x="):
+            refute_scalar_outside_interval(contiguous_partition_rule(3), 3, -1, DISC1, x=x)
+
     def test_boundary_is_admissible(self):
         with pytest.raises(CNotOutsideError):
             refute_scalar_outside_interval(
@@ -443,42 +445,40 @@ class TestPatternsBuiltOnce:
 
 class TestCorrelationBound:
     def test_identity_margin(self):
-        assert correlation_bound_check(4, [identity(4)])
+        assert _correlation_bound(identity(4)[None])[0].all()
 
     def test_all_ones_boundary(self):
         lo, _ = eig_extremes(4 * identity(4) - all_ones(4))
         assert lo == pytest.approx(0.0, abs=1e-12)
-        assert correlation_bound_check(4, [all_ones(4)])
+        assert _correlation_bound(all_ones(4)[None])[0].all()
 
     def test_random_samples(self, rng):
-        samples = [sample_correlation(rng, 6) for _ in range(200)]
-        assert correlation_bound_check(6, samples)
+        samples = _correlations(rng.standard_normal((200, 6, 8)))
+        assert _correlation_bound(samples)[0].all()
 
     def test_non_correlation_fails(self):
         bad = 1.5 * identity(3)  # diagonal is not 1
-        assert not correlation_bound_check(3, [bad])
+        assert not _correlation_bound(bad[None])[0].all()
 
 
 class TestInductionStep:
     def test_reduce_scalar_rationals(self):
-        assert reduce_scalar(Fraction(-1, 3)) == Fraction(-1, 2)
-        assert reduce_scalar(Fraction(-1, 4)) == Fraction(-1, 3)
-        assert reduce_scalar(-0.25) == pytest.approx(-1.0 / 3.0)
+        assert _reduce_scalar(Fraction(-1, 3)) == Fraction(-1, 2)
+        assert _reduce_scalar(Fraction(-1, 4)) == Fraction(-1, 3)
+        assert _reduce_scalar(-0.25) == pytest.approx(-1.0 / 3.0)
 
     def test_block_sample(self, rng):
         for k, sizes in ((2, [2, 2, 2]), (3, [1, 2, 1, 2])):
             A = exact_hermitian(random_psd(rng, sum(sizes)) + 0.5 * np.eye(sum(sizes)))
-            assert induction_step_check(Fraction(-1, k), k, A, sizes)
-            assert induction_step_check(Fraction(-1, 2 * k), k, A, sizes)
+            assert _induction_step([Fraction(-1, k)], A[None], [sizes]).all()
+            assert _induction_step([Fraction(-1, 2 * k)], A[None], [sizes]).all()
 
     def test_requires_positive_definite(self):
-        with pytest.raises(ValueError):
-            induction_step_check(Fraction(-1, 2), 2, np.zeros((3, 3)), [1, 1, 1])
+        assert not _induction_step([Fraction(-1, 2)], np.zeros((1, 3, 3)), [[1, 1, 1]]).any()
 
     def test_rejects_scalar_outside_bracket(self, rng):
         A = exact_hermitian(random_psd(rng, 3) + np.eye(3))
-        with pytest.raises(ValueError):
-            induction_step_check(Fraction(1, 4), 2, A, [1, 1, 1])
+        assert not _induction_step([Fraction(1, 4)], A[None], [[1, 1, 1]]).any()
 
 
 class TestConfig:
