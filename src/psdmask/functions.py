@@ -206,7 +206,8 @@ class HerzMonomial(PreserverFunction):
 
 
 class HerzSeries(PreserverFunction):
-    """Sum of c_{m,k} z^m conj(z)^k over m + k <= max_degree, all c_{m,k} >= 0.
+    """Sum of c_{m,k} z^m conj(z)^k, all c_{m,k} >= 0; a term with m + k >
+    max_degree is a ValueError.
 
     Truncations of the full series are themselves valid preservers (finite
     nonnegative combinations), so sufficiency tests run on them directly.
@@ -222,25 +223,23 @@ class HerzSeries(PreserverFunction):
                 raise ValueError(f"coefficient c[{m},{k}] = {c} must be finite and >= 0")
             if m < 0 or k < 0:
                 raise ValueError("term exponents must be nonnegative")
+            if m + k > max_degree:
+                raise ValueError(f"term ({m}, {k}) has degree {m + k} > max_degree {max_degree}")
             if c != 0.0:
                 terms[(int(m), int(k))] = c
         self.coeffs = dict(sorted(terms.items()))
         self.max_degree = int(max_degree)
 
-    def active_terms(self):
-        return {t: c for t, c in self.coeffs.items() if t[0] + t[1] <= self.max_degree}
-
     def evaluate_array(self, Z):
         Z = np.asarray(Z, dtype=np.complex128)
         out = np.zeros_like(Z)
-        for (m, k), c in self.active_terms().items():
+        for (m, k), c in self.coeffs.items():
             out = out + c * _int_pow(Z, m) * _int_pow(np.conj(Z), k)
         return out
 
     def linear_slope(self):
-        active = self.active_terms()
-        if set(active) <= {(1, 0)}:
-            return active.get((1, 0), 0.0)
+        if set(self.coeffs) <= {(1, 0)}:
+            return self.coeffs.get((1, 0), 0.0)
         return None
 
     def to_json(self):

@@ -432,21 +432,31 @@ def flags_from_json(data: dict) -> RuleFlags:
     )
 
 
+_BUILTIN_RULES = {
+    "empty": lambda params: empty_rule(),
+    "all_singletons": lambda params: all_singletons_rule(),
+    "single_block": lambda params: single_block_rule([int(i) - 1 for i in params["block"]]),
+    "contiguous_partition": lambda params: contiguous_partition_rule(int(params["k"])),
+    "proper_subpartition": lambda params: proper_subpartition_rule(int(params["k"])),
+    "overlapping_chain": lambda params: overlapping_chain_rule(),
+}
+
+
 def rule_from_json(data: dict) -> PatternRule:
+    """Read a rule document.  A built-in kind's flags are its own: a document
+    may restate them, and flags that say otherwise are a ValueError."""
     kind = data["kind"]
     params = data.get("params", {})
-    if kind == "empty":
-        return empty_rule()
-    if kind == "all_singletons":
-        return all_singletons_rule()
-    if kind == "single_block":
-        return single_block_rule([int(i) - 1 for i in params["block"]])
-    if kind == "contiguous_partition":
-        return contiguous_partition_rule(int(params["k"]))
-    if kind == "proper_subpartition":
-        return proper_subpartition_rule(int(params["k"]))
-    if kind == "overlapping_chain":
-        return overlapping_chain_rule()
+    if kind in _BUILTIN_RULES:
+        rule = _BUILTIN_RULES[kind](params)
+        if "flags" in data:
+            try:
+                ok = isinstance(data["flags"], dict) and flags_from_json(data["flags"]) == rule.flags
+            except (KeyError, TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"flags {data['flags']!r} contradict the {kind!r} rule's own flags {rule.flags}")
+        return rule
     if kind == "explicit":
         pats = {}
         for entry in params["patterns"]:

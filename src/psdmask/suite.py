@@ -71,7 +71,8 @@ from .patterns import (
 )
 from .verify import (
     VerifyConfig,
-    _gram,
+    _draw,
+    _grams,
     _into_domain,
     canonical_json,
     refute_scalar_outside_interval,
@@ -120,27 +121,32 @@ def _partition_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return assign
 
 
-def _by_n(ns: list[int], *draws: list):
+def _by_n(ns: list[int], *lists: list):
     """For each drawn n: the positions that drew it, in draw order, then the
-    stack of each list in draws at those positions."""
+    stack of each of lists at those positions."""
     ns = np.array(ns)
     for n in np.unique(ns):
         at = np.flatnonzero(ns == n)
-        yield (at, *(np.array([d[i] for i in at]) for d in draws))
+        yield (at, *(np.array([d[i] for i in at]) for d in lists))
+
+
+def _samples(draws: list, at, dom: Domain) -> np.ndarray:
+    """The settled samples of the factor draws at positions at, all of one n."""
+    return _into_domain(_grams([draws[i] for i in at], dom), dom)
 
 
 def _criterion_schur_closure(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 101)
     dom = Domain.disc(1.0)
-    ns, a_grams, b_grams = [], [], []
+    ns, a_draws, b_draws = [], [], []
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         ns.append(n)
-        a_grams.append(_gram(rng, n, dom))
-        b_grams.append(_gram(rng, n, dom))
+        a_draws.append(_draw(rng, n, dom))
+        b_draws.append(_draw(rng, n, dom))
     lows = np.empty(1000)
-    for at, A, B in _by_n(ns, a_grams, b_grams):
-        lows[at] = eig_extremes(schur_product(_into_domain(A, dom), _into_domain(B, dom)))[0]
+    for at, in _by_n(ns):
+        lows[at] = eig_extremes(schur_product(_samples(a_draws, at, dom), _samples(b_draws, at, dom)))[0]
     # in draw order, as a running min that skips NaN and keeps the first of equal zeros
     worst = reduce(min, lows.tolist(), math.inf)
     return {
@@ -185,16 +191,16 @@ def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> dict:
     for k in (2, 3, 4):
         rng = _rng(cfg, 1030 + k)
         f = scaled_identity(float(Fraction(-1, k - 1)))
-        ns, masks, grams = [], [], []
+        ns, masks, draws = [], [], []
         for _ in range(500):
             n = int(rng.integers(k, 9))
             assign = _partition_labels(rng, n, k)
             ns.append(n)
             masks.append(assign[:, None] == assign[None, :])  # the mask of the partition's pattern
-            grams.append(_gram(rng, n, dom))
+            draws.append(_draw(rng, n, dom))
         low = np.empty(500)
-        for at, mask, A in _by_n(ns, masks, grams):
-            A = _into_domain(A, dom)
+        for at, mask in _by_n(ns, masks):
+            A = _samples(draws, at, dom)
             _check_domain(dom, A)
             low[at] = eig_extremes(_image(mask, A, f.evaluate_array(A)))[0]
         lows += low.tolist()
@@ -315,29 +321,29 @@ def _rel_gaps(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _criterion_decomposition(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 106)
     dom = Domain.disc(1.0)
-    ns, masks, gs, fs, grams = [], [], [], [], []
+    ns, masks, gs, fs, draws = [], [], [], [], []
     for _ in range(200):
         n = int(rng.integers(2, 9))
         ns.append(n)
         masks.append(_random_pattern(rng, n).mask)
         gs.append(_random_builtin(rng, Identity()))
         fs.append(_random_builtin(rng, Identity()))
-        grams.append(_gram(rng, n, dom))
+        draws.append(_draw(rng, n, dom))
     gaps = np.empty(200)
-    for at, mask, A in _by_n(ns, masks, grams):
-        A = _into_domain(A, dom)
+    for at, mask in _by_n(ns, masks):
+        A = _samples(draws, at, dom)
         _check_domain(dom, A)
         out, p1, p2 = _decomposition(mask, _values([gs[i] for i in at], A), _values([fs[i] for i in at], A))
         gaps[at] = _rel_gaps(p1 + p2, out)
     max_gap = reduce(max, gaps.tolist(), 0.0)
     tensor_gaps = []
     for m in (2, 3, 4):
-        grams, gs, fs = [], [], []
+        draws, gs, fs = [], [], []
         for _ in range(10):
-            grams.append(_gram(rng, 2, dom))
+            draws.append(_draw(rng, 2, dom))
             gs.append(_random_builtin(rng, Identity()))
             fs.append(_random_builtin(rng, Identity()))
-        A0 = _into_domain(np.array(grams), dom)
+        A0 = _into_domain(_grams(draws, dom), dom)
         big = kron(np.ones((m, m)), A0)
         _check_domain(dom, big)
         lhs = _image(star_pattern(2 * m).mask, _values(gs, big), _values(fs, big))
@@ -356,17 +362,17 @@ def _criterion_decomposition(cfg: VerifyConfig) -> dict:
 def _criterion_mask_factorization(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 107)
     dom = Domain.disc(1.0)
-    ns, masks, cs, grams = [], [], [], []
+    ns, masks, cs, draws = [], [], [], []
     for _ in range(200):
         n = int(rng.integers(2, 9))
         ns.append(n)
         masks.append(_random_pattern(rng, n).mask)
         cs.append(-1.0 + 2.0 * rng.random())
-        grams.append(_gram(rng, n, dom))
+        draws.append(_draw(rng, n, dom))
     fs = [scaled_identity(c) for c in cs]
     gaps = np.empty(200)
-    for at, mask, c, A in _by_n(ns, masks, cs, grams):
-        A = _into_domain(A, dom)
+    for at, mask, c in _by_n(ns, masks, cs):
+        A = _samples(draws, at, dom)
         _check_domain(dom, A)
         rhs = _image(mask, A, _values([fs[i] for i in at], A))
         lhs = _factorization(mask, c[:, None, None], A, rhs)
@@ -545,15 +551,16 @@ def _induction_step(c: list, A: np.ndarray, sizes: list, tol: float = 1e-12) -> 
 def _criterion_induction_step(cfg: VerifyConfig) -> dict:
     rng = _rng(cfg, 112)
     dom = Domain.disc(1.0)
-    sizes, grams, cs = [], [], []
+    sizes, draws, cs = [], [], []
     for i in range(100):
         k = 2 if i % 2 == 0 else 3
         sizes.append([int(rng.integers(1, 3)) for _ in range(k + 1)])
-        grams.append(_gram(rng, sum(sizes[-1]), dom))
+        draws.append(_draw(rng, sum(sizes[-1]), dom))
         cs.append(Fraction(-1, k) * Fraction(int(rng.integers(1, 11)), 10))
     ok = True
-    for at, A in _by_n([sum(s) for s in sizes], grams):
-        A = exact_hermitian(_into_domain(A, dom) + 0.05 * identity(A.shape[-1]))
+    for at, in _by_n([sum(s) for s in sizes]):
+        A = _samples(draws, at, dom)
+        A = exact_hermitian(A + 0.05 * identity(A.shape[-1]))
         ok = ok and bool(_induction_step([cs[i] for i in at], A, [sizes[i] for i in at]).all())
     ends = [Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 2)]
     endpoint_maps = [[str(c), str(_reduce_scalar(c))] for c in ends]

@@ -9,7 +9,9 @@ order is the priority order, so the reported counterexample is reproducible.
 Every check runs on a stack ``(k, n, n)``: a run of same-family battery
 witnesses, each built and grown once per call, or ``SAMPLE_CHUNK`` random
 samples.  Within a stack the first failing matrix wins, and each matrix is
-judged bit for bit as it would be alone.
+judged bit for bit as it would be alone.  Each random sample's factor is
+drawn in one normal fill, in stream order, and a chunk's Grams are formed by
+one matmul per (n, rank) stack.
 
 Sample streams are split per (family, n) from the master seed as
 ``default_rng([seed, family_id, n])``, which makes every battery stage
@@ -42,6 +44,7 @@ from .functions import (
     scaled_identity,
 )
 from .linalg import (
+    EIG_DIM_CAP,
     eig_extremes,
     exact_hermitian,
     is_psd,
@@ -96,8 +99,8 @@ class VerifyConfig:
     rank_one_only: bool = False
 
     def __post_init__(self):
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
+        if not 1 <= self.max_n <= EIG_DIM_CAP:
+            raise ValueError(f"max_n must be in 1..{EIG_DIM_CAP}, the eigensolver cap")
         if self.samples_per_n < 0:
             raise ValueError("samples_per_n must be >= 0")
         if self.seed < 0:
@@ -145,20 +148,35 @@ def _rng(seed: int, family: str, n: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), _FAMILY_IDS[family], int(n)])
 
 
-def _gram(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = None) -> np.ndarray:
-    """The Gram matrix of a seeded n x rank Gaussian factor suited to the domain,
-    unsettled; without a rank, the rank is drawn first, in 1..n."""
+def _draw(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = None) -> np.ndarray:
+    """The Gaussian draws of one sample's n x rank factor, in one fill of shape
+    (parts, n, rank): real then imaginary part over the disc, one part elsewhere.
+    Without a rank, the rank is drawn first, in 1..n."""
     if rank is None:
         rank = int(rng.integers(1, n + 1))
-    if domain.kind == DISC:
-        B = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    elif domain.kind == OPEN_SYM:
-        B = rng.standard_normal((n, rank))
-    else:
-        B = np.abs(rng.standard_normal((n, rank)))
-        if domain.kind == OPEN_POS:
-            B = B + 0.01
-    return B @ B.conj().T
+    return rng.standard_normal((2 if domain.kind == DISC else 1, n, rank))
+
+
+def _grams(draws: list, domain: Domain, dtype=None) -> np.ndarray:
+    """The unsettled Grams of same-n draws as a (k, n, n) stack, one matmul per
+    rank, of the factors ``sample_psd`` describes; of dtype, or else complex
+    over the disc and real elsewhere."""
+    n = draws[0].shape[1]
+    ranks = [d.shape[-1] for d in draws]
+    out = np.empty((len(draws), n, n), dtype=dtype or (complex if domain.kind == DISC else float))
+    for rank in set(ranks):
+        at = [i for i, r in enumerate(ranks) if r == rank]
+        X = np.array([draws[i] for i in at])
+        if domain.kind == DISC:
+            B = X[:, 0] + 1j * X[:, 1]
+        elif domain.kind == OPEN_SYM:
+            B = X[:, 0]
+        else:
+            B = np.abs(X[:, 0])
+            if domain.kind == OPEN_POS:
+                B = B + 0.01
+        out[at] = B @ np.swapaxes(B.conj(), -1, -2)
+    return out
 
 
 def _into_domain(grams: np.ndarray, domain: Domain) -> np.ndarray:
@@ -179,26 +197,27 @@ def sample_psd(rng: np.random.Generator, n: int, domain: Domain, rank: int | Non
     over (-rho, rho), absolute values (shifted strictly positive for (0, rho))
     otherwise; scaled to 0.95 rho for finite rho.
     """
-    return _into_domain(_gram(rng, n, domain, rank)[None], domain)[0]
+    return _into_domain(_grams([_draw(rng, n, domain, rank)], domain), domain)[0]
 
 
 def _random_battery(domain: Domain, cfg: VerifyConfig):
     """Yield (stack, n, "random_gram", params per matrix), SAMPLE_CHUNK samples a stack.
 
-    Ranks and factors are drawn one sample at a time, in stream order, so the
-    samples do not depend on the chunk size; every other sample is rank one.
+    Each sample's rank and then its factor, in one normal fill, are drawn in
+    stream order, so the samples do not depend on the chunk size; each
+    chunk's Grams are then formed by one matmul per rank.  Every other sample
+    is rank one.
     """
     for n in range(1, cfg.max_n + 1):
         rng = _rng(cfg.seed, "random_gram", n)
         for start in range(0, cfg.samples_per_n, SAMPLE_CHUNK):
             stop = min(start + SAMPLE_CHUNK, cfg.samples_per_n)
-            params = []
-            grams = np.empty((stop - start, n, n), dtype=np.complex128)
+            params, draws = [], []
             for s in range(start, stop):
                 rank = 1 if (cfg.rank_one_only or s % 2 == 0) else int(rng.integers(1, n + 1))
                 params.append({"sample_index": s, "rank": rank})
-                grams[s - start] = _gram(rng, n, domain, rank)
-            yield _into_domain(grams, domain), n, "random_gram", params
+                draws.append(_draw(rng, n, domain, rank))
+            yield _into_domain(_grams(draws, domain, np.complex128), domain), n, "random_gram", params
 
 
 # -- deterministic parameter grids ----------------------------------------------

@@ -79,6 +79,16 @@ class TestClassify:
         assert report["regime"] == "R4-Overlapping"
         assert report["family"] == "identity only"
 
+    def test_contradicting_flags_are_usage_error(self, files, capsys):
+        path = files["tmp"] / "rule_bad_flags.json"
+        path.write_text(json.dumps({"kind": "contiguous_partition", "params": {"k": 3},
+                                    "flags": {"eventually_nonempty": True, "all_singletons": False,
+                                              "covers_all_n": True, "max_block_count": 9,
+                                              "has_block_ge2_at": 4, "overlap_at": None}}))
+        code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "contiguous_partition" in err
+
 
 class TestVerify:
     def test_preserved_exit_zero(self, files, capsys):
@@ -128,6 +138,19 @@ class TestVerify:
         body2 = json.loads(out2)["report"]
         assert canonical_json(body1) == canonical_json(body2)
         assert json.loads(out1)["timestamp"] != ""
+
+    def test_max_n_above_eig_cap_is_usage_error(self, files, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("verification started")
+
+        monkeypatch.setattr("psdmask.cli.verify_preservation", never)
+        code, out, err = run(
+            ["verify", "--rule", files["rule_k2"], "--f", files["f_half"],
+             "--domain", files["disc1"], "--max-n", "65"],
+            capsys,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "64" in err
 
 
 class TestRefute:

@@ -107,8 +107,16 @@ class TestEvaluate:
     def test_series_monotone_in_max_degree(self):
         coeffs = {(m, k): 0.3 for m in range(3) for k in range(3)}
         x = 0.7
-        values = [HerzSeries(coeffs, max_degree=d)(x).real for d in range(5)]
+        truncations = [{t: c for t, c in coeffs.items() if sum(t) <= d} for d in range(5)]
+        values = [HerzSeries(terms, max_degree=d)(x).real for d, terms in enumerate(truncations)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_series_rejects_terms_above_max_degree(self):
+        with pytest.raises(ValueError, match="max_degree"):
+            HerzSeries({(10, 0): 1}, max_degree=6)
+        with pytest.raises(ValueError, match="max_degree"):
+            HerzSeries({(0, 0): 0.5, (2, 2): 0.25}, max_degree=3)
+        assert HerzSeries({(3, 3): 1}, max_degree=6)(0.5) == pytest.approx(0.5 ** 6)
 
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValueError):

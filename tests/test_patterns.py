@@ -319,6 +319,19 @@ class TestJson:
         for n in range(1, 9):
             assert back.pattern(n) == rule.pattern(n)
 
+    @pytest.mark.parametrize("doc", [
+        """{"kind": "contiguous_partition", "params": {"k": 3},
+            "flags": {"eventually_nonempty": true, "all_singletons": false, "covers_all_n": true,
+                      "max_block_count": 9, "has_block_ge2_at": 4, "overlap_at": null}}""",
+        """{"kind": "single_block", "params": {"block": [1, 2]}, "flags": "garbage"}""",
+        """{"kind": "empty", "params": {}, "flags": {"max_block_count": 0}}""",
+        """{"kind": "overlapping_chain", "params": {}, "flags": null}""",
+    ], ids=["max_block_count_9", "not_an_object", "missing_members", "null"])
+    def test_builtin_flags_contradicting_kind_rejected(self, doc):
+        data = json.loads(doc)
+        with pytest.raises(ValueError, match=data["kind"]):
+            rule_from_json(data)
+
     def test_flags_inf_round_trip(self):
         back = flags_from_json(json.loads(FLAGS_DOC))
         assert back.max_block_count == math.inf

@@ -35,7 +35,8 @@ from psdmask.suite import _partition_labels, _random_pattern
 from psdmask.verify import (
     SAMPLE_CHUNK,
     VerifyConfig,
-    _gram,
+    _draw,
+    _grams,
     _into_domain,
     _random_battery,
     _rng,
@@ -204,18 +205,84 @@ _DOMAIN_KINDS = {"disc": Domain.disc, "open_sym": Domain.open_sym,
 @pytest.mark.parametrize("rho", [1.0, math.inf], ids=["rho1", "rho_inf"])
 @pytest.mark.parametrize("kind", sorted(_DOMAIN_KINDS))
 def test_draws_settled_per_n_match_sample_psd_one_at_a_time(kind, rho):
-    """The suite's draw order: Grams drawn in one stream with mixed n, each n settled as one stack."""
+    """The suite's draw order: factors drawn in one stream with mixed n, each n formed and settled as one stack."""
     dom = _DOMAIN_KINDS[kind](rho)
     ns = np.random.default_rng(11).integers(1, 9, size=200).tolist()
     drawing, sampling = np.random.default_rng(5), np.random.default_rng(5)
-    grams = [_gram(drawing, n, dom) for n in ns]
+    draws = [_draw(drawing, n, dom) for n in ns]
     alone = [sample_psd(sampling, n, dom) for n in ns]
     assert drawing.random() == sampling.random()  # both streams consumed the same draws
     for n in SIZES:
         at = [i for i, m in enumerate(ns) if m == n]
-        stacked = _into_domain(np.array([grams[i] for i in at]), dom)
+        stacked = _into_domain(_grams([draws[i] for i in at], dom), dom)
         for j, i in enumerate(at):
             assert _same_bits(stacked[j], alone[i]), f"n={n} draw {i}"
+
+
+def _gram_reference(rng, n, domain, rank=None):
+    """The one-sample-at-a-time Gram draw the factor-draw kernel replaced."""
+    if rank is None:
+        rank = int(rng.integers(1, n + 1))
+    if domain.kind == "disc":
+        B = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    elif domain.kind == "open_sym":
+        B = rng.standard_normal((n, rank))
+    else:
+        B = np.abs(rng.standard_normal((n, rank)))
+        if domain.kind == "open_pos":
+            B = B + 0.01
+    return B @ B.conj().T
+
+
+def _random_battery_reference(domain, cfg):
+    """The random stage as it was: each Gram drawn and formed alone, then settled per chunk."""
+    for n in range(1, cfg.max_n + 1):
+        rng = _rng(cfg.seed, "random_gram", n)
+        for start in range(0, cfg.samples_per_n, SAMPLE_CHUNK):
+            stop = min(start + SAMPLE_CHUNK, cfg.samples_per_n)
+            params = []
+            grams = np.empty((stop - start, n, n), dtype=np.complex128)
+            for s in range(start, stop):
+                rank = 1 if (cfg.rank_one_only or s % 2 == 0) else int(rng.integers(1, n + 1))
+                params.append({"sample_index": s, "rank": rank})
+                grams[s - start] = _gram_reference(rng, n, domain, rank)
+            yield _into_domain(grams, domain), n, "random_gram", params
+
+
+@pytest.mark.parametrize("given_rank", [False, True], ids=["rank_drawn", "rank_given"])
+@pytest.mark.parametrize("rho", [1.0, math.inf], ids=["rho1", "rho_inf"])
+@pytest.mark.parametrize("kind", sorted(_DOMAIN_KINDS))
+def test_grams_match_gram_reference_on_one_stream(kind, rho, given_rank):
+    """Mixed n on one stream: the kernel's Grams per (n, rank) stack against the old draws, by bytes."""
+    dom = _DOMAIN_KINDS[kind](rho)
+    picks = np.random.default_rng(13)
+    ns = picks.integers(1, 9, size=300).tolist()
+    ranks = [int(picks.integers(1, n + 1)) if given_rank else None for n in ns]
+    drawing, reference = np.random.default_rng(8), np.random.default_rng(8)
+    draws = [_draw(drawing, n, dom, r) for n, r in zip(ns, ranks)]
+    old = [_gram_reference(reference, n, dom, r) for n, r in zip(ns, ranks)]
+    assert drawing.bit_generator.state == reference.bit_generator.state
+    for n in SIZES:
+        at = [i for i, m in enumerate(ns) if m == n]
+        stacked = _grams([draws[i] for i in at], dom)
+        assert stacked.shape == (len(at), n, n)
+        for j, i in enumerate(at):
+            assert _same_bits(stacked[j], old[i]), f"n={n} draw {i}"
+
+
+@pytest.mark.parametrize("cfg", [VerifyConfig(max_n=8, samples_per_n=40, seed=3, rank_one_only=True),
+                                 VerifyConfig(max_n=8, samples_per_n=131, seed=7919)],
+                         ids=["rank_one_only", "samples_131"])
+@pytest.mark.parametrize("rho", [1.0, math.inf], ids=["rho1", "rho_inf"])
+@pytest.mark.parametrize("kind", sorted(_DOMAIN_KINDS))
+def test_random_battery_matches_reference_generator(kind, rho, cfg):
+    dom = _DOMAIN_KINDS[kind](rho)
+    got = list(_random_battery(dom, cfg))
+    want = list(_random_battery_reference(dom, cfg))
+    assert len(got) == len(want) == cfg.max_n * math.ceil(cfg.samples_per_n / SAMPLE_CHUNK)
+    for (W, n, family, params), (V, n_v, family_v, params_v) in zip(got, want):
+        assert (n, family, params) == (n_v, family_v, params_v)
+        assert _same_bits(W, V), f"n={n}"
 
 
 def _same_mask(a, b):

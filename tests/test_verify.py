@@ -23,7 +23,7 @@ from psdmask.functions import (
     ScalarMultiple,
     scaled_identity,
 )
-from psdmask.linalg import all_ones, eig_extremes, exact_hermitian, identity, is_psd
+from psdmask.linalg import EIG_DIM_CAP, all_ones, eig_extremes, exact_hermitian, identity, is_psd
 from psdmask.operators import OperatorSpec, apply
 from psdmask.patterns import (
     all_singletons_rule,
@@ -491,6 +491,11 @@ class TestConfig:
             VerifyConfig(tol=-1e-9)
         with pytest.raises(ValueError):
             VerifyConfig(probe_N=2)
+
+    def test_max_n_capped_at_eig_dim_cap(self):
+        assert VerifyConfig(max_n=EIG_DIM_CAP).max_n == EIG_DIM_CAP
+        with pytest.raises(ValueError, match=str(EIG_DIM_CAP)):
+            VerifyConfig(max_n=EIG_DIM_CAP + 1)
 
     def test_rank_one_only_mode(self):
         cfg = VerifyConfig(max_n=4, samples_per_n=30, rank_one_only=True)
