@@ -16,15 +16,14 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PsdMaskError
 from .functions import Domain, Identity, admissible_family, function_from_json
-from .linalg import is_psd, matrix_from_json, matrix_to_json
+from .linalg import is_psd, matrix_from_json
 from .patterns import classify_sequence, rule_from_json
 from .suite import format_suite_lines, run_theorem_suite
 from .verify import VerifyConfig, refute_scalar_outside_interval, verify_preservation
 from .witnesses import (
+    Witness,
     all_ones_witness,
     corner_extend,
     corner_extend_auto,
@@ -135,41 +134,39 @@ def _cmd_refute(args) -> int:
     return EXIT_REFUTED
 
 
-def _witness_from_args(args) -> tuple[np.ndarray, dict]:
-    """The witness matrix the arguments name, and its JSON body."""
+def _witness_from_args(args) -> Witness:
+    """The witness the arguments name."""
     name = args.name
     domain = _load_domain(args)
     if name == "all_ones":
-        wit = all_ones_witness(args.x, args.n, domain)
-    elif name == "rank_one":
+        return all_ones_witness(args.x, args.n, domain)
+    if name == "rank_one":
         v = [complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in json.loads(args.v)]
-        wit = rank_one_gram(v)
-    elif name == "duplicated_pair":
-        wit = duplicated_pair_gram(_parse_complex(args.w), _parse_complex(args.z), domain)
-    elif name == "overlap_probe":
-        wit = overlap_probe(args.r, _parse_complex(args.z), domain)
-    elif name == "tail_gram":
-        wit = tail_gram(_parse_complex(args.w), args.t, domain)
-    elif name == "tensor_blowup":
-        wit = tensor_blowup(args.m, matrix_from_json(_load_json(args.matrix)))
-    elif name == "pad":
+        return rank_one_gram(v, domain if args.domain else None)  # no default domain, as in the library
+    if name == "duplicated_pair":
+        return duplicated_pair_gram(_parse_complex(args.w), _parse_complex(args.z), domain)
+    if name == "overlap_probe":
+        return overlap_probe(args.r, _parse_complex(args.z), domain)
+    if name == "tail_gram":
+        return tail_gram(_parse_complex(args.w), args.t, domain)
+    if name == "tensor_blowup":
+        return tensor_blowup(args.m, matrix_from_json(_load_json(args.matrix)))
+    if name == "pad":
         M = pad_embed(matrix_from_json(_load_json(args.matrix)), args.n, domain=domain)
-        return M, {"provenance": "pad_embed", "params": {"N": args.n}, "matrix": matrix_to_json(M)}
-    elif name == "corner":
+        return Witness(M, "pad_embed", {"N": args.n})
+    if name == "corner":
         A = matrix_from_json(_load_json(args.matrix))
         if args.eps is not None:
-            M, eps = corner_extend(A, args.eps, domain), args.eps
-        else:
-            M, eps = corner_extend_auto(A, domain)
-        return M, {"provenance": "corner_extension", "params": {"eps": eps}, "matrix": matrix_to_json(M)}
-    else:
-        raise PsdMaskError(f"unknown witness name {name!r}")
-    return wit.matrix, wit.to_json()
+            return Witness(corner_extend(A, args.eps, domain), "corner_extension", {"eps": args.eps})
+        M, eps = corner_extend_auto(A, domain)
+        return Witness(M, "corner_extension", {"eps": eps})
+    raise PsdMaskError(f"unknown witness name {name!r}")
 
 
 def _cmd_witness(args) -> int:
-    M, body = _witness_from_args(args)
-    report = is_psd(M, 1e-10)
+    wit = _witness_from_args(args)
+    body = wit.to_json()
+    report = is_psd(wit.matrix, 1e-10)
     body["psd"] = report.to_json()
     lines = [
         f"witness {body['provenance']} ({body['matrix']['n']} x {body['matrix']['n']})",

@@ -22,6 +22,7 @@ from .patterns import (
     R3A_PARTITION_ALL,
     R3B_SUBPARTITION_OTHER,
     R4_OVERLAPPING,
+    _integer,
 )
 
 # Open boundaries |z| < rho are enforced with this relative slack.
@@ -183,11 +184,9 @@ class HerzMonomial(PreserverFunction):
         alpha = float(alpha)
         if not (alpha >= 0.0 and math.isfinite(alpha)):
             raise ValueError("alpha must be a finite nonnegative real")
-        if m < 0 or k < 0:
-            raise ValueError("exponents must be nonnegative integers")
         self.alpha = alpha
-        self.m = int(m)
-        self.k = int(k)
+        self.m = _integer(m, "exponent m")
+        self.k = _integer(k, "exponent k")
 
     def evaluate_array(self, Z):
         Z = np.asarray(Z, dtype=np.complex128)
@@ -214,21 +213,18 @@ class HerzSeries(PreserverFunction):
     """
 
     def __init__(self, coeffs, max_degree: int = 8):
-        if max_degree < 0:
-            raise ValueError("max_degree must be nonnegative")
+        max_degree = _integer(max_degree, "max_degree")
         terms = {}
         for (m, k), c in dict(coeffs).items():
-            c = float(c)
+            m, k, c = _integer(m, "exponent m"), _integer(k, "exponent k"), float(c)
             if not (c >= 0.0 and math.isfinite(c)):
                 raise ValueError(f"coefficient c[{m},{k}] = {c} must be finite and >= 0")
-            if m < 0 or k < 0:
-                raise ValueError("term exponents must be nonnegative")
             if m + k > max_degree:
                 raise ValueError(f"term ({m}, {k}) has degree {m + k} > max_degree {max_degree}")
             if c != 0.0:
-                terms[(int(m), int(k))] = c
+                terms[(m, k)] = c
         self.coeffs = dict(sorted(terms.items()))
-        self.max_degree = int(max_degree)
+        self.max_degree = max_degree
 
     def evaluate_array(self, Z):
         Z = np.asarray(Z, dtype=np.complex128)
@@ -313,8 +309,8 @@ def function_from_json(data: dict) -> PreserverFunction:
     if variant == "herz_monomial":
         return HerzMonomial(params["alpha"], params["m"], params["k"])
     if variant == "herz_series":
-        coeffs = {(int(m), int(k)): float(c) for m, k, c in params["coeffs"]}
-        return HerzSeries(coeffs, max_degree=int(params.get("max_degree", 8)))
+        coeffs = {(m, k): c for m, k, c in params["coeffs"]}
+        return HerzSeries(coeffs, max_degree=params.get("max_degree", 8))
     if variant == "scalar_multiple":
         return ScalarMultiple(params["c"], function_from_json(params["inner"]))
     raise ValueError(f"unknown function variant {variant!r}")

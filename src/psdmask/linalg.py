@@ -26,7 +26,7 @@ from .errors import (
 # Full eigendecompositions are only contracted up to this dimension.
 EIG_DIM_CAP = 64
 
-# Relative tolerance for accepting almost-Hermitian input (JSON round-trip noise).
+# Relative asymmetry above which an input or an entrywise image is not Hermitian.
 ASYM_TOL = 1e-8
 
 # Default relative tolerance of the PSD test.
@@ -90,20 +90,29 @@ def exact_hermitian(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def symmetrize(raw, asym_tol: float = ASYM_TOL) -> np.ndarray:
+def _settle(raw: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
+    """(raw + raw*)/2 with exactly conjugate-symmetric storage, per matrix of a stack.
+
+    Raises ``error``, led by ``what``, when a matrix's asymmetry exceeds
+    ASYM_TOL relative to max(1, its largest entry modulus); fmax and ``>``
+    let NaN through, as Python's max(1.0, nan) and nan > x do.
+    """
+    raw_h = np.swapaxes(raw, -1, -2).conj()
+    scale = np.fmax(1.0, np.abs(raw).max(axis=(-2, -1)))
+    gap = np.abs(raw - raw_h).max(axis=(-2, -1))
+    asym = gap > ASYM_TOL * scale
+    if asym.any():
+        raise error(f"{what}: asymmetry {gap[asym][0]:.3e} exceeds {ASYM_TOL:.1e} * {scale[asym][0]:.3e}")
+    return exact_hermitian((raw + raw_h) / 2.0)
+
+
+def symmetrize(raw) -> np.ndarray:
     """Return (raw + raw*)/2 with exactly conjugate-symmetric storage.
 
-    Rejects input whose asymmetry exceeds ``asym_tol`` relative to
+    Rejects input whose asymmetry exceeds ASYM_TOL relative to
     ``max(1, largest entry modulus)``.
     """
-    A = _as_square_grid(raw)
-    scale = max(1.0, float(np.abs(A).max()))
-    gap = float(np.abs(A - A.conj().T).max())
-    if gap > asym_tol * scale:
-        raise AsymmetricInputError(
-            f"asymmetry {gap:.3e} exceeds {asym_tol:.1e} * {scale:.3e}"
-        )
-    return exact_hermitian((A + A.conj().T) / 2.0)
+    return _settle(_as_square_grid(raw), AsymmetricInputError, "input is not conjugate-symmetric")
 
 
 def eig_extremes(M: np.ndarray):

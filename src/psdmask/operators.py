@@ -20,11 +20,8 @@ from .errors import (
     OutOfDomainError,
 )
 from .functions import Domain, Identity, PreserverFunction
-from .linalg import exact_hermitian, schur_product
+from .linalg import _settle, exact_hermitian, schur_product
 from .patterns import BlockPattern, normalize
-
-# Relative tolerance above which an entrywise image is rejected as non-Hermitian.
-OUTPUT_ASYM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,18 +64,8 @@ def _check_domain(domain: Domain, A: np.ndarray) -> None:
 
 
 def _settle_hermitian(raw: np.ndarray) -> np.ndarray:
-    raw_h = np.swapaxes(raw, -1, -2).conj()
-    # per matrix; fmax and `>` keep NaN as Python's max(1.0, nan) and nan > x do
-    scale = np.fmax(1.0, np.abs(raw).max(axis=(-2, -1)))
-    gap = np.abs(raw - raw_h).max(axis=(-2, -1))
-    asym = gap > OUTPUT_ASYM_TOL * scale
-    if asym.any():
-        first = float(gap[asym][0])
-        raise NonHermitianOutputError(
-            f"entrywise image is non-Hermitian (asymmetry {first:.3e}); "
-            "check the conjugate equivariance of g and f"
-        )
-    return exact_hermitian((raw + raw_h) / 2.0)
+    return _settle(raw, NonHermitianOutputError,
+                   "entrywise image is non-Hermitian (check the conjugate equivariance of g and f)")
 
 
 def _image(mask: np.ndarray, G: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -313,18 +313,18 @@ def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str
     )
 
 
-def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> dict:
-    """Check declared flags against T_1..T_probe_N; return the probed evidence.
+def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> tuple[str, dict[int, BlockPattern]]:
+    """Check declared flags against T_1..T_probe_N; return the sequence regime
+    and the patterns built by dimension (T_1..T_probe_N and the flags' witness
+    dimensions), each built once.
 
-    Raises FlagMismatchError on any contradiction and RejectedFullBlockError
-    if the rule materializes the full block at some n >= 2.
+    Regime precedence: overlap anywhere -> R4; else any block of size >= 2 ->
+    R3a (partition of range(n) for all n with finite max block count) or R3b
+    (proper subpartition somewhere, or unbounded block count); else nonempty
+    -> R2; else R1.  Raises FlagMismatchError on any contradiction and
+    RejectedFullBlockError if the rule materializes the full block at some
+    n >= 2.
     """
-    return _validate(rule, probe_N)[0]
-
-
-def _validate(rule: PatternRule, probe_N: int) -> tuple[dict, dict[int, BlockPattern]]:
-    """``validate_rule``'s evidence, and the patterns it built by dimension
-    (T_1..T_probe_N and the flags' witness dimensions), each built once."""
     if probe_N < 3:
         raise ValueError("probe_N must be >= 3")
     flags = rule.flags
@@ -366,11 +366,16 @@ def _validate(rule: PatternRule, probe_N: int) -> tuple[dict, dict[int, BlockPat
         raise FlagMismatchError(
             "all_singletons=False requires a probed block of size >= 2 or a declared location"
         )
-    return {
-        "nonempty": probed_nonempty or flags.eventually_nonempty,
-        "big_block": probed_big or flags.has_block_ge2_at is not None,
-        "overlap": probed_overlap or flags.overlap_at is not None,
-    }, patterns
+    if probed_overlap or flags.overlap_at is not None:
+        return R4_OVERLAPPING, patterns
+    if probed_big or flags.has_block_ge2_at is not None:
+        # T_2 is a partition of range(2) with at most K blocks, and not the full block: so K >= 2
+        if flags.covers_all_n and math.isfinite(flags.max_block_count):
+            return R3A_PARTITION_ALL, patterns
+        return R3B_SUBPARTITION_OTHER, patterns
+    if probed_nonempty or flags.eventually_nonempty:
+        return R2_SINGLETONS, patterns
+    return R1_EMPTY, patterns
 
 
 def _pattern_at(rule: PatternRule, patterns: dict[int, BlockPattern], n: int) -> BlockPattern:
@@ -381,30 +386,8 @@ def _pattern_at(rule: PatternRule, patterns: dict[int, BlockPattern], n: int) ->
 
 
 def classify_sequence(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
-    """Map a rule to its sequence regime.
-
-    Precedence: overlap anywhere -> R4; else any block of size >= 2 ->
-    R3a (partition of range(n) for all n with finite max block count) or R3b
-    (proper subpartition somewhere, or unbounded block count); else nonempty
-    -> R2; else R1.
-    """
-    return _regime(rule, validate_rule(rule, probe_N))
-
-
-def _regime(rule: PatternRule, ev: dict) -> str:
-    """``classify_sequence`` from the evidence ``validate_rule`` returned."""
-    if ev["overlap"]:
-        return R4_OVERLAPPING
-    if ev["big_block"]:
-        K = rule.flags.max_block_count
-        if rule.flags.covers_all_n and math.isfinite(K):
-            if int(K) < 2:
-                raise FlagMismatchError("a partition of range(n) for all n needs max_block_count >= 2")
-            return R3A_PARTITION_ALL
-        return R3B_SUBPARTITION_OTHER
-    if ev["nonempty"]:
-        return R2_SINGLETONS
-    return R1_EMPTY
+    """The sequence regime ``validate_rule`` decides."""
+    return validate_rule(rule, probe_N)[0]
 
 
 # -- JSON wire format ----------------------------------------------------------
@@ -414,30 +397,43 @@ def _regime(rule: PatternRule, ev: dict) -> str:
 #          "inf" for an unbounded max_block_count.
 
 
+def _integer(value, what: str, least: int = 0) -> int:
+    """value if it is an integer >= least; a bool, a float such as 2.7 or a
+    string is a ValueError, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def pattern_from_json(data: dict) -> BlockPattern:
-    n = int(data["n"])
-    blocks = [[int(i) - 1 for i in b] for b in data.get("blocks", [])]
-    return normalize(blocks, n)
+    blocks = [[_integer(i, "block index", 1) - 1 for i in b] for b in data.get("blocks", [])]
+    return normalize(blocks, _integer(data["n"], "n", 1))
 
 
 def flags_from_json(data: dict) -> RuleFlags:
-    K = data["max_block_count"]
+    """Read a flags object: the three booleans are true or false, and the
+    counts integers or null; a member of another type is a ValueError."""
+    for name in ("eventually_nonempty", "all_singletons", "covers_all_n"):
+        if not isinstance(data[name], bool):
+            raise ValueError(f"flag {name} must be true or false, got {data[name]!r}")
+    K, big_at, overlap_at = data["max_block_count"], data.get("has_block_ge2_at"), data.get("overlap_at")
     return RuleFlags(
-        eventually_nonempty=bool(data["eventually_nonempty"]),
-        all_singletons=bool(data["all_singletons"]),
-        covers_all_n=bool(data["covers_all_n"]),
-        max_block_count=math.inf if K in ("inf", None) else int(K),
-        has_block_ge2_at=data.get("has_block_ge2_at"),
-        overlap_at=data.get("overlap_at"),
+        eventually_nonempty=data["eventually_nonempty"],
+        all_singletons=data["all_singletons"],
+        covers_all_n=data["covers_all_n"],
+        max_block_count=math.inf if K in ("inf", None) else _integer(K, "max_block_count"),
+        has_block_ge2_at=None if big_at is None else _integer(big_at, "has_block_ge2_at", 1),
+        overlap_at=None if overlap_at is None else _integer(overlap_at, "overlap_at", 1),
     )
 
 
 _BUILTIN_RULES = {
     "empty": lambda params: empty_rule(),
     "all_singletons": lambda params: all_singletons_rule(),
-    "single_block": lambda params: single_block_rule([int(i) - 1 for i in params["block"]]),
-    "contiguous_partition": lambda params: contiguous_partition_rule(int(params["k"])),
-    "proper_subpartition": lambda params: proper_subpartition_rule(int(params["k"])),
+    "single_block": lambda params: single_block_rule([_integer(i, "block index", 1) - 1
+                                                      for i in params["block"]]),
+    "contiguous_partition": lambda params: contiguous_partition_rule(_integer(params["k"], "k")),
+    "proper_subpartition": lambda params: proper_subpartition_rule(_integer(params["k"], "k")),
     "overlapping_chain": lambda params: overlapping_chain_rule(),
 }
 

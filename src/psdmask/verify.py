@@ -54,11 +54,11 @@ from .operators import OperatorSpec, apply
 from .patterns import (
     DEFAULT_PROBE_N,
     R3A_PARTITION_ALL,
+    R3B_SUBPARTITION_OTHER,
+    R4_OVERLAPPING,
     BlockPattern,
     PatternRule,
-    _pattern_at,
-    _regime,
-    _validate,
+    validate_rule,
 )
 from .witnesses import (
     Witness,
@@ -157,13 +157,13 @@ def _draw(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = N
     return rng.standard_normal((2 if domain.kind == DISC else 1, n, rank))
 
 
-def _grams(draws: list, domain: Domain, dtype=None) -> np.ndarray:
+def _grams(draws: list, domain: Domain) -> np.ndarray:
     """The unsettled Grams of same-n draws as a (k, n, n) stack, one matmul per
-    rank, of the factors ``sample_psd`` describes; of dtype, or else complex
-    over the disc and real elsewhere."""
+    rank, of the factors ``sample_psd`` describes; complex over the disc and
+    real elsewhere."""
     n = draws[0].shape[1]
     ranks = [d.shape[-1] for d in draws]
-    out = np.empty((len(draws), n, n), dtype=dtype or (complex if domain.kind == DISC else float))
+    out = np.empty((len(draws), n, n), dtype=complex if domain.kind == DISC else float)
     for rank in set(ranks):
         at = [i for i, r in enumerate(ranks) if r == rank]
         X = np.array([draws[i] for i in at])
@@ -217,7 +217,7 @@ def _random_battery(domain: Domain, cfg: VerifyConfig):
                 rank = 1 if (cfg.rank_one_only or s % 2 == 0) else int(rng.integers(1, n + 1))
                 params.append({"sample_index": s, "rank": rank})
                 draws.append(_draw(rng, n, domain, rank))
-            yield _into_domain(_grams(draws, domain, np.complex128), domain), n, "random_gram", params
+            yield _into_domain(_grams(draws, domain), domain), n, "random_gram", params
 
 
 # -- deterministic parameter grids ----------------------------------------------
@@ -403,10 +403,10 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
                 f"{tag} fails conjugate equivariance on the domain probe set; "
                 "its entrywise images cannot stay Hermitian"
             )
-    evidence, built = _validate(rule, cfg.probe_N)
-    if (evidence["big_block"] or evidence["overlap"]) and cfg.max_n < 3:
+    regime, built = validate_rule(rule, cfg.probe_N)
+    if regime in (R3A_PARTITION_ALL, R3B_SUBPARTITION_OTHER, R4_OVERLAPPING) and cfg.max_n < 3:
         raise ValueError("max_n must be >= 3 for rules with blocks of size >= 2")
-    patterns = {n: _pattern_at(rule, built, n) for n in range(1, cfg.max_n + 1)}
+    patterns = {n: built[n] if n in built else rule.pattern(n) for n in range(1, cfg.max_n + 1)}
     stats: dict = {
         "families": {},
         "checked": 0,
@@ -453,8 +453,7 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     index per block, i.e. (1 + (K-1)c) x or (1 - c) x.
     """
     cfg = cfg or VerifyConfig()
-    evidence, patterns = _validate(rule, cfg.probe_N)
-    regime = _regime(rule, evidence)
+    regime, patterns = validate_rule(rule, cfg.probe_N)
     if regime != R3A_PARTITION_ALL:
         raise RegimeMismatchError(f"rule is in regime {regime}, not a partition-of-all sequence")
     K = int(K)
@@ -466,19 +465,17 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     lo = Fraction(-1, K - 1)
     if lo <= c_frac <= 1:
         raise CNotOutsideError(f"c={c_frac} lies inside [{lo}, 1]")
-    target_n = None
-    for n in range(1, max(cfg.probe_N, K + 2) + 1):
-        if len(_pattern_at(rule, patterns, n).blocks) == K:
-            target_n = n
+    for target_n in range(1, max(cfg.probe_N, K + 2) + 1):
+        pattern = patterns[target_n] if target_n in patterns else rule.pattern(target_n)
+        if len(pattern.blocks) == K:
             break
-    if target_n is None:
+    else:
         raise RegimeMismatchError(f"no dimension up to {max(cfg.probe_N, K + 2)} realizes {K} blocks")
     if x is None:
         x = 0.5 * domain.reference_radius()
     elif not x > 0:
         raise ValueError(f"x={x} must be > 0")
     witness = all_ones_witness(x, target_n, domain)
-    pattern = patterns[target_n]
     spec = OperatorSpec(f=scaled_identity(float(c_frac)), pattern=pattern, domain=domain)
     image = apply(spec, witness.matrix)
     reps = sorted(min(b) for b in pattern.blocks)

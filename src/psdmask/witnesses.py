@@ -58,11 +58,14 @@ def _jsonable(v):
     return v
 
 
-def _assert_witness(M: np.ndarray, domain: Domain | None, provenance: str) -> None:
+def _witness(rows, provenance: str, params: dict, domain: Domain | None) -> Witness:
+    """The settled matrix of rows, tagged; its entries must be finite and inside the domain."""
+    M = exact_hermitian(rows)
     if not np.isfinite(M).all():
         raise NonFiniteEntryError(f"witness {provenance} has non-finite entries")
     if domain is not None and not domain.contains_array(M).all():
         raise OutOfDomainError(f"witness {provenance} has entries outside the domain")
+    return Witness(M, provenance, params)
 
 
 def _modulus(z: complex) -> float:
@@ -78,10 +81,7 @@ def rank_one_gram(v, domain: Domain | None = None) -> Witness:
     v = np.asarray(v, dtype=np.complex128).ravel()
     if not np.any(v != 0):
         raise ZeroVectorError("v must be nonzero")
-    M = exact_hermitian(np.outer(v, np.conj(v)))
-    w = Witness(M, "rank_one_gram", {"v": [complex(x) for x in v]})
-    _assert_witness(M, domain, w.provenance)
-    return w
+    return _witness(np.outer(v, np.conj(v)), "rank_one_gram", {"v": [complex(x) for x in v]}, domain)
 
 
 def duplicated_pair_gram(w, z, domain: Domain) -> Witness:
@@ -104,17 +104,14 @@ def duplicated_pair_gram(w, z, domain: Domain) -> Witness:
     except OverflowError:  # Python float power raises where numpy would give inf
         corner = math.inf
     z1 = z * w.conjugate() / aw
-    M = exact_hermitian(np.array(
+    return _witness(
         [
             [corner, z1, z1],
             [z1.conjugate(), aw, aw],
             [z1.conjugate(), aw, aw],
         ],
-        dtype=np.complex128,
-    ))
-    wit = Witness(M, "duplicated_pair_gram", {"w": w, "z": z})
-    _assert_witness(M, domain, wit.provenance)
-    return wit
+        "duplicated_pair_gram", {"w": w, "z": z}, domain,
+    )
 
 
 def overlap_probe(r, z, domain: Domain) -> Witness:
@@ -130,17 +127,14 @@ def overlap_probe(r, z, domain: Domain) -> Witness:
         raise OutOfDomainError(f"r={r} must be a positive real inside the domain")
     if _modulus(z) > r:
         raise OutOfDomainError(f"|z|={_modulus(z)} exceeds r={r}")
-    M = exact_hermitian(np.array(
+    return _witness(
         [
             [r, z, z],
             [z.conjugate(), r, r],
             [z.conjugate(), r, r],
         ],
-        dtype=np.complex128,
-    ))
-    wit = Witness(M, "overlap_probe", {"r": r, "z": z})
-    _assert_witness(M, domain, wit.provenance)
-    return wit
+        "overlap_probe", {"r": r, "z": z}, domain,
+    )
 
 
 def tail_gram(w, t, domain: Domain) -> Witness:
@@ -156,17 +150,14 @@ def tail_gram(w, t, domain: Domain) -> Witness:
         raise ZeroVectorError("w must be nonzero")
     if not (t >= aw and domain.contains(t) and domain.contains(w)):
         raise OutOfDomainError(f"need |w| <= t with both inside the domain; got w={w}, t={t}")
-    M = exact_hermitian(np.array(
+    return _witness(
         [
             [aw * aw / t, w * aw / t, w],
             [(w * aw / t).conjugate(), aw * aw / t, aw],
             [w.conjugate(), aw, t],
         ],
-        dtype=np.complex128,
-    ))
-    wit = Witness(M, "tail_gram", {"w": w, "t": t})
-    _assert_witness(M, domain, wit.provenance)
-    return wit
+        "tail_gram", {"w": w, "t": t}, domain,
+    )
 
 
 def all_ones_witness(x, n: int, domain: Domain) -> Witness:
@@ -176,10 +167,7 @@ def all_ones_witness(x, n: int, domain: Domain) -> Witness:
         raise ValueError("n must be >= 1")
     if x < 0.0 or not domain.contains(x):
         raise OutOfDomainError(f"x={x} must be a nonnegative real inside the domain")
-    M = exact_hermitian(np.full((n, n), x, dtype=np.complex128))
-    wit = Witness(M, "all_ones", {"x": x, "n": n})
-    _assert_witness(M, domain, wit.provenance)
-    return wit
+    return _witness(np.full((n, n), x), "all_ones", {"x": x, "n": n}, domain)
 
 
 def tensor_blowup(m: int, A: np.ndarray) -> Witness:

@@ -89,8 +89,28 @@ class TestClassify:
         assert code == EXIT_USAGE and out == ""
         assert "contiguous_partition" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "contiguous_partition", "params": {"k": 2.7}},
+        {"kind": "explicit", "params": {"patterns": [{"n": 3, "blocks": [[1, 2]]}]},
+         "flags": {"eventually_nonempty": 1, "all_singletons": 0, "covers_all_n": "",
+                   "max_block_count": 1.0, "has_block_ge2_at": 3, "overlap_at": None}},
+    ], ids=["k_float", "explicit_flags_coercible"])
+    def test_coercible_rule_is_usage_error(self, files, capsys, doc):
+        path = files["tmp"] / "rule_coercible.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
+
 
 class TestVerify:
+    def test_non_integer_exponent_is_usage_error(self, files, capsys):
+        path = files["tmp"] / "f_z15.json"
+        path.write_text(json.dumps({"variant": "herz_monomial", "params": {"alpha": 1, "m": 1.5, "k": 0}}))
+        code, out, err = run(["verify", "--rule", files["rule_k2"], "--f", str(path), "--samples", "0"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "exponent m" in err
+
     def test_preserved_exit_zero(self, files, capsys):
         code, _, _ = run(
             ["verify", "--rule", files["rule_k2"], "--f", files["f_half"],
@@ -236,6 +256,19 @@ class TestWitness:
         assert code == EXIT_OK
         M = matrix_from_json(json.loads(out)["report"]["matrix"])
         assert np.array_equal(M, np.ones((3, 3)))
+
+    def test_rank_one_checks_the_given_domain(self, files, capsys):
+        code, out, err = run(
+            ["witness", "rank_one", "--v", "[2, 2]", "--domain", files["disc1"], "--json"], capsys
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "domain" in err
+        code, out, _ = run(
+            ["witness", "rank_one", "--v", "[0.5, [0, 0.5]]", "--domain", files["disc1"], "--json"], capsys
+        )
+        assert code == EXIT_OK
+        M = matrix_from_json(json.loads(out)["report"]["matrix"])
+        assert np.array_equal(M, [[0.25, -0.25j], [0.25j, 0.25]])
 
     def test_tail_gram(self, files, capsys):
         code, out, _ = run(

@@ -234,6 +234,20 @@ class TestFunctionJson:
             assert back.to_json() == f.to_json()
             assert back(z) == f(z)
 
+    @pytest.mark.parametrize("doc", [
+        {"variant": "herz_monomial", "params": {"alpha": 1, "m": 1.5, "k": 0}},
+        {"variant": "herz_monomial", "params": {"alpha": 1, "m": 1, "k": True}},
+        {"variant": "herz_monomial", "params": {"alpha": 1, "m": "2", "k": 0}},
+        {"variant": "herz_series", "params": {"coeffs": [[1.5, 0, 1.0]]}},
+        {"variant": "herz_series", "params": {"coeffs": [[1, 0, 1.0]], "max_degree": 6.5}},
+        {"variant": "scalar_multiple",
+         "params": {"c": 0.5, "inner": {"variant": "herz_monomial", "params": {"alpha": 1, "m": 2.0, "k": 0}}}},
+    ], ids=["monomial_m_float", "monomial_k_bool", "monomial_m_string", "series_m_float",
+            "series_max_degree_float", "nested_m_float"])
+    def test_exponents_of_the_wrong_type_rejected(self, doc):
+        with pytest.raises(ValueError, match="exponent|max_degree"):
+            function_from_json(doc)
+
     def test_custom_not_serializable(self):
         with pytest.raises(ValueError):
             Custom(lambda z: z).to_json()

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import det2, random_psd
 from psdmask.errors import (
+    AsymmetricInputError,
     DimensionMismatchError,
     NonHermitianOutputError,
     NonLinearFunctionError,
@@ -220,3 +221,27 @@ class TestOperatorInvariants:
             A,
         )
         assert np.array_equal(out, out.conj().T)
+
+
+class TestSettleThreshold:
+    """``symmetrize`` (input) and ``apply`` (image) settle on one rule: an
+    asymmetry above 1e-8 times max(1, largest entry modulus) is an error, one
+    below it is averaged away, to the same bytes."""
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    @pytest.mark.parametrize("factor", [1.01, 0.99], ids=["above", "below"])
+    def test_input_and_image_share_the_threshold(self, scale, factor):
+        raw = np.array([[scale, 0.5 + factor * 1e-8 * scale], [0.5, 0.25]], dtype=np.complex128)
+        spec = spec_of(Identity(), [], 2)
+        if factor > 1.0:
+            with pytest.raises(AsymmetricInputError):
+                symmetrize(raw)
+            with pytest.raises(NonHermitianOutputError):
+                apply(spec, raw)
+            with pytest.raises(NonHermitianOutputError):
+                apply(spec, np.stack([np.eye(2), raw]))
+        else:
+            settled = symmetrize(raw)
+            assert np.array_equal(apply(spec, raw), settled)
+            assert np.array_equal(apply(spec, np.stack([np.eye(2), raw]))[1], settled)
+            assert settled[0, 1] == np.conj(settled[1, 0])

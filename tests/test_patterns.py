@@ -332,6 +332,55 @@ class TestJson:
         with pytest.raises(ValueError, match=data["kind"]):
             rule_from_json(data)
 
+    @pytest.mark.parametrize("member, value", [
+        ("eventually_nonempty", "false"),
+        ("all_singletons", 0),
+        ("covers_all_n", "no"),
+        ("covers_all_n", None),
+        ("max_block_count", 2.7),
+        ("max_block_count", 2.0),
+        ("max_block_count", -1),
+        ("max_block_count", "2"),
+        ("max_block_count", True),
+        ("has_block_ge2_at", 3.5),
+        ("has_block_ge2_at", 0),
+        ("has_block_ge2_at", "3"),
+        ("overlap_at", True),
+        ("overlap_at", [3]),
+    ])
+    def test_flags_of_the_wrong_type_rejected(self, member, value):
+        data = {**json.loads(EXPLICIT_DOC), "flags": {**json.loads(EXPLICIT_DOC)["flags"], member: value}}
+        with pytest.raises(ValueError, match=member):
+            flags_from_json(data["flags"])
+        with pytest.raises(ValueError, match=member):
+            rule_from_json(data)
+
+    def test_coercible_flags_document_rejected(self):
+        data = json.loads("""{"eventually_nonempty": "false", "all_singletons": "false", "covers_all_n": "no",
+                              "max_block_count": 2.7, "has_block_ge2_at": 3, "overlap_at": null}""")
+        with pytest.raises(ValueError):
+            flags_from_json(data)
+
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "contiguous_partition", "params": {"k": 2.7}}',
+        '{"kind": "contiguous_partition", "params": {"k": "3"}}',
+        '{"kind": "contiguous_partition", "params": {"k": true}}',
+        '{"kind": "proper_subpartition", "params": {"k": 1.5}}',
+        '{"kind": "single_block", "params": {"block": [1, 2.5]}}',
+        '{"kind": "single_block", "params": {"block": [true, 2]}}',
+        '{"kind": "single_block", "params": {"block": [0, 2]}}',
+    ], ids=["k_float", "k_string", "k_bool", "subpartition_k_float", "block_float", "block_bool",
+            "block_zero"])
+    def test_builtin_params_of_the_wrong_type_rejected(self, doc):
+        with pytest.raises(ValueError, match="k|block index"):
+            rule_from_json(json.loads(doc))
+
+    @pytest.mark.parametrize("doc", ['{"n": 3.5, "blocks": [[1, 2]]}', '{"n": 3, "blocks": [[1, 2.0]]}',
+                                     '{"n": true, "blocks": []}'], ids=["n_float", "index_float", "n_bool"])
+    def test_pattern_of_the_wrong_type_rejected(self, doc):
+        with pytest.raises(ValueError):
+            pattern_from_json(json.loads(doc))
+
     def test_flags_inf_round_trip(self):
         back = flags_from_json(json.loads(FLAGS_DOC))
         assert back.max_block_count == math.inf

@@ -26,9 +26,18 @@ from psdmask.functions import (
 from psdmask.linalg import EIG_DIM_CAP, all_ones, eig_extremes, exact_hermitian, identity, is_psd
 from psdmask.operators import OperatorSpec, apply
 from psdmask.patterns import (
+    R1_EMPTY,
+    R2_SINGLETONS,
+    R3A_PARTITION_ALL,
+    R3B_SUBPARTITION_OTHER,
+    R4_OVERLAPPING,
+    RuleFlags,
     all_singletons_rule,
+    classify_sequence,
     contiguous_partition_rule,
     empty_rule,
+    explicit_rule,
+    normalize,
     overlapping_chain_rule,
     proper_subpartition_rule,
     single_block_rule,
@@ -216,6 +225,46 @@ class TestPerturbedFamilies:
             Identity(), scaled_identity(-0.05), proper_subpartition_rule(2), DISC1, BATTERY_ONLY
         )
         assert verdict.refuted
+
+
+class TestSmallMaxN:
+    """max_n < 3 is a ValueError exactly in the regimes whose rules have a
+    block of size >= 2 (R3a, R3b, R4): the battery's 3 x 3 witnesses need room."""
+
+    # big block declared only beyond the default probe depth of 12
+    LATE_BLOCK = explicit_rule(
+        {1: normalize([], 1), 20: normalize([{0, 1}], 20)},
+        RuleFlags(eventually_nonempty=True, all_singletons=False, covers_all_n=False,
+                  max_block_count=1, has_block_ge2_at=20),
+        name="late_block",
+    )
+    CASES = [
+        (empty_rule(), R1_EMPTY),
+        (all_singletons_rule(), R2_SINGLETONS),
+        (single_block_rule({0, 1}), R3B_SUBPARTITION_OTHER),
+        (contiguous_partition_rule(3), R3A_PARTITION_ALL),
+        (proper_subpartition_rule(2), R3B_SUBPARTITION_OTHER),
+        (overlapping_chain_rule(), R4_OVERLAPPING),
+        (LATE_BLOCK, R3B_SUBPARTITION_OTHER),
+    ]
+
+    @pytest.mark.parametrize("rule, regime", CASES, ids=lambda c: getattr(c, "name", None))
+    @pytest.mark.parametrize("max_n", [1, 2])
+    def test_raises_exactly_for_big_block_regimes(self, rule, regime, max_n):
+        assert classify_sequence(rule) == regime
+        cfg = VerifyConfig(max_n=max_n, samples_per_n=4)
+        if regime in (R3A_PARTITION_ALL, R3B_SUBPARTITION_OTHER, R4_OVERLAPPING):
+            with pytest.raises(ValueError, match="max_n"):
+                verify_preservation(Identity(), Identity(), rule, DISC1, cfg)
+        else:
+            verdict = verify_preservation(Identity(), Identity(), rule, DISC1, cfg)
+            assert verdict.outcome == OUTCOME_PRESERVED
+            assert verdict.stats["truncated_at_n"] == max_n
+
+    @pytest.mark.parametrize("rule, regime", CASES, ids=lambda c: getattr(c, "name", None))
+    def test_max_n_3_runs_every_regime(self, rule, regime):
+        verdict = verify_preservation(Identity(), Identity(), rule, DISC1, VerifyConfig(max_n=3, samples_per_n=4))
+        assert verdict.outcome == OUTCOME_PRESERVED
 
 
 class TestStackOrder:
