@@ -23,6 +23,7 @@ from .patterns import (
     R3B_SUBPARTITION_OTHER,
     R4_OVERLAPPING,
     _integer,
+    _real,
 )
 
 # Open boundaries |z| < rho are enforced with this relative slack.
@@ -111,7 +112,7 @@ class Domain:
     @classmethod
     def from_json(cls, data: dict) -> "Domain":
         rho = data["rho"]
-        return cls(data["kind"], math.inf if rho in ("inf", None) else float(rho))
+        return cls(data["kind"], math.inf if rho in ("inf", None) else _real(rho, "rho"))
 
 
 def _int_pow(Z: np.ndarray, m: int) -> np.ndarray:
@@ -307,12 +308,12 @@ def function_from_json(data: dict) -> PreserverFunction:
     if variant == "zero":
         return Zero()
     if variant == "herz_monomial":
-        return HerzMonomial(params["alpha"], params["m"], params["k"])
+        return HerzMonomial(_real(params["alpha"], "alpha"), params["m"], params["k"])
     if variant == "herz_series":
-        coeffs = {(m, k): c for m, k, c in params["coeffs"]}
+        coeffs = {(m, k): _real(c, "coefficient") for m, k, c in params["coeffs"]}
         return HerzSeries(coeffs, max_degree=params.get("max_degree", 8))
     if variant == "scalar_multiple":
-        return ScalarMultiple(params["c"], function_from_json(params["inner"]))
+        return ScalarMultiple(_real(params["c"], "c"), function_from_json(params["inner"]))
     raise ValueError(f"unknown function variant {variant!r}")
 
 

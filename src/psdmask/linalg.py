@@ -22,6 +22,7 @@ from .errors import (
     NonSquareError,
     SingularBlockError,
 )
+from .patterns import _integer, _real
 
 # Full eigendecompositions are only contracted up to this dimension.
 EIG_DIM_CAP = 64
@@ -240,15 +241,13 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def _cell_to_complex(cell) -> complex:
-    if isinstance(cell, (int, float)):
-        return complex(cell, 0.0)
     if isinstance(cell, (list, tuple)) and len(cell) == 2:
-        return complex(float(cell[0]), float(cell[1]))
-    raise ValueError(f"matrix cell must be a number or [re, im], got {cell!r}")
+        return complex(_real(cell[0], "a cell's real part"), _real(cell[1], "a cell's imaginary part"))
+    return complex(_real(cell, "a matrix cell that is not [re, im]"), 0.0)
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    n = int(data["n"])
+    n = _integer(data["n"], "n", 1)
     rows = data["entries"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise NonSquareError(f"entries do not form an {n} x {n} grid")

@@ -405,6 +405,14 @@ def _integer(value, what: str, least: int = 0) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """value as a float if it is an integer or a float; a bool, a string or
+    null is a ValueError, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def pattern_from_json(data: dict) -> BlockPattern:
     blocks = [[_integer(i, "block index", 1) - 1 for i in b] for b in data.get("blocks", [])]
     return normalize(blocks, _integer(data["n"], "n", 1))

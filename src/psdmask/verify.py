@@ -6,12 +6,14 @@ size->=2-block and overlap position of the materialized patterns, tensor
 blowups) and then a seeded randomized battery.  The first output matrix that
 fails the PSD check yields a Refuted verdict carrying the witness; battery
 order is the priority order, so the reported counterexample is reproducible.
-Every check runs on a stack ``(k, n, n)``: a run of same-family battery
-witnesses, each built and grown once per call, or ``SAMPLE_CHUNK`` random
-samples.  Within a stack the first failing matrix wins, and each matrix is
-judged bit for bit as it would be alone.  Each random sample's factor is
-drawn in one normal fill, in stream order, and a chunk's Grams are formed by
-one matmul per (n, rank) stack.
+Every check runs on a stack ``(k, n, n)`` that carries one family per
+matrix: a run of all-ones or blowup witnesses, the anchored witnesses of one
+n in stacks that grow from 8 to ``SAMPLE_CHUNK``, or ``SAMPLE_CHUNK`` random
+samples.  The witnesses depend only on (domain, max_n), so they are built
+and grown once per process and kept read-only.  Within a stack the first
+failing matrix wins, and each matrix is judged bit for bit as it would be
+alone.  Each random sample's factor is drawn in one normal fill, in stream
+order, and a chunk's Grams are formed by one matmul per (n, rank) stack.
 
 Sample streams are split per (family, n) from the master seed as
 ``default_rng([seed, family_id, n])``, which makes every battery stage
@@ -25,7 +27,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -87,6 +89,11 @@ _FAMILY_IDS = {
 # One stack of all 500 default samples per n runs only a few percent faster
 # and adds about 5 MB (12%) to the peak memory of a full run.
 SAMPLE_CHUNK = 64
+
+# The grown witnesses of this many (domain, max_n) pairs are kept per process,
+# least recently used dropped first: at most 60 kB a pair at max_n 8, growing
+# as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.
+BATTERY_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,7 @@ def sample_psd(rng: np.random.Generator, n: int, domain: Domain, rank: int | Non
 
 
 def _random_battery(domain: Domain, cfg: VerifyConfig):
-    """Yield (stack, n, "random_gram", params per matrix), SAMPLE_CHUNK samples a stack.
+    """Yield (stack, n, family per matrix, params per matrix), SAMPLE_CHUNK samples a stack.
 
     Each sample's rank and then its factor, in one normal fill, are drawn in
     stream order, so the samples do not depend on the chunk size; each
@@ -217,7 +224,7 @@ def _random_battery(domain: Domain, cfg: VerifyConfig):
                 rank = 1 if (cfg.rank_one_only or s % 2 == 0) else int(rng.integers(1, n + 1))
                 params.append({"sample_index": s, "rank": rank})
                 draws.append(_draw(rng, n, domain, rank))
-            yield _into_domain(_grams(draws, domain), domain), n, "random_gram", params
+            yield _into_domain(_grams(draws, domain), domain), n, ["random_gram"] * len(params), params
 
 
 # -- deterministic parameter grids ----------------------------------------------
@@ -285,7 +292,8 @@ def _run(items, size: int, domain: Domain):
 
     Returns (L, params, stops): L[i] holds witness i as far as it grew, and
     stops[i] is (that size, the error that stopped it short of size or None).
-    A witness that cannot be built stops at size 0 and ends the run.
+    A witness that cannot be built stops at size 0 and ends the run.  L is
+    read-only: the run is kept for the rest of the process.
     """
     L = np.zeros((len(items), size, size), dtype=np.complex128)
     stops = []
@@ -302,6 +310,7 @@ def _run(items, size: int, domain: Domain):
         if M is None:
             break
         out[:len(M), :len(M)] = M
+    L.setflags(write=False)
     return L, [p for p, _ in items], stops
 
 
@@ -312,21 +321,62 @@ def _emit(run, n: int, family: str, extra: dict, coords=()):
     j = next((i for i, (size, _) in enumerate(stops) if size < n), len(stops))
     if j:  # coords take the leading block, the other indices the rest of the growth in order
         s = np.argsort([*coords, *(q for q in range(n) if q not in coords)])
-        yield L[:j, s[:, None], s], n, family, [{**p, **extra} for p in params[:j]]
+        yield L[:j, s[:, None], s], n, [family] * j, [{**p, **extra} for p in params[:j]]
     if j < len(stops):
-        raise stops[j][1]
+        raise stops[j][1].with_traceback(None)  # the run is kept: raise it without its last traceback
+
+
+def _growing(slices):
+    """Join consecutive same-n slices into stacks of at least 8, then 16, ...
+    up to SAMPLE_CHUNK matrices; an error the slices raise follows the stack
+    of the slices before it."""
+    parts, count, least = [], 0, 8
+    try:
+        for part in slices:
+            parts.append(part)
+            count += len(part[0])
+            if count >= least:
+                yield _joined(parts)
+                parts, count, least = [], 0, min(2 * least, SAMPLE_CHUNK)
+    except Exception:
+        if parts:
+            yield _joined(parts)
+        raise
+    if parts:
+        yield _joined(parts)
+
+
+def _joined(parts):
+    return (np.concatenate([p[0] for p in parts]), parts[0][1],
+            [f for p in parts for f in p[2]], [q for p in parts for q in p[3]])
+
+
+@lru_cache(maxsize=BATTERY_CACHE_SIZE)
+def _grown(domain: Domain, max_n: int) -> dict:
+    """The deterministic battery's runs on (domain, max_n), filled as they are first needed."""
+    return {}
 
 
 def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], max_n: int):
-    """Yield (stack (k, n, n), n, family, params per matrix) in refutation priority order.
+    """Yield (stack (k, n, n), n, family per matrix, params per matrix) in refutation priority order.
 
-    Each stack is a run of consecutive same-family witnesses.  An all-ones or
-    3x3 witness is built and grown to max_n once, on first use; growth keeps
-    every smaller growth as its leading block, so one index places it at each (n, coords).
+    The witnesses depend only on (domain, max_n), so each is built and grown
+    once per process: an all-ones or 3x3 witness is grown to max_n on first
+    use, and a tensor blowup built with its seeds on first use; growth keeps
+    every smaller growth as its leading block, so one index places it at each
+    (n, coords).  The anchored witnesses of one n come in growing stacks
+    (``_growing``); the all-ones and blowup stacks are one run each.
     """
     r0 = domain.reference_radius()
-    ones = _run([({"x": x}, partial(all_ones_witness, x, max_n, domain)) for x in _all_ones_grid(domain)],
-                max_n, domain)
+    runs = _grown(domain, max_n)
+
+    def run(key, items, size=max_n):
+        if key not in runs:
+            runs[key] = _run(items, size, domain)
+        return runs[key]
+
+    ones = run("all_ones", [({"x": x}, partial(all_ones_witness, x, max_n, domain))
+                            for x in _all_ones_grid(domain)])
     for n in range(1, max_n + 1):
         yield from _emit(ones, n, "all_ones", {"n": n})
     w_grid = [f * r0 for f in (0.3, 0.6, 0.9)]
@@ -338,14 +388,11 @@ def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], ma
                                             for z in _pair_zs(w, domain)]
         items["tail_gram", w] = [({"w": w, "t": t}, partial(tail_gram, w, t, domain))
                                  for t in sorted({w, (w + t_top) / 2.0, t_top})]
-    runs = {}
 
     def placed(family, w, n, coords):
-        if (family, w) not in runs:
-            runs[family, w] = _run(items[family, w], max_n, domain)
-        return _emit(runs[family, w], n, family, {"coords": coords}, coords)
+        return _emit(run((family, w), items[family, w]), n, family, {"coords": coords}, coords)
 
-    for n in range(3, max_n + 1):
+    def anchored(n):
         anchors = _anchor_positions(patterns[n])
         for coords in anchors["pairs"]:
             for w in w_grid:
@@ -353,14 +400,21 @@ def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], ma
                 yield from placed("tail_gram", w, n, coords)
         for coords in anchors["overlaps"]:
             yield from placed("overlap_probe", None, n, coords)
+
+    for n in range(3, max_n + 1):
+        yield from _growing(anchored(n))
     for base_n in [b for b in (2, 3) if 2 * b <= max_n]:
-        seeds = [all_ones_witness(0.5 * r0, base_n, domain).matrix]
-        if base_n == 3:
-            seeds.append(duplicated_pair_gram(0.6 * r0, 0.3 * r0, domain).matrix)
+        if ("seeds", base_n) not in runs:
+            seeds = [all_ones_witness(0.5 * r0, base_n, domain).matrix]
+            if base_n == 3:
+                seeds.append(duplicated_pair_gram(0.6 * r0, 0.3 * r0, domain).matrix)
+            runs["seeds", base_n] = np.array(seeds)
+            runs["seeds", base_n].setflags(write=False)
         for m in range(2, min(4, max_n // base_n) + 1):
             blowups = [({"m": m, "base_n": base_n, "seed_index": idx}, partial(tensor_blowup, m, A0))
-                       for idx, A0 in enumerate(seeds)]
-            yield from _emit(_run(blowups, m * base_n, domain), m * base_n, "tensor_blowup", {})
+                       for idx, A0 in enumerate(runs["seeds", base_n])]
+            yield from _emit(run(("tensor_blowup", base_n, m), blowups, m * base_n),
+                             m * base_n, "tensor_blowup", {})
 
 
 def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float) -> tuple[int, float] | None:
@@ -417,19 +471,20 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
 
     specs = {n: OperatorSpec(f=f, pattern=p, domain=domain, g=g) for n, p in patterns.items()}
     battery = itertools.chain(_deterministic_battery(domain, patterns, cfg.max_n), _random_battery(domain, cfg))
-    # each stack's matrix j has provenance params[j]
-    for W, n, family, params in battery:
+    # each stack's matrix j has provenance families[j], params[j]
+    for W, n, families, params in battery:
         hit = _first_failure(specs[n], W, cfg.tol)
         checked = len(W) if hit is None else hit[0] + 1
-        fam = stats["families"].setdefault(family, {})
-        fam[str(n)] = fam.get(str(n), 0) + checked
+        for family, same in itertools.groupby(families[:checked]):
+            fam = stats["families"].setdefault(family, {})
+            fam[str(n)] = fam.get(str(n), 0) + sum(1 for _ in same)
         stats["checked"] += checked
         if hit is not None:
             j, min_eig = hit
             # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
             if not is_psd(W[j], 1e-10).is_psd:
-                raise ArithmeticError(f"battery produced a non-PSD input in family {family}")
-            ce = CounterExample(family=family, params=params[j], n=n, matrix=W[j], min_eig=min_eig)
+                raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
+            ce = CounterExample(family=families[j], params=params[j], n=n, matrix=W[j], min_eig=min_eig)
             return Verdict(OUTCOME_REFUTED, ce, stats)
     return Verdict(OUTCOME_PRESERVED, None, stats)
 

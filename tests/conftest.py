@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from psdmask import verify
+
 
 def eig2(a, b, d):
     """Eigenvalues of [[a, b], [conj(b), d]] by the closed 2x2 formula."""
@@ -46,3 +48,11 @@ def random_psd(rng, n, complex_entries=True, rank=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """Every battery in the test grows its witnesses from an empty cache, and
+    the process cache is left untouched, so a patched constructor is called
+    and what it builds or raises is not kept."""
+    monkeypatch.setattr(verify, "_grown", verify._grown.__wrapped__)

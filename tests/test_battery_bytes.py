@@ -58,8 +58,8 @@ def test_battery_witness_bytes(rule_name, rho):
     patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
     digest = hashlib.sha256()
     count = 0
-    for stack, n, family, _params in _deterministic_battery(Domain.open_pos(rho), patterns, MAX_N):
-        for W in stack:
+    for stack, n, families, _params in _deterministic_battery(Domain.open_pos(rho), patterns, MAX_N):
+        for W, family in zip(stack, families):
             digest.update(f"{n}:{family}:".encode())
             digest.update(np.ascontiguousarray(W, dtype=np.complex128).tobytes())
             count += 1
@@ -104,10 +104,10 @@ def test_stacked_embedding_matches_reference(rule_name, domain):
     rule = RULES[rule_name]()
     patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
     placed = 0
-    for stack, n, family, params in _deterministic_battery(domain, patterns, MAX_N):
-        if family not in BUILD:
-            continue
-        for W, p in zip(stack, params):
+    for stack, n, families, params in _deterministic_battery(domain, patterns, MAX_N):
+        for W, family, p in zip(stack, families, params):
+            if family not in BUILD:
+                continue
             expected = reference_embed_at(BUILD[family](p, domain).matrix, n, p["coords"], domain)
             assert W.tobytes() == expected.tobytes()
             placed += 1

@@ -111,6 +111,20 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert "exponent m" in err
 
+    @pytest.mark.parametrize("flag, doc", [
+        ("--domain", {"kind": "disc", "rho": "2"}),
+        ("--domain", {"kind": "disc", "rho": True}),
+        ("--f", {"variant": "scalar_multiple", "params": {"c": True, "inner": {"variant": "identity"}}}),
+        ("--f", {"variant": "herz_monomial", "params": {"alpha": "2", "m": 1, "k": 0}}),
+    ], ids=["rho_string", "rho_bool", "c_bool", "alpha_string"])
+    def test_real_of_the_wrong_type_is_usage_error(self, files, capsys, flag, doc):
+        path = files["tmp"] / "coercible.json"
+        path.write_text(json.dumps(doc))
+        argv = {"--rule": files["rule_k2"], "--f": files["f_half"], "--domain": files["disc1"], flag: str(path)}
+        code, out, err = run(["verify", *(x for pair in argv.items() for x in pair), "--samples", "0"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "must be a number" in err
+
     def test_preserved_exit_zero(self, files, capsys):
         code, _, _ = run(
             ["verify", "--rule", files["rule_k2"], "--f", files["f_half"],
@@ -235,6 +249,13 @@ class TestWitness:
         assert code == EXIT_OK
         report = json.loads(out)["report"]
         assert report["psd"]["min_eig"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_matrix_size_of_the_wrong_type_is_usage_error(self, files, capsys):
+        path = files["tmp"] / "m.json"
+        path.write_text(json.dumps({"n": 2.5, "entries": [[1, 0.5], [0.5, 1]]}))
+        code, out, err = run(["witness", "corner", "--matrix", str(path), "--eps", "0.5", "--json"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "n must be an integer" in err
 
     def test_round_trip_bit_identical(self, files, capsys):
         code, out, _ = run(

@@ -88,6 +88,16 @@ class TestDomain:
         for d in (Domain.disc(1.0), Domain.open_pos(), Domain.half_open_nonneg(3.5)):
             assert Domain.from_json(d.to_json()) == d
 
+    @pytest.mark.parametrize("rho, expected", [("inf", math.inf), (None, math.inf), (2, 2.0), (0.5, 0.5)])
+    def test_json_rho_read_as_before(self, rho, expected):
+        d = Domain.from_json({"kind": "disc", "rho": rho})
+        assert d == Domain.disc(expected) and type(d.rho) is float
+
+    @pytest.mark.parametrize("rho", [True, "2", [1.0], {}], ids=["bool", "string", "list", "object"])
+    def test_json_rho_of_the_wrong_type_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho must be a number"):
+            Domain.from_json({"kind": "disc", "rho": rho})
+
 
 class TestEvaluate:
     def test_identity_monomial(self):
@@ -247,6 +257,26 @@ class TestFunctionJson:
     def test_exponents_of_the_wrong_type_rejected(self, doc):
         with pytest.raises(ValueError, match="exponent|max_degree"):
             function_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"variant": "scalar_multiple", "params": {"c": True, "inner": {"variant": "identity"}}},
+        {"variant": "scalar_multiple", "params": {"c": "0.5", "inner": {"variant": "identity"}}},
+        {"variant": "herz_monomial", "params": {"alpha": "2", "m": 1, "k": 0}},
+        {"variant": "herz_monomial", "params": {"alpha": False, "m": 1, "k": 0}},
+        {"variant": "herz_series", "params": {"coeffs": [[1, 0, "1.0"]]}},
+        {"variant": "herz_series", "params": {"coeffs": [[1, 0, None]]}},
+    ], ids=["c_bool", "c_string", "alpha_string", "alpha_bool", "coefficient_string", "coefficient_null"])
+    def test_reals_of_the_wrong_type_rejected(self, doc):
+        with pytest.raises(ValueError, match="(c|alpha|coefficient) must be a number"):
+            function_from_json(doc)
+
+    def test_integer_reals_read_as_floats(self):
+        f = function_from_json({"variant": "scalar_multiple",
+                                "params": {"c": -1, "inner": {"variant": "herz_monomial",
+                                                              "params": {"alpha": 2, "m": 1, "k": 0}}}})
+        assert f.to_json() == ScalarMultiple(-1.0, HerzMonomial(2.0, 1, 0)).to_json()
+        series = function_from_json({"variant": "herz_series", "params": {"coeffs": [[1, 0, 1], [2, 0, 0.5]]}})
+        assert series.coeffs == {(1, 0): 1.0, (2, 0): 0.5}
 
     def test_custom_not_serializable(self):
         with pytest.raises(ValueError):

@@ -241,3 +241,18 @@ class TestMatrixJson:
     def test_bad_grid(self):
         with pytest.raises(NonSquareError):
             matrix_from_json({"n": 2, "entries": [[1, 0]]})
+
+    def test_pair_cells_read_as_before(self):
+        M = matrix_from_json({"n": 2, "entries": [[[1, 0], [0.5, -0.25]], [[0.5, 0.25], 2]]})
+        assert np.array_equal(M, np.array([[1, 0.5 - 0.25j], [0.5 + 0.25j, 2]]))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", True, None])
+    def test_n_of_the_wrong_type_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            matrix_from_json({"n": n, "entries": [[1, 0], [0, 1]]})
+
+    @pytest.mark.parametrize("cell", [True, "1", None, [1, "0"], [False, 0]],
+                             ids=["bool", "string", "null", "pair_string", "pair_bool"])
+    def test_cells_of_the_wrong_type_rejected(self, cell):
+        with pytest.raises(ValueError, match="must be a number"):
+            matrix_from_json({"n": 2, "entries": [[cell, 0], [0, 1]]})

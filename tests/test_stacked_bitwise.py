@@ -189,7 +189,7 @@ def test_random_battery_matches_sample_psd_one_at_a_time(dom):
         for W, n_w, family, params in stacks:
             if n_w != n:
                 continue
-            assert family == "random_gram" and len(params) == len(W) <= SAMPLE_CHUNK
+            assert family == ["random_gram"] * len(W) and len(params) == len(W) <= SAMPLE_CHUNK
             for p, M in zip(params, W):
                 rank = 1 if s % 2 == 0 else int(rng.integers(1, n + 1))
                 assert p == {"sample_index": s, "rank": rank}
@@ -246,7 +246,7 @@ def _random_battery_reference(domain, cfg):
                 rank = 1 if (cfg.rank_one_only or s % 2 == 0) else int(rng.integers(1, n + 1))
                 params.append({"sample_index": s, "rank": rank})
                 grams[s - start] = _gram_reference(rng, n, domain, rank)
-            yield _into_domain(grams, domain), n, "random_gram", params
+            yield _into_domain(grams, domain), n, ["random_gram"] * len(params), params
 
 
 @pytest.mark.parametrize("given_rank", [False, True], ids=["rank_drawn", "rank_given"])

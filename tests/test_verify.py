@@ -1,4 +1,5 @@
 import dataclasses
+import traceback
 from collections import Counter
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from psdmask.patterns import (
 )
 from psdmask.verify import (
     OUTCOME_PRESERVED,
+    SAMPLE_CHUNK,
     _deterministic_battery,
     _first_failure,
     VerifyConfig,
@@ -303,14 +305,17 @@ class TestStackOrder:
         assert str(stacked.value) == str(alone.value)
 
 
+ANCHORED = {"duplicated_pair_gram", "tail_gram", "overlap_probe"}
+
+
 def battery(domain, rule, max_n=8):
     return _deterministic_battery(domain, {n: rule.pattern(n) for n in range(1, max_n + 1)}, max_n)
 
 
 def flat(stacks):
     """(n, family, params, matrix bytes) per matrix of a stack stream."""
-    return [(n, family, params, W.tobytes()) for stack, n, family, ps in stacks
-            for W, params in zip(stack, ps)]
+    return [(n, family, params, W.tobytes()) for stack, n, families, ps in stacks
+            for W, family, params in zip(stack, families, ps)]
 
 
 def consume(stacks, out):
@@ -324,20 +329,29 @@ class TestBatteryStacks:
 
     def test_stack_format(self):
         previous = None
-        for stack, n, family, params in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
+        for stack, n, families, params in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
             assert stack.dtype == np.complex128 and stack.shape == (len(params), n, n)
-            assert len(params) >= 1 and isinstance(family, str)
-            if family in ("duplicated_pair_gram", "tail_gram", "overlap_probe"):
-                assert all(p["coords"] == params[0]["coords"] for p in params)
-            previous = family
+            assert len(families) == len(params) >= 1 and all(isinstance(f, str) for f in families)
+            previous = families[-1]
         assert previous == "tensor_blowup"
+
+    @pytest.mark.parametrize("domain", [Domain.open_pos(1.0), DISC1], ids=["open_pos", "disc"])
+    def test_anchored_stacks_grow_within_each_n(self, domain):
+        sizes = {}
+        for stack, n, families, _ in battery(domain, overlapping_chain_rule()):
+            if families[0] in ANCHORED:
+                assert set(families) <= ANCHORED
+                sizes.setdefault(n, []).append(len(stack))
+        assert sorted(sizes) == list(range(3, 9))
+        for ks in sizes.values():  # every stack but an n's last reaches 8, 16, ... SAMPLE_CHUNK
+            assert all(k >= min(8 * 2 ** i, SAMPLE_CHUNK) for i, k in enumerate(ks[:-1]))
 
     def test_zero_padding_placement(self):
         seen = 0
-        for stack, n, family, params in battery(DISC1, overlapping_chain_rule(), max_n=6):
-            if family != "overlap_probe":
-                continue
-            for M, p in zip(stack, params):
+        for stack, n, families, params in battery(DISC1, overlapping_chain_rule(), max_n=6):
+            for M, family, p in zip(stack, families, params):
+                if family != "overlap_probe":
+                    continue
                 W = overlap_probe(p["r"], p["z"], DISC1).matrix
                 coords = list(p["coords"])
                 rest = [q for q in range(n) if q not in coords]
@@ -350,10 +364,10 @@ class TestBatteryStacks:
     def test_positive_domain_growth(self):
         dom = Domain.open_pos(1.0)
         seen = 0
-        for stack, n, family, params in battery(dom, proper_subpartition_rule(2), max_n=6):
-            if family != "duplicated_pair_gram":
-                continue
-            for M, p in zip(stack, params):
+        for stack, n, families, params in battery(dom, proper_subpartition_rule(2), max_n=6):
+            for M, family, p in zip(stack, families, params):
+                if family != "duplicated_pair_gram":
+                    continue
                 W = duplicated_pair_gram(p["w"], p["z"], dom).matrix
                 coords = list(p["coords"])
                 assert np.array_equal(M[np.ix_(coords, coords)], W)
@@ -362,7 +376,7 @@ class TestBatteryStacks:
                 seen += 1
         assert seen > 0
 
-    def test_each_base_witness_built_once(self, monkeypatch):
+    def test_each_base_witness_built_once(self, monkeypatch, cold_cache):
         calls = []
         for name in ("duplicated_pair_gram", "tail_gram", "overlap_probe"):
             real = getattr(verify, name)
@@ -372,19 +386,19 @@ class TestBatteryStacks:
                 return _real(*args)
 
             monkeypatch.setattr(verify, name, counting)
-        for _, _, family, _ in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
-            if family == "tensor_blowup":  # its seed is a pair gram of its own
+        for _, _, families, _ in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
+            if families[0] == "tensor_blowup":  # its seed is a pair gram of its own
                 break
         assert len(calls) == len(set(calls)) == 6 + 9 + 6
 
-    def test_all_ones_refutation_builds_no_pair_witness(self, monkeypatch):
+    def test_all_ones_refutation_builds_no_pair_witness(self, monkeypatch, cold_cache):
         for name in ("duplicated_pair_gram", "tail_gram", "overlap_probe", "corner_extend_auto"):
             monkeypatch.setattr(verify, name, lambda *args: pytest.fail("built past the refutation"))
         v = verify_preservation(Identity(), scaled_identity(-0.75), contiguous_partition_rule(3),
                                 Domain.open_pos(1.0), BATTERY_ONLY)
         assert v.refuted and v.counterexample.family == "all_ones"
 
-    def test_build_error_follows_the_run_prefix(self, monkeypatch):
+    def test_build_error_follows_the_run_prefix(self, monkeypatch, cold_cache):
         dom = Domain.open_pos(1.0)
         reference = flat(battery(dom, single_block_rule({0, 1})))
         real = verify.tail_gram
@@ -402,9 +416,9 @@ class TestBatteryStacks:
         stop = next(i for i, (_, family, params, _) in enumerate(reference)
                     if family == "tail_gram" and params["t"] == t_bad)
         assert flat(got) == reference[:stop]
-        assert got[-1][2] == "tail_gram" and len(got[-1][0]) == 1  # the prefix of the failing run
+        assert got[-1][2][-1] == "tail_gram"  # the prefix of the failing run ends the last stack
 
-    def test_growth_error_surfaces_at_the_size_it_fails(self, monkeypatch):
+    def test_growth_error_surfaces_at_the_size_it_fails(self, monkeypatch, cold_cache):
         dom = Domain.open_pos(1.0)
         reference = flat(battery(dom, single_block_rule({0, 1})))
         real = verify.corner_extend_auto
@@ -421,6 +435,86 @@ class TestBatteryStacks:
         stop = next(i for i, (n, family, _, _) in enumerate(reference)
                     if n == 7 and family == "duplicated_pair_gram")
         assert flat(got) == reference[:stop]
+
+
+@pytest.fixture
+def fresh_cache():
+    verify._grown.cache_clear()
+    yield
+    verify._grown.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestBatteryCache:
+    """The witnesses are grown once per (domain, max_n) and process; a warm call is a cold one's twin."""
+
+    DOMAINS = [Domain.open_pos(0.3), Domain.open_pos(1.0), DISC1, Domain.disc()]
+    CASES = [  # preserved, refuted by a pair witness (or all ones on disc(inf)), and either
+        (Identity(), scaled_identity(0.4), contiguous_partition_rule(3)),
+        (Identity(), HerzSeries({(2, 0): 1.0}), single_block_rule({0, 1})),
+        (Identity(), HerzSeries({(0, 1): 1.0}), proper_subpartition_rule(2)),
+    ]
+
+    @staticmethod
+    def verdict(case, domain, max_n):
+        g, f, rule = case
+        return canonical_json(verify_preservation(g, f, rule, domain,
+                                                  VerifyConfig(max_n=max_n, samples_per_n=3)).to_json())
+
+    def test_warm_verdicts_match_cold(self):
+        calls = [(case, dom, max_n) for case in self.CASES for max_n in (3, 6, 8) for dom in self.DOMAINS]
+        cold = []
+        for call in calls:
+            verify._grown.cache_clear()
+            cold.append(self.verdict(*call))
+        verify._grown.cache_clear()
+        for _ in range(2):  # consecutive calls switch (domain, max_n); the second round is all warm
+            assert [self.verdict(*call) for call in calls] == cold
+        info = verify._grown.cache_info()
+        assert info.currsize == len(self.DOMAINS) * 3 and info.hits == 2 * len(calls) - info.currsize
+
+    @pytest.mark.parametrize("domain", [Domain.open_pos(1.0), DISC1], ids=["open_pos", "disc"])
+    def test_warm_call_builds_no_witness(self, monkeypatch, domain):
+        case = (Identity(), Identity(), overlapping_chain_rule())  # preserved: the whole battery runs
+        self.verdict(case, domain, 8)
+        for name in ("all_ones_witness", "duplicated_pair_gram", "tail_gram", "overlap_probe",
+                     "tensor_blowup", "pad_embed", "corner_extend_auto"):
+            monkeypatch.setattr(verify, name, lambda *args: pytest.fail("a warm call built a witness"))
+        for case in [case, *self.CASES]:
+            verify_preservation(*case, domain, VerifyConfig(max_n=8, samples_per_n=0))
+
+    def test_cached_arrays_are_read_only(self):
+        for _ in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
+            pass
+        runs = verify._grown(Domain.open_pos(1.0), 8)
+        assert "all_ones" in runs and ("seeds", 3) in runs and ("tensor_blowup", 3, 2) in runs
+        for key, kept in runs.items():
+            for A in [kept] if key[0] == "seeds" else [kept[0]]:
+                assert not A.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    A[0, 0, 0] = 1.0
+
+    def test_cached_build_error_is_raised_with_a_fresh_traceback(self, monkeypatch):
+        dom = Domain.open_pos(1.0)
+        real = verify.tail_gram
+        built = []
+
+        def failing(w, t, domain):
+            built.append(t)
+            if t == 0.95:
+                raise ZeroVectorError("refused")
+            return real(w, t, domain)
+
+        monkeypatch.setattr(verify, "tail_gram", failing)
+        seen = []
+        for _ in range(3):
+            with pytest.raises(ZeroVectorError) as info:
+                for _ in battery(dom, single_block_rule({0, 1})):
+                    pass
+            seen.append((info.value, str(info.value), len(traceback.extract_tb(info.value.__traceback__))))
+        assert built.count(0.95) == 1  # built once; the later calls raise the kept error
+        assert all(exc is seen[0][0] for exc, _, _ in seen)
+        assert {(msg, depth) for _, msg, depth in seen} == {("refused", seen[0][2])}
 
 
 class TestRefuteScalar:

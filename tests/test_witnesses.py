@@ -327,7 +327,7 @@ class TestCornerExtendClosedForm:
         assert M[2, 2] == 0.5
         assert M.tobytes() == M_ref.tobytes()
 
-    def test_one_corner_extend_per_auto_call(self, monkeypatch):
+    def test_one_corner_extend_per_auto_call(self, monkeypatch, cold_cache):
         calls = []
         real = witnesses.corner_extend
 
