@@ -5,6 +5,12 @@ storage is made *exactly* conjugate-symmetric by ``symmetrize`` (the lower
 triangle mirrors the upper one bit-for-bit and diagonals carry a zero
 imaginary part).  Every function here is pure; index sets in the Python API
 are 0-based, only the JSON wire format uses human-friendly conventions.
+
+``psd_holds`` owns the tolerance semantics of the PSD test, on the extreme
+eigenvalues ``eig_extremes`` computes.  Its private screen ``_cleared`` may
+pass a whole stack on one shifted Cholesky instead, only where that implies
+``psd_holds`` on ``eigvalsh``'s output (tol at least 16 n^3 eps, finite
+entries); a stack it does not clear is decided by ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -146,6 +152,41 @@ def psd_holds(min_eig, max_eig, tol: float):
     does.
     """
     return min_eig >= -tol * np.fmax(1.0, np.abs(max_eig))
+
+
+def _cleared(H: np.ndarray, tol: float) -> bool:
+    """True when a shifted Cholesky certifies that every matrix of the settled
+    stack H ``(k, n, n)`` passes ``psd_holds`` at tol on ``eig_extremes``'
+    output; False decides nothing, and the stack goes to ``eig_extremes``.
+
+    Matrix j is shifted by s = (tol/2) m, m = max(1, d) and d its largest
+    diagonal entry, and the stack is cleared when ``cholesky(H + s I)``
+    completes.  Sound: a Cholesky of A = H + s I that completes in floating
+    point is the exact factor of A + E with |E| <= gamma_{n+1} |R*| |R|, so
+    ||E||_2 <= n^2 gamma_{n+1} (d + s) (Demmel; Higham, Accuracy and
+    Stability of Numerical Algorithms, section 10.1; Rump, BIT 2006), and
+    lambda_min(H) >= -s - n^2 gamma_{n+1} (d + s).  Above the floor
+    tol >= 16 n^3 eps, n^2 gamma_{n+1} < 2.1 n^3 eps is below tol/7 and 1/7,
+    so that error is below 3s/7.  ``eigvalsh`` is backward stable: its lo
+    and hi move from the exact extremes by at most n^2 eps ||H||_2 <=
+    (tol/16) ||H||_2, and the exact largest eigenvalue is at least d.  So the
+    computed lo >= -tol max(1, |hi|), the test ``psd_holds`` makes, for every
+    matrix cleared here.
+
+    Never cleared: a stack with a non-finite entry, a tol below that floor
+    (so tol = 0 always goes to ``eig_extremes``), or a Cholesky that fails.
+    """
+    n = H.shape[-1]
+    if tol < 16 * n ** 3 * np.finfo(np.float64).eps or not np.isfinite(H).all():
+        return False
+    diag = _hermitian_index(n)[2]
+    A = H.copy()
+    A[..., diag, diag] += 0.5 * tol * np.fmax(1.0, A.real[..., diag, diag].max(axis=-1))[..., None]
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdReport:

@@ -14,6 +14,10 @@ and grown once per process and kept read-only.  Within a stack the first
 failing matrix wins, and each matrix is judged bit for bit as it would be
 alone.  Each random sample's factor is drawn in one normal fill, in stream
 order, and a chunk's Grams are formed by one matmul per (n, rank) stack.
+A random stack whose images one shifted Cholesky clears (``linalg._cleared``)
+passes without an eigen-solve; the witnesses, built to refute, are never
+screened.  So ``eigvalsh`` decides every other stack and is the only source
+of ``min_eig`` and of every Refuted verdict.
 
 Sample streams are split per (family, n) from the master seed as
 ``default_rng([seed, family_id, n])``, which makes every battery stage
@@ -47,6 +51,7 @@ from .functions import (
 )
 from .linalg import (
     EIG_DIM_CAP,
+    _cleared,
     eig_extremes,
     exact_hermitian,
     is_psd,
@@ -60,6 +65,8 @@ from .patterns import (
     R4_OVERLAPPING,
     BlockPattern,
     PatternRule,
+    _integer,
+    _real,
     validate_rule,
 )
 from .witnesses import (
@@ -95,6 +102,10 @@ SAMPLE_CHUNK = 64
 # as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.
 BATTERY_CACHE_SIZE = 16
 
+# The witness placements of this many (n, coords) pairs are kept per process,
+# at most 1 kB each at EIG_DIM_CAP.
+PLACEMENT_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -106,16 +117,17 @@ class VerifyConfig:
     rank_one_only: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.max_n <= EIG_DIM_CAP:
+        """Each member is checked, not coerced: a bool, a float count or seed,
+        or a tol that is negative or not finite is a ValueError."""
+        if _integer(self.max_n, "max_n", 1) > EIG_DIM_CAP:
             raise ValueError(f"max_n must be in 1..{EIG_DIM_CAP}, the eigensolver cap")
-        if self.samples_per_n < 0:
-            raise ValueError("samples_per_n must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.probe_N < 3:
-            raise ValueError("probe_N must be >= 3")
+        _integer(self.samples_per_n, "samples_per_n")
+        _integer(self.seed, "seed")
+        if not 0 <= _real(self.tol, "tol") < math.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        _integer(self.probe_N, "probe_N", 3)
+        if not isinstance(self.rank_one_only, bool):
+            raise ValueError(f"rank_one_only must be true or false, got {self.rank_one_only!r}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -314,14 +326,23 @@ def _run(items, size: int, domain: Domain):
     return L, [p for p, _ in items], stops
 
 
+@lru_cache(maxsize=PLACEMENT_CACHE_SIZE)
+def _placement(n: int, coords: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices that put a grown witness's leading block on
+    coords and the rest of its growth, in order, on the other indices."""
+    s = np.argsort([*coords, *(q for q in range(n) if q not in coords)])
+    s.setflags(write=False)
+    return s[:, None], s
+
+
 def _emit(run, n: int, family: str, extra: dict, coords=()):
     """Yield the run's witnesses that reach n as one n x n stack, their leading
     blocks placed on coords; then raise the error of the first that does not."""
     L, params, stops = run
     j = next((i for i, (size, _) in enumerate(stops) if size < n), len(stops))
-    if j:  # coords take the leading block, the other indices the rest of the growth in order
-        s = np.argsort([*coords, *(q for q in range(n) if q not in coords)])
-        yield L[:j, s[:, None], s], n, [family] * j, [{**p, **extra} for p in params[:j]]
+    if j:
+        rows, cols = _placement(n, coords)
+        yield L[:j, rows, cols], n, [family] * j, [{**p, **extra} for p in params[:j]]
     if j < len(stops):
         raise stops[j][1].with_traceback(None)  # the run is kept: raise it without its last traceback
 
@@ -417,20 +438,26 @@ def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], ma
                              m * base_n, "tensor_blowup", {})
 
 
-def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float) -> tuple[int, float] | None:
+def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float,
+                   screened: bool = False) -> tuple[int, float] | None:
     """Index and min eigenvalue of the first matrix of the stack W whose image
     fails the PSD test, or None.
 
-    If the stack raises, its matrices are checked again one at a time, so an
-    error surfaces at its own matrix and only when no earlier matrix refutes.
+    A screened stack whose images ``linalg._cleared`` clears passes without
+    an eigen-solve; any other is decided by ``eig_extremes``.  If the stack
+    raises, its matrices are checked again one at a time, so an error
+    surfaces at its own matrix and only when no earlier matrix refutes.
     """
     try:
-        lo, hi = eig_extremes(apply(spec, W))
+        H = apply(spec, W)
+        if screened and _cleared(H, tol):
+            return None
+        lo, hi = eig_extremes(H)
     except Exception:  # g and f may raise anything; the rerun raises it in battery order
         if len(W) == 1:
             raise
         for j in range(len(W)):
-            hit = _first_failure(spec, W[j:j + 1], tol)
+            hit = _first_failure(spec, W[j:j + 1], tol, screened)
             if hit is not None:
                 return j, hit[1]
         return None
@@ -470,22 +497,24 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
     }
 
     specs = {n: OperatorSpec(f=f, pattern=p, domain=domain, g=g) for n, p in patterns.items()}
-    battery = itertools.chain(_deterministic_battery(domain, patterns, cfg.max_n), _random_battery(domain, cfg))
-    # each stack's matrix j has provenance families[j], params[j]
-    for W, n, families, params in battery:
-        hit = _first_failure(specs[n], W, cfg.tol)
-        checked = len(W) if hit is None else hit[0] + 1
-        for family, same in itertools.groupby(families[:checked]):
-            fam = stats["families"].setdefault(family, {})
-            fam[str(n)] = fam.get(str(n), 0) + sum(1 for _ in same)
-        stats["checked"] += checked
-        if hit is not None:
-            j, min_eig = hit
-            # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
-            if not is_psd(W[j], 1e-10).is_psd:
-                raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
-            ce = CounterExample(family=families[j], params=params[j], n=n, matrix=W[j], min_eig=min_eig)
-            return Verdict(OUTCOME_REFUTED, ce, stats)
+    # witnesses are built to refute, so only the random stage is screened (see _first_failure)
+    stages = ((_deterministic_battery(domain, patterns, cfg.max_n), False), (_random_battery(domain, cfg), True))
+    for stage, screened in stages:
+        # each stack's matrix j has provenance families[j], params[j]
+        for W, n, families, params in stage:
+            hit = _first_failure(specs[n], W, cfg.tol, screened)
+            checked = len(W) if hit is None else hit[0] + 1
+            for family, same in itertools.groupby(families[:checked]):
+                fam = stats["families"].setdefault(family, {})
+                fam[str(n)] = fam.get(str(n), 0) + sum(1 for _ in same)
+            stats["checked"] += checked
+            if hit is not None:
+                j, min_eig = hit
+                # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
+                if not is_psd(W[j], 1e-10).is_psd:
+                    raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
+                ce = CounterExample(family=families[j], params=params[j], n=n, matrix=W[j], min_eig=min_eig)
+                return Verdict(OUTCOME_REFUTED, ce, stats)
     return Verdict(OUTCOME_PRESERVED, None, stats)
 
 

@@ -186,6 +186,21 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert "64" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, files, capsys, monkeypatch, tol):
+        # nan used to fail every check (Refuted at n = 1) and inf to pass every one
+        def never(*args, **kwargs):
+            raise AssertionError("verification started")
+
+        monkeypatch.setattr("psdmask.cli.verify_preservation", never)
+        code, out, err = run(
+            ["verify", "--rule", files["rule_k3"], "--f", files["f_half"],
+             "--domain", files["disc1"], "--samples", "10", "--tol", tol],
+            capsys,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "tol must be a finite number" in err
+
 
 class TestRefute:
     def test_outside_scalar(self, files, tmp_path, capsys):

@@ -14,14 +14,17 @@ from psdmask.errors import (
     SingularBlockError,
 )
 from psdmask.linalg import (
+    _cleared,
     all_ones,
     eig_extremes,
+    exact_hermitian,
     identity,
     is_psd,
     kron,
     matrix_from_json,
     matrix_to_json,
     permute_conjugate,
+    psd_holds,
     schur_complement,
     schur_product,
     symmetrize,
@@ -135,6 +138,72 @@ class TestIsPsd:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             is_psd(np.eye(2), tol=-1.0)
+
+
+def _tol_floor(n):
+    return 16 * n ** 3 * np.finfo(np.float64).eps
+
+
+# Smallest eigenvalues planted around the screen's edges, as multiples of
+# m = max(1, largest diagonal entry): +-tol m (1 +- 1e-6), the shift
+# -(tol/2) m (1 +- 1e-6), and 0.
+PLANTS = [(k, 1.0 + d) for k in (1.0, -1.0, -0.5) for d in (1e-6, -1e-6)] + [(0.0, 1.0)]
+
+
+def _planted(g, n, complex_entries, scale, aligned, plant, tol):
+    """A settled Hermitian matrix with largest eigenvalue scale, the others
+    but the smallest in [0, scale], and the smallest plant[0] tol m plant[1].
+    An aligned matrix has e_0 as its top eigenvector, so its largest
+    eigenvalue is its largest diagonal entry."""
+    Z = g.standard_normal((n, n)) + (1j * g.standard_normal((n, n)) if complex_entries else 0)
+    Q = np.linalg.qr(Z)[0]
+    if aligned and n > 1:
+        Q[0, :] = Q[:, 0] = 0
+        Q[0, 0] = 1
+        Q[1:, 1:] = np.linalg.qr(Z[1:, 1:])[0]
+    lam = np.concatenate([[scale], g.uniform(0, scale, max(n - 2, 0)), [0.0]])[-n:]
+    H0 = (Q * lam) @ Q.conj().T
+    m = max(1.0, float(H0.real.diagonal().max()))
+    q = Q[:, -1:]
+    H = H0 + plant[0] * tol * m * plant[1] * (q @ q.conj().T)
+    return exact_hermitian((H + H.conj().T) / 2.0)
+
+
+class TestClearedScreen:
+    """``_cleared`` passes a stack only where ``eigvalsh`` would pass it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]),
+           complex_entries=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e6]),
+           aligned=st.booleans(), plants=st.lists(st.sampled_from(PLANTS), min_size=1, max_size=3),
+           tol=st.sampled_from([("floor", 1.0), ("floor", 1.01), ("floor", 4.0), ("floor", 1e3),
+                                1e-12, 1e-8, 1e-4]))
+    def test_cleared_implies_eigvalsh_passes(self, seed, n, complex_entries, scale, aligned, plants, tol):
+        tol = tol[1] * _tol_floor(n) if isinstance(tol, tuple) else tol
+        g = np.random.default_rng(seed)
+        H = np.array([_planted(g, n, complex_entries, scale, aligned, p, tol) for p in plants])
+        cleared = _cleared(H, tol)
+        if cleared:
+            lo, hi = eig_extremes(H)
+            assert psd_holds(lo, hi, tol).all()
+        if tol >= _tol_floor(n) and all(p[0] >= 0 for p in plants):
+            assert cleared  # the shift clears every PSD stack above the floor, so the screen is not vacuous
+
+    def test_never_cleared_below_the_tol_floor(self):
+        for n in (1, 8, 64):
+            assert _cleared(np.eye(n)[None], _tol_floor(n))
+            assert not _cleared(np.eye(n)[None], np.nextafter(_tol_floor(n), 0))
+            assert not _cleared(np.eye(n)[None], 0.0)
+
+    def test_non_finite_entry_never_cleared(self):
+        for bad in (np.nan, np.inf, complex(0, np.inf)):
+            H = np.array([np.eye(3), np.eye(3)], dtype=np.complex128)
+            H[1, 2, 2] = bad
+            assert not _cleared(H, 1e-8)
+
+    def test_one_failing_matrix_keeps_the_stack_uncleared(self):
+        H = np.array([np.eye(2), [[1.0, 0.0], [0.0, -1e-3]]], dtype=np.complex128)
+        assert _cleared(H[:1], 1e-8) and not _cleared(H, 1e-8)
 
 
 class TestSchurProduct:

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import traceback
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,12 +21,13 @@ from psdmask.errors import (
 from psdmask.functions import (
     Custom,
     Domain,
+    HerzMonomial,
     HerzSeries,
     Identity,
     ScalarMultiple,
     scaled_identity,
 )
-from psdmask.linalg import EIG_DIM_CAP, all_ones, eig_extremes, exact_hermitian, identity, is_psd
+from psdmask.linalg import EIG_DIM_CAP, _cleared, all_ones, eig_extremes, exact_hermitian, identity, is_psd
 from psdmask.operators import OperatorSpec, apply
 from psdmask.patterns import (
     R1_EMPTY,
@@ -635,6 +638,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             VerifyConfig(probe_N=2)
 
+    @pytest.mark.parametrize("member, value", [
+        ("tol", float("nan")), ("tol", float("inf")), ("tol", "1e-8"), ("tol", True),
+        ("seed", 1.5), ("seed", True), ("seed", "0"),
+        ("max_n", True), ("max_n", 8.0),
+        ("samples_per_n", 2.5), ("samples_per_n", False),
+        ("probe_N", 12.0),
+        ("rank_one_only", 1), ("rank_one_only", "yes"),
+    ])
+    def test_wrong_type_or_non_finite_is_rejected_not_coerced(self, member, value):
+        with pytest.raises(ValueError, match=member):
+            VerifyConfig(**{member: value})
+
+    def test_valid_members_are_kept_as_given(self):
+        # members are checked, not converted, so a config's report bytes stay what they were
+        cfg = VerifyConfig(max_n=5, tol=0, probe_N=4)
+        assert canonical_json(cfg.to_json()) == (
+            '{"max_n":5,"probe_N":4,"rank_one_only":false,"samples_per_n":500,"seed":0,"tol":0}')
+
     def test_max_n_capped_at_eig_dim_cap(self):
         assert VerifyConfig(max_n=EIG_DIM_CAP).max_n == EIG_DIM_CAP
         with pytest.raises(ValueError, match=str(EIG_DIM_CAP)):
@@ -646,3 +667,61 @@ class TestConfig:
             Identity(), scaled_identity(0.5), contiguous_partition_rule(2), DISC1, cfg
         )
         assert verdict.outcome == OUTCOME_PRESERVED
+
+
+SCREEN_RULES = [empty_rule(), all_singletons_rule(), single_block_rule({0, 1}), contiguous_partition_rule(2),
+                contiguous_partition_rule(3), proper_subpartition_rule(2), overlapping_chain_rule()]
+SCREEN_DOMAINS = [Domain.disc(1.0), Domain.open_sym(1.0), Domain.half_open_nonneg(1.0), Domain.open_pos(1.0)]
+
+
+def _verdict_bytes(verdict) -> str:
+    return json.dumps(verdict.to_json(), sort_keys=True)  # not canonical_json: a NaN min_eig is kept as it is
+
+
+class TestRandomStageScreen:
+    """The random stage's Cholesky screen only skips eigen-solves: every
+    verdict is byte for byte the one ``eigvalsh`` gives on its own."""
+
+    @staticmethod
+    def _unscreened(monkeypatch, case):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_cleared", lambda H, tol: False)
+            return _verdict_bytes(case())
+
+    @pytest.mark.parametrize("domain", SCREEN_DOMAINS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("rule", SCREEN_RULES, ids=lambda r: r.name)
+    def test_verdict_bytes_unchanged_without_the_screen(self, monkeypatch, rule, domain):
+        # c = -1/2 is the K = 3 boundary; just below it only the tolerance decides
+        for c in (-0.5, -0.5 - 1e-8, -0.5 - 1e-10, 0.3):
+            for tol in (0, 1e-12, 1e-8, 1e-4):
+                cfg = VerifyConfig(max_n=4, samples_per_n=70, tol=tol)
+                case = partial(verify_preservation, Identity(), scaled_identity(c), rule, domain, cfg)
+                assert _verdict_bytes(case()) == self._unscreened(monkeypatch, case), (c, tol)
+
+    @pytest.mark.parametrize("f, domain", [(Custom(lambda z: complex(abs(z))), Domain.disc(1.0)),
+                                           (HerzMonomial(1, 400, 0), Domain.disc())],
+                             ids=["abs_refuted_at_random_sample", "z400_overflow"])
+    def test_random_stage_refutations_unchanged_without_the_screen(self, monkeypatch, f, domain):
+        case = partial(verify_preservation, Identity(), f, empty_rule(), domain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            screened, unscreened = _verdict_bytes(case()), self._unscreened(monkeypatch, case)
+        assert '"provenance": "random_gram"' in screened and screened == unscreened
+
+    @pytest.mark.parametrize("rule, c, domain", [
+        (contiguous_partition_rule(3), -0.5, Domain.disc(1.0)),
+        (proper_subpartition_rule(2), 0.7, Domain.open_sym(1.0)),
+        (all_singletons_rule(), 0.5, Domain.half_open_nonneg(1.0)),
+    ], ids=["disc_boundary", "open_sym", "half_open_nonneg"])
+    def test_default_preserved_run_clears_every_random_stack(self, monkeypatch, rule, c, domain):
+        seen = []
+
+        def spy(H, tol):
+            seen.append(_cleared(H, tol))
+            return seen[-1]
+
+        monkeypatch.setattr(verify, "_cleared", spy)
+        cfg = VerifyConfig()
+        verdict = verify_preservation(Identity(), scaled_identity(c), rule, domain, cfg)
+        assert verdict.outcome == OUTCOME_PRESERVED
+        # one screen per random stack and none for the deterministic witnesses, each one cleared
+        assert len(seen) == cfg.max_n * -(-cfg.samples_per_n // SAMPLE_CHUNK) and all(seen)
