@@ -7,17 +7,19 @@ blowups) and then a seeded randomized battery.  The first output matrix that
 fails the PSD check yields a Refuted verdict carrying the witness; battery
 order is the priority order, so the reported counterexample is reproducible.
 Every check runs on a stack ``(k, n, n)`` that carries one family per
-matrix: a run of all-ones or blowup witnesses, the anchored witnesses of one
-n in stacks that grow from 8 to ``SAMPLE_CHUNK``, or ``SAMPLE_CHUNK`` random
-samples.  The witnesses depend only on (domain, max_n), so they are built
-and grown once per process and kept read-only.  Within a stack the first
-failing matrix wins, and each matrix is judged bit for bit as it would be
-alone.  Each random sample's factor is drawn in one normal fill, in stream
-order, and a chunk's Grams are formed by one matmul per (n, rank) stack.
-A random stack whose images one shifted Cholesky clears (``linalg._cleared``)
-passes without an eigen-solve; the witnesses, built to refute, are never
-screened.  So ``eigvalsh`` decides every other stack and is the only source
-of ``min_eig`` and of every Refuted verdict.
+matrix.  The witnesses depend only on (domain, max_n), so each battery
+section (all ones, anchored, blowups) is grown once per process into one
+read-only table, kept for ``BATTERY_CACHE_SIZE`` (domain, max_n) pairs, and
+fired at each n in stacks of 8, 16, 32, then ``SAMPLE_CHUNK`` rows, each one
+gather whose placements are computed once per n; random samples come
+``SAMPLE_CHUNK`` a stack.  Within a stack the first failing matrix wins, and
+each matrix is judged bit for bit as it would be alone.  Each random
+sample's factor is drawn in one normal fill, in stream order, and a chunk's
+Grams are formed by one matmul per (n, rank) stack.  A random stack whose
+images one shifted Cholesky clears (``linalg._cleared``) passes without an
+eigen-solve; the witnesses, built to refute, are never screened.  So
+``eigvalsh`` decides every other stack and is the only source of ``min_eig``
+and of every Refuted verdict.
 
 Sample streams are split per (family, n) from the master seed as
 ``default_rng([seed, family_id, n])``, which makes every battery stage
@@ -32,6 +34,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,14 +100,10 @@ _FAMILY_IDS = {
 # and adds about 5 MB (12%) to the peak memory of a full run.
 SAMPLE_CHUNK = 64
 
-# The grown witnesses of this many (domain, max_n) pairs are kept per process,
-# least recently used dropped first: at most 60 kB a pair at max_n 8, growing
-# as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.
+# The battery sections of this many (domain, max_n) pairs are kept per
+# process, least recently used dropped first: at most 60 kB a pair at max_n 8,
+# growing as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.
 BATTERY_CACHE_SIZE = 16
-
-# The witness placements of this many (n, coords) pairs are kept per process,
-# at most 1 kB each at EIG_DIM_CAP.
-PLACEMENT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,8 @@ class VerifyConfig:
 
     def __post_init__(self):
         """Each member is checked, not coerced: a bool, a float count or seed,
-        or a tol that is negative or not finite is a ValueError."""
+        or a tol that is negative or not finite is a ValueError.  A numpy
+        number is kept as the Python number it holds, so that it serializes."""
         if _integer(self.max_n, "max_n", 1) > EIG_DIM_CAP:
             raise ValueError(f"max_n must be in 1..{EIG_DIM_CAP}, the eigensolver cap")
         _integer(self.samples_per_n, "samples_per_n")
@@ -128,6 +128,9 @@ class VerifyConfig:
         _integer(self.probe_N, "probe_N", 3)
         if not isinstance(self.rank_one_only, bool):
             raise ValueError(f"rank_one_only must be true or false, got {self.rank_one_only!r}")
+        for name, value in asdict(self).items():
+            if isinstance(value, (np.integer, np.floating)):
+                object.__setattr__(self, name, value.item())
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -299,143 +302,133 @@ def _anchor_positions(pattern: BlockPattern) -> dict:
     return {"pairs": sorted(set(pairs)), "overlaps": sorted(set(overlaps))}
 
 
-def _run(items, size: int, domain: Domain):
-    """Build (params, constructor) items in order, each witness grown to size x size.
+class _Section(NamedTuple):
+    """A battery section, row i witness i: L[i] holds it grown as far as it went
+    (zeros beyond, read-only), reach[i] that size, errors[i] what stopped it."""
+    L: np.ndarray
+    families: tuple
+    params: tuple
+    reach: tuple
+    errors: tuple
 
-    Returns (L, params, stops): L[i] holds witness i as far as it grew, and
-    stops[i] is (that size, the error that stopped it short of size or None).
-    A witness that cannot be built stops at size 0 and ends the run.  L is
-    read-only: the run is kept for the rest of the process.
+
+def _runs(domain: Domain, max_n: int, name: str) -> list:
+    """The runs (family, size, [(params, constructor)]) of one battery section, in battery order."""
+    r0 = domain.reference_radius()
+    if name == "all_ones":
+        return [("all_ones", max_n, [({"x": x}, partial(all_ones_witness, x, max_n, domain))
+                                     for x in _all_ones_grid(domain)])]
+    runs = []
+    if name == "anchored":
+        w_grid = [f * r0 for f in (0.3, 0.6, 0.9)]
+        t_top = 0.95 * r0
+        for w in w_grid:
+            runs.append(("duplicated_pair_gram", max_n, [({"w": w, "z": z},
+                                                          partial(duplicated_pair_gram, w, z, domain))
+                                                         for z in _pair_zs(w, domain)]))
+            runs.append(("tail_gram", max_n, [({"w": w, "t": t}, partial(tail_gram, w, t, domain))
+                                              for t in sorted({w, (w + t_top) / 2.0, t_top})]))
+        runs.append(("overlap_probe", max_n, [({"r": r, "z": z}, partial(overlap_probe, r, z, domain))
+                                              for r in w_grid for z in _pair_zs(r, domain)]))
+        return runs
+    for base_n in [b for b in (2, 3) if 2 * b <= max_n]:  # the blowups, each run at its own size
+        seeds = [all_ones_witness(0.5 * r0, base_n, domain).matrix]
+        if base_n == 3:
+            seeds.append(duplicated_pair_gram(0.6 * r0, 0.3 * r0, domain).matrix)
+        for m in range(2, min(4, max_n // base_n) + 1):
+            runs.append(("tensor_blowup", m * base_n, [({"m": m, "base_n": base_n, "seed_index": idx},
+                                                        partial(tensor_blowup, m, A0))
+                                                       for idx, A0 in enumerate(seeds)]))
+    return runs
+
+
+@lru_cache(maxsize=3 * BATTERY_CACHE_SIZE)
+def _section(domain: Domain, max_n: int, name: str) -> _Section:
+    """The battery section name ("all_ones", "anchored" or "blowups") on (domain, max_n).
+
+    Each witness of each run is built and grown to the run's size.  One that
+    cannot be built reaches 0 and ends its run; one whose growth fails keeps
+    the size it reached.  Either keeps its error for ``_stacks`` to raise where
+    the battery first needs the row.
     """
-    L = np.zeros((len(items), size, size), dtype=np.complex128)
-    stops = []
-    for (_, make), out in zip(items, L):
-        M = None
-        try:
-            M = make().matrix
-            M = pad_embed(M, size, domain) if domain.has_zero else M
-            while len(M) < size:
-                M, _ = corner_extend_auto(M, domain)
-            stops.append((size, None))
-        except Exception as exc:  # _emit raises it where the battery first needs what failed
-            stops.append((0 if M is None else len(M), exc))
-        if M is None:
-            break
+    runs = _runs(domain, max_n, name)
+    grown = []  # (family, params, the witness as far as it grew, the error that stopped it or None)
+    for family, size, items in runs:
+        for params, make in items:
+            M = error = None
+            try:
+                M = make().matrix
+                M = pad_embed(M, size, domain) if domain.has_zero else M
+                while len(M) < size:
+                    M, _ = corner_extend_auto(M, domain)
+            except Exception as exc:  # raised where the battery first needs the row
+                error = exc
+            grown.append((family, params, np.zeros((0, 0)) if M is None else M, error))
+            if M is None:
+                break
+    families, params, mats, errors = zip(*grown) if grown else [()] * 4
+    width = max((size for _, size, _ in runs), default=0)
+    L = np.zeros((len(mats), width, width), dtype=np.complex128)
+    for out, M in zip(L, mats):
         out[:len(M), :len(M)] = M
     L.setflags(write=False)
-    return L, [p for p, _ in items], stops
+    return _Section(L, families, params, tuple(map(len, mats)), errors)
 
 
-@lru_cache(maxsize=PLACEMENT_CACHE_SIZE)
-def _placement(n: int, coords: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices that put a grown witness's leading block on
-    coords and the rest of its growth, in order, on the other indices."""
-    s = np.argsort([*coords, *(q for q in range(n) if q not in coords)])
-    s.setflags(write=False)
-    return s[:, None], s
+def _stacks(section: _Section, n: int, order, extra: dict):
+    """Yield the rows of order, an iterator of (row, coords) read as needed, in
+    n x n stacks of 8, 16, 32, then SAMPLE_CHUNK: one gather puts each row's
+    leading block on its coords (which join its params) and the rest of its
+    growth, in order, on the other indices.  At the first row that does not
+    reach n, the rows before it are yielded and its error is raised."""
+    L, families, params, reach, errors = section
+    places, rows, perms, kept, least = {(): np.arange(n)}, [], [], [], 8  # rows without coords stay in order
 
+    def stack():
+        idx, P = np.array(rows), np.array(perms)
+        return L[idx[:, None, None], P[:, :, None], P[:, None, :]], n, [families[r] for r in rows], kept
 
-def _emit(run, n: int, family: str, extra: dict, coords=()):
-    """Yield the run's witnesses that reach n as one n x n stack, their leading
-    blocks placed on coords; then raise the error of the first that does not."""
-    L, params, stops = run
-    j = next((i for i, (size, _) in enumerate(stops) if size < n), len(stops))
-    if j:
-        rows, cols = _placement(n, coords)
-        yield L[:j, rows, cols], n, [family] * j, [{**p, **extra} for p in params[:j]]
-    if j < len(stops):
-        raise stops[j][1].with_traceback(None)  # the run is kept: raise it without its last traceback
-
-
-def _growing(slices):
-    """Join consecutive same-n slices into stacks of at least 8, then 16, ...
-    up to SAMPLE_CHUNK matrices; an error the slices raise follows the stack
-    of the slices before it."""
-    parts, count, least = [], 0, 8
-    try:
-        for part in slices:
-            parts.append(part)
-            count += len(part[0])
-            if count >= least:
-                yield _joined(parts)
-                parts, count, least = [], 0, min(2 * least, SAMPLE_CHUNK)
-    except Exception:
-        if parts:
-            yield _joined(parts)
-        raise
-    if parts:
-        yield _joined(parts)
-
-
-def _joined(parts):
-    return (np.concatenate([p[0] for p in parts]), parts[0][1],
-            [f for p in parts for f in p[2]], [q for p in parts for q in p[3]])
-
-
-@lru_cache(maxsize=BATTERY_CACHE_SIZE)
-def _grown(domain: Domain, max_n: int) -> dict:
-    """The deterministic battery's runs on (domain, max_n), filled as they are first needed."""
-    return {}
+    for row, coords in order:
+        if reach[row] < n:
+            if rows:
+                yield stack()
+            raise errors[row].with_traceback(None)  # the section is kept: raise it without its last traceback
+        if coords not in places:
+            places[coords] = np.array([*coords, *[q for q in range(n) if q not in coords]]).argsort()
+        rows.append(row)
+        perms.append(places[coords])
+        kept.append({**params[row], **extra, "coords": coords} if coords else {**params[row], **extra})
+        if len(rows) == least:
+            yield stack()
+            rows, perms, kept, least = [], [], [], min(2 * least, SAMPLE_CHUNK)
+    if rows:
+        yield stack()
 
 
 def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], max_n: int):
     """Yield (stack (k, n, n), n, family per matrix, params per matrix) in refutation priority order.
 
-    The witnesses depend only on (domain, max_n), so each is built and grown
-    once per process: an all-ones or 3x3 witness is grown to max_n on first
-    use, and a tensor blowup built with its seeds on first use; growth keeps
-    every smaller growth as its leading block, so one index places it at each
-    (n, coords).  The anchored witnesses of one n come in growing stacks
-    (``_growing``); the all-ones and blowup stacks are one run each.
+    Each section is built when the battery first needs it.  Growth keeps every
+    smaller growth as its leading block, so one row serves every (n, coords).
     """
-    r0 = domain.reference_radius()
-    runs = _grown(domain, max_n)
-
-    def run(key, items, size=max_n):
-        if key not in runs:
-            runs[key] = _run(items, size, domain)
-        return runs[key]
-
-    ones = run("all_ones", [({"x": x}, partial(all_ones_witness, x, max_n, domain))
-                            for x in _all_ones_grid(domain)])
+    ones = _section(domain, max_n, "all_ones")
     for n in range(1, max_n + 1):
-        yield from _emit(ones, n, "all_ones", {"n": n})
-    w_grid = [f * r0 for f in (0.3, 0.6, 0.9)]
-    t_top = 0.95 * r0
-    items = {("overlap_probe", None): [({"r": r, "z": z}, partial(overlap_probe, r, z, domain))
-                                       for r in w_grid for z in _pair_zs(r, domain)]}
-    for w in w_grid:
-        items["duplicated_pair_gram", w] = [({"w": w, "z": z}, partial(duplicated_pair_gram, w, z, domain))
-                                            for z in _pair_zs(w, domain)]
-        items["tail_gram", w] = [({"w": w, "t": t}, partial(tail_gram, w, t, domain))
-                                 for t in sorted({w, (w + t_top) / 2.0, t_top})]
-
-    def placed(family, w, n, coords):
-        return _emit(run((family, w), items[family, w]), n, family, {"coords": coords}, coords)
-
-    def anchored(n):
-        anchors = _anchor_positions(patterns[n])
-        for coords in anchors["pairs"]:
-            for w in w_grid:
-                yield from placed("duplicated_pair_gram", w, n, coords)
-                yield from placed("tail_gram", w, n, coords)
-        for coords in anchors["overlaps"]:
-            yield from placed("overlap_probe", None, n, coords)
-
+        yield from _stacks(ones, n, zip(range(len(ones.L)), itertools.repeat(())), {"n": n})
+    anchored = None
     for n in range(3, max_n + 1):
-        yield from _growing(anchored(n))
-    for base_n in [b for b in (2, 3) if 2 * b <= max_n]:
-        if ("seeds", base_n) not in runs:
-            seeds = [all_ones_witness(0.5 * r0, base_n, domain).matrix]
-            if base_n == 3:
-                seeds.append(duplicated_pair_gram(0.6 * r0, 0.3 * r0, domain).matrix)
-            runs["seeds", base_n] = np.array(seeds)
-            runs["seeds", base_n].setflags(write=False)
-        for m in range(2, min(4, max_n // base_n) + 1):
-            blowups = [({"m": m, "base_n": base_n, "seed_index": idx}, partial(tensor_blowup, m, A0))
-                       for idx, A0 in enumerate(runs["seeds", base_n])]
-            yield from _emit(run(("tensor_blowup", base_n, m), blowups, m * base_n),
-                             m * base_n, "tensor_blowup", {})
+        anchors = _anchor_positions(patterns[n])
+        if not (anchors["pairs"] or anchors["overlaps"]):
+            continue
+        if anchored is None:
+            anchored = _section(domain, max_n, "anchored")
+            split = anchored.families.index("overlap_probe")  # the overlap run comes last
+            spans = {"pairs": range(split), "overlaps": range(split, len(anchored.L))}
+        order = ((row, coords) for key, rows in spans.items() for coords in anchors[key] for row in rows)
+        yield from _stacks(anchored, n, order, {})
+    blowups = _section(domain, max_n, "blowups")
+    for (base_n, m), rows in itertools.groupby(range(len(blowups.L)),
+                                               lambda row: (blowups.params[row]["base_n"], blowups.params[row]["m"])):
+        yield from _stacks(blowups, m * base_n, zip(rows, itertools.repeat(())), {})
 
 
 def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float,
@@ -531,6 +524,9 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
                                    cfg: VerifyConfig | None = None) -> Verdict:
     """Refute f(z) = c z for a partition-of-all rule when c leaves [-1/(K-1), 1].
 
+    K must be an integer >= 2 (ValueError otherwise, never truncated) and the
+    rule's declared max block count.
+
     Uses the scaled all-ones witness x J (x > 0; ValueError otherwise) at the
     first dimension whose pattern has K blocks; the reported eigenvalue is the
     negative one of the K x K principal submatrix taken at one representative
@@ -540,7 +536,7 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     regime, patterns = validate_rule(rule, cfg.probe_N)
     if regime != R3A_PARTITION_ALL:
         raise RegimeMismatchError(f"rule is in regime {regime}, not a partition-of-all sequence")
-    K = int(K)
+    K = _integer(K, "K", 2)
     if not (math.isfinite(rule.flags.max_block_count) and int(rule.flags.max_block_count) == K):
         raise RegimeMismatchError(
             f"K={K} differs from the rule's declared max block count {rule.flags.max_block_count}"

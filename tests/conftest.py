@@ -55,4 +55,4 @@ def cold_cache(monkeypatch):
     """Every battery in the test grows its witnesses from an empty cache, and
     the process cache is left untouched, so a patched constructor is called
     and what it builds or raises is not kept."""
-    monkeypatch.setattr(verify, "_grown", verify._grown.__wrapped__)
+    monkeypatch.setattr(verify, "_section", verify._section.__wrapped__)

@@ -390,9 +390,11 @@ class TestBatteryStacks:
 
             monkeypatch.setattr(verify, name, counting)
         for _, _, families, _ in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
-            if families[0] == "tensor_blowup":  # its seed is a pair gram of its own
+            if families[0] == "tensor_blowup":
                 break
-        assert len(calls) == len(set(calls)) == 6 + 9 + 6
+        # the anchored section once, then the blowup section's seed, a pair gram of its own
+        assert len(calls[:-1]) == len(set(calls[:-1])) == 6 + 9 + 6
+        assert calls[-1] == ("duplicated_pair_gram", (0.6, 0.3))
 
     def test_all_ones_refutation_builds_no_pair_witness(self, monkeypatch, cold_cache):
         for name in ("duplicated_pair_gram", "tail_gram", "overlap_probe", "corner_extend_auto"):
@@ -442,14 +444,14 @@ class TestBatteryStacks:
 
 @pytest.fixture
 def fresh_cache():
-    verify._grown.cache_clear()
+    verify._section.cache_clear()
     yield
-    verify._grown.cache_clear()
+    verify._section.cache_clear()
 
 
 @pytest.mark.usefixtures("fresh_cache")
 class TestBatteryCache:
-    """The witnesses are grown once per (domain, max_n) and process; a warm call is a cold one's twin."""
+    """Each battery section is grown once per (domain, max_n) and process; a warm call is a cold one's twin."""
 
     DOMAINS = [Domain.open_pos(0.3), Domain.open_pos(1.0), DISC1, Domain.disc()]
     CASES = [  # preserved, refuted by a pair witness (or all ones on disc(inf)), and either
@@ -468,13 +470,16 @@ class TestBatteryCache:
         calls = [(case, dom, max_n) for case in self.CASES for max_n in (3, 6, 8) for dom in self.DOMAINS]
         cold = []
         for call in calls:
-            verify._grown.cache_clear()
+            verify._section.cache_clear()
             cold.append(self.verdict(*call))
-        verify._grown.cache_clear()
-        for _ in range(2):  # consecutive calls switch (domain, max_n); the second round is all warm
-            assert [self.verdict(*call) for call in calls] == cold
-        info = verify._grown.cache_info()
-        assert info.currsize == len(self.DOMAINS) * 3 and info.hits == 2 * len(calls) - info.currsize
+        verify._section.cache_clear()
+        # consecutive calls switch (domain, max_n); the second round is all warm
+        assert [self.verdict(*call) for call in calls] == cold
+        built = verify._section.cache_info().misses
+        assert [self.verdict(*call) for call in calls] == cold
+        info = verify._section.cache_info()
+        # each call asks once for each section it reaches, at most three per (domain, max_n)
+        assert info.misses == info.currsize == built <= 3 * len(self.DOMAINS) * 3
 
     @pytest.mark.parametrize("domain", [Domain.open_pos(1.0), DISC1], ids=["open_pos", "disc"])
     def test_warm_call_builds_no_witness(self, monkeypatch, domain):
@@ -489,13 +494,12 @@ class TestBatteryCache:
     def test_cached_arrays_are_read_only(self):
         for _ in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
             pass
-        runs = verify._grown(Domain.open_pos(1.0), 8)
-        assert "all_ones" in runs and ("seeds", 3) in runs and ("tensor_blowup", 3, 2) in runs
-        for key, kept in runs.items():
-            for A in [kept] if key[0] == "seeds" else [kept[0]]:
-                assert not A.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    A[0, 0, 0] = 1.0
+        assert verify._section.cache_info().currsize == 3
+        for name in ("all_ones", "anchored", "blowups"):
+            A = verify._section(Domain.open_pos(1.0), 8, name).L
+            assert len(A) and not A.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                A[0, 0, 0] = 1.0
 
     def test_cached_build_error_is_raised_with_a_fresh_traceback(self, monkeypatch):
         dom = Domain.open_pos(1.0)
@@ -515,7 +519,8 @@ class TestBatteryCache:
                 for _ in battery(dom, single_block_rule({0, 1})):
                     pass
             seen.append((info.value, str(info.value), len(traceback.extract_tb(info.value.__traceback__))))
-        assert built.count(0.95) == 1  # built once; the later calls raise the kept error
+        # built once per tail run (t_top is each w's last t), with its section; the later calls raise the kept error
+        assert built.count(0.95) == 3
         assert all(exc is seen[0][0] for exc, _, _ in seen)
         assert {(msg, depth) for _, msg, depth in seen} == {("refused", seen[0][2])}
 
@@ -553,6 +558,17 @@ class TestRefuteScalar:
     def test_wrong_k(self):
         with pytest.raises(RegimeMismatchError):
             refute_scalar_outside_interval(contiguous_partition_rule(3), 4, -0.6, DISC1)
+
+    @pytest.mark.parametrize("K", [3.9, 3.0, True, "3", 1])
+    def test_k_is_checked_not_truncated(self, K):
+        # int(3.9) is 3, which would refute and report "K": 3; True would surface as K=1
+        with pytest.raises(ValueError, match="K must be an integer >= 2"):
+            refute_scalar_outside_interval(contiguous_partition_rule(3), K, -1, DISC1)
+
+    def test_numpy_k_is_accepted(self):
+        verdict = refute_scalar_outside_interval(contiguous_partition_rule(3), np.int64(3), -1, DISC1)
+        assert verdict.refuted and canonical_json(verdict.to_json()) == canonical_json(
+            refute_scalar_outside_interval(contiguous_partition_rule(3), 3, -1, DISC1).to_json())
 
 
 class TestPatternsBuiltOnce:
@@ -655,6 +671,17 @@ class TestConfig:
         cfg = VerifyConfig(max_n=5, tol=0, probe_N=4)
         assert canonical_json(cfg.to_json()) == (
             '{"max_n":5,"probe_N":4,"rank_one_only":false,"samples_per_n":500,"seed":0,"tol":0}')
+
+    def test_numpy_members_serialize_as_python_numbers(self):
+        cfg = VerifyConfig(max_n=np.int64(3), samples_per_n=np.int32(2), seed=np.int64(3),
+                           tol=np.float32(0.25), probe_N=np.int16(4))
+        plain = VerifyConfig(max_n=3, samples_per_n=2, seed=3, tol=float(np.float32(0.25)), probe_N=4)
+        assert all(type(getattr(cfg, k)) is type(getattr(plain, k)) for k in plain.to_json())
+        assert canonical_json(cfg.to_json()) == canonical_json(plain.to_json())
+        verdicts = [verify_preservation(Identity(), scaled_identity(0.5), contiguous_partition_rule(2), DISC1, c)
+                    for c in (cfg, plain)]
+        assert canonical_json(verdicts[0].to_json()) == canonical_json(verdicts[1].to_json())
+        assert type(verdicts[0].stats["seed"]) is int
 
     def test_max_n_capped_at_eig_dim_cap(self):
         assert VerifyConfig(max_n=EIG_DIM_CAP).max_n == EIG_DIM_CAP

@@ -338,11 +338,11 @@ class TestCornerExtendClosedForm:
         monkeypatch.setattr(witnesses, "corner_extend", counting)
         corner_extend_auto(0.9 * all_ones(3), Domain.open_pos(1.0))
         assert len(calls) == 1
-        # the battery grows each of its 15 pair and tail witnesses from 3 x 3 to 8 x 8 once
+        # the battery grows each of its 21 pair, tail and overlap witnesses from 3 x 3 to 8 x 8 once
         patterns = {n: single_block_rule({0, 1}).pattern(n) for n in range(1, 9)}
         for _ in _deterministic_battery(Domain.open_pos(1.0), patterns, 8):
             pass
-        assert len(calls) == 1 + 15 * 5
+        assert len(calls) == 1 + 21 * 5
 
     def test_non_psd_input_rejected(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1, positive entries
