@@ -173,14 +173,23 @@ def _cleared(H: np.ndarray, tol: float) -> bool:
     computed lo >= -tol max(1, |hi|), the test ``psd_holds`` makes, for every
     matrix cleared here.
 
+    The bound and the argument hold as well in real arithmetic, so a stack
+    whose imaginary parts are all zero is factored as its real part, the
+    same matrices.  A 1 x 1 stack is decided by d + s > 0 with no copy and no
+    LAPACK: that sum is the one pivot ``potrf`` would test, so this is
+    exactly when its Cholesky completes.
+
     Never cleared: a stack with a non-finite entry, a tol below that floor
     (so tol = 0 always goes to ``eig_extremes``), or a Cholesky that fails.
     """
     n = H.shape[-1]
     if tol < 16 * n ** 3 * np.finfo(np.float64).eps or not np.isfinite(H).all():
         return False
+    if n == 1:
+        d = H.real[..., 0, 0]
+        return bool((d + 0.5 * tol * np.fmax(1.0, d) > 0).all())
     diag = _hermitian_index(n)[2]
-    A = H.copy()
+    A = H.real.copy() if not H.imag.any() else H.copy()
     A[..., diag, diag] += 0.5 * tol * np.fmax(1.0, A.real[..., diag, diag].max(axis=-1))[..., None]
     try:
         np.linalg.cholesky(A)

@@ -13,9 +13,10 @@ read-only table, kept for ``BATTERY_CACHE_SIZE`` (domain, max_n) pairs, and
 fired at each n in stacks of 8, 16, 32, then ``SAMPLE_CHUNK`` rows, each one
 gather whose placements are computed once per n; random samples come
 ``SAMPLE_CHUNK`` a stack.  Within a stack the first failing matrix wins, and
-each matrix is judged bit for bit as it would be alone.  Each random
-sample's factor is drawn in one normal fill, in stream order, and a chunk's
-Grams are formed by one matmul per (n, rank) stack.  A random stack whose
+each matrix is judged bit for bit as it would be alone.  Each n's random
+samples are drawn in one pass over its stream, one normal fill per drawn
+rank, and formed by one matmul per rank; each chunk is then settled on its
+own, every sample bit for bit what ``sample_psd`` draws.  A random stack whose
 images one shifted Cholesky clears (``linalg._cleared``) passes without an
 eigen-solve; the witnesses, built to refute, are never screened.  So
 ``eigvalsh`` decides every other stack and is the only source of ``min_eig``
@@ -95,9 +96,10 @@ _FAMILY_IDS = {
     "random_gram": 6,
 }
 
-# Random samples are settled, applied and eig-checked this many at a time.
-# One stack of all 500 default samples per n runs only a few percent faster
-# and adds about 5 MB (12%) to the peak memory of a full run.
+# Random samples are settled, applied and eig-checked this many at a time;
+# each n's Grams are drawn and formed in one stack before its first chunk.
+# Settling and checking all 500 default samples per n at once runs only a
+# few percent faster and adds about 5 MB (12%) to the peak memory of a full run.
 SAMPLE_CHUNK = 64
 
 # The battery sections of this many (domain, max_n) pairs are kept per
@@ -179,25 +181,29 @@ def _draw(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = N
     return rng.standard_normal((2 if domain.kind == DISC else 1, n, rank))
 
 
+def _gram_stack(X: np.ndarray, domain: Domain) -> np.ndarray:
+    """The unsettled Grams, by one matmul, of the factors ``sample_psd``
+    describes, from a (k, parts, n, rank) stack of draws."""
+    if domain.kind == DISC:
+        B = X[:, 0] + 1j * X[:, 1]
+    elif domain.kind == OPEN_SYM:
+        B = X[:, 0]
+    else:
+        B = np.abs(X[:, 0])
+        if domain.kind == OPEN_POS:
+            B = B + 0.01
+    return B @ np.swapaxes(B.conj(), -1, -2)
+
+
 def _grams(draws: list, domain: Domain) -> np.ndarray:
     """The unsettled Grams of same-n draws as a (k, n, n) stack, one matmul per
-    rank, of the factors ``sample_psd`` describes; complex over the disc and
-    real elsewhere."""
+    rank; complex over the disc and real elsewhere."""
     n = draws[0].shape[1]
     ranks = [d.shape[-1] for d in draws]
     out = np.empty((len(draws), n, n), dtype=complex if domain.kind == DISC else float)
     for rank in set(ranks):
         at = [i for i, r in enumerate(ranks) if r == rank]
-        X = np.array([draws[i] for i in at])
-        if domain.kind == DISC:
-            B = X[:, 0] + 1j * X[:, 1]
-        elif domain.kind == OPEN_SYM:
-            B = X[:, 0]
-        else:
-            B = np.abs(X[:, 0])
-            if domain.kind == OPEN_POS:
-                B = B + 0.01
-        out[at] = B @ np.swapaxes(B.conj(), -1, -2)
+        out[at] = _gram_stack(np.array([draws[i] for i in at]), domain)
     return out
 
 
@@ -217,29 +223,56 @@ def sample_psd(rng: np.random.Generator, n: int, domain: Domain, rank: int | Non
 
     Gram of an n x rank factor: complex Gaussian over the disc, real Gaussian
     over (-rho, rho), absolute values (shifted strictly positive for (0, rho))
-    otherwise; scaled to 0.95 rho for finite rho.
+    otherwise; scaled to 0.95 rho for finite rho.  n and a given rank are
+    integers >= 1 (ValueError otherwise); without a rank, it is drawn in 1..n.
     """
+    n = _integer(n, "n", 1)
+    rank = None if rank is None else _integer(rank, "rank", 1)
     return _into_domain(_grams([_draw(rng, n, domain, rank)], domain), domain)[0]
 
 
-def _random_battery(domain: Domain, cfg: VerifyConfig):
-    """Yield (stack, n, family per matrix, params per matrix), SAMPLE_CHUNK samples a stack.
+def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray, list]:
+    """The unsettled Grams (samples_per_n, n, n) of n's random samples, and their ranks.
 
-    Each sample's rank and then its factor, in one normal fill, are drawn in
-    stream order, so the samples do not depend on the chunk size; each
-    chunk's Grams are then formed by one matmul per rank.  Every other sample
-    is rank one.
+    Sample s is rank one when s is even or ``rank_one_only`` holds; otherwise
+    its rank is drawn in 1..n just before its factor.  The stream is read in
+    order into one buffer: sample 0's factor, then per odd s its rank and one
+    normal fill for the factors of s and s + 1 (one fill in all under
+    ``rank_one_only``).  A fill of a + b values equals a fill of a then one of
+    b, so every factor is the one ``sample_psd`` draws.  The Grams are then
+    formed by one gather and one matmul per rank.
     """
+    rng, parts, count = _rng(cfg.seed, "random_gram", n), (2 if domain.kind == DISC else 1), cfg.samples_per_n
+    step, ranks = parts * n, [1] * count
+    flat = np.empty(step * (count + count // 2 * (n - 1)))  # room for rank n at every odd s
+    end = step * (count if cfg.rank_one_only else min(count, 1))
+    rng.standard_normal(out=flat[:end])
+    for s in range(1, 0 if cfg.rank_one_only else count, 2):
+        ranks[s] = rank = int(rng.integers(1, n + 1))
+        size = step * (rank + (s + 1 < count))
+        rng.standard_normal(out=flat[end:end + size])
+        end += size
+    by_sample = np.array(ranks, dtype=np.intp)
+    offsets = step * (by_sample.cumsum() - by_sample)
+    order, ends = by_sample.argsort(), np.bincount(by_sample).cumsum().tolist()  # samples grouped by rank
+    grams = np.empty((count, n, n), dtype=complex if domain.kind == DISC else float)
+    for rank in set(ranks):  # one gather of the rank's factors, shaped as ``_draw`` fills them
+        at = order[ends[rank - 1]:ends[rank]]
+        X = flat[offsets[at, None] + np.arange(step * rank)].reshape(len(at), parts, n, rank)
+        grams[at] = _gram_stack(X, domain)
+    return grams, ranks
+
+
+def _random_battery(domain: Domain, cfg: VerifyConfig):
+    """Yield (stack, n, family per matrix, params per matrix), SAMPLE_CHUNK samples a stack:
+    each n's samples drawn and formed at once by ``_random_grams``, each chunk settled on its own."""
     for n in range(1, cfg.max_n + 1):
-        rng = _rng(cfg.seed, "random_gram", n)
+        grams, ranks = _random_grams(n, domain, cfg)
         for start in range(0, cfg.samples_per_n, SAMPLE_CHUNK):
             stop = min(start + SAMPLE_CHUNK, cfg.samples_per_n)
-            params, draws = [], []
-            for s in range(start, stop):
-                rank = 1 if (cfg.rank_one_only or s % 2 == 0) else int(rng.integers(1, n + 1))
-                params.append({"sample_index": s, "rank": rank})
-                draws.append(_draw(rng, n, domain, rank))
-            yield _into_domain(_grams(draws, domain), domain), n, ["random_gram"] * len(params), params
+            params = [{"sample_index": s, "rank": ranks[s]} for s in range(start, stop)]
+            yield _into_domain(grams[start:stop], domain), n, ["random_gram"] * len(params), params
+        del grams  # the next n's Grams are formed without this n's held (392 kB at n = 7 on the disc)
 
 
 # -- deterministic parameter grids ----------------------------------------------

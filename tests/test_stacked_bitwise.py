@@ -270,9 +270,15 @@ def test_grams_match_gram_reference_on_one_stream(kind, rho, given_rank):
             assert _same_bits(stacked[j], old[i]), f"n={n} draw {i}"
 
 
+# partial, single, exactly full and one-past-full chunks, no samples at all, and n = 1 alone, in both rank modes
+_EDGE_CONFIGS = {f"max_n{m}_samples{k}{'_rank_one_only' if one else ''}":
+                 VerifyConfig(max_n=m, samples_per_n=k, seed=29 + k, rank_one_only=one)
+                 for m, ks in ((4, (0, 1, 2, 63, 64, 65)), (1, (131,))) for k in ks for one in (False, True)}
+
+
 @pytest.mark.parametrize("cfg", [VerifyConfig(max_n=8, samples_per_n=40, seed=3, rank_one_only=True),
-                                 VerifyConfig(max_n=8, samples_per_n=131, seed=7919)],
-                         ids=["rank_one_only", "samples_131"])
+                                 VerifyConfig(max_n=8, samples_per_n=131, seed=7919), *_EDGE_CONFIGS.values()],
+                         ids=["rank_one_only", "samples_131", *_EDGE_CONFIGS])
 @pytest.mark.parametrize("rho", [1.0, math.inf], ids=["rho1", "rho_inf"])
 @pytest.mark.parametrize("kind", sorted(_DOMAIN_KINDS))
 def test_random_battery_matches_reference_generator(kind, rho, cfg):

@@ -73,6 +73,13 @@ CASES = {
     "random_refuted_abs": lambda: verify_preservation(
         Identity(), Custom(lambda z: complex(abs(z))),
         empty_rule(), Domain.disc(1.0), VerifyConfig(seed=3)),
+    # on real domains, past the first chunk and at rank 2: random_gram samples 123 and 219 at n = 2
+    "random_refuted_open_sym_band": lambda: verify_preservation(
+        Identity(), Custom(lambda z: 0.2 * z if 0.61 <= z.real <= 0.62 else z),
+        empty_rule(), Domain.open_sym(1.0), VerifyConfig(seed=1, max_n=4)),
+    "random_refuted_half_open_band": lambda: verify_preservation(
+        Identity(), Custom(lambda z: 0.2 * z if 0.66 <= z.real <= 0.67 else z),
+        empty_rule(), Domain.half_open_nonneg(1.0), VerifyConfig(seed=1, max_n=4)),
     # the first failure is the 5th witness of a duplicated_pair_gram run at n = 4
     "pair_refuted_conj_subpartition": lambda: verify_preservation(
         Identity(), HerzMonomial(1, 0, 1), proper_subpartition_rule(2), Domain.disc(1.0),
@@ -118,6 +125,12 @@ def test_cases_cover_the_stages():
     assert random["counterexample"]["provenance"] == "random_gram"
     assert random["counterexample"]["params"]["sample_index"] == 3
     assert random["stats"]["checked"] == 1557
+    for case, sample, checked in (("random_refuted_open_sym_band", 123, 649),
+                                  ("random_refuted_half_open_band", 219, 745)):
+        ce = expected[case]["counterexample"]
+        assert (ce["provenance"], ce["n"]) == ("random_gram", 2)
+        assert ce["params"] == {"sample_index": sample, "rank": 2}
+        assert expected[case]["stats"]["checked"] == checked
     assert expected["battery_refuted_partition3"]["counterexample"]["provenance"] != "random_gram"
     assert expected["raises_fold_non_equivariant"]["raises"] == "NonHermitianOutputError"
     assert math.isnan(expected["overflow_z400_disc_inf"]["counterexample"]["min_eig"])

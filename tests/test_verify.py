@@ -89,6 +89,19 @@ class TestSampling:
         b = sample_psd(np.random.default_rng(7), 4, DISC1)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n, rank, what", [(4, 0, "rank"), (4, -1, "rank"), (4, True, "rank"),
+                                               (4, 2.0, "rank"), (0, None, "n"), (True, None, "n"),
+                                               (3.0, 1, "n")])
+    def test_bad_size_or_rank_is_a_value_error(self, n, rank, what):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer >= 1"):
+            sample_psd(np.random.default_rng(0), n, DISC1, rank)
+
+    def test_drawn_rank_and_rank_above_n_still_sample(self, rng):
+        assert sample_psd(rng, 3, DISC1, None).shape == (3, 3)
+        M = sample_psd(rng, 3, Domain.open_sym(1.0), rank=5)
+        assert M.shape == (3, 3) and is_psd(M, 1e-10).is_psd
+        assert sample_psd(rng, np.int64(2), DISC1, np.int64(1)).shape == (2, 2)
+
 
 class TestVerifyPreservation:
     def test_series_preserved_on_empty_rule(self):
