@@ -14,8 +14,10 @@ fired at each n in stacks of 8, 16, 32, then ``SAMPLE_CHUNK`` rows, each one
 gather whose placements are computed once per n; random samples come
 ``SAMPLE_CHUNK`` a stack.  Within a stack the first failing matrix wins, and
 each matrix is judged bit for bit as it would be alone.  Each n's random
-samples are drawn in one pass over its stream, one normal fill per drawn
-rank, and formed by one matmul per rank; each chunk is then settled on its
+samples are drawn in one pass over its stream, read one raw 64-bit word at
+a time: the ranks are decoded from the words as ``rng.integers`` draws
+them, and the factors between two words take one normal fill.  The samples
+are formed by one matmul per rank, and each chunk is then settled on its
 own, every sample bit for bit what ``sample_psd`` draws.  A random stack whose
 images one shifted Cholesky clears (``linalg._cleared``) passes without an
 eigen-solve; the witnesses, built to refute, are never screened.  So
@@ -32,6 +34,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -235,23 +239,41 @@ def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray
     """The unsettled Grams (samples_per_n, n, n) of n's random samples, and their ranks.
 
     Sample s is rank one when s is even or ``rank_one_only`` holds; otherwise
-    its rank is drawn in 1..n just before its factor.  The stream is read in
-    order into one buffer: sample 0's factor, then per odd s its rank and one
-    normal fill for the factors of s and s + 1 (one fill in all under
-    ``rank_one_only``).  A fill of a + b values equals a fill of a then one of
-    b, so every factor is the one ``sample_psd`` draws.  The Grams are then
-    formed by one gather and one matmul per rank.
+    its rank is drawn in 1..n just before its factor, as ``rng.integers(1,
+    n + 1)`` draws it.  That call reads one 32-bit half u: the low half of a
+    new 64-bit word, whose high half PCG64 keeps for the next call, or that
+    kept half.  The rank is Lemire's ``(u n >> 32) + 1``, read again while
+    ``(u n) mod 2**32 < (2**32 - n) mod n``; for n = 1 nothing is read.
+    Normal fills read whole words and leave the kept half alone.  So the
+    stream is read in order into one buffer, one raw word wherever a rank
+    needs a new low half and one normal fill for the factors between two
+    such words; a fill of a + b values equals a fill of a then one of b, so
+    every value is the one ``sample_psd`` draws.  The stream is private to
+    this function; a caller's generator (``sample_psd``, the suite) keeps
+    ``rng.integers``, so that its kept half stays numpy's own.  The Grams are
+    then formed by one gather and one matmul per rank.
     """
     rng, parts, count = _rng(cfg.seed, "random_gram", n), (2 if domain.kind == DISC else 1), cfg.samples_per_n
     step, ranks = parts * n, [1] * count
     flat = np.empty(step * (count + count // 2 * (n - 1)))  # room for rank n at every odd s
-    end = step * (count if cfg.rank_one_only else min(count, 1))
-    rng.standard_normal(out=flat[:end])
-    for s in range(1, 0 if cfg.rank_one_only else count, 2):
-        ranks[s] = rank = int(rng.integers(1, n + 1))
-        size = step * (rank + (s + 1 < count))
-        rng.standard_normal(out=flat[end:end + size])
-        end += size
+    raw, fill, threshold = rng.bit_generator.random_raw, rng.standard_normal, (2**32 - n) % n
+    drawn = n > 1 and not cfg.rank_one_only
+    end = size = step * (min(count, 1) if drawn else count)  # size: the values not yet filled
+    kept = None  # the high half of the last raw word, until a rank takes it
+    for s in range(1, count if drawn else 0, 2):
+        while True:
+            if kept is None:
+                fill(out=flat[end - size:end])
+                word, size = raw(), 0
+                u, kept = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, kept = kept, None
+            if u * n & 0xFFFFFFFF >= threshold:
+                break
+        ranks[s] = rank = (u * n >> 32) + 1
+        grow = step * (rank + (s + 1 < count))  # the factors of s and s + 1
+        size, end = size + grow, end + grow
+    fill(out=flat[end - size:end])
     by_sample = np.array(ranks, dtype=np.intp)
     offsets = step * (by_sample.cumsum() - by_sample)
     order, ends = by_sample.argsort(), np.bincount(by_sample).cumsum().tolist()  # samples grouped by rank
@@ -263,6 +285,21 @@ def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray
     return grams, ranks
 
 
+class _SampleParams(Sequence):
+    """The params of random samples ``samples``, each built when it is read:
+    a run only reads the one that refutes."""
+
+    def __init__(self, ranks: list, samples: range):
+        self.ranks, self.samples = ranks, samples
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, j: int) -> dict:
+        s = self.samples[j]
+        return {"sample_index": s, "rank": self.ranks[s]}
+
+
 def _random_battery(domain: Domain, cfg: VerifyConfig):
     """Yield (stack, n, family per matrix, params per matrix), SAMPLE_CHUNK samples a stack:
     each n's samples drawn and formed at once by ``_random_grams``, each chunk settled on its own."""
@@ -270,7 +307,7 @@ def _random_battery(domain: Domain, cfg: VerifyConfig):
         grams, ranks = _random_grams(n, domain, cfg)
         for start in range(0, cfg.samples_per_n, SAMPLE_CHUNK):
             stop = min(start + SAMPLE_CHUNK, cfg.samples_per_n)
-            params = [{"sample_index": s, "rank": ranks[s]} for s in range(start, stop)]
+            params = _SampleParams(ranks, range(start, stop))
             yield _into_domain(grams[start:stop], domain), n, ["random_gram"] * len(params), params
         del grams  # the next n's Grams are formed without this n's held (392 kB at n = 7 on the disc)
 
@@ -412,24 +449,31 @@ def _stacks(section: _Section, n: int, order, extra: dict):
     """Yield the rows of order, an iterator of (row, coords) read as needed, in
     n x n stacks of 8, 16, 32, then SAMPLE_CHUNK: one gather puts each row's
     leading block on its coords (which join its params) and the rest of its
-    growth, in order, on the other indices.  At the first row that does not
-    reach n, the rows before it are yielded and its error is raised."""
+    growth, in order, on the other indices.  Rows without coords stay in
+    order: they come as a contiguous run, never with rows with coords, and
+    are gathered by one slice.  At the first row that does not reach n, the
+    rows before it are yielded and its error is raised."""
     L, families, params, reach, errors = section
-    places, rows, perms, kept, least = {(): np.arange(n)}, [], [], [], 8  # rows without coords stay in order
+    places, rows, perms, kept, least = {}, [], [], [], 8
 
     def stack():
-        idx, P = np.array(rows), np.array(perms)
-        return L[idx[:, None, None], P[:, :, None], P[:, None, :]], n, [families[r] for r in rows], kept
+        if perms:
+            idx, P = np.array(rows), np.array(perms)
+            W = L[idx[:, None, None], P[:, :, None], P[:, None, :]]
+        else:
+            W = L[rows[0]:rows[-1] + 1, :n, :n].copy()
+        return W, n, [families[r] for r in rows], kept
 
     for row, coords in order:
         if reach[row] < n:
             if rows:
                 yield stack()
             raise errors[row].with_traceback(None)  # the section is kept: raise it without its last traceback
-        if coords not in places:
-            places[coords] = np.array([*coords, *[q for q in range(n) if q not in coords]]).argsort()
+        if coords:
+            if coords not in places:
+                places[coords] = np.array([*coords, *[q for q in range(n) if q not in coords]]).argsort()
+            perms.append(places[coords])
         rows.append(row)
-        perms.append(places[coords])
         kept.append({**params[row], **extra, "coords": coords} if coords else {**params[row], **extra})
         if len(rows) == least:
             yield stack()
@@ -530,9 +574,9 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         for W, n, families, params in stage:
             hit = _first_failure(specs[n], W, cfg.tol, screened)
             checked = len(W) if hit is None else hit[0] + 1
-            for family, same in itertools.groupby(families[:checked]):
+            for family, count in Counter(families[:checked]).items():
                 fam = stats["families"].setdefault(family, {})
-                fam[str(n)] = fam.get(str(n), 0) + sum(1 for _ in same)
+                fam[str(n)] = fam.get(str(n), 0) + count
             stats["checked"] += checked
             if hit is not None:
                 j, min_eig = hit

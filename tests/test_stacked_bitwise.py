@@ -8,12 +8,14 @@ numpy or LAPACK treats a matrix differently inside a stack than alone; report
 it rather than loosening the test.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_psd
+from psdmask import verify
 from psdmask.errors import EigFailure, SingularBlockError
 from psdmask.functions import Domain, HerzMonomial, HerzSeries, Identity, Zero, scaled_identity
 from psdmask.linalg import eig_extremes, exact_hermitian, identity, psd_holds, schur_complement
@@ -176,11 +178,19 @@ def test_apply_stack_with_overflowing_image_matches_each(rng, n):
         assert _same_bits(stacked[j], M), f"n={n} matrix {j}"
 
 
+# the stream's edge cases, in both rank modes: no samples, no drawn rank (1), one drawn rank whose word's
+# kept half goes unused (2, 3), a last drawn rank with no sample after it (2, 4) and a partial last chunk (151)
+_STREAM_CONFIGS = {"samples150": VerifyConfig(max_n=5, samples_per_n=150, seed=4),
+                   **{f"samples{k}{'_rank_one_only' if one else ''}":
+                      VerifyConfig(max_n=5, samples_per_n=k, seed=4 + k, rank_one_only=one)
+                      for k in (0, 1, 2, 3, 4, 151) for one in (False, True)}}
+
+
+@pytest.mark.parametrize("cfg", _STREAM_CONFIGS.values(), ids=_STREAM_CONFIGS)
 @pytest.mark.parametrize("dom", [Domain.disc(1.0), Domain.disc(), Domain.open_sym(2.0),
                                  Domain.half_open_nonneg(1.0), Domain.open_pos(1.0)],
                          ids=["disc", "disc_inf", "open_sym", "half_open_nonneg", "open_pos"])
-def test_random_battery_matches_sample_psd_one_at_a_time(dom):
-    cfg = VerifyConfig(max_n=5, samples_per_n=150, seed=4)
+def test_random_battery_matches_sample_psd_one_at_a_time(dom, cfg):
     stacks = list(_random_battery(dom, cfg))
     assert len(stacks) == cfg.max_n * math.ceil(cfg.samples_per_n / SAMPLE_CHUNK)
     for n in range(1, cfg.max_n + 1):
@@ -190,9 +200,10 @@ def test_random_battery_matches_sample_psd_one_at_a_time(dom):
             if n_w != n:
                 continue
             assert family == ["random_gram"] * len(W) and len(params) == len(W) <= SAMPLE_CHUNK
-            for p, M in zip(params, W):
-                rank = 1 if s % 2 == 0 else int(rng.integers(1, n + 1))
-                assert p == {"sample_index": s, "rank": rank}
+            assert list(params) == [params[j] for j in range(len(W))]
+            for j, M in enumerate(W):
+                rank = 1 if cfg.rank_one_only or s % 2 == 0 else int(rng.integers(1, n + 1))
+                assert params[j] == {"sample_index": s, "rank": rank}
                 assert _same_bits(M, sample_psd(rng, n, dom, rank)), f"n={n} sample {s}"
                 s += 1
         assert s == cfg.samples_per_n
@@ -287,8 +298,65 @@ def test_random_battery_matches_reference_generator(kind, rho, cfg):
     want = list(_random_battery_reference(dom, cfg))
     assert len(got) == len(want) == cfg.max_n * math.ceil(cfg.samples_per_n / SAMPLE_CHUNK)
     for (W, n, family, params), (V, n_v, family_v, params_v) in zip(got, want):
-        assert (n, family, params) == (n_v, family_v, params_v)
+        assert (n, family, list(params)) == (n_v, family_v, params_v)
         assert _same_bits(W, V), f"n={n}"
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_U64, _U128 = 2**64 - 1, 2**128
+
+
+def _generator_reading(word, before):
+    """A PCG64 generator whose next 64-bit word after its first ``before`` is ``word``.
+
+    PCG64 steps its 128-bit LCG state, then outputs the XOR of the state's
+    halves rotated right by its top 6 bits.  A state with that output is set
+    up and stepped back ``before + 1`` times through the LCG's inverse multiplier.
+    """
+    bits = np.random.PCG64(0)
+    inc = bits.state["state"]["inc"]
+    high = 0x9E3779B97F4A7C15  # any high half; its top 6 bits are the rotation
+    rot = high >> 58
+    state = high << 64 | high ^ ((word << rot | word >> (64 - rot)) & _U64)
+    back = pow(_PCG64_MULTIPLIER, -1, _U128)
+    for _ in range(before + 1):
+        state = (state - inc) * back % _U128
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+# the word the first drawn rank reads: a zero low half, which Lemire rejects for n in 3, 5, 6, 7 (the rank
+# then takes the kept high half), a zero high half, which the next drawn rank rejects, and both at once
+_FORCED_WORDS = {"low_zero": 0x8BADF00D << 32, "high_zero": 0x8BADF00D, "both_zero": 0}
+
+
+@pytest.mark.parametrize("word", sorted(_FORCED_WORDS))
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("dom", [Domain.disc(1.0), Domain.open_sym(1.0)], ids=["disc", "open_sym"])
+def test_random_grams_decode_ranks_as_integers_draws_them(monkeypatch, dom, n, word):
+    """The ranks read off raw words against ``rng.integers`` one at a time, where Lemire rejects a half."""
+    cfg, forced = VerifyConfig(max_n=n, samples_per_n=9, seed=0), _FORCED_WORDS[word]
+    step = (2 if dom.kind == "disc" else 1) * n
+    for before in itertools.count(step):  # sample 0's fill reads one word per value, bar a ziggurat retry
+        probe = _generator_reading(forced, before)
+        probe.standard_normal(step)
+        if probe.bit_generator.random_raw() == forced:
+            break
+    decoded, reference = _generator_reading(forced, before), _generator_reading(forced, before)
+    monkeypatch.setattr(verify, "_rng", lambda seed, family, n: decoded)
+    grams, ranks = verify._random_grams(n, dom, cfg)
+    want = []
+    for s in range(cfg.samples_per_n):  # in stream order: the rank, then the factor
+        want.append(1 if s % 2 == 0 else int(reference.integers(1, n + 1)))
+        assert _same_bits(grams[s], _gram_reference(reference, n, dom, want[s])), f"sample {s}"
+    assert ranks == want
+    assert decoded.bit_generator.state["state"] == reference.bit_generator.state["state"]  # the same words read
+    if word == "low_zero" and (2**32 - n) % n:  # rejected: sample 1's rank came from the high half
+        assert ranks[1] == ((forced >> 32) * n >> 32) + 1
+    if n == 1:  # no rank draw reads a word: the stream is one normal fill
+        alone = _generator_reading(forced, before)
+        alone.standard_normal(step * cfg.samples_per_n)
+        assert decoded.bit_generator.state["state"] == alone.bit_generator.state["state"]
 
 
 def _same_mask(a, b):
