@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import PsdMaskError
 from .functions import Domain, Identity, admissible_family, function_from_json
-from .linalg import is_psd, matrix_from_json
+from .linalg import _within_cap, is_psd, matrix_from_json
 from .patterns import classify_sequence, rule_from_json
 from .suite import format_suite_lines, run_theorem_suite
 from .verify import VerifyConfig, refute_scalar_outside_interval, verify_preservation
@@ -135,9 +135,12 @@ def _cmd_refute(args) -> int:
 
 
 def _witness_from_args(args) -> Witness:
-    """The witness the arguments name."""
+    """The witness the arguments name.  Its spectrum is reported, so a size
+    above the eigensolver cap is refused before the matrix is built."""
     name = args.name
     domain = _load_domain(args)
+    if name in ("all_ones", "pad") and args.n is not None:
+        _within_cap(args.n)
     if name == "all_ones":
         return all_ones_witness(args.x, args.n, domain)
     if name == "rank_one":
@@ -150,7 +153,10 @@ def _witness_from_args(args) -> Witness:
     if name == "tail_gram":
         return tail_gram(_parse_complex(args.w), args.t, domain)
     if name == "tensor_blowup":
-        return tensor_blowup(args.m, matrix_from_json(_load_json(args.matrix)))
+        A = matrix_from_json(_load_json(args.matrix))
+        if args.m is not None:
+            _within_cap(args.m * len(A))
+        return tensor_blowup(args.m, A)
     if name == "pad":
         M = pad_embed(matrix_from_json(_load_json(args.matrix)), args.n, domain=domain)
         return Witness(M, "pad_embed", {"N": args.n})

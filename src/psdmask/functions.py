@@ -310,7 +310,11 @@ def function_from_json(data: dict) -> PreserverFunction:
     if variant == "herz_monomial":
         return HerzMonomial(_real(params["alpha"], "alpha"), params["m"], params["k"])
     if variant == "herz_series":
-        coeffs = {(m, k): _real(c, "coefficient") for m, k, c in params["coeffs"]}
+        coeffs = {}
+        for m, k, c in params["coeffs"]:
+            if (m, k) in coeffs:  # a dict would keep the last coefficient without a word
+                raise ValueError(f"herz_series lists the term ({m}, {k}) twice")
+            coeffs[(m, k)] = _real(c, "coefficient")
         return HerzSeries(coeffs, max_degree=params.get("max_degree", 8))
     if variant == "scalar_multiple":
         return ScalarMultiple(_real(params["c"], "c"), function_from_json(params["inner"]))

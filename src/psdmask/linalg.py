@@ -122,6 +122,13 @@ def symmetrize(raw) -> np.ndarray:
     return _settle(_as_square_grid(raw), AsymmetricInputError, "input is not conjugate-symmetric")
 
 
+def _within_cap(n: int) -> int:
+    """n, if an n x n matrix is within the eigensolver cap; EigFailure otherwise."""
+    if n > EIG_DIM_CAP:
+        raise EigFailure(f"dimension {n} exceeds the eigensolver cap {EIG_DIM_CAP}")
+    return n
+
+
 def eig_extremes(M: np.ndarray):
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
@@ -132,9 +139,7 @@ def eig_extremes(M: np.ndarray):
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
         raise NonSquareError(f"expected nonempty square matrices, got shape {M.shape}")
-    n = M.shape[-1]
-    if n > EIG_DIM_CAP:
-        raise EigFailure(f"dimension {n} exceeds the eigensolver cap {EIG_DIM_CAP}")
+    _within_cap(M.shape[-1])
     try:
         w = np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:

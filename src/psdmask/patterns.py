@@ -465,6 +465,8 @@ def rule_from_json(data: dict) -> PatternRule:
         pats = {}
         for entry in params["patterns"]:
             p = pattern_from_json(entry)
+            if p.n in pats:  # a dict would keep the last pattern without a word
+                raise ValueError(f"explicit rule lists two patterns at n={p.n}")
             pats[p.n] = p
         return explicit_rule(pats, flags_from_json(data["flags"]))
     raise ValueError(f"unknown rule kind {kind!r}")

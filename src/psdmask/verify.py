@@ -6,23 +6,25 @@ size->=2-block and overlap position of the materialized patterns, tensor
 blowups) and then a seeded randomized battery.  The first output matrix that
 fails the PSD check yields a Refuted verdict carrying the witness; battery
 order is the priority order, so the reported counterexample is reproducible.
-Every check runs on a stack ``(k, n, n)`` that carries one family per
-matrix.  The witnesses depend only on (domain, max_n), so each battery
-section (all ones, anchored, blowups) is grown once per process into one
-read-only table, kept for ``BATTERY_CACHE_SIZE`` (domain, max_n) pairs, and
-fired at each n in stacks of 8, 16, 32, then ``SAMPLE_CHUNK`` rows, each one
-gather whose placements are computed once per n; random samples come
-``SAMPLE_CHUNK`` a stack.  Within a stack the first failing matrix wins, and
-each matrix is judged bit for bit as it would be alone.  Each n's random
-samples are drawn in one pass over its stream, read one raw 64-bit word at
-a time: the ranks are decoded from the words as ``rng.integers`` draws
-them, and the factors between two words take one normal fill.  The samples
-are formed by one matmul per rank, and each chunk is then settled on its
-own, every sample bit for bit what ``sample_psd`` draws.  A random stack whose
-images one shifted Cholesky clears (``linalg._cleared``) passes without an
-eigen-solve; the witnesses, built to refute, are never screened.  So
-``eigvalsh`` decides every other stack and is the only source of ``min_eig``
-and of every Refuted verdict.
+Every stack is fired as one record ``(W, n, families, params)``: W is
+``(k, n, n)`` with one family per matrix, and ``params(j)`` builds matrix
+j's params, so only the refuting matrix's are built.  The witnesses depend
+only on (domain, max_n), so each battery section (all ones, anchored,
+blowups) is grown once per process into one read-only table, kept for
+``BATTERY_CACHE_SIZE`` (domain, max_n) pairs, and fired at each n in stacks
+of 8, 16, 32, then ``SAMPLE_CHUNK`` rows, each one gather whose placements
+are computed once per n; random samples come ``SAMPLE_CHUNK`` a stack.
+Within a stack the first failing matrix wins, and each matrix is judged bit
+for bit as it would be alone.  Each n's random samples are drawn in one pass
+over its stream, read one raw 64-bit word at a time: the ranks are decoded
+from the words as ``rng.integers`` draws them, and the factors between two
+words take one normal fill.  One Gram kernel, ``_formed``, forms them as it
+forms ``sample_psd``'s and the suite's draws, and each chunk is settled on
+its own, every sample bit for bit what ``sample_psd`` draws.  A random stack
+whose images one shifted Cholesky clears (``linalg._cleared``) passes
+without an eigen-solve; the witnesses, built to refute, are never screened.
+So ``eigvalsh`` decides every other stack and is the only source of
+``min_eig`` and of every Refuted verdict.
 
 Sample streams are split per (family, n) from the master seed as
 ``default_rng([seed, family_id, n])``, which makes every battery stage
@@ -35,7 +37,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -60,6 +61,7 @@ from .functions import (
 from .linalg import (
     EIG_DIM_CAP,
     _cleared,
+    _within_cap,
     eig_extremes,
     exact_hermitian,
     is_psd,
@@ -185,30 +187,33 @@ def _draw(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = N
     return rng.standard_normal((2 if domain.kind == DISC else 1, n, rank))
 
 
-def _gram_stack(X: np.ndarray, domain: Domain) -> np.ndarray:
-    """The unsettled Grams, by one matmul, of the factors ``sample_psd``
-    describes, from a (k, parts, n, rank) stack of draws."""
-    if domain.kind == DISC:
-        B = X[:, 0] + 1j * X[:, 1]
-    elif domain.kind == OPEN_SYM:
-        B = X[:, 0]
-    else:
-        B = np.abs(X[:, 0])
-        if domain.kind == OPEN_POS:
-            B = B + 0.01
-    return B @ np.swapaxes(B.conj(), -1, -2)
+def _formed(flat: np.ndarray, ranks: list, n: int, domain: Domain) -> np.ndarray:
+    """The unsettled Grams (k, n, n), one gather and one matmul per rank, of k samples whose
+    factor draws lie end to end in flat, each (parts, n, rank) as ``_draw`` fills it; complex
+    over the disc and real elsewhere."""
+    parts = 2 if domain.kind == DISC else 1
+    by_sample = np.array(ranks, dtype=np.intp)
+    offsets = parts * n * (by_sample.cumsum() - by_sample)
+    grams = np.empty((len(ranks), n, n), dtype=complex if domain.kind == DISC else float)
+    for rank in set(ranks):
+        at = np.flatnonzero(by_sample == rank)
+        X = flat[offsets[at, None] + np.arange(parts * n * rank)].reshape(len(at), parts, n, rank)
+        if domain.kind == DISC:
+            B = X[:, 0] + 1j * X[:, 1]
+        elif domain.kind == OPEN_SYM:
+            B = X[:, 0]
+        else:
+            B = np.abs(X[:, 0])
+            if domain.kind == OPEN_POS:
+                B = B + 0.01
+        grams[at] = B @ np.swapaxes(B.conj(), -1, -2)
+    return grams
 
 
 def _grams(draws: list, domain: Domain) -> np.ndarray:
-    """The unsettled Grams of same-n draws as a (k, n, n) stack, one matmul per
-    rank; complex over the disc and real elsewhere."""
-    n = draws[0].shape[1]
-    ranks = [d.shape[-1] for d in draws]
-    out = np.empty((len(draws), n, n), dtype=complex if domain.kind == DISC else float)
-    for rank in set(ranks):
-        at = [i for i, r in enumerate(ranks) if r == rank]
-        out[at] = _gram_stack(np.array([draws[i] for i in at]), domain)
-    return out
+    """The unsettled Grams of same-n draws as a (k, n, n) stack, by ``_formed``."""
+    flat = np.concatenate([d.ravel() for d in draws])
+    return _formed(flat, [d.shape[-1] for d in draws], draws[0].shape[1], domain)
 
 
 def _into_domain(grams: np.ndarray, domain: Domain) -> np.ndarray:
@@ -250,8 +255,7 @@ def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray
     such words; a fill of a + b values equals a fill of a then one of b, so
     every value is the one ``sample_psd`` draws.  The stream is private to
     this function; a caller's generator (``sample_psd``, the suite) keeps
-    ``rng.integers``, so that its kept half stays numpy's own.  The Grams are
-    then formed by one gather and one matmul per rank.
+    ``rng.integers``, so that its kept half stays numpy's own.
     """
     rng, parts, count = _rng(cfg.seed, "random_gram", n), (2 if domain.kind == DISC else 1), cfg.samples_per_n
     step, ranks = parts * n, [1] * count
@@ -274,41 +278,21 @@ def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray
         grow = step * (rank + (s + 1 < count))  # the factors of s and s + 1
         size, end = size + grow, end + grow
     fill(out=flat[end - size:end])
-    by_sample = np.array(ranks, dtype=np.intp)
-    offsets = step * (by_sample.cumsum() - by_sample)
-    order, ends = by_sample.argsort(), np.bincount(by_sample).cumsum().tolist()  # samples grouped by rank
-    grams = np.empty((count, n, n), dtype=complex if domain.kind == DISC else float)
-    for rank in set(ranks):  # one gather of the rank's factors, shaped as ``_draw`` fills them
-        at = order[ends[rank - 1]:ends[rank]]
-        X = flat[offsets[at, None] + np.arange(step * rank)].reshape(len(at), parts, n, rank)
-        grams[at] = _gram_stack(X, domain)
-    return grams, ranks
+    return _formed(flat, ranks, n, domain), ranks
 
 
-class _SampleParams(Sequence):
-    """The params of random samples ``samples``, each built when it is read:
-    a run only reads the one that refutes."""
-
-    def __init__(self, ranks: list, samples: range):
-        self.ranks, self.samples = ranks, samples
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __getitem__(self, j: int) -> dict:
-        s = self.samples[j]
-        return {"sample_index": s, "rank": self.ranks[s]}
+def _sample_params(ranks: list, start: int, j: int) -> dict:
+    return {"sample_index": start + j, "rank": ranks[start + j]}
 
 
 def _random_battery(domain: Domain, cfg: VerifyConfig):
-    """Yield (stack, n, family per matrix, params per matrix), SAMPLE_CHUNK samples a stack:
-    each n's samples drawn and formed at once by ``_random_grams``, each chunk settled on its own."""
+    """Yield (stack, n, family per matrix, params), SAMPLE_CHUNK samples a stack: each n's samples
+    drawn and formed at once by ``_random_grams``, each chunk settled on its own."""
     for n in range(1, cfg.max_n + 1):
         grams, ranks = _random_grams(n, domain, cfg)
         for start in range(0, cfg.samples_per_n, SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, cfg.samples_per_n)
-            params = _SampleParams(ranks, range(start, stop))
-            yield _into_domain(grams[start:stop], domain), n, ["random_gram"] * len(params), params
+            W = _into_domain(grams[start:start + SAMPLE_CHUNK], domain)
+            yield W, n, ["random_gram"] * len(W), partial(_sample_params, ranks, start)
         del grams  # the next n's Grams are formed without this n's held (392 kB at n = 7 on the disc)
 
 
@@ -454,36 +438,36 @@ def _stacks(section: _Section, n: int, order, extra: dict):
     are gathered by one slice.  At the first row that does not reach n, the
     rows before it are yielded and its error is raised."""
     L, families, params, reach, errors = section
-    places, rows, perms, kept, least = {}, [], [], [], 8
+    places, rows, coords, least = {}, [], [], 8
 
-    def stack():
-        if perms:
-            idx, P = np.array(rows), np.array(perms)
-            W = L[idx[:, None, None], P[:, :, None], P[:, None, :]]
+    def stack(rows, coords):  # rows and coords bound here, as the stack is yielded
+        if coords[0]:
+            P = np.array([places[c] for c in coords])
+            W = L[np.array(rows)[:, None, None], P[:, :, None], P[:, None, :]]
         else:
             W = L[rows[0]:rows[-1] + 1, :n, :n].copy()
-        return W, n, [families[r] for r in rows], kept
+        return (W, n, [families[r] for r in rows],
+                lambda j: {**params[rows[j]], **extra, **({"coords": coords[j]} if coords[j] else {})})
 
-    for row, coords in order:
+    for row, at in order:
         if reach[row] < n:
             if rows:
-                yield stack()
+                yield stack(rows, coords)
             raise errors[row].with_traceback(None)  # the section is kept: raise it without its last traceback
-        if coords:
-            if coords not in places:
-                places[coords] = np.array([*coords, *[q for q in range(n) if q not in coords]]).argsort()
-            perms.append(places[coords])
+        if at and at not in places:
+            places[at] = np.array([*at, *[q for q in range(n) if q not in at]]).argsort()
         rows.append(row)
-        kept.append({**params[row], **extra, "coords": coords} if coords else {**params[row], **extra})
+        coords.append(at)
         if len(rows) == least:
-            yield stack()
-            rows, perms, kept, least = [], [], [], min(2 * least, SAMPLE_CHUNK)
+            yield stack(rows, coords)
+            rows, coords, least = [], [], min(2 * least, SAMPLE_CHUNK)
     if rows:
-        yield stack()
+        yield stack(rows, coords)
 
 
 def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], max_n: int):
-    """Yield (stack (k, n, n), n, family per matrix, params per matrix) in refutation priority order.
+    """Yield (stack (k, n, n), n, family per matrix, params) in refutation priority order,
+    where params(j) builds matrix j's params.
 
     Each section is built when the battery first needs it.  Growth keeps every
     smaller growth as its leading block, so one row serves every (n, coords).
@@ -570,7 +554,7 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
     # witnesses are built to refute, so only the random stage is screened (see _first_failure)
     stages = ((_deterministic_battery(domain, patterns, cfg.max_n), False), (_random_battery(domain, cfg), True))
     for stage, screened in stages:
-        # each stack's matrix j has provenance families[j], params[j]
+        # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
         for W, n, families, params in stage:
             hit = _first_failure(specs[n], W, cfg.tol, screened)
             checked = len(W) if hit is None else hit[0] + 1
@@ -583,7 +567,7 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
                 # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
                 if not is_psd(W[j], 1e-10).is_psd:
                     raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
-                ce = CounterExample(family=families[j], params=params[j], n=n, matrix=W[j], min_eig=min_eig)
+                ce = CounterExample(family=families[j], params=params(j), n=n, matrix=W[j], min_eig=min_eig)
                 return Verdict(OUTCOME_REFUTED, ce, stats)
     return Verdict(OUTCOME_PRESERVED, None, stats)
 
@@ -602,7 +586,8 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     """Refute f(z) = c z for a partition-of-all rule when c leaves [-1/(K-1), 1].
 
     K must be an integer >= 2 (ValueError otherwise, never truncated) and the
-    rule's declared max block count.
+    rule's declared max block count; a K above ``EIG_DIM_CAP`` is an
+    EigFailure, raised before the rule is validated or searched.
 
     Uses the scaled all-ones witness x J (x > 0; ValueError otherwise) at the
     first dimension whose pattern has K blocks; the reported eigenvalue is the
@@ -610,10 +595,10 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     index per block, i.e. (1 + (K-1)c) x or (1 - c) x.
     """
     cfg = cfg or VerifyConfig()
+    K = _within_cap(_integer(K, "K", 2))  # checked first: the K x K eigen-solve below would refuse it
     regime, patterns = validate_rule(rule, cfg.probe_N)
     if regime != R3A_PARTITION_ALL:
         raise RegimeMismatchError(f"rule is in regime {regime}, not a partition-of-all sequence")
-    K = _integer(K, "K", 2)
     if not (math.isfinite(rule.flags.max_block_count) and int(rule.flags.max_block_count) == K):
         raise RegimeMismatchError(
             f"K={K} differs from the rule's declared max block count {rule.flags.max_block_count}"

@@ -109,7 +109,7 @@ def test_stacked_embedding_matches_reference(rule_name, domain):
     patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
     placed = 0
     for stack, n, families, params in _deterministic_battery(domain, patterns, MAX_N):
-        for W, family, p in zip(stack, families, params):
+        for W, family, p in zip(stack, families, map(params, range(len(stack)))):
             if family not in BUILD:
                 continue
             expected = reference_embed_at(BUILD[family](p, domain).matrix, n, p["coords"], domain)
@@ -176,8 +176,9 @@ def stream_digest(domain, rule, max_n):
     patterns = {n: rule.pattern(n) for n in range(1, max_n + 1)}
     digest = hashlib.sha256()
     count = 0
-    for stack, n, families, params in _deterministic_battery(domain, patterns, max_n):
-        for W, family, p in zip(stack, families, params):
+    # every stack is drawn before any params are built: each stack's params(j) must stay its own
+    for stack, n, families, params in list(_deterministic_battery(domain, patterns, max_n)):
+        for W, family, p in zip(stack, families, map(params, range(len(stack)))):
             digest.update(f"{n}:{family}:{canonical_json(Witness(W, family, p).to_json()['params'])}:".encode())
             digest.update(np.ascontiguousarray(W, dtype=np.complex128).tobytes())
             count += 1

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,7 +95,10 @@ class TestClassify:
         {"kind": "explicit", "params": {"patterns": [{"n": 3, "blocks": [[1, 2]]}]},
          "flags": {"eventually_nonempty": 1, "all_singletons": 0, "covers_all_n": "",
                    "max_block_count": 1.0, "has_block_ge2_at": 3, "overlap_at": None}},
-    ], ids=["k_float", "explicit_flags_coercible"])
+        {"kind": "explicit", "params": {"patterns": [{"n": 3, "blocks": [[1, 2]]}, {"n": 3, "blocks": [[2, 3]]}]},
+         "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
+                   "max_block_count": 1, "has_block_ge2_at": 3, "overlap_at": None}},
+    ], ids=["k_float", "explicit_flags_coercible", "explicit_n_listed_twice"])
     def test_coercible_rule_is_usage_error(self, files, capsys, doc):
         path = files["tmp"] / "rule_coercible.json"
         path.write_text(json.dumps(doc))
@@ -224,6 +228,13 @@ class TestRefute:
         assert "inside" in err
 
 
+    def test_block_count_above_the_eigensolver_cap_is_usage_error(self, files, capsys):
+        path = files["tmp"] / "rule_k65.json"
+        path.write_text(json.dumps({"kind": "contiguous_partition", "params": {"k": 65}}))
+        code, out, err = run(["refute", "--rule", str(path), "--c", "2"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "dimension 65 exceeds the eigensolver cap 64" in err
+
     def test_zero_x_is_usage_error(self, files, capsys):
         code, out, err = run(
             ["refute", "--rule", files["rule_k3"], "--c=-1", "--x", "0", "--domain", files["disc1"]],
@@ -332,6 +343,22 @@ class TestWitness:
         assert code == EXIT_OK
         M = matrix_from_json(json.loads(out)["report"]["matrix"])
         assert np.array_equal(M, np.diag([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("name, size_flags", [("all_ones", ["--x", "0.5", "--n", "2000"]),
+                                                   ("pad", ["--n", "2000"]),
+                                                   ("tensor_blowup", ["--m", "1000"])])
+    def test_size_above_the_eigensolver_cap_refused_before_it_is_built(self, tmp_path, capsys, name, size_flags):
+        mat = tmp_path / "eye2.json"
+        mat.write_text(json.dumps({"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(["witness", name, *size_flags, "--matrix", str(mat)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE and out == ""
+        assert "dimension 2000 exceeds the eigensolver cap 64" in err
+        assert peak < 5 * 2**20  # a 2000 x 2000 complex witness alone is 64 MB
 
     def test_corner_auto(self, files, tmp_path, capsys):
         dom = tmp_path / "pos.json"

@@ -278,6 +278,11 @@ class TestFunctionJson:
         series = function_from_json({"variant": "herz_series", "params": {"coeffs": [[1, 0, 1], [2, 0, 0.5]]}})
         assert series.coeffs == {(1, 0): 1.0, (2, 0): 0.5}
 
+    def test_series_term_listed_twice_rejected(self):
+        # a dict would keep the last coefficient and read [[1, 0, 0.5], [1, 0, 0.5]] as 0.5 z, not z
+        with pytest.raises(ValueError, match=r"term \(1, 0\) twice"):
+            function_from_json({"variant": "herz_series", "params": {"coeffs": [[1, 0, 0.5], [1, 0, 0.5]]}})
+
     def test_custom_not_serializable(self):
         with pytest.raises(ValueError):
             Custom(lambda z: z).to_json()

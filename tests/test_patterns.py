@@ -300,6 +300,12 @@ class TestJson:
             for n in range(1, 9):
                 assert back.pattern(n) == rule.pattern(n)
 
+    def test_explicit_pattern_listed_twice_rejected(self):
+        data = json.loads(EXPLICIT_DOC)
+        data["params"]["patterns"].append({"n": 3, "blocks": [[1, 3]]})  # a dict would keep this one alone
+        with pytest.raises(ValueError, match="two patterns at n=3"):
+            rule_from_json(data)
+
     def test_rule_round_trip_explicit(self):
         rule = explicit_rule(
             {3: normalize([{0, 1}, {1, 2}], 3)},

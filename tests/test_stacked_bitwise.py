@@ -199,11 +199,10 @@ def test_random_battery_matches_sample_psd_one_at_a_time(dom, cfg):
         for W, n_w, family, params in stacks:
             if n_w != n:
                 continue
-            assert family == ["random_gram"] * len(W) and len(params) == len(W) <= SAMPLE_CHUNK
-            assert list(params) == [params[j] for j in range(len(W))]
+            assert family == ["random_gram"] * len(W) and len(W) <= SAMPLE_CHUNK
             for j, M in enumerate(W):
                 rank = 1 if cfg.rank_one_only or s % 2 == 0 else int(rng.integers(1, n + 1))
-                assert params[j] == {"sample_index": s, "rank": rank}
+                assert params(j) == {"sample_index": s, "rank": rank}
                 assert _same_bits(M, sample_psd(rng, n, dom, rank)), f"n={n} sample {s}"
                 s += 1
         assert s == cfg.samples_per_n
@@ -298,7 +297,7 @@ def test_random_battery_matches_reference_generator(kind, rho, cfg):
     want = list(_random_battery_reference(dom, cfg))
     assert len(got) == len(want) == cfg.max_n * math.ceil(cfg.samples_per_n / SAMPLE_CHUNK)
     for (W, n, family, params), (V, n_v, family_v, params_v) in zip(got, want):
-        assert (n, family, list(params)) == (n_v, family_v, params_v)
+        assert (n, family, [params(j) for j in range(len(W))]) == (n_v, family_v, params_v)
         assert _same_bits(W, V), f"n={n}"
 
 

@@ -12,6 +12,7 @@ from conftest import random_psd
 from psdmask import verify
 from psdmask.errors import (
     CNotOutsideError,
+    EigFailure,
     EpsTooLargeError,
     NonHermitianOutputError,
     OutOfDomainError,
@@ -331,7 +332,7 @@ def battery(domain, rule, max_n=8):
 def flat(stacks):
     """(n, family, params, matrix bytes) per matrix of a stack stream."""
     return [(n, family, params, W.tobytes()) for stack, n, families, ps in stacks
-            for W, family, params in zip(stack, families, ps)]
+            for W, family, params in zip(stack, families, map(ps, range(len(stack))))]
 
 
 def consume(stacks, out):
@@ -346,6 +347,7 @@ class TestBatteryStacks:
     def test_stack_format(self):
         previous = None
         for stack, n, families, params in battery(Domain.open_pos(1.0), overlapping_chain_rule()):
+            params = [params(j) for j in range(len(stack))]
             assert stack.dtype == np.complex128 and stack.shape == (len(params), n, n)
             assert len(families) == len(params) >= 1 and all(isinstance(f, str) for f in families)
             previous = families[-1]
@@ -365,7 +367,7 @@ class TestBatteryStacks:
     def test_zero_padding_placement(self):
         seen = 0
         for stack, n, families, params in battery(DISC1, overlapping_chain_rule(), max_n=6):
-            for M, family, p in zip(stack, families, params):
+            for M, family, p in zip(stack, families, map(params, range(len(stack)))):
                 if family != "overlap_probe":
                     continue
                 W = overlap_probe(p["r"], p["z"], DISC1).matrix
@@ -381,7 +383,7 @@ class TestBatteryStacks:
         dom = Domain.open_pos(1.0)
         seen = 0
         for stack, n, families, params in battery(dom, proper_subpartition_rule(2), max_n=6):
-            for M, family, p in zip(stack, families, params):
+            for M, family, p in zip(stack, families, map(params, range(len(stack)))):
                 if family != "duplicated_pair_gram":
                     continue
                 W = duplicated_pair_gram(p["w"], p["z"], dom).matrix
@@ -577,6 +579,23 @@ class TestRefuteScalar:
         # int(3.9) is 3, which would refute and report "K": 3; True would surface as K=1
         with pytest.raises(ValueError, match="K must be an integer >= 2"):
             refute_scalar_outside_interval(contiguous_partition_rule(3), K, -1, DISC1)
+
+    @pytest.mark.parametrize("K", [EIG_DIM_CAP + 1, 300, 100000])
+    def test_k_above_the_eigensolver_cap_refused_before_any_search(self, K):
+        def guarded(n):  # the search over n is O(K^3): a regression that starts it fails here instead of hanging
+            if n > EIG_DIM_CAP:
+                pytest.fail(f"T_{n} built for K={K}")
+            return rule.generator(n)
+
+        rule = contiguous_partition_rule(K)
+        with pytest.raises(EigFailure, match=f"dimension {K} exceeds the eigensolver cap {EIG_DIM_CAP}"):
+            refute_scalar_outside_interval(dataclasses.replace(rule, generator=guarded), K, -1, DISC1)
+
+    def test_k_at_the_eigensolver_cap_refutes(self):
+        K = EIG_DIM_CAP
+        verdict = refute_scalar_outside_interval(contiguous_partition_rule(K), K, -1, DISC1, x=0.5)
+        assert verdict.counterexample.n == K
+        assert verdict.counterexample.min_eig == pytest.approx(0.5 * (1 + (K - 1) * -1), abs=1e-8)
 
     def test_numpy_k_is_accepted(self):
         verdict = refute_scalar_outside_interval(contiguous_partition_rule(3), np.int64(3), -1, DISC1)
