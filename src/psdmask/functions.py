@@ -115,10 +115,15 @@ class Domain:
         return cls(data["kind"], math.inf if rho in ("inf", None) else _real(rho, "rho"))
 
 
-def _int_pow(Z: np.ndarray, m: int) -> np.ndarray:
-    """Integer power by repeated squaring (conj-symmetric bit for bit, 0**0 = 1)."""
-    out = np.ones_like(Z)
-    base = Z.copy()
+def _int_pow(Z: np.ndarray, m: int):
+    """Integer power by repeated squaring (conj-symmetric bit for bit, 0**0 = 1).
+
+    The product starts from the scalar 1 + 0j: every product by 1 or 0 is
+    exact, so the bits are those of a start from an all-ones array, signed
+    zeros, inf and NaN included.  A zero exponent returns that scalar.
+    """
+    out = 1 + 0j
+    base = Z
     e = m
     while e > 0:
         if e & 1:
@@ -127,6 +132,12 @@ def _int_pow(Z: np.ndarray, m: int) -> np.ndarray:
         if e:
             base = base * base
     return out
+
+
+def _power_term(c: float, Z: np.ndarray, m: int, k: int):
+    """c z^m conj(z)^k entrywise, multiplied left to right; conj(Z) is formed
+    only for k > 0, and the result is the scalar c (1 + 0j) when m = k = 0."""
+    return c * _int_pow(Z, m) * (_int_pow(np.conj(Z), k) if k else 1 + 0j)
 
 
 class PreserverFunction:
@@ -191,7 +202,8 @@ class HerzMonomial(PreserverFunction):
 
     def evaluate_array(self, Z):
         Z = np.asarray(Z, dtype=np.complex128)
-        return self.alpha * _int_pow(Z, self.m) * _int_pow(np.conj(Z), self.k)
+        out = _power_term(self.alpha, Z, self.m, self.k)
+        return out if self.m or self.k else np.full(Z.shape, out)
 
     def linear_slope(self):
         if (self.m, self.k) == (1, 0):
@@ -231,7 +243,7 @@ class HerzSeries(PreserverFunction):
         Z = np.asarray(Z, dtype=np.complex128)
         out = np.zeros_like(Z)
         for (m, k), c in self.coeffs.items():
-            out = out + c * _int_pow(Z, m) * _int_pow(np.conj(Z), k)
+            out = out + _power_term(c, Z, m, k)
         return out
 
     def linear_slope(self):

@@ -67,11 +67,8 @@ class BlockPattern:
         return total == self.n and self.covered() == frozenset(range(self.n))
 
     def has_overlap(self) -> bool:
-        for i, u in enumerate(self.blocks):
-            for v in self.blocks[i + 1:]:
-                if u & v:
-                    return True
-        return False
+        # an index held by two blocks counts twice in their sizes but once in their union
+        return sum(len(b) for b in self.blocks) > len(self.covered())
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -96,7 +93,12 @@ def normalize(blocks, n: int) -> BlockPattern:
             raise BlockOutOfRangeError(f"block {sorted(fs)} not inside range({n})")
         if fs:
             sets.add(fs)
-    kept = [u for u in sets if not any(u < v for v in sets)]
+    # a block lies inside another only if that one holds its smallest element
+    holding: dict[int, list[frozenset[int]]] = {}
+    for v in sets:
+        for i in v:
+            holding.setdefault(i, []).append(v)
+    kept = [u for u in sets if not any(u < v for v in holding[min(u)])]
     kept.sort(key=lambda u: (min(u), len(u), sorted(u)))
     return BlockPattern(n=n, blocks=tuple(kept))
 

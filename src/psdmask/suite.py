@@ -13,6 +13,13 @@ cases, through the same kernels as ``apply``, ``decompose``,
 here, per matrix of such a stack.  Each matrix of a stack comes out bit for
 bit as it would alone, and every reported extreme is a running min or max
 over the per-case values in draw order.
+
+Criterion 2 forms one n's images for all its slopes c at once.  Criteria 4
+and 5 read g and f at the witness entries (r and z of the overlap probe, |w|
+of the duplicated pair) off the images they already evaluate.  Criterion 5
+still evaluates g and f at its own z1: it builds z1 in numpy scalar
+arithmetic, the witness in Python complex arithmetic, and the two can differ
+in the last bit.
 """
 
 from __future__ import annotations
@@ -167,9 +174,10 @@ def _criterion_star_all_ones_law(cfg: VerifyConfig) -> dict:
         boundary = Fraction(-1, n - 1)
         grid = [Fraction(6 * j - 120, 100) for j in range(41)] + [boundary]
         J = np.array([x * all_ones(n) for x in xs])
-        # one image per (c, x), c-major
-        M = np.array([apply(OperatorSpec(f=scaled_identity(float(c)), pattern=star, domain=dom), J)
-                      for c in grid]).reshape(-1, n, n)
+        _check_domain(dom, J)
+        # one image per (c, x), c-major: f = c z at every slope at once
+        cs = np.array([float(c) for c in grid])
+        M = _image(star.mask, J, cs[:, None, None, None] * J).reshape(-1, n, n)
         eigs = np.linalg.eigvalsh(M)
         law = np.sort([[(1.0 - float(c)) * x] * (n - 1) + [(1.0 + (n - 1) * float(c)) * x]
                        for c in grid for x in xs], axis=1)
@@ -251,10 +259,12 @@ def _criterion_chain_determinant(cfg: VerifyConfig) -> dict:
         r = 0.2 + 0.7 * rng.random()
         z = r * rng.random() * np.exp(2j * math.pi * rng.random())
         M = overlap_probe(r, complex(z), dom).matrix
+        GM, FM = g.evaluate_array(M), f.evaluate_array(M)
         B.append(M)
-        G.append(g.evaluate_array(M))
-        F.append(f.evaluate_array(M))
-        laws.append(-(g(r).real) * abs(f(complex(z)) - g(complex(z))) ** 2)
+        G.append(GM)
+        F.append(FM)
+        # g(r), g(z) and f(z) are the images' entries at r = M[0, 0] and z = M[0, 1]
+        laws.append(-(complex(GM[0, 0]).real) * abs(complex(FM[0, 1]) - complex(GM[0, 1])) ** 2)
     _check_domain(dom, np.array(B))
     dets = np.linalg.det(_image(mask, np.array(G), np.array(F))).tolist()
     max_rel = reduce(max, [abs(d.real - law) / max(1.0, abs(law)) for d, law in zip(dets, laws)], 0.0)
@@ -281,15 +291,18 @@ def _criterion_split_pair_complement(cfg: VerifyConfig) -> dict:
         c = -1.0 + 2.0 * rng.random()
         M = duplicated_pair_gram(complex(w), complex(z), dom).matrix
         GM = g.evaluate_array(M)
-        aw = abs(w)
-        z1 = complex(z) * np.conj(w) / aw
-        gw = g(aw).real
+        # g(|w|) and f(|w|) are the images' entries at |w| = M[1, 1]; z1 may
+        # differ from M[0, 1] in the last bit, so g and f are evaluated at it
+        z1 = complex(z) * np.conj(w) / abs(w)
+        gw = complex(GM[1, 1]).real
+        gz1 = g(z1)
         # a random f, then c*g, whose determinant must vanish
         for f in (_random_builtin(rng, g), ScalarMultiple(c, g)):
+            FM = f.evaluate_array(M)
             W.append(M)
             G.append(GM)
-            F.append(f.evaluate_array(M))
-            laws.append(-abs(f(aw) * g(z1) - gw * f(z1)) ** 2 / gw ** 2)
+            F.append(FM)
+            laws.append(-abs(complex(FM[1, 1]) * gz1 - gw * f(z1)) ** 2 / gw ** 2)
     _check_domain(dom, np.array(W))
     comp = schur_complement(_image(mask, np.array(G), np.array(F)), {2})
     # numpy scalars, as one matrix alone: the vector complex product may round differently

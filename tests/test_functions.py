@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdmask.errors import RegimeMismatchError
 from psdmask.functions import (
@@ -13,6 +15,7 @@ from psdmask.functions import (
     Identity,
     ScalarMultiple,
     Zero,
+    _int_pow,
     admissible_c_interval_pair,
     admissible_family,
     conjugate_equivariance_check,
@@ -146,6 +149,61 @@ class TestEvaluate:
         assert HerzMonomial(2.0, 2, 0).linear_slope() is None
         assert HerzSeries({(1, 0): 0.7}).linear_slope() == 0.7
         assert HerzSeries({(1, 0): 0.7, (2, 0): 0.1}).linear_slope() is None
+
+
+def _ones_start_pow(Z, m):
+    """Integer power by repeated squaring from an all-ones array: the bits
+    that the scalar start of ``_int_pow`` must reproduce."""
+    out = np.ones_like(Z)
+    base = Z.copy()
+    e = m
+    while e > 0:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+# signed zeros, infinities, NaN, and moduli whose powers overflow (10**400) or underflow
+_PARTS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -0.5, 10.0, 1e160, 5e-324]) \
+    | st.floats(allow_nan=False, width=64)
+_ARRAYS = st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=40).map(
+    lambda zs: np.array(zs, dtype=np.complex128))
+_EXPONENTS = st.integers(0, 9)
+_COEFFS = st.floats(0.0, 4.0, exclude_min=True)
+
+
+class TestPowerBits:
+    """Powers and monomials start their products from the scalar 1 + 0j; the
+    bits must be those of a start from an all-ones array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ARRAYS, _EXPONENTS | st.just(400))
+    def test_int_pow(self, Z, m):
+        with np.errstate(all="ignore"):
+            got, want = _int_pow(Z, m), _ones_start_pow(Z, m)
+        assert np.broadcast_to(got, Z.shape).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ARRAYS, _EXPONENTS, _EXPONENTS, st.floats(0.0, 4.0))
+    def test_monomial(self, Z, m, k, alpha):
+        with np.errstate(all="ignore"):
+            got = HerzMonomial(alpha, m, k).evaluate_array(Z)
+            want = alpha * _ones_start_pow(Z, m) * _ones_start_pow(np.conj(Z), k)
+        assert isinstance(got, np.ndarray) and got.shape == Z.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ARRAYS, st.dictionaries(st.tuples(_EXPONENTS, _EXPONENTS), _COEFFS, min_size=1, max_size=4))
+    def test_series(self, Z, coeffs):
+        with np.errstate(all="ignore"):
+            got = HerzSeries(coeffs, max_degree=18).evaluate_array(Z)
+            want = np.zeros_like(Z)
+            for (m, k), c in sorted(coeffs.items()):
+                want = want + c * _ones_start_pow(Z, m) * _ones_start_pow(np.conj(Z), k)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConjugateEquivariance:

@@ -67,6 +67,28 @@ class TestNormalize:
         assert normalize(p.blocks, n) == p
         assert normalize(reversed(blocks), n) == p
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_all_pairs_scan(self, seed):
+        # the element index finds the same maximal blocks, and has_overlap the same
+        # verdict, as comparing every pair of blocks
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 9))
+        blocks = [frozenset(g.choice(n, size=g.integers(1, n + 1), replace=False).tolist())
+                  for _ in range(int(g.integers(0, 7)))]
+        sets = set(blocks)
+        kept = sorted((u for u in sets if not any(u < v for v in sets)),
+                      key=lambda u: (min(u), len(u), sorted(u)))
+        p = normalize(blocks, n)
+        assert p.blocks == tuple(kept)
+        assert p.has_overlap() == any(u & v for i, u in enumerate(kept) for v in kept[i + 1:])
+
+    def test_twenty_thousand_blocks(self):
+        # T_{k+1} of contiguous_partition(k) has k blocks; an all-pairs scan of
+        # them grows as k^2 and took 7 s at k = 10000
+        p = contiguous_partition_rule(20000).pattern(20001)
+        assert len(p.blocks) == 20000 and p.max_block_size() == 2 and not p.has_overlap()
+
 
 class TestClassifyPattern:
     def test_partition_of_all(self):

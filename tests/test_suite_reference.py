@@ -1,15 +1,17 @@
 """The stacked acceptance criteria against copies of their one-matrix-at-a-time form.
 
 Each ``_reference_*`` function below is the criterion as it ran before its
-cases were stacked per n: every case goes through the public ``apply``,
-``decompose``, ``mask_factorization`` and ``schur_complement`` on its own
-matrix, and criteria 9 and 12 through copies of the one-matrix checks they
-used (``_correlation_bound_check`` and ``_induction_step_check`` below).  The
-stacked criterion must give the same record, compared as ``canonical_json``
-bytes, at more seeds than ``suite_bytes.json`` pins.  Since the records of
-criteria 9 and 12 carry only pass/fail for those checks, the stacked checks
-are also compared verdict by verdict with the one-matrix copies, on the
-suite's draws and on inputs that fail.
+cases were stacked per n: every case (for criterion 2, every slope) goes
+through the public ``apply``, ``decompose``, ``mask_factorization`` and
+``schur_complement`` on its own matrix, criteria 4 and 5 evaluate g and f at
+the witness's scalars one call at a time, and criteria 9 and 12 go through
+copies of the one-matrix checks they used (``_correlation_bound_check`` and
+``_induction_step_check`` below).  The stacked criterion must give the same
+record, compared as ``canonical_json`` bytes, at more seeds than
+``suite_bytes.json`` pins.  Since the records of criteria 9 and 12 carry only
+pass/fail for those checks, the stacked checks are also compared verdict by
+verdict with the one-matrix copies, on the suite's draws and on inputs that
+fail.
 """
 
 import math
@@ -20,7 +22,7 @@ import pytest
 
 from psdmask import suite
 from psdmask.functions import Domain, HerzMonomial, Identity, ScalarMultiple, scaled_identity
-from psdmask.linalg import eig_extremes, exact_hermitian, identity, kron, schur_complement
+from psdmask.linalg import all_ones, eig_extremes, exact_hermitian, identity, kron, psd_holds, schur_complement
 from psdmask.operators import OperatorSpec, apply, decompose, mask_factorization, star_pattern
 from psdmask.patterns import normalize
 from psdmask.suite import _random_builtin, _random_pattern, _rng
@@ -119,6 +121,34 @@ def _induction_draws(cfg):
         A = exact_hermitian(sample_psd(rng, n, dom) + 0.05 * identity(n))
         c = Fraction(-1, k) * Fraction(int(rng.integers(1, 11)), 10)
         yield c, k, A, sizes
+
+
+def _reference_star_all_ones_law(cfg):
+    dom = Domain.disc(math.inf)
+    xs = (0.1, 0.5, 0.9)
+    devs = []
+    mismatches = 0
+    for n in range(2, 7):
+        star = star_pattern(n)
+        boundary = Fraction(-1, n - 1)
+        grid = [Fraction(6 * j - 120, 100) for j in range(41)] + [boundary]
+        J = np.array([x * all_ones(n) for x in xs])
+        # one image per (c, x), c-major
+        M = np.array([apply(OperatorSpec(f=scaled_identity(float(c)), pattern=star, domain=dom), J)
+                      for c in grid]).reshape(-1, n, n)
+        eigs = np.linalg.eigvalsh(M)
+        law = np.sort([[(1.0 - float(c)) * x] * (n - 1) + [(1.0 + (n - 1) * float(c)) * x]
+                       for c in grid for x in xs], axis=1)
+        devs += np.abs(eigs - law).max(axis=1).tolist()
+        expected = np.repeat([boundary <= c <= 1 for c in grid], len(xs))
+        mismatches += int(np.count_nonzero(psd_holds(eigs[:, 0], eigs[:, -1], cfg.tol) != expected))
+    max_dev = max([0.0, *devs])
+    return {
+        "id": 2,
+        "name": "star-all-ones-eigenvalue-law",
+        "passed": bool(max_dev <= 1e-10 and mismatches == 0),
+        "measured": {"max_eigenvalue_deviation": max_dev, "interval_mismatches": mismatches},
+    }
 
 
 def _reference_chain_determinant(cfg):
@@ -268,6 +298,7 @@ def _reference_induction_step(cfg):
 
 
 PAIRS = {
+    2: (_reference_star_all_ones_law, suite._criterion_star_all_ones_law),
     4: (_reference_chain_determinant, suite._criterion_chain_determinant),
     5: (_reference_split_pair_complement, suite._criterion_split_pair_complement),
     6: (_reference_decomposition, suite._criterion_decomposition),
