@@ -4,7 +4,8 @@ Exit codes: 0 pass/preserved, 1 suite failure, 2 usage or input error,
 3 refuted.  Every run emits a human-readable summary on stdout (or the raw
 JSON with --json) and can write the machine-readable report to --out.  The
 report body is deterministic for fixed inputs and seed; only the wrapping
-timestamp field varies between runs.
+timestamp field varies between runs.  A report holding a NaN or an
+infinity, which JSON cannot carry, exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -61,12 +62,15 @@ def _emit(body: dict, args, lines: list[str]) -> None:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "report": body,
     }
+    # checked once, before anything is written: a NaN or an infinity in the
+    # report is a ValueError (exit 2), never a bare NaN in the output
+    text = json.dumps(wrapped, sort_keys=True, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(wrapped, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if getattr(args, "json", False):
-        print(json.dumps(wrapped, sort_keys=True))
+        print(text)
     else:
         for line in lines:
             print(line)

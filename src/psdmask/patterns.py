@@ -14,7 +14,7 @@ Indices are 0-based in Python; the JSON wire format is 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -73,7 +73,8 @@ class BlockPattern:
     @cached_property
     def mask(self) -> np.ndarray:
         """Read-only boolean grid: True where some block contains both indices
-        (g-territory).  Built on first use and kept as long as the pattern."""
+        (g-territory).  Built on first use and kept as long as the pattern, so
+        as long as the rule that built it (``PatternRule.pattern``)."""
         member = np.zeros((len(self.blocks), self.n), dtype=bool)  # member[j, i]: block j holds i
         for row, b in zip(member, self.blocks):
             row[list(b)] = True
@@ -93,12 +94,13 @@ def normalize(blocks, n: int) -> BlockPattern:
             raise BlockOutOfRangeError(f"block {sorted(fs)} not inside range({n})")
         if fs:
             sets.add(fs)
-    # a block lies inside another only if that one holds its smallest element
+    # a block lies inside another only if that one holds each of its elements,
+    # so only the blocks holding its least-held element need a check
     holding: dict[int, list[frozenset[int]]] = {}
     for v in sets:
         for i in v:
             holding.setdefault(i, []).append(v)
-    kept = [u for u in sets if not any(u < v for v in holding[min(u)])]
+    kept = [u for u in sets if not any(u < v for v in min((holding[i] for i in u), key=len))]
     kept.sort(key=lambda u: (min(u), len(u), sorted(u)))
     return BlockPattern(n=n, blocks=tuple(kept))
 
@@ -160,14 +162,17 @@ class PatternRule:
     name: str
     generator: Callable[[int], BlockPattern]
     flags: RuleFlags
+    _patterns: dict[int, BlockPattern] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pattern(self, n: int) -> BlockPattern:
-        p = self.generator(n)
-        if n >= 2 and p.is_full_block():
-            raise RejectedFullBlockError(
-                f"rule {self.name!r} materializes the full block at n={n}"
-            )
-        return p
+        """T_n, built on first use and kept, with its mask, as long as the rule.
+        A full block at n >= 2 raises on every call and is never kept."""
+        if n not in self._patterns:
+            p = self.generator(n)
+            if n >= 2 and p.is_full_block():
+                raise RejectedFullBlockError(f"rule {self.name!r} materializes the full block at n={n}")
+            self._patterns[n] = p
+        return self._patterns[n]
 
 
 def _contiguous_split(count: int, parts: int) -> list[list[int]]:
@@ -315,10 +320,10 @@ def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str
     )
 
 
-def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> tuple[str, dict[int, BlockPattern]]:
-    """Check declared flags against T_1..T_probe_N; return the sequence regime
-    and the patterns built by dimension (T_1..T_probe_N and the flags' witness
-    dimensions), each built once.
+def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
+    """Check declared flags against T_1..T_probe_N and the flags' witness
+    dimensions; return the sequence regime.  The patterns it reads are the
+    rule's own (``PatternRule.pattern``), so a later call builds none again.
 
     Regime precedence: overlap anywhere -> R4; else any block of size >= 2 ->
     R3a (partition of range(n) for all n with finite max block count) or R3b
@@ -330,12 +335,11 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> tuple[st
     if probe_N < 3:
         raise ValueError("probe_N must be >= 3")
     flags = rule.flags
-    patterns: dict[int, BlockPattern] = {}
     probed_nonempty = False
     probed_big = False
     probed_overlap = False
     for n in range(1, probe_N + 1):
-        p = patterns[n] = rule.pattern(n)
+        p = rule.pattern(n)
         cls = classify_pattern(p)
         if n >= 2 and cls.block_count > 0:
             probed_nonempty = True
@@ -353,43 +357,32 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> tuple[st
             raise FlagMismatchError(
                 f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
             )
-    if flags.has_block_ge2_at is not None:
-        at = _pattern_at(rule, patterns, flags.has_block_ge2_at)
-        if at.max_block_size() < 2:
-            raise FlagMismatchError(
-                f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
-            )
-    if flags.overlap_at is not None:
-        at = _pattern_at(rule, patterns, flags.overlap_at)
-        if not at.has_overlap():
-            raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
+    if flags.has_block_ge2_at is not None and rule.pattern(flags.has_block_ge2_at).max_block_size() < 2:
+        raise FlagMismatchError(
+            f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
+        )
+    if flags.overlap_at is not None and not rule.pattern(flags.overlap_at).has_overlap():
+        raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
     declared_big = flags.has_block_ge2_at is not None or flags.overlap_at is not None
     if not flags.all_singletons and not probed_big and not declared_big:
         raise FlagMismatchError(
             "all_singletons=False requires a probed block of size >= 2 or a declared location"
         )
     if probed_overlap or flags.overlap_at is not None:
-        return R4_OVERLAPPING, patterns
+        return R4_OVERLAPPING
     if probed_big or flags.has_block_ge2_at is not None:
         # T_2 is a partition of range(2) with at most K blocks, and not the full block: so K >= 2
         if flags.covers_all_n and math.isfinite(flags.max_block_count):
-            return R3A_PARTITION_ALL, patterns
-        return R3B_SUBPARTITION_OTHER, patterns
+            return R3A_PARTITION_ALL
+        return R3B_SUBPARTITION_OTHER
     if probed_nonempty or flags.eventually_nonempty:
-        return R2_SINGLETONS, patterns
-    return R1_EMPTY, patterns
-
-
-def _pattern_at(rule: PatternRule, patterns: dict[int, BlockPattern], n: int) -> BlockPattern:
-    """T_n from patterns, built and added there if it is not yet."""
-    if n not in patterns:
-        patterns[n] = rule.pattern(n)
-    return patterns[n]
+        return R2_SINGLETONS
+    return R1_EMPTY
 
 
 def classify_sequence(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
     """The sequence regime ``validate_rule`` decides."""
-    return validate_rule(rule, probe_N)[0]
+    return validate_rule(rule, probe_N)
 
 
 # -- JSON wire format ----------------------------------------------------------

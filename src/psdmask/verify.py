@@ -26,9 +26,9 @@ without an eigen-solve; the witnesses, built to refute, are never screened.
 So ``eigvalsh`` decides every other stack and is the only source of
 ``min_eig`` and of every Refuted verdict.
 
-Sample streams are split per (family, n) from the master seed as
-``default_rng([seed, family_id, n])``, which makes every battery stage
-independent of execution order.
+Each n's random samples come from their own stream, split from the master
+seed as ``default_rng([seed, 6, n])`` (6 is ``random_gram``'s family id), so
+no stage depends on the order in which the others ran.
 """
 
 from __future__ import annotations
@@ -93,14 +93,7 @@ from .witnesses import (
 OUTCOME_PRESERVED = "PreservedWithinBudget"
 OUTCOME_REFUTED = "Refuted"
 
-_FAMILY_IDS = {
-    "all_ones": 1,
-    "duplicated_pair_gram": 2,
-    "tail_gram": 3,
-    "overlap_probe": 4,
-    "tensor_blowup": 5,
-    "random_gram": 6,
-}
+_FAMILY_IDS = {"random_gram": 6}
 
 # Random samples are settled, applied and eig-checked this many at a time;
 # each n's Grams are drawn and formed in one stack before its first chunk.
@@ -538,10 +531,10 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
                 f"{tag} fails conjugate equivariance on the domain probe set; "
                 "its entrywise images cannot stay Hermitian"
             )
-    regime, built = validate_rule(rule, cfg.probe_N)
+    regime = validate_rule(rule, cfg.probe_N)
     if regime in (R3A_PARTITION_ALL, R3B_SUBPARTITION_OTHER, R4_OVERLAPPING) and cfg.max_n < 3:
         raise ValueError("max_n must be >= 3 for rules with blocks of size >= 2")
-    patterns = {n: built[n] if n in built else rule.pattern(n) for n in range(1, cfg.max_n + 1)}
+    patterns = {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
     stats: dict = {
         "families": {},
         "checked": 0,
@@ -596,7 +589,7 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     """
     cfg = cfg or VerifyConfig()
     K = _within_cap(_integer(K, "K", 2))  # checked first: the K x K eigen-solve below would refuse it
-    regime, patterns = validate_rule(rule, cfg.probe_N)
+    regime = validate_rule(rule, cfg.probe_N)
     if regime != R3A_PARTITION_ALL:
         raise RegimeMismatchError(f"rule is in regime {regime}, not a partition-of-all sequence")
     if not (math.isfinite(rule.flags.max_block_count) and int(rule.flags.max_block_count) == K):
@@ -608,7 +601,7 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     if lo <= c_frac <= 1:
         raise CNotOutsideError(f"c={c_frac} lies inside [{lo}, 1]")
     for target_n in range(1, max(cfg.probe_N, K + 2) + 1):
-        pattern = patterns[target_n] if target_n in patterns else rule.pattern(target_n)
+        pattern = rule.pattern(target_n)
         if len(pattern.blocks) == K:
             break
     else:

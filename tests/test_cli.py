@@ -205,6 +205,24 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert "tol must be a finite number" in err
 
+    @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "summary"])
+    def test_non_finite_report_is_usage_error(self, files, capsys, flags):
+        # z^400 overflows on disc(inf): the library's verdict carries min_eig NaN, which JSON cannot
+        tmp = files["tmp"]
+        (tmp / "z400.json").write_text(json.dumps({"variant": "herz_monomial",
+                                                   "params": {"alpha": 1, "m": 400, "k": 0}}))
+        (tmp / "empty.json").write_text(json.dumps({"kind": "empty", "params": {}}))
+        (tmp / "disc_inf.json").write_text(json.dumps({"kind": "disc", "rho": "inf"}))
+        out_file = tmp / "report.json"
+        code, out, err = run(
+            ["verify", "--rule", str(tmp / "empty.json"), "--f", str(tmp / "z400.json"),
+             "--domain", str(tmp / "disc_inf.json"), "--out", str(out_file), *flags],
+            capsys,
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "error" in err and "NaN" not in out
+        assert not out_file.exists()
+
 
 class TestRefute:
     def test_outside_scalar(self, files, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -34,6 +35,28 @@ from psdmask.patterns import (
     single_block_rule,
     validate_rule,
 )
+
+
+def _normalize_reference(blocks) -> tuple[frozenset[int], ...]:
+    """normalize's blocks by the definition: every nonempty block that no other
+    block strictly contains, each once, in canonical order."""
+    sets = {frozenset(b) for b in blocks if b}
+    kept = [u for u in sets if not any(u < v for v in sets)]
+    return tuple(sorted(kept, key=lambda u: (min(u), len(u), sorted(u))))
+
+
+@st.composite
+def block_families(draw):
+    """(n, blocks): random blocks of range(n), with nested subsets of them,
+    repeats and empty blocks, in a random order, each listed out of order."""
+    n = draw(st.integers(1, 8))
+    blocks = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=n), max_size=8))
+    for b in list(blocks):
+        if b and draw(st.booleans()):
+            blocks.append(frozenset(draw(st.sets(st.sampled_from(sorted(b))))))
+    if blocks:
+        blocks += draw(st.lists(st.sampled_from(blocks), max_size=3))
+    return n, [sorted(b, reverse=True) for b in draw(st.permutations(blocks))]
 
 
 class TestNormalize:
@@ -82,6 +105,19 @@ class TestNormalize:
         p = normalize(blocks, n)
         assert p.blocks == tuple(kept)
         assert p.has_overlap() == any(u & v for i, u in enumerate(kept) for v in kept[i + 1:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(block_families())
+    def test_matches_brute_force_reference(self, family):
+        n, blocks = family
+        assert normalize(blocks, n).blocks == _normalize_reference(blocks)
+
+    def test_twenty_thousand_blocks_sharing_one_index(self):
+        # every block {0, i} holds 0, so a check against the blocks holding each
+        # block's smallest element compares all 20,000 with one another
+        p = normalize([{i, 0} for i in range(20000, 0, -1)], 20001)
+        assert p.blocks == tuple(frozenset({0, i}) for i in range(1, 20001))
+        assert p.has_overlap()
 
     def test_twenty_thousand_blocks(self):
         # T_{k+1} of contiguous_partition(k) has k blocks; an all-pairs scan of
@@ -413,3 +449,56 @@ class TestJson:
         back = flags_from_json(json.loads(FLAGS_DOC))
         assert back.max_block_count == math.inf
         assert back == all_singletons_rule().flags
+
+
+def _builtin_rules():
+    return [empty_rule(), all_singletons_rule(), single_block_rule({0, 2}),
+            contiguous_partition_rule(3), proper_subpartition_rule(2), overlapping_chain_rule()]
+
+
+class TestRuleOwnsPatterns:
+    """A rule builds each T_n once and keeps it, with its mask, as long as it lives."""
+
+    EXPLICIT = explicit_rule(
+        {3: normalize([{0, 1}], 3)},
+        RuleFlags(eventually_nonempty=True, all_singletons=False, covers_all_n=False, max_block_count=1),
+    )
+
+    @pytest.mark.parametrize("rule", _builtin_rules() + [EXPLICIT], ids=lambda r: r.name)
+    def test_pattern_is_kept(self, rule):
+        for n in range(1, 9):
+            p = rule.pattern(n)
+            assert rule.pattern(n) is p
+            assert p.mask is rule.pattern(n).mask
+        assert validate_rule(rule) == classify_sequence(rule)
+        assert isinstance(validate_rule(rule), str)
+
+    def test_full_block_raises_on_every_call(self):
+        calls = []
+        rule = dataclasses.replace(
+            all_singletons_rule(),
+            generator=lambda n: calls.append(n) or normalize([range(n)] if n in (1, 3) else [], n),
+        )
+        for _ in range(3):
+            with pytest.raises(RejectedFullBlockError):
+                rule.pattern(3)
+        assert calls == [3, 3, 3]
+        assert rule.pattern(1) is rule.pattern(1)  # the full block {0} of range(1) is kept
+
+    def test_flag_mismatch_raises_on_every_validation(self):
+        bad = explicit_rule(
+            {3: normalize([{0, 1}], 3)},
+            RuleFlags(eventually_nonempty=True, all_singletons=True, covers_all_n=False, max_block_count=1),
+        )
+        for _ in range(3):
+            with pytest.raises(FlagMismatchError):
+                validate_rule(bad)
+
+    @pytest.mark.parametrize("rule", _builtin_rules() + [EXPLICIT], ids=lambda r: r.name)
+    def test_kept_patterns_outside_repr_and_equality(self, rule):
+        fresh = dataclasses.replace(rule)
+        text = repr(fresh)
+        rule.pattern(5)
+        assert repr(rule) == text and "_patterns" not in text
+        assert rule == fresh and hash(rule) == hash(fresh)
+        assert fresh.pattern(5) is not rule.pattern(5) and fresh.pattern(5) == rule.pattern(5)

@@ -604,7 +604,7 @@ class TestRefuteScalar:
 
 
 class TestPatternsBuiltOnce:
-    """A verify call builds each T_n at most once: validation's patterns serve the battery."""
+    """A rule builds each T_n once: validation and the battery read the rule's own patterns."""
 
     CFG = VerifyConfig(max_n=6, samples_per_n=2, probe_N=4)
 
@@ -635,6 +635,23 @@ class TestPatternsBuiltOnce:
         assert refute_scalar_outside_interval(counted, 3, -0.6, DISC1, cfg=cfg).refuted
         assert set(calls) >= set(range(1, probe_N + 1))
         assert max(calls.values()) == 1, calls
+
+    def test_calls_again_build_nothing(self):
+        counted, calls = self._counted(contiguous_partition_rule(3))
+        verify_preservation(Identity(), Identity(), counted, DISC1, self.CFG)
+        first = dict(calls)
+        verify_preservation(Identity(), Identity(), counted, DISC1, self.CFG)
+        refute_scalar_outside_interval(counted, 3, -0.6, DISC1, cfg=VerifyConfig(probe_N=4))
+        assert calls == first
+
+    @pytest.mark.parametrize("c, outcome", [(-0.75, "Refuted"), (0.5, OUTCOME_PRESERVED)])
+    def test_kept_patterns_give_the_same_bytes(self, c, outcome):
+        rule, cfg = contiguous_partition_rule(3), VerifyConfig(max_n=5, samples_per_n=30)
+        runs = [verify_preservation(Identity(), scaled_identity(c), r, DISC1, cfg)
+                for r in (rule, rule, dataclasses.replace(rule))]
+        assert runs[0].outcome == outcome
+        texts = {canonical_json(v.to_json()) for v in runs}
+        assert len(texts) == 1
 
 
 class TestCorrelationBound:
