@@ -14,7 +14,7 @@ Indices are 0-based in Python; the JSON wire format is 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -295,23 +295,21 @@ def overlapping_chain_rule() -> PatternRule:
 def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str = "explicit") -> PatternRule:
     """Rule from explicitly listed patterns.
 
-    For an unlisted dimension the pattern of the largest listed n' <= n is
-    reused (its blocks still fit in range(n)); below the smallest listed n the
-    pattern is empty.
+    Each listed pattern is normalized once, on range of its own n, when the
+    rule is built.  For an unlisted dimension the pattern of the largest
+    listed n' <= n is reused with n in place of n' (its blocks still fit in
+    range(n), and normalizing them on range(n) gives the same blocks in the
+    same order); below the smallest listed n the pattern is empty.
     """
     if not patterns:
         raise ValueError("at least one pattern must be listed")
-    listed = dict(sorted(patterns.items()))
-    levels = list(listed)
+    listed = {m: normalize(p.blocks, m) for m, p in patterns.items()}
 
     def gen(n: int) -> BlockPattern:
-        best = None
-        for m in levels:
-            if m <= n:
-                best = m
+        best = max((m for m in listed if m <= n), default=None)
         if best is None:
             return normalize([], n)
-        return normalize(listed[best].blocks, n)
+        return replace(listed[best], n=n)
 
     return PatternRule(
         name=name,

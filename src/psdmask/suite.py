@@ -3,7 +3,10 @@ pass/fail record with the measured quantities, plus a determinism cross-run.
 
 Every criterion re-derives its random stream from the config seed, so a
 rerun with the same seed reproduces the report byte for byte (checked by the
-final criterion itself).  Criteria 1-7, 9 and 12 draw all their cases in
+final criterion itself).  Where the process may run on more than one CPU,
+that rerun runs in a forked child, concurrently with the first body, and
+returns its canonical JSON through a pipe; elsewhere it runs after the
+first body.  Criteria 1-7, 9 and 12 draw all their cases in
 stream order and evaluate each case's own g and f once on its own matrix;
 the domain check, the settle, the eigen-solve, determinant or Schur
 complement and the gap reductions then run once per stack of same-size
@@ -26,6 +29,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import signal
+import warnings
 from fractions import Fraction
 from functools import reduce
 
@@ -606,12 +612,73 @@ def _criteria_body(cfg: VerifyConfig) -> list[dict]:
     return [fn(cfg) for fn in _CRITERIA]
 
 
+def _fork_rerun(cfg: VerifyConfig) -> tuple[int, int]:
+    """Fork a child that runs the criteria body and writes its canonical JSON
+    to a pipe; return the child's pid and the pipe's read end.
+
+    The child writes nothing else (its warnings are ignored) and leaves by
+    ``os._exit``, so it flushes no inherited buffer and runs no atexit
+    handler: status 0 after the bytes, 1 if the body raised, with the
+    exception's type and message in place of the bytes.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        warnings.simplefilter("ignore")
+        try:
+            data, code = canonical_json(_criteria_body(cfg)).encode(), 0
+        except Exception as exc:
+            data, code = f"{type(exc).__name__}: {exc}".encode(), 1
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+        status = code
+    finally:
+        os._exit(status)
+
+
 def run_theorem_suite(cfg: VerifyConfig | None = None) -> dict:
-    """Run every acceptance criterion plus the determinism cross-check."""
+    """Run every acceptance criterion plus the determinism cross-check.
+
+    Criterion 13 compares the criteria body's canonical JSON with a rerun's.
+    Where the process may run on more than one CPU (``os.sched_getaffinity``,
+    Linux only) the rerun runs in a forked child while this process runs the
+    first body; elsewhere the two run one after the other.  A rerun that
+    raises makes this call raise, and no child outlives the call.
+
+    Forked, both bodies start from the same process state, so criterion 13
+    does not compare a cold ``verify._section`` battery with a warm one; that
+    is left to ``tests/test_verify.py::TestBatteryCache::test_warm_verdicts_match_cold``
+    and ``tests/test_acceptance.py::test_rerun_reproduces_report_bytes``.
+    """
     cfg = cfg or VerifyConfig()
-    first = _criteria_body(cfg)
-    second = _criteria_body(cfg)
-    identical = canonical_json(first) == canonical_json(second)
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        pid, fd = _fork_rerun(cfg)
+        try:
+            first = _criteria_body(cfg)
+            with open(fd, "rb", closefd=False) as pipe:
+                rerun = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            raise RuntimeError(f"determinism rerun exited with status {code}: {rerun.decode(errors='replace')}")
+        identical = canonical_json(first).encode() == rerun
+    else:
+        first = _criteria_body(cfg)
+        identical = canonical_json(first) == canonical_json(_criteria_body(cfg))
     criteria = first + [
         {
             "id": 13,

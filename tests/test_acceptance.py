@@ -7,10 +7,15 @@ criteria ran on stacks; a faster suite must reproduce every byte.
 
 import hashlib
 import json
+import os
 import pathlib
+import signal
+import sys
+import time
 
 import pytest
 
+from psdmask import suite
 from psdmask.suite import _criterion_dominance_necessity, run_theorem_suite
 from psdmask.verify import VerifyConfig, canonical_json
 
@@ -134,3 +139,101 @@ def test_suite_body_bytes(name):
 
 def test_dominance_necessity_keeps_its_2x2_witness_at_max_n_1():
     assert _criterion_dominance_necessity(VerifyConfig(max_n=1))["passed"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_left_after_suite(report):
+    _assert_no_child_left()
+
+
+linux_only = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the rerun forks on Linux only")
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork the rerun whatever the CPU count; return a setter for a one-criterion body."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def body(measure):
+        def criterion(cfg):
+            return {"id": 1, "name": "probe", "passed": True, "measured": measure()}
+
+        monkeypatch.setattr(suite, "_CRITERIA", (criterion,))
+
+    return body
+
+
+@linux_only
+class TestConcurrentRerun:
+    """Criterion 13's rerun runs in a forked child beside the first body."""
+
+    def test_agreeing_rerun_passes(self, forking):
+        forking(lambda: {"value": 1})
+        out = run_theorem_suite(VerifyConfig(max_n=3))
+        assert [c["passed"] for c in out["criteria"]] == [True, True] and out["all_passed"]
+        _assert_no_child_left()
+
+    def test_rerun_that_differs_fails_criterion_13(self, forking):
+        forking(lambda: {"pid": os.getpid()})
+        out = run_theorem_suite(VerifyConfig(max_n=3))
+        assert out["criteria"][-1] == {
+            "id": 13,
+            "name": "determinism",
+            "passed": False,
+            "measured": {"reruns": 2, "identical_canonical_json": False},
+        }
+        assert out["all_passed"] is False
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fail", ["raise", "exit", "signal"])
+    def test_rerun_failing_in_the_child_raises(self, forking, fail):
+        caller = os.getpid()
+
+        def measure():
+            if os.getpid() != caller:
+                if fail == "raise":
+                    raise ValueError("child only")
+                if fail == "exit":
+                    sys.exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return {}
+
+        forking(measure)
+        match = {"raise": "status 1: ValueError: child only", "exit": "status 1: $", "signal": "status -9"}[fail]
+        with pytest.raises(RuntimeError, match=match):
+            run_theorem_suite(VerifyConfig(max_n=3))
+        _assert_no_child_left()
+
+    def test_first_body_raising_kills_and_reaps_the_child(self, forking):
+        caller = os.getpid()
+
+        def measure():
+            if os.getpid() == caller:
+                raise ValueError("parent only")
+            time.sleep(30)  # a child left to finish would hold the call this long
+            return {}
+
+        forking(measure)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="parent only"):
+            run_theorem_suite(VerifyConfig(max_n=3))
+        assert time.perf_counter() - t0 < 10
+        _assert_no_child_left()
+
+
+def _no_fork():
+    raise AssertionError("the serial path forked")
+
+
+@pytest.mark.parametrize("affinity", ["one_cpu", "absent"])
+def test_serial_path_reproduces_pinned_bytes(monkeypatch, affinity):
+    if affinity == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    assert _sha256(run_theorem_suite(VerifyConfig())) == SUITE_BYTES["seed_0"]["sha256"]

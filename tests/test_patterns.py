@@ -19,6 +19,7 @@ from psdmask.patterns import (
     R4_OVERLAPPING,
     SINGLETONS_ONLY,
     SUBPARTITION_WITH_BIG_BLOCK,
+    BlockPattern,
     RuleFlags,
     all_singletons_rule,
     classify_pattern,
@@ -472,6 +473,20 @@ class TestRuleOwnsPatterns:
             assert p.mask is rule.pattern(n).mask
         assert validate_rule(rule) == classify_sequence(rule)
         assert isinstance(validate_rule(rule), str)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(block_families(), min_size=1, max_size=3))
+    def test_explicit_pattern_is_listed_blocks_normalized_at_n(self, families):
+        # the listed blocks go in raw; T_n is those of the largest listed level <= n, normalized on range(n)
+        listed = dict(families)
+        rule = explicit_rule({m: BlockPattern(m, blocks) for m, blocks in listed.items()}, self.EXPLICIT.flags)
+        for n in range(1, 13):
+            expected = normalize(max(((m, b) for m, b in listed.items() if m <= n), default=(0, []))[1], n)
+            if n >= 2 and expected.is_full_block():
+                with pytest.raises(RejectedFullBlockError):
+                    rule.pattern(n)
+            else:
+                assert rule.pattern(n) == expected
 
     def test_full_block_raises_on_every_call(self):
         calls = []
