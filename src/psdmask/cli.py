@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (PsdMaskError, ValueError, KeyError, TypeError, OSError,
-            ArithmeticError, json.JSONDecodeError) as exc:
+            ArithmeticError, RecursionError) as exc:  # RecursionError: a JSON input nested too deeply
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -406,9 +406,15 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _listed_from_json(data: dict) -> BlockPattern:
+    """A pattern document's n and 0-based blocks as listed, not yet normalized."""
+    blocks = tuple([_integer(i, "block index", 1) - 1 for i in b] for b in data.get("blocks", []))
+    return BlockPattern(_integer(data["n"], "n", 1), blocks)
+
+
 def pattern_from_json(data: dict) -> BlockPattern:
-    blocks = [[_integer(i, "block index", 1) - 1 for i in b] for b in data.get("blocks", [])]
-    return normalize(blocks, _integer(data["n"], "n", 1))
+    listed = _listed_from_json(data)
+    return normalize(listed.blocks, listed.n)
 
 
 def flags_from_json(data: dict) -> RuleFlags:
@@ -457,7 +463,7 @@ def rule_from_json(data: dict) -> PatternRule:
     if kind == "explicit":
         pats = {}
         for entry in params["patterns"]:
-            p = pattern_from_json(entry)
+            p = _listed_from_json(entry)  # explicit_rule normalizes it
             if p.n in pats:  # a dict would keep the last pattern without a word
                 raise ValueError(f"explicit rule lists two patterns at n={p.n}")
             pats[p.n] = p

@@ -1,5 +1,6 @@
-"""The acceptance suite: one function per criterion, each returning a
-pass/fail record with the measured quantities, plus a determinism cross-run.
+"""The acceptance suite: one table (``_CRITERIA``) numbers and names the
+criteria, each check returns whether it passed and the measured quantities,
+and one builder makes every record, the determinism cross-run's too.
 
 Every criterion re-derives its random stream from the config seed, so a
 rerun with the same seed reproduces the report byte for byte (checked by the
@@ -8,10 +9,12 @@ that rerun runs in a forked child, concurrently with the first body, and
 returns its canonical JSON through a pipe; elsewhere it runs after the
 first body.  Criteria 1-7, 9 and 12 draw all their cases in
 stream order and evaluate each case's own g and f once on its own matrix;
-the domain check, the settle, the eigen-solve, determinant or Schur
-complement and the gap reductions then run once per stack of same-size
-cases, through the same kernels as ``apply``, ``decompose``,
-``mask_factorization`` and ``schur_complement``.  The correlation bound
+the settle, the eigen-solve, determinant or Schur complement and the gap
+reductions then run once per stack of same-size cases, through the same
+kernels as ``apply``, ``decompose``, ``mask_factorization`` and
+``schur_complement``.  The suite builds every input inside its domain (the
+samples scaled by ``_into_domain``, the witnesses checked by their
+constructors), so it checks none of them again.  The correlation bound
 (criterion 9) and the peel-one-block recursion (criterion 12) are checked
 here, per matrix of such a stack.  Each matrix of a stack comes out bit for
 bit as it would alone, and every reported extreme is a running min or max
@@ -60,7 +63,6 @@ from .linalg import (
 )
 from .operators import (
     OperatorSpec,
-    _check_domain,
     _decomposition,
     _factorization,
     _image,
@@ -148,7 +150,7 @@ def _samples(draws: list, at, dom: Domain) -> np.ndarray:
     return _into_domain(_grams([draws[i] for i in at], dom), dom)
 
 
-def _criterion_schur_closure(cfg: VerifyConfig) -> dict:
+def _criterion_schur_closure(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 101)
     dom = Domain.disc(1.0)
     ns, a_draws, b_draws = [], [], []
@@ -162,16 +164,10 @@ def _criterion_schur_closure(cfg: VerifyConfig) -> dict:
         lows[at] = eig_extremes(schur_product(_samples(a_draws, at, dom), _samples(b_draws, at, dom)))[0]
     # in draw order, as a running min that skips NaN and keeps the first of equal zeros
     worst = reduce(min, lows.tolist(), math.inf)
-    return {
-        "id": 1,
-        "name": "schur-product-closure",
-        "passed": bool(worst >= -1e-8),
-        "measured": {"pairs": 1000, "worst_min_eig": float(worst), "bound": -1e-8},
-    }
+    return worst >= -1e-8, {"pairs": 1000, "worst_min_eig": float(worst), "bound": -1e-8}
 
 
-def _criterion_star_all_ones_law(cfg: VerifyConfig) -> dict:
-    dom = Domain.disc(math.inf)
+def _criterion_star_all_ones_law(cfg: VerifyConfig) -> tuple[bool, dict]:
     xs = (0.1, 0.5, 0.9)
     devs = []
     mismatches = 0
@@ -180,7 +176,6 @@ def _criterion_star_all_ones_law(cfg: VerifyConfig) -> dict:
         boundary = Fraction(-1, n - 1)
         grid = [Fraction(6 * j - 120, 100) for j in range(41)] + [boundary]
         J = np.array([x * all_ones(n) for x in xs])
-        _check_domain(dom, J)
         # one image per (c, x), c-major: f = c z at every slope at once
         cs = np.array([float(c) for c in grid])
         M = _image(star.mask, J, cs[:, None, None, None] * J).reshape(-1, n, n)
@@ -191,15 +186,11 @@ def _criterion_star_all_ones_law(cfg: VerifyConfig) -> dict:
         expected = np.repeat([boundary <= c <= 1 for c in grid], len(xs))
         mismatches += int(np.count_nonzero(psd_holds(eigs[:, 0], eigs[:, -1], cfg.tol) != expected))
     max_dev = reduce(max, devs, 0.0)
-    return {
-        "id": 2,
-        "name": "star-all-ones-eigenvalue-law",
-        "passed": bool(max_dev <= 1e-10 and mismatches == 0),
-        "measured": {"max_eigenvalue_deviation": max_dev, "interval_mismatches": mismatches},
-    }
+    return max_dev <= 1e-10 and mismatches == 0, {"max_eigenvalue_deviation": max_dev,
+                                                   "interval_mismatches": mismatches}
 
 
-def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> dict:
+def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> tuple[bool, dict]:
     dom = Domain.disc(1.0)
     lows = []
     for k in (2, 3, 4):
@@ -215,7 +206,6 @@ def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> dict:
         low = np.empty(500)
         for at, mask in _by_n(ns, masks):
             A = _samples(draws, at, dom)
-            _check_domain(dom, A)
             low[at] = eig_extremes(_image(mask, A, f.evaluate_array(A)))[0]
         lows += low.tolist()
     worst = reduce(min, lows, math.inf)
@@ -242,23 +232,18 @@ def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> dict:
             continue
         battery_law = (1.0 + (k - 1) * float(c_out)) * bce.params["x"]
         max_dev = max(max_dev, abs(bce.min_eig - battery_law))
-    return {
-        "id": 3,
-        "name": "partition-scalar-interval",
-        "passed": bool(worst >= -1e-8 and refuted and max_dev <= 1e-10),
-        "measured": {
-            "sufficiency_worst_min_eig": float(worst),
-            "necessity_refuted": bool(refuted),
-            "necessity_eigenvalue_deviation": float(max_dev),
-        },
+    return worst >= -1e-8 and refuted and max_dev <= 1e-10, {
+        "sufficiency_worst_min_eig": float(worst),
+        "necessity_refuted": bool(refuted),
+        "necessity_eigenvalue_deviation": float(max_dev),
     }
 
 
-def _criterion_chain_determinant(cfg: VerifyConfig) -> dict:
+def _criterion_chain_determinant(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 104)
     dom = Domain.disc(1.0)
     mask = normalize([{0, 1}, {1, 2}], 3).mask
-    B, G, F, laws = [], [], [], []
+    G, F, laws = [], [], []
     for _ in range(200):
         g = HerzMonomial(0.5 + 1.5 * rng.random(), int(rng.integers(0, 3)), int(rng.integers(0, 3)))
         f = _random_builtin(rng, g)
@@ -266,28 +251,22 @@ def _criterion_chain_determinant(cfg: VerifyConfig) -> dict:
         z = r * rng.random() * np.exp(2j * math.pi * rng.random())
         M = overlap_probe(r, complex(z), dom).matrix
         GM, FM = g.evaluate_array(M), f.evaluate_array(M)
-        B.append(M)
         G.append(GM)
         F.append(FM)
         # g(r), g(z) and f(z) are the images' entries at r = M[0, 0] and z = M[0, 1]
         laws.append(-(complex(GM[0, 0]).real) * abs(complex(FM[0, 1]) - complex(GM[0, 1])) ** 2)
-    _check_domain(dom, np.array(B))
     dets = np.linalg.det(_image(mask, np.array(G), np.array(F))).tolist()
     max_rel = reduce(max, [abs(d.real - law) / max(1.0, abs(law)) for d, law in zip(dets, laws)], 0.0)
     max_imag = reduce(max, [abs(d.imag) for d in dets], 0.0)
-    return {
-        "id": 4,
-        "name": "chain-determinant-identity",
-        "passed": bool(max_rel <= 1e-10 and max_imag <= 1e-10),
-        "measured": {"cases": 200, "max_relative_gap": max_rel, "max_imag": max_imag},
-    }
+    return max_rel <= 1e-10 and max_imag <= 1e-10, {"cases": 200, "max_relative_gap": max_rel,
+                                                     "max_imag": max_imag}
 
 
-def _criterion_split_pair_complement(cfg: VerifyConfig) -> dict:
+def _criterion_split_pair_complement(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 105)
     dom = Domain.disc(1.0)
     mask = normalize([{0, 1}, {2}], 3).mask
-    W, G, F, laws = [], [], [], []
+    G, F, laws = [], [], []
     for _ in range(200):
         # low exponents and |w| away from 0 keep the 1/g(|w|)^2 factor
         # well-conditioned against the 1e-10 tolerance
@@ -305,26 +284,16 @@ def _criterion_split_pair_complement(cfg: VerifyConfig) -> dict:
         # a random f, then c*g, whose determinant must vanish
         for f in (_random_builtin(rng, g), ScalarMultiple(c, g)):
             FM = f.evaluate_array(M)
-            W.append(M)
             G.append(GM)
             F.append(FM)
             laws.append(-abs(complex(FM[1, 1]) * gz1 - gw * f(z1)) ** 2 / gw ** 2)
-    _check_domain(dom, np.array(W))
     comp = schur_complement(_image(mask, np.array(G), np.array(F)), {2})
     # numpy scalars, as one matrix alone: the vector complex product may round differently
     dets = [complex(C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]) for C in comp]
     max_rel = reduce(max, [abs(d.real - law) / max(1.0, abs(law)) for d, law in zip(dets, laws)], 0.0)
     max_scaled_zero = reduce(max, [abs(d) for d in dets[1::2]], 0.0)
-    return {
-        "id": 5,
-        "name": "split-pair-schur-determinant",
-        "passed": bool(max_rel <= 1e-10 and max_scaled_zero <= 1e-10),
-        "measured": {
-            "cases": 200,
-            "max_relative_gap": max_rel,
-            "max_abs_det_for_scalar_multiple": max_scaled_zero,
-        },
-    }
+    return max_rel <= 1e-10 and max_scaled_zero <= 1e-10, {
+        "cases": 200, "max_relative_gap": max_rel, "max_abs_det_for_scalar_multiple": max_scaled_zero}
 
 
 def _values(fns: list, A: np.ndarray) -> np.ndarray:
@@ -337,7 +306,7 @@ def _rel_gaps(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.abs(X - Y).max(axis=(-2, -1)) / np.fmax(1.0, np.abs(Y).max(axis=(-2, -1)))
 
 
-def _criterion_decomposition(cfg: VerifyConfig) -> dict:
+def _criterion_decomposition(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 106)
     dom = Domain.disc(1.0)
     ns, masks, gs, fs, draws = [], [], [], [], []
@@ -351,7 +320,6 @@ def _criterion_decomposition(cfg: VerifyConfig) -> dict:
     gaps = np.empty(200)
     for at, mask in _by_n(ns, masks):
         A = _samples(draws, at, dom)
-        _check_domain(dom, A)
         out, p1, p2 = _decomposition(mask, _values([gs[i] for i in at], A), _values([fs[i] for i in at], A))
         gaps[at] = _rel_gaps(p1 + p2, out)
     max_gap = reduce(max, gaps.tolist(), 0.0)
@@ -364,21 +332,16 @@ def _criterion_decomposition(cfg: VerifyConfig) -> dict:
             fs.append(_random_builtin(rng, Identity()))
         A0 = _into_domain(_grams(draws, dom), dom)
         big = kron(np.ones((m, m)), A0)
-        _check_domain(dom, big)
         lhs = _image(star_pattern(2 * m).mask, _values(gs, big), _values(fs, big))
         _, f_img, diag_term = _decomposition(star_pattern(2).mask, _values(gs, A0), _values(fs, A0))
         rhs = kron(np.ones((m, m)), f_img) + kron(np.eye(m), diag_term)
         tensor_gaps += _rel_gaps(rhs, lhs).tolist()
     max_tensor_gap = reduce(max, tensor_gaps, 0.0)
-    return {
-        "id": 6,
-        "name": "decomposition-identities",
-        "passed": bool(max_gap <= 1e-14 and max_tensor_gap <= 1e-14),
-        "measured": {"max_split_gap": max_gap, "max_tensor_gap": max_tensor_gap},
-    }
+    return max_gap <= 1e-14 and max_tensor_gap <= 1e-14, {"max_split_gap": max_gap,
+                                                           "max_tensor_gap": max_tensor_gap}
 
 
-def _criterion_mask_factorization(cfg: VerifyConfig) -> dict:
+def _criterion_mask_factorization(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 107)
     dom = Domain.disc(1.0)
     ns, masks, cs, draws = [], [], [], []
@@ -392,20 +355,14 @@ def _criterion_mask_factorization(cfg: VerifyConfig) -> dict:
     gaps = np.empty(200)
     for at, mask, c in _by_n(ns, masks, cs):
         A = _samples(draws, at, dom)
-        _check_domain(dom, A)
         rhs = _image(mask, A, _values([fs[i] for i in at], A))
         lhs = _factorization(mask, c[:, None, None], A, rhs)
         gaps[at] = _rel_gaps(lhs, rhs)
     max_gap = reduce(max, gaps.tolist(), 0.0)
-    return {
-        "id": 7,
-        "name": "mask-factorization",
-        "passed": bool(max_gap <= 1e-14),
-        "measured": {"cases": 200, "max_entrywise_gap": max_gap},
-    }
+    return max_gap <= 1e-14, {"cases": 200, "max_entrywise_gap": max_gap}
 
 
-def _criterion_corner_extension(cfg: VerifyConfig) -> dict:
+def _criterion_corner_extension(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 108)
     dom = Domain.open_pos(1.0)
     ok = True
@@ -419,12 +376,7 @@ def _criterion_corner_extension(cfg: VerifyConfig) -> dict:
         ok = ok and report.is_psd
         ok = ok and bool(dom.contains_array(M).all())
         ok = ok and bool(np.array_equal(M[:n, :n], A))
-    return {
-        "id": 8,
-        "name": "positive-corner-extension",
-        "passed": bool(ok),
-        "measured": {"cases": 100, "worst_min_eig": float(worst_min_eig)},
-    }
+    return ok, {"cases": 100, "worst_min_eig": float(worst_min_eig)}
 
 
 def _correlations(B: np.ndarray) -> np.ndarray:
@@ -456,7 +408,7 @@ def _correlation_bound(C: np.ndarray, tol: float = 1e-8):
     return ~fails, lo
 
 
-def _criterion_correlation_bound(cfg: VerifyConfig) -> dict:
+def _criterion_correlation_bound(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 109)
     ns, factors = [], []
     for _ in range(200):
@@ -469,15 +421,10 @@ def _criterion_correlation_bound(cfg: VerifyConfig) -> dict:
         holds, lows[at] = _correlation_bound(_correlations(B))
         ok = ok and bool(holds.all())
     worst = reduce(min, lows.tolist(), math.inf)
-    return {
-        "id": 9,
-        "name": "correlation-spectral-bound",
-        "passed": bool(ok),
-        "measured": {"samples": 200, "worst_min_eig": float(worst)},
-    }
+    return ok, {"samples": 200, "worst_min_eig": float(worst)}
 
 
-def _criterion_builtin_regimes(cfg: VerifyConfig) -> dict:
+def _criterion_builtin_regimes(cfg: VerifyConfig) -> tuple[bool, dict]:
     table = [
         (empty_rule(), R1_EMPTY, None, None),
         (all_singletons_rule(), R2_SINGLETONS, None, "f(x) ≤ x on I∩ℝ≥0"),
@@ -497,15 +444,10 @@ def _criterion_builtin_regimes(cfg: VerifyConfig) -> dict:
         ok = ok and entry.get("c_interval") == want_interval
         if want_constraint is not None:
             ok = ok and entry.get("constraint") == want_constraint
-    return {
-        "id": 10,
-        "name": "builtin-rule-regimes",
-        "passed": bool(ok),
-        "measured": {"rows": rows},
-    }
+    return ok, {"rows": rows}
 
 
-def _criterion_dominance_necessity(cfg: VerifyConfig) -> dict:
+def _criterion_dominance_necessity(cfg: VerifyConfig) -> tuple[bool, dict]:
     dom = Domain.disc(math.inf)
     doubler = scaled_identity(2.0)
     # the witness is 2 x 2, whatever budget cfg sets
@@ -525,15 +467,10 @@ def _criterion_dominance_necessity(cfg: VerifyConfig) -> dict:
         and abs(det.real + 2.0) <= 1e-12
         and abs(det.imag) <= 1e-12
     )
-    return {
-        "id": 11,
-        "name": "dominance-necessity",
-        "passed": bool(ok),
-        "measured": {
-            "witness_determinant": det.real,
-            "singleton_rule_refuted": bool(verdict_one.refuted),
-            "all_singletons_rule_refuted": bool(verdict_all.refuted),
-        },
+    return ok, {
+        "witness_determinant": det.real,
+        "singleton_rule_refuted": bool(verdict_one.refuted),
+        "all_singletons_rule_refuted": bool(verdict_all.refuted),
     }
 
 
@@ -567,7 +504,7 @@ def _induction_step(c: list, A: np.ndarray, sizes: list, tol: float = 1e-12) -> 
     return holds
 
 
-def _criterion_induction_step(cfg: VerifyConfig) -> dict:
+def _criterion_induction_step(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 112)
     dom = Domain.disc(1.0)
     sizes, draws, cs = [], [], []
@@ -584,32 +521,37 @@ def _criterion_induction_step(cfg: VerifyConfig) -> dict:
     ends = [Fraction(-1, 3), Fraction(-1, 4), Fraction(-1, 2)]
     endpoint_maps = [[str(c), str(_reduce_scalar(c))] for c in ends]
     maps_ok = [_reduce_scalar(c) for c in ends] == [Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 1)]
-    return {
-        "id": 12,
-        "name": "induction-step-algebra",
-        "passed": bool(ok and maps_ok),
-        "measured": {"cases": 100, "endpoint_maps": endpoint_maps},
-    }
+    return ok and maps_ok, {"cases": 100, "endpoint_maps": endpoint_maps}
 
 
+# the criteria body, in id order: criterion i is row i - 1, and determinism (13) follows it
 _CRITERIA = (
-    _criterion_schur_closure,
-    _criterion_star_all_ones_law,
-    _criterion_partition_scalar_interval,
-    _criterion_chain_determinant,
-    _criterion_split_pair_complement,
-    _criterion_decomposition,
-    _criterion_mask_factorization,
-    _criterion_corner_extension,
-    _criterion_correlation_bound,
-    _criterion_builtin_regimes,
-    _criterion_dominance_necessity,
-    _criterion_induction_step,
+    ("schur-product-closure", _criterion_schur_closure),
+    ("star-all-ones-eigenvalue-law", _criterion_star_all_ones_law),
+    ("partition-scalar-interval", _criterion_partition_scalar_interval),
+    ("chain-determinant-identity", _criterion_chain_determinant),
+    ("split-pair-schur-determinant", _criterion_split_pair_complement),
+    ("decomposition-identities", _criterion_decomposition),
+    ("mask-factorization", _criterion_mask_factorization),
+    ("positive-corner-extension", _criterion_corner_extension),
+    ("correlation-spectral-bound", _criterion_correlation_bound),
+    ("builtin-rule-regimes", _criterion_builtin_regimes),
+    ("dominance-necessity", _criterion_dominance_necessity),
+    ("induction-step-algebra", _criterion_induction_step),
 )
 
 
+def _record(id: int, name: str, passed, measured: dict) -> dict:
+    """One criterion's report record."""
+    return {"id": id, "name": name, "passed": bool(passed), "measured": measured}
+
+
 def _criteria_body(cfg: VerifyConfig) -> list[dict]:
-    return [fn(cfg) for fn in _CRITERIA]
+    return [_record(i, name, *check(cfg)) for i, (name, check) in enumerate(_CRITERIA, 1)]
+
+
+def _body_bytes(cfg: VerifyConfig) -> bytes:
+    return canonical_json(_criteria_body(cfg)).encode()
 
 
 def _fork_rerun(cfg: VerifyConfig) -> tuple[int, int]:
@@ -636,7 +578,7 @@ def _fork_rerun(cfg: VerifyConfig) -> tuple[int, int]:
         os.close(r)
         warnings.simplefilter("ignore")
         try:
-            data, code = canonical_json(_criteria_body(cfg)).encode(), 0
+            data, code = _body_bytes(cfg), 0
         except Exception as exc:
             data, code = f"{type(exc).__name__}: {exc}".encode(), 1
         with open(w, "wb") as pipe:
@@ -675,18 +617,12 @@ def run_theorem_suite(cfg: VerifyConfig | None = None) -> dict:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code:
             raise RuntimeError(f"determinism rerun exited with status {code}: {rerun.decode(errors='replace')}")
-        identical = canonical_json(first).encode() == rerun
     else:
         first = _criteria_body(cfg)
-        identical = canonical_json(first) == canonical_json(_criteria_body(cfg))
-    criteria = first + [
-        {
-            "id": 13,
-            "name": "determinism",
-            "passed": bool(identical),
-            "measured": {"reruns": 2, "identical_canonical_json": bool(identical)},
-        }
-    ]
+        rerun = _body_bytes(cfg)
+    identical = canonical_json(first).encode() == rerun
+    determinism = _record(13, "determinism", identical, {"reruns": 2, "identical_canonical_json": identical})
+    criteria = first + [determinism]
     return {
         "config": cfg.to_json(),
         "criteria": criteria,

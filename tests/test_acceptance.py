@@ -138,7 +138,8 @@ def test_suite_body_bytes(name):
 
 
 def test_dominance_necessity_keeps_its_2x2_witness_at_max_n_1():
-    assert _criterion_dominance_necessity(VerifyConfig(max_n=1))["passed"]
+    passed, _ = _criterion_dominance_necessity(VerifyConfig(max_n=1))
+    assert passed
 
 
 def _assert_no_child_left():
@@ -160,9 +161,9 @@ def forking(monkeypatch):
 
     def body(measure):
         def criterion(cfg):
-            return {"id": 1, "name": "probe", "passed": True, "measured": measure()}
+            return True, measure()
 
-        monkeypatch.setattr(suite, "_CRITERIA", (criterion,))
+        monkeypatch.setattr(suite, "_CRITERIA", (("probe", criterion),))
 
     return body
 

@@ -106,6 +106,13 @@ class TestClassify:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ")
 
+    def test_rule_nested_too_deeply_is_usage_error(self, files, capsys):
+        path = files["tmp"] / "rule_deep.json"
+        path.write_text('{"kind": "explicit", "params": {"patterns": ' + "[" * 2000 + "]" * 2000 + "}}")
+        code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
+
 
 class TestVerify:
     def test_non_integer_exponent_is_usage_error(self, files, capsys):
@@ -128,6 +135,14 @@ class TestVerify:
         code, out, err = run(["verify", *(x for pair in argv.items() for x in pair), "--samples", "0"], capsys)
         assert code == EXIT_USAGE and out == ""
         assert "must be a number" in err
+
+    def test_f_nested_too_deeply_is_usage_error(self, files, capsys):
+        path = files["tmp"] / "f_deep.json"
+        level = '{"variant": "scalar_multiple", "params": {"c": 0.5, "inner": '
+        path.write_text(level * 600 + '{"variant": "identity", "params": {}}' + "}}" * 600)
+        code, out, err = run(["verify", "--rule", files["rule_k2"], "--f", str(path), "--samples", "0"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
 
     def test_preserved_exit_zero(self, files, capsys):
         code, _, _ = run(

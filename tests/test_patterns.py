@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdmask import patterns
 from psdmask.errors import BlockOutOfRangeError, FlagMismatchError, RejectedFullBlockError
 from psdmask.patterns import (
     EMPTY,
@@ -363,6 +364,24 @@ class TestJson:
         data = json.loads(EXPLICIT_DOC)
         data["params"]["patterns"].append({"n": 3, "blocks": [[1, 3]]})  # a dict would keep this one alone
         with pytest.raises(ValueError, match="two patterns at n=3"):
+            rule_from_json(data)
+
+    def test_explicit_rule_normalizes_each_listed_pattern_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(patterns, "normalize", lambda blocks, n: calls.append(n) or normalize(blocks, n))
+        data = json.loads(EXPLICIT_DOC)
+        data["params"]["patterns"] += [{"n": 5, "blocks": [[1, 2], [1], [4, 5]]}, {"n": 7, "blocks": []}]
+        rule = rule_from_json(data)
+        assert sorted(calls) == [3, 5, 7]
+        assert rule.pattern(5) == normalize([{0, 1}, {3, 4}], 5)
+        assert rule.pattern(7) == normalize([], 7)
+
+    @pytest.mark.parametrize("blocks, error", [([[1, 4]], BlockOutOfRangeError), ([[1, 2.0]], ValueError),
+                                               ([[0, 2]], ValueError)], ids=["out_of_range", "float", "zero"])
+    def test_explicit_listed_pattern_errors(self, blocks, error):
+        data = json.loads(EXPLICIT_DOC)
+        data["params"]["patterns"][0]["blocks"] = blocks
+        with pytest.raises(error):
             rule_from_json(data)
 
     def test_rule_round_trip_explicit(self):

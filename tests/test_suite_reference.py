@@ -6,7 +6,8 @@ through the public ``apply``, ``decompose``, ``mask_factorization`` and
 ``schur_complement`` on its own matrix, criteria 4 and 5 evaluate g and f at
 the witness's scalars one call at a time, and criteria 9 and 12 go through
 copies of the one-matrix checks they used (``_correlation_bound_check`` and
-``_induction_step_check`` below).  The stacked criterion must give the same
+``_induction_step_check`` below).  The record the suite builds from the
+stacked check, under its ``_CRITERIA`` row's id and name, must be the same
 record, compared as ``canonical_json`` bytes, at more seeds than
 ``suite_bytes.json`` pins.  Since the records of criteria 9 and 12 carry only
 pass/fail for those checks, the stacked checks are also compared verdict by
@@ -315,7 +316,9 @@ def test_stacked_criterion_matches_one_matrix_at_a_time(crit, seed):
     cfg = VerifyConfig(seed=seed)
     want = reference(cfg)
     assert want["passed"]
-    assert canonical_json(stacked(cfg)) == canonical_json(want)
+    name, check = suite._CRITERIA[crit - 1]
+    assert check is stacked
+    assert canonical_json(suite._record(crit, name, *stacked(cfg))) == canonical_json(want)
 
 
 def _verdict(check, *args):

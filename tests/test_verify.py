@@ -68,6 +68,7 @@ BATTERY_ONLY = VerifyConfig(max_n=6, samples_per_n=0)
 
 class TestSampling:
     def test_sample_psd_in_domain(self, rng):
+        stacks = np.random.default_rng(8)
         for dom in (Domain.disc(1.0), Domain.open_sym(2.0),
                     Domain.half_open_nonneg(1.0), Domain.open_pos(1.0), Domain.disc()):
             for _ in range(10):
@@ -75,6 +76,12 @@ class TestSampling:
                 M = sample_psd(rng, n, dom)
                 assert dom.contains_array(M).all()
                 assert is_psd(M, 1e-10).is_psd
+            # stacks of drawn and given ranks, formed as the suite forms its samples
+            for n in range(1, 9):
+                A = verify._into_domain(verify._grams([verify._draw(stacks, n, dom, rank)
+                                                       for rank in (None, 1, n, None, None)], dom), dom)
+                assert dom.contains_array(A).all()
+                assert all(is_psd(M, 1e-10).is_psd for M in A)
 
     def test_rank_control(self, rng):
         M = sample_psd(rng, 5, DISC1, rank=1)
