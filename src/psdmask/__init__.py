@@ -56,13 +56,11 @@ from .patterns import (
     explicit_rule,
     normalize,
     overlapping_chain_rule,
-    pattern_from_json,
     proper_subpartition_rule,
     rule_from_json,
     single_block_rule,
     validate_rule,
 )
-from .suite import format_suite_lines, run_theorem_suite
 from .verify import (
     CounterExample,
     Verdict,
@@ -86,3 +84,12 @@ from .witnesses import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The suite's entry points, importing ``psdmask.suite`` on first use."""
+    if name in ("format_suite_lines", "run_theorem_suite"):
+        from . import suite
+
+        return getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ from .errors import PsdMaskError
 from .functions import Domain, Identity, admissible_family, function_from_json
 from .linalg import _within_cap, is_psd, matrix_from_json
 from .patterns import classify_sequence, rule_from_json
-from .suite import format_suite_lines, run_theorem_suite
 from .verify import VerifyConfig, refute_scalar_outside_interval, verify_preservation
 from .witnesses import (
     Witness,
@@ -187,6 +186,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import format_suite_lines, run_theorem_suite  # imported by this command alone
+
     cfg = _config_from(args)
     report = run_theorem_suite(cfg)
     _emit(report, args, format_suite_lines(report))

@@ -84,17 +84,21 @@ def _hermitian_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return index
 
 
+def _mirror(H: np.ndarray) -> np.ndarray:
+    """``exact_hermitian`` in place, on a complex128 matrix or stack H; returns H."""
+    rows, cols, diag = _hermitian_index(H.shape[-1])
+    H[..., rows, cols] = np.conj(H[..., cols, rows])
+    H.imag[..., diag, diag] = 0.0
+    return H
+
+
 def exact_hermitian(H: np.ndarray) -> np.ndarray:
     """Force exactly conjugate-symmetric storage (mirror upper triangle, real diagonal).
 
     Accepts one matrix or a stack ``(k, n, n)``; each matrix of a stack comes
     out bit for bit as it would alone.
     """
-    H = np.array(H, dtype=np.complex128)
-    rows, cols, diag = _hermitian_index(H.shape[-1])
-    H[..., rows, cols] = np.conj(H[..., cols, rows])
-    H.imag[..., diag, diag] = 0.0
-    return H
+    return _mirror(np.array(H, dtype=np.complex128))
 
 
 def _settle(raw: np.ndarray, error: type[Exception], what: str) -> np.ndarray:

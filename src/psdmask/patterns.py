@@ -412,11 +412,6 @@ def _listed_from_json(data: dict) -> BlockPattern:
     return BlockPattern(_integer(data["n"], "n", 1), blocks)
 
 
-def pattern_from_json(data: dict) -> BlockPattern:
-    listed = _listed_from_json(data)
-    return normalize(listed.blocks, listed.n)
-
-
 def flags_from_json(data: dict) -> RuleFlags:
     """Read a flags object: the three booleans are true or false, and the
     counts integers or null; a member of another type is a ValueError."""

@@ -12,14 +12,17 @@ j's params, so only the refuting matrix's are built.  The witnesses depend
 only on (domain, max_n), so each battery section (all ones, anchored,
 blowups) is grown once per process into one read-only table, kept for
 ``BATTERY_CACHE_SIZE`` (domain, max_n) pairs, and fired at each n in stacks
-of 8, 16, 32, then ``SAMPLE_CHUNK`` rows, each one gather whose placements
-are computed once per n; random samples come ``SAMPLE_CHUNK`` a stack.
+of 8, 16, 32, ... rows up to ``_stack_rows(n)``, each one gather whose
+placements are computed once per n; random samples come ``_stack_rows(n)``
+a stack.  A stack holds about ``STACK_ENTRIES`` entries whatever n (why is
+measured at the constant), so all 500 default samples go in one stack at
+n = 1 and 2, and 64 at n = 8.
 Within a stack the first failing matrix wins, and each matrix is judged bit
 for bit as it would be alone.  Each n's random samples are drawn in one pass
 over its stream, read one raw 64-bit word at a time: the ranks are decoded
 from the words as ``rng.integers`` draws them, and the factors between two
 words take one normal fill.  One Gram kernel, ``_formed``, forms them as it
-forms ``sample_psd``'s and the suite's draws, and each chunk is settled on
+forms ``sample_psd``'s and the suite's draws, and each stack is settled on
 its own, every sample bit for bit what ``sample_psd`` draws.  A random stack
 whose images one shifted Cholesky clears (``linalg._cleared``) passes
 without an eigen-solve; the witnesses, built to refute, are never screened.
@@ -61,6 +64,7 @@ from .functions import (
 from .linalg import (
     EIG_DIM_CAP,
     _cleared,
+    _mirror,
     _within_cap,
     eig_extremes,
     exact_hermitian,
@@ -95,16 +99,24 @@ OUTCOME_REFUTED = "Refuted"
 
 _FAMILY_IDS = {"random_gram": 6}
 
-# Random samples are settled, applied and eig-checked this many at a time;
-# each n's Grams are drawn and formed in one stack before its first chunk.
-# Settling and checking all 500 default samples per n at once runs only a
-# few percent faster and adds about 5 MB (12%) to the peak memory of a full run.
-SAMPLE_CHUNK = 64
+# The entries of one stack: n x n matrices are settled, applied and screened
+# ``_stack_rows(n)`` at a time, 64 kB of complex128 per temporary.  The cost
+# per matrix is least at 4096-8192 entries a stack.  Below that a stack's
+# fixed numpy cost dominates: 64 matrices at n = 1 take 50 us, 512 take
+# 107 us.  At 16384 entries it grows 1.5-1.9 times at n = 4-8: 4.2 us a
+# matrix at n = 8 with 64 a stack, 6.3 us with 256.  (disc(1), a 3-term
+# series, best of 9 timeit runs on a 2-vCPU x86-64 VM.)
+STACK_ENTRIES = 4096
 
 # The battery sections of this many (domain, max_n) pairs are kept per
 # process, least recently used dropped first: at most 60 kB a pair at max_n 8,
 # growing as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.
 BATTERY_CACHE_SIZE = 16
+
+
+def _stack_rows(n: int) -> int:
+    """The matrices in one n x n stack: ``STACK_ENTRIES`` entries, and at least 8."""
+    return max(8, STACK_ENTRIES // (n * n))
 
 
 @dataclass(frozen=True)
@@ -210,13 +222,14 @@ def _grams(draws: list, domain: Domain) -> np.ndarray:
 
 
 def _into_domain(grams: np.ndarray, domain: Domain) -> np.ndarray:
-    """Settle a stack of Grams; for finite rho scale each to peak modulus 0.95 rho."""
+    """Settle a stack of Grams; for finite rho scale each to peak modulus 0.95 rho, in place
+    and then mirrored once.  A matrix of peak 0 or NaN is left as settled."""
     M = exact_hermitian(grams)
     if math.isfinite(domain.rho):
         peak = np.abs(M).max(axis=(1, 2))
         hit = peak > 0.0
-        factor = 0.95 * domain.rho / peak[hit]
-        M[hit] = exact_hermitian(M[hit] * factor[:, None, None])
+        factor = np.divide(0.95 * domain.rho, peak, out=np.ones_like(peak), where=hit)
+        _mirror(np.multiply(M, factor[:, None, None], out=M, where=hit[:, None, None]))
     return M
 
 
@@ -279,12 +292,13 @@ def _sample_params(ranks: list, start: int, j: int) -> dict:
 
 
 def _random_battery(domain: Domain, cfg: VerifyConfig):
-    """Yield (stack, n, family per matrix, params), SAMPLE_CHUNK samples a stack: each n's samples
-    drawn and formed at once by ``_random_grams``, each chunk settled on its own."""
+    """Yield (stack, n, family per matrix, params), ``_stack_rows(n)`` samples a stack: each n's
+    samples drawn and formed at once by ``_random_grams``, each stack settled on its own."""
     for n in range(1, cfg.max_n + 1):
         grams, ranks = _random_grams(n, domain, cfg)
-        for start in range(0, cfg.samples_per_n, SAMPLE_CHUNK):
-            W = _into_domain(grams[start:start + SAMPLE_CHUNK], domain)
+        rows = _stack_rows(n)
+        for start in range(0, cfg.samples_per_n, rows):
+            W = _into_domain(grams[start:start + rows], domain)
             yield W, n, ["random_gram"] * len(W), partial(_sample_params, ranks, start)
         del grams  # the next n's Grams are formed without this n's held (392 kB at n = 7 on the disc)
 
@@ -424,14 +438,14 @@ def _section(domain: Domain, max_n: int, name: str) -> _Section:
 
 def _stacks(section: _Section, n: int, order, extra: dict):
     """Yield the rows of order, an iterator of (row, coords) read as needed, in
-    n x n stacks of 8, 16, 32, then SAMPLE_CHUNK: one gather puts each row's
+    n x n stacks of 8, 16, 32, ... up to ``_stack_rows(n)``: one gather puts each row's
     leading block on its coords (which join its params) and the rest of its
     growth, in order, on the other indices.  Rows without coords stay in
     order: they come as a contiguous run, never with rows with coords, and
     are gathered by one slice.  At the first row that does not reach n, the
     rows before it are yielded and its error is raised."""
     L, families, params, reach, errors = section
-    places, rows, coords, least = {}, [], [], 8
+    places, rows, coords, least, most = {}, [], [], 8, _stack_rows(n)
 
     def stack(rows, coords):  # rows and coords bound here, as the stack is yielded
         if coords[0]:
@@ -453,7 +467,7 @@ def _stacks(section: _Section, n: int, order, extra: dict):
         coords.append(at)
         if len(rows) == least:
             yield stack(rows, coords)
-            rows, coords, least = [], [], min(2 * least, SAMPLE_CHUNK)
+            rows, coords, least = [], [], min(2 * least, most)
     if rows:
         yield stack(rows, coords)
 

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import psdmask
 from psdmask.cli import EXIT_OK, EXIT_REFUTED, EXIT_SUITE_FAIL, EXIT_USAGE, _config_from, build_parser, main
 from psdmask.linalg import matrix_from_json
 from psdmask.verify import VerifyConfig, canonical_json
@@ -423,6 +428,16 @@ class TestWitness:
 
 
 class TestSuite:
+    def test_suite_module_imported_on_first_use(self):
+        # a fresh interpreter, so no earlier test has imported the suite
+        code = ("import sys, psdmask, psdmask.cli; before = 'psdmask.suite' in sys.modules; "
+                "run = psdmask.run_theorem_suite; "
+                "print(before, run.__module__, psdmask.format_suite_lines.__module__)")
+        src = str(pathlib.Path(psdmask.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "psdmask.suite", "psdmask.suite"]
+
     def test_full_suite_passes_and_writes_report(self, files, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out, _ = run(["suite", "--out", str(out_file)], capsys)

@@ -31,7 +31,6 @@ from psdmask.patterns import (
     flags_from_json,
     normalize,
     overlapping_chain_rule,
-    pattern_from_json,
     proper_subpartition_rule,
     rule_from_json,
     single_block_rule,
@@ -349,8 +348,12 @@ FLAGS_DOC = """{"eventually_nonempty": true, "all_singletons": true, "covers_all
 
 class TestJson:
     def test_pattern_round_trip_is_one_based(self):
-        p = pattern_from_json(json.loads('{"n": 3, "blocks": [[1, 2], [3]]}'))
-        assert p == normalize([{0, 1}, {2}], 3)
+        doc = json.loads('{"n": 3, "blocks": [[1, 2], [3]]}')
+        listed = patterns._listed_from_json(doc)
+        assert normalize(listed.blocks, listed.n) == normalize([{0, 1}, {2}], 3)
+        explicit = json.loads(EXPLICIT_DOC)
+        explicit["params"]["patterns"] = [doc]
+        assert rule_from_json(explicit).pattern(3) == normalize([{0, 1}, {2}], 3)
 
     def test_rule_round_trip_builtins(self):
         for doc, rule in BUILTIN_DOCS:
@@ -462,8 +465,10 @@ class TestJson:
     @pytest.mark.parametrize("doc", ['{"n": 3.5, "blocks": [[1, 2]]}', '{"n": 3, "blocks": [[1, 2.0]]}',
                                      '{"n": true, "blocks": []}'], ids=["n_float", "index_float", "n_bool"])
     def test_pattern_of_the_wrong_type_rejected(self, doc):
+        explicit = json.loads(EXPLICIT_DOC)
+        explicit["params"]["patterns"] = [json.loads(doc)]
         with pytest.raises(ValueError):
-            pattern_from_json(json.loads(doc))
+            rule_from_json(explicit)
 
     def test_flags_inf_round_trip(self):
         back = flags_from_json(json.loads(FLAGS_DOC))

@@ -9,6 +9,7 @@ it rather than loosening the test.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -35,15 +36,18 @@ from psdmask.patterns import (
 )
 from psdmask.suite import _partition_labels, _random_pattern
 from psdmask.verify import (
-    SAMPLE_CHUNK,
     VerifyConfig,
     _draw,
     _grams,
     _into_domain,
     _random_battery,
     _rng,
+    _stack_rows,
     sample_psd,
 )
+from test_verdict_bytes import CASES as VERDICT_CASES
+from test_verdict_bytes import EXPECTED as VERDICT_PINS
+from test_verdict_bytes import verdict_bytes
 
 SIZES = range(1, 9)
 NAN_AT = 4
@@ -178,12 +182,18 @@ def test_apply_stack_with_overflowing_image_matches_each(rng, n):
         assert _same_bits(stacked[j], M), f"n={n} matrix {j}"
 
 
+def _stack_count(cfg):
+    """The random stacks of a run: each n's samples in stacks of ``_stack_rows(n)``."""
+    return sum(math.ceil(cfg.samples_per_n / _stack_rows(n)) for n in range(1, cfg.max_n + 1))
+
+
 # the stream's edge cases, in both rank modes: no samples, no drawn rank (1), one drawn rank whose word's
-# kept half goes unused (2, 3), a last drawn rank with no sample after it (2, 4) and a partial last chunk (151)
+# kept half goes unused (2, 3), a last drawn rank with no sample after it (2, 4) and a partial last stack
+# (171 = 163 + 8 at n = 5; 151 fits one stack at every n)
 _STREAM_CONFIGS = {"samples150": VerifyConfig(max_n=5, samples_per_n=150, seed=4),
                    **{f"samples{k}{'_rank_one_only' if one else ''}":
                       VerifyConfig(max_n=5, samples_per_n=k, seed=4 + k, rank_one_only=one)
-                      for k in (0, 1, 2, 3, 4, 151) for one in (False, True)}}
+                      for k in (0, 1, 2, 3, 4, 151, 171) for one in (False, True)}}
 
 
 @pytest.mark.parametrize("cfg", _STREAM_CONFIGS.values(), ids=_STREAM_CONFIGS)
@@ -192,14 +202,14 @@ _STREAM_CONFIGS = {"samples150": VerifyConfig(max_n=5, samples_per_n=150, seed=4
                          ids=["disc", "disc_inf", "open_sym", "half_open_nonneg", "open_pos"])
 def test_random_battery_matches_sample_psd_one_at_a_time(dom, cfg):
     stacks = list(_random_battery(dom, cfg))
-    assert len(stacks) == cfg.max_n * math.ceil(cfg.samples_per_n / SAMPLE_CHUNK)
+    assert len(stacks) == _stack_count(cfg)
     for n in range(1, cfg.max_n + 1):
         rng = _rng(cfg.seed, "random_gram", n)
         s = 0
         for W, n_w, family, params in stacks:
             if n_w != n:
                 continue
-            assert family == ["random_gram"] * len(W) and len(W) <= SAMPLE_CHUNK
+            assert family == ["random_gram"] * len(W) and len(W) <= _stack_rows(n)
             for j, M in enumerate(W):
                 rank = 1 if cfg.rank_one_only or s % 2 == 0 else int(rng.integers(1, n + 1))
                 assert params(j) == {"sample_index": s, "rank": rank}
@@ -245,11 +255,11 @@ def _gram_reference(rng, n, domain, rank=None):
 
 
 def _random_battery_reference(domain, cfg):
-    """The random stage as it was: each Gram drawn and formed alone, then settled per chunk."""
+    """The random stage as it was: each Gram drawn and formed alone, then settled per stack."""
     for n in range(1, cfg.max_n + 1):
         rng = _rng(cfg.seed, "random_gram", n)
-        for start in range(0, cfg.samples_per_n, SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, cfg.samples_per_n)
+        for start in range(0, cfg.samples_per_n, _stack_rows(n)):
+            stop = min(start + _stack_rows(n), cfg.samples_per_n)
             params = []
             grams = np.empty((stop - start, n, n), dtype=np.complex128)
             for s in range(start, stop):
@@ -280,10 +290,12 @@ def test_grams_match_gram_reference_on_one_stream(kind, rho, given_rank):
             assert _same_bits(stacked[j], old[i]), f"n={n} draw {i}"
 
 
-# partial, single, exactly full and one-past-full chunks, no samples at all, and n = 1 alone, in both rank modes
+# partial, single, exactly full and one-past-full stacks (256 and 257 at n = 4, 64 and 65 at n = 8; 63-65 stay,
+# one stack at n <= 4), no samples at all, and n = 1 alone, in both rank modes
 _EDGE_CONFIGS = {f"max_n{m}_samples{k}{'_rank_one_only' if one else ''}":
                  VerifyConfig(max_n=m, samples_per_n=k, seed=29 + k, rank_one_only=one)
-                 for m, ks in ((4, (0, 1, 2, 63, 64, 65)), (1, (131,))) for k in ks for one in (False, True)}
+                 for m, ks in ((4, (0, 1, 2, 63, 64, 65, 255, 256, 257)), (8, (64, 65)), (1, (131,)))
+                 for k in ks for one in (False, True)}
 
 
 @pytest.mark.parametrize("cfg", [VerifyConfig(max_n=8, samples_per_n=40, seed=3, rank_one_only=True),
@@ -295,10 +307,45 @@ def test_random_battery_matches_reference_generator(kind, rho, cfg):
     dom = _DOMAIN_KINDS[kind](rho)
     got = list(_random_battery(dom, cfg))
     want = list(_random_battery_reference(dom, cfg))
-    assert len(got) == len(want) == cfg.max_n * math.ceil(cfg.samples_per_n / SAMPLE_CHUNK)
+    assert len(got) == len(want) == _stack_count(cfg)
     for (W, n, family, params), (V, n_v, family_v, params_v) in zip(got, want):
         assert (n, family, [params(j) for j in range(len(W))]) == (n_v, family_v, params_v)
         assert _same_bits(W, V), f"n={n}"
+
+
+@pytest.mark.parametrize("entries", [1, 500 * 64 ** 2], ids=["eight_rows", "one_stack_per_n"])
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_verdict_bytes_do_not_depend_on_stack_size(monkeypatch, case, entries):
+    """Every pinned verdict, from stacks of 8 (the floor) or from one stack per n of every n's samples and
+    every witness section: random_refuted_abs refutes at sample 3 of n = 4, overflow_z400_disc_inf at
+    sample 25 of n = 1.  It rests on batched cholesky and eigvalsh judging each matrix as they would alone."""
+    monkeypatch.setattr(verify, "STACK_ENTRIES", entries)
+    rows = [verify._stack_rows(n) for n in range(1, 9)]
+    assert (rows == [8] * 8) if entries == 1 else (min(rows) >= 500)
+    assert verdict_bytes(case) == json.loads(VERDICT_PINS.read_text())[case]
+
+
+def _into_domain_reference(grams, domain):
+    """The scaling as it was: the matrices of nonzero peak gathered, scaled, settled again, scattered back."""
+    M = exact_hermitian(grams)
+    if math.isfinite(domain.rho):
+        peak = np.abs(M).max(axis=(1, 2))
+        hit = peak > 0.0
+        M[hit] = exact_hermitian(M[hit] * (0.95 * domain.rho / peak[hit])[:, None, None])
+    return M
+
+
+@pytest.mark.parametrize("rho", [1.0, math.inf], ids=["rho1", "rho_inf"])
+@pytest.mark.parametrize("n", SIZES)
+def test_into_domain_scales_in_place_as_the_reference(rng, n, rho):
+    """Grams, and a signed-zero, a NaN and an inf matrix, which the scaling leaves or turns to NaN as before."""
+    G = np.array([random_psd(rng, n, complex_entries=j % 2 == 0) for j in range(9)])
+    G[1] = -0.0 - 0.0j
+    G[2, 0, n - 1] = np.nan
+    G[3, n - 1, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        got, want = _into_domain(G, Domain.disc(rho)), _into_domain_reference(G, Domain.disc(rho))
+    assert _same_bits(got, want)
 
 
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645

@@ -49,9 +49,9 @@ from psdmask.patterns import (
 )
 from psdmask.verify import (
     OUTCOME_PRESERVED,
-    SAMPLE_CHUNK,
     _deterministic_battery,
     _first_failure,
+    _stack_rows,
     VerifyConfig,
     canonical_json,
     refute_scalar_outside_interval,
@@ -368,8 +368,9 @@ class TestBatteryStacks:
                 assert set(families) <= ANCHORED
                 sizes.setdefault(n, []).append(len(stack))
         assert sorted(sizes) == list(range(3, 9))
-        for ks in sizes.values():  # every stack but an n's last reaches 8, 16, ... SAMPLE_CHUNK
-            assert all(k >= min(8 * 2 ** i, SAMPLE_CHUNK) for i, k in enumerate(ks[:-1]))
+        for n, ks in sizes.items():  # all but an n's last stack reach 8, 16, ... _stack_rows(n); none passes it
+            assert all(k >= min(8 * 2 ** i, _stack_rows(n)) for i, k in enumerate(ks[:-1]))
+            assert max(ks) <= _stack_rows(n)
 
     def test_zero_padding_placement(self):
         seen = 0
@@ -807,4 +808,5 @@ class TestRandomStageScreen:
         verdict = verify_preservation(Identity(), scaled_identity(c), rule, domain, cfg)
         assert verdict.outcome == OUTCOME_PRESERVED
         # one screen per random stack and none for the deterministic witnesses, each one cleared
-        assert len(seen) == cfg.max_n * -(-cfg.samples_per_n // SAMPLE_CHUNK) and all(seen)
+        assert len(seen) == sum(-(-cfg.samples_per_n // _stack_rows(n)) for n in range(1, cfg.max_n + 1))
+        assert all(seen)
