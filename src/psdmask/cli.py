@@ -23,6 +23,7 @@ from .linalg import _within_cap, is_psd, matrix_from_json
 from .patterns import classify_sequence, rule_from_json
 from .verify import VerifyConfig, refute_scalar_outside_interval, verify_preservation
 from .witnesses import (
+    WITNESS_PSD_TOL,
     Witness,
     all_ones_witness,
     corner_extend,
@@ -137,12 +138,28 @@ def _cmd_refute(args) -> int:
     return EXIT_REFUTED
 
 
+# each witness kind with the flags it cannot do without; the parser's choices are its keys
+_WITNESS_NEEDS = {
+    "all_ones": ("x", "n"),
+    "rank_one": ("v",),
+    "duplicated_pair": ("w", "z"),
+    "overlap_probe": ("r", "z"),
+    "tail_gram": ("w", "t"),
+    "tensor_blowup": ("m", "matrix"),
+    "pad": ("matrix", "n"),
+    "corner": ("matrix",),
+}
+
+
 def _witness_from_args(args) -> Witness:
     """The witness the arguments name.  Its spectrum is reported, so a size
     above the eigensolver cap is refused before the matrix is built."""
     name = args.name
+    for flag in _WITNESS_NEEDS[name]:
+        if getattr(args, flag) is None:
+            raise PsdMaskError(f"witness {name} needs --{flag}")
     domain = _load_domain(args)
-    if name in ("all_ones", "pad") and args.n is not None:
+    if name in ("all_ones", "pad"):
         _within_cap(args.n)
     if name == "all_ones":
         return all_ones_witness(args.x, args.n, domain)
@@ -157,8 +174,7 @@ def _witness_from_args(args) -> Witness:
         return tail_gram(_parse_complex(args.w), args.t, domain)
     if name == "tensor_blowup":
         A = matrix_from_json(_load_json(args.matrix))
-        if args.m is not None:
-            _within_cap(args.m * len(A))
+        _within_cap(args.m * len(A))
         return tensor_blowup(args.m, A)
     if name == "pad":
         M = pad_embed(matrix_from_json(_load_json(args.matrix)), args.n, domain=domain)
@@ -169,13 +185,12 @@ def _witness_from_args(args) -> Witness:
             return Witness(corner_extend(A, args.eps, domain), "corner_extension", {"eps": args.eps})
         M, eps = corner_extend_auto(A, domain)
         return Witness(M, "corner_extension", {"eps": eps})
-    raise PsdMaskError(f"unknown witness name {name!r}")
 
 
 def _cmd_witness(args) -> int:
     wit = _witness_from_args(args)
     body = wit.to_json()
-    report = is_psd(wit.matrix, 1e-10)
+    report = is_psd(wit.matrix, WITNESS_PSD_TOL)
     body["psd"] = report.to_json()
     lines = [
         f"witness {body['provenance']} ({body['matrix']['n']} x {body['matrix']['n']})",
@@ -240,19 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_refute)
 
     sp = sub.add_parser("witness", help="construct a witness matrix and report its spectrum")
-    sp.add_argument(
-        "name",
-        choices=[
-            "all_ones",
-            "rank_one",
-            "duplicated_pair",
-            "overlap_probe",
-            "tail_gram",
-            "tensor_blowup",
-            "pad",
-            "corner",
-        ],
-    )
+    sp.add_argument("name", choices=list(_WITNESS_NEEDS))
     sp.add_argument("--x", type=float)
     sp.add_argument("--n", type=int)
     sp.add_argument("--m", type=int)

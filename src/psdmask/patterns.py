@@ -45,7 +45,9 @@ DEFAULT_PROBE_N = 12
 
 @dataclass(frozen=True)
 class BlockPattern:
-    """Normalized block pattern on range(n); build with ``normalize``."""
+    """Normalized block pattern on range(n); build with ``normalize``, which keeps
+    every block inside range(n).  So n distinct indices of the blocks are all of
+    range(n), and each fact below is read off block sizes, never off range(n)."""
 
     n: int
     blocks: tuple[frozenset[int], ...]
@@ -60,11 +62,10 @@ class BlockPattern:
         return max((len(b) for b in self.blocks), default=0)
 
     def is_full_block(self) -> bool:
-        return len(self.blocks) == 1 and self.blocks[0] == frozenset(range(self.n))
+        return len(self.blocks) == 1 and len(self.blocks[0]) == self.n
 
     def is_partition_of_all(self) -> bool:
-        total = sum(len(b) for b in self.blocks)
-        return total == self.n and self.covered() == frozenset(range(self.n))
+        return sum(len(b) for b in self.blocks) == self.n == len(self.covered())
 
     def has_overlap(self) -> bool:
         # an index held by two blocks counts twice in their sizes but once in their union
@@ -120,7 +121,7 @@ def classify_pattern(pattern: BlockPattern) -> PatternClass:
     SubpartitionWithBigBlock (disjoint blocks, at least one of size >= 2,
     union possibly proper).
     """
-    covers = pattern.covered() == frozenset(range(pattern.n))
+    covers = len(pattern.covered()) == pattern.n
     count = len(pattern.blocks)
     size = pattern.max_block_size()
     if count == 0:
@@ -221,14 +222,13 @@ def single_block_rule(block) -> PatternRule:
     if not blk or any(i < 0 for i in blk):
         raise ValueError("block must be a nonempty set of indices >= 0")
 
-    def gen(n: int) -> BlockPattern:
-        if blk <= frozenset(range(n)) and not (n >= 2 and blk == frozenset(range(n))):
-            return normalize([blk], n)
-        return normalize([], n)
+    top = max(blk)
 
-    first_n = max(blk) + 1
-    if blk == frozenset(range(first_n)) and first_n >= 2:
-        first_n += 1
+    def gen(n: int) -> BlockPattern:
+        # blk lies in range(n) when top < n, and is all of it when len(blk) == n too
+        return normalize([blk] if top < n and not (n >= 2 and len(blk) == n) else [], n)
+
+    first_n = top + 2 if len(blk) == top + 1 >= 2 else top + 1
     return PatternRule(
         name="single_block",
         generator=gen,
@@ -333,25 +333,17 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
     if probe_N < 3:
         raise ValueError("probe_N must be >= 3")
     flags = rule.flags
-    probed_nonempty = False
-    probed_big = False
-    probed_overlap = False
+    classes = []
     for n in range(1, probe_N + 1):
-        p = rule.pattern(n)
-        cls = classify_pattern(p)
-        if n >= 2 and cls.block_count > 0:
-            probed_nonempty = True
-        if cls.max_block_size >= 2:
-            probed_big = True
-        if cls.kind == OVERLAPPING:
-            probed_overlap = True
+        cls = classify_pattern(rule.pattern(n))
+        classes.append(cls)
         if flags.all_singletons and cls.max_block_size >= 2:
             raise FlagMismatchError(f"all_singletons declared but T_{n} has a block of size >= 2")
         if not flags.eventually_nonempty and n >= 2 and cls.block_count > 0:
             raise FlagMismatchError(f"eventually_nonempty=False but T_{n} is nonempty")
-        if flags.covers_all_n and not p.is_partition_of_all():
+        if flags.covers_all_n and not (cls.covers_all and cls.kind != OVERLAPPING):
             raise FlagMismatchError(f"covers_all_n declared but T_{n} is not a partition of range({n})")
-        if math.isfinite(flags.max_block_count) and cls.block_count > flags.max_block_count:
+        if cls.block_count > flags.max_block_count:
             raise FlagMismatchError(
                 f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
             )
@@ -361,21 +353,20 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
         )
     if flags.overlap_at is not None and not rule.pattern(flags.overlap_at).has_overlap():
         raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
-    declared_big = flags.has_block_ge2_at is not None or flags.overlap_at is not None
-    if not flags.all_singletons and not probed_big and not declared_big:
+    big = flags.has_block_ge2_at is not None or any(c.max_block_size >= 2 for c in classes)
+    if not (flags.all_singletons or big or flags.overlap_at is not None):
         raise FlagMismatchError(
             "all_singletons=False requires a probed block of size >= 2 or a declared location"
         )
-    if probed_overlap or flags.overlap_at is not None:
+    if flags.overlap_at is not None or any(c.kind == OVERLAPPING for c in classes):
         return R4_OVERLAPPING
-    if probed_big or flags.has_block_ge2_at is not None:
+    if big:
         # T_2 is a partition of range(2) with at most K blocks, and not the full block: so K >= 2
         if flags.covers_all_n and math.isfinite(flags.max_block_count):
             return R3A_PARTITION_ALL
         return R3B_SUBPARTITION_OTHER
-    if probed_nonempty or flags.eventually_nonempty:
-        return R2_SINGLETONS
-    return R1_EMPTY
+    # a nonempty T_n at n >= 2 without eventually_nonempty has raised above
+    return R2_SINGLETONS if flags.eventually_nonempty else R1_EMPTY
 
 
 def classify_sequence(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:

@@ -94,7 +94,13 @@ from .verify import (
     sample_psd,
     verify_preservation,
 )
-from .witnesses import all_ones_witness, corner_extend_auto, duplicated_pair_gram, overlap_probe
+from .witnesses import (
+    WITNESS_PSD_TOL,
+    all_ones_witness,
+    corner_extend_auto,
+    duplicated_pair_gram,
+    overlap_probe,
+)
 
 
 def _rng(cfg: VerifyConfig, tag: int) -> np.random.Generator:
@@ -371,7 +377,7 @@ def _criterion_corner_extension(cfg: VerifyConfig) -> tuple[bool, dict]:
         n = int(rng.integers(1, 7))
         A = sample_psd(rng, n, dom)
         M, _eps = corner_extend_auto(A, dom)
-        report = is_psd(M, 1e-10)
+        report = is_psd(M, WITNESS_PSD_TOL)
         worst_min_eig = min(worst_min_eig, report.min_eig)
         ok = ok and report.is_psd
         ok = ok and bool(dom.contains_array(M).all())

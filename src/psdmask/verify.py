@@ -58,6 +58,7 @@ from .functions import (
     OPEN_SYM,
     Domain,
     PreserverFunction,
+    admissible_family,
     conjugate_equivariance_check,
     scaled_identity,
 )
@@ -84,6 +85,7 @@ from .patterns import (
     validate_rule,
 )
 from .witnesses import (
+    WITNESS_PSD_TOL,
     Witness,
     all_ones_witness,
     corner_extend_auto,
@@ -331,15 +333,14 @@ def _pair_zs(w: float, domain: Domain) -> list[complex]:
 
 def _anchor_positions(pattern: BlockPattern) -> dict:
     """Index triples (i, j, l) anchored at size->=2 blocks and at overlaps."""
+    covered = pattern.covered()
+    free = next((i for i in range(pattern.n) if i not in covered), None)  # the least uncovered index
     pairs = []
     for u in pattern.blocks:
         if len(u) < 2:
             continue
         i, j = sorted(u)[:2]
-        thirds = []
-        uncovered = sorted(set(range(pattern.n)) - set().union(*pattern.blocks))
-        if uncovered:
-            thirds.append(uncovered[0])
+        thirds = [] if free is None else [free]
         for v in pattern.blocks:
             if v is u:
                 continue
@@ -572,7 +573,7 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
             if hit is not None:
                 j, min_eig = hit
                 # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
-                if not is_psd(W[j], 1e-10).is_psd:
+                if not is_psd(W[j], WITNESS_PSD_TOL).is_psd:
                     raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
                 ce = CounterExample(family=families[j], params=params(j), n=n, matrix=W[j], min_eig=min_eig)
                 return Verdict(OUTCOME_REFUTED, ce, stats)
@@ -611,9 +612,9 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
             f"K={K} differs from the rule's declared max block count {rule.flags.max_block_count}"
         )
     c_frac = _as_fraction(c)
-    lo = Fraction(-1, K - 1)
-    if lo <= c_frac <= 1:
-        raise CNotOutsideError(f"c={c_frac} lies inside [{lo}, 1]")
+    lo, hi = admissible_family(R3A_PARTITION_ALL, K).c_interval
+    if lo <= c_frac <= hi:
+        raise CNotOutsideError(f"c={c_frac} lies inside [{lo}, {hi}]")
     for target_n in range(1, max(cfg.probe_N, K + 2) + 1):
         pattern = rule.pattern(target_n)
         if len(pattern.blocks) == K:

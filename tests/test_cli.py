@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,28 @@ class TestClassify:
         code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "single_block", "params": {"block": [1, 10**9]}},
+        {"kind": "explicit", "params": {"patterns": [{"n": 10**9, "blocks": [[1, 2]]}]},
+         "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
+                   "max_block_count": 1, "has_block_ge2_at": 10**9, "overlap_at": None}},
+    ], ids=["single_block", "explicit"])
+    def test_block_at_index_1e9_classifies_at_once(self, files, capsys, doc):
+        # T_{10^9} is read off its block sizes; a set of range(10^9) alone would be tens of GB
+        path = files["tmp"] / "rule_far.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["report"]["regime"] == "R3b-Subpartition-Other"
+        assert peak < 5 * 2**20
 
     def test_rule_nested_too_deeply_is_usage_error(self, files, capsys):
         path = files["tmp"] / "rule_deep.json"
@@ -411,6 +434,35 @@ class TestWitness:
         report = json.loads(out)["report"]
         assert report["psd"]["is_psd"]
         assert report["params"]["eps"] > 0
+
+    # each kind's full flags; "MATRIX" stands for a file of a 2 x 2 PSD matrix with positive entries
+    KIND_FLAGS = {
+        "all_ones": {"--x": "0.5", "--n": "3"},
+        "rank_one": {"--v": "[0.5, 0.5]"},
+        "duplicated_pair": {"--w": "0.5", "--z": "0.25"},
+        "overlap_probe": {"--r": "0.5", "--z": "0.25"},
+        "tail_gram": {"--w": "0.4", "--t": "0.8"},
+        "tensor_blowup": {"--m": "2", "--matrix": "MATRIX"},
+        "pad": {"--matrix": "MATRIX", "--n": "3"},
+        "corner": {"--matrix": "MATRIX"},
+    }
+
+    def _argv(self, tmp_path, name, flags):
+        mat = tmp_path / "A.json"
+        mat.write_text(json.dumps({"n": 2, "entries": [[0.5, 0.4], [0.4, 0.5]]}))
+        return ["witness", name, *[a for f, v in flags.items() for a in (f, str(mat) if v == "MATRIX" else v)]]
+
+    @pytest.mark.parametrize("name", list(KIND_FLAGS))
+    def test_each_kind_runs_with_its_flags(self, tmp_path, capsys, name):
+        code, out, err = run(self._argv(tmp_path, name, self.KIND_FLAGS[name]), capsys)
+        assert code == EXIT_OK and err == ""
+
+    @pytest.mark.parametrize("name, flag", [(name, flag) for name, flags in KIND_FLAGS.items() for flag in flags])
+    def test_missing_required_flag_is_usage_error(self, tmp_path, capsys, name, flag):
+        flags = {f: v for f, v in self.KIND_FLAGS[name].items() if f != flag}
+        code, out, err = run(self._argv(tmp_path, name, flags), capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: witness {name} needs {flag}\n"
 
     @pytest.mark.parametrize("eps_flag", [[], ["--eps", "0.5"]])
     def test_corner_rejects_non_psd_matrix(self, tmp_path, capsys, eps_flag):

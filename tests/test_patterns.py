@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from psdmask.patterns import (
     SINGLETONS_ONLY,
     SUBPARTITION_WITH_BIG_BLOCK,
     BlockPattern,
+    PatternClass,
     RuleFlags,
     all_singletons_rule,
     classify_pattern,
@@ -110,8 +112,16 @@ class TestNormalize:
     @settings(max_examples=100, deadline=None)
     @given(block_families())
     def test_matches_brute_force_reference(self, family):
+        # and the facts read off block sizes match their definitions on the sets
         n, blocks = family
-        assert normalize(blocks, n).blocks == _normalize_reference(blocks)
+        p = normalize(blocks, n)
+        assert p.blocks == _normalize_reference(blocks)
+        whole = frozenset(range(n))
+        covers = frozenset().union(*p.blocks) == whole
+        disjoint = all(not u & v for i, u in enumerate(p.blocks) for v in p.blocks[i + 1:])
+        assert p.is_full_block() == (p.blocks == (whole,))
+        assert classify_pattern(p).covers_all == covers
+        assert p.is_partition_of_all() == (covers and disjoint)
 
     def test_twenty_thousand_blocks_sharing_one_index(self):
         # every block {0, i} holds 0, so a check against the blocks holding each
@@ -308,6 +318,172 @@ class TestRuleValidation:
         )
         with pytest.raises(RejectedFullBlockError):
             validate_rule(bad)
+
+
+def _classify_reference(p: BlockPattern) -> PatternClass:
+    """classify_pattern with covers_all read off the set definition."""
+    covers = p.covered() == frozenset(range(p.n))
+    count, size = len(p.blocks), p.max_block_size()
+    if count == 0:
+        kind = EMPTY
+    elif size == 1:
+        kind = SINGLETONS_ONLY
+    elif p.has_overlap():
+        kind = OVERLAPPING
+    elif covers:
+        kind = PARTITION_OF_ALL
+    else:
+        kind = SUBPARTITION_WITH_BIG_BLOCK
+    return PatternClass(kind=kind, block_count=count, covers_all=covers, max_block_size=size)
+
+
+def _validate_rule_reference(rule, probe_N: int) -> str:
+    """validate_rule as it was written with a flag per probed property and a
+    second, set-based partition check of each T_n: the rewrite must give the
+    same regime, or the same error, for every rule."""
+    if probe_N < 3:
+        raise ValueError("probe_N must be >= 3")
+    flags = rule.flags
+    probed_nonempty = False
+    probed_big = False
+    probed_overlap = False
+    for n in range(1, probe_N + 1):
+        p = rule.pattern(n)
+        cls = _classify_reference(p)
+        if n >= 2 and cls.block_count > 0:
+            probed_nonempty = True
+        if cls.max_block_size >= 2:
+            probed_big = True
+        if cls.kind == OVERLAPPING:
+            probed_overlap = True
+        if flags.all_singletons and cls.max_block_size >= 2:
+            raise FlagMismatchError(f"all_singletons declared but T_{n} has a block of size >= 2")
+        if not flags.eventually_nonempty and n >= 2 and cls.block_count > 0:
+            raise FlagMismatchError(f"eventually_nonempty=False but T_{n} is nonempty")
+        if flags.covers_all_n and not (sum(len(b) for b in p.blocks) == n and p.covered() == frozenset(range(n))):
+            raise FlagMismatchError(f"covers_all_n declared but T_{n} is not a partition of range({n})")
+        if math.isfinite(flags.max_block_count) and cls.block_count > flags.max_block_count:
+            raise FlagMismatchError(
+                f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
+            )
+    if flags.has_block_ge2_at is not None and rule.pattern(flags.has_block_ge2_at).max_block_size() < 2:
+        raise FlagMismatchError(
+            f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
+        )
+    if flags.overlap_at is not None and not rule.pattern(flags.overlap_at).has_overlap():
+        raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
+    declared_big = flags.has_block_ge2_at is not None or flags.overlap_at is not None
+    if not flags.all_singletons and not probed_big and not declared_big:
+        raise FlagMismatchError(
+            "all_singletons=False requires a probed block of size >= 2 or a declared location"
+        )
+    if probed_overlap or flags.overlap_at is not None:
+        return R4_OVERLAPPING
+    if probed_big or flags.has_block_ge2_at is not None:
+        if flags.covers_all_n and math.isfinite(flags.max_block_count):
+            return R3A_PARTITION_ALL
+        return R3B_SUBPARTITION_OTHER
+    if probed_nonempty or flags.eventually_nonempty:
+        return R2_SINGLETONS
+    return R1_EMPTY
+
+
+_HORIZON = 14  # explicit rules list patterns up to here, past the deepest probe (12)
+
+
+def _random_partition(g: np.random.Generator, m: int) -> list[set[int]]:
+    """A partition of range(m), into at least two blocks when m >= 2."""
+    labels = g.integers(0, int(g.integers(2, m + 1)) if m >= 2 else 1, size=m)
+    labels[: min(m, 2)] = np.arange(min(m, 2))  # two labels at least, so never the full block
+    return [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+
+
+def _random_explicit_rule(g: np.random.Generator):
+    """An explicit rule, its flags read off T_1..T_14 and then, four times in
+    five, one field perturbed.  One rule in four lists a partition of range(n)
+    at every n, now and then with a block {0, n-1} added that overlaps it; the
+    others list a few empty, singleton or random patterns, among them, now
+    and then, the full block."""
+    if g.random() < 0.25:
+        listed = {m: _random_partition(g, m) + ([{0, m - 1}] if m >= 3 and g.random() < 0.1 else [])
+                  for m in range(1, _HORIZON + 1)}
+    else:
+        listed = {}
+        for m in set(g.integers(1, _HORIZON + 1, size=int(g.integers(1, 4))).tolist()):
+            kind = int(g.integers(0, 4))
+            if kind == 0:
+                listed[m] = []
+            elif kind == 1:
+                listed[m] = [{int(i)} for i in g.choice(m, size=int(g.integers(1, m + 1)), replace=False)]
+            else:
+                listed[m] = [set(g.choice(m, size=int(g.integers(1, min(m, 4) + 1)), replace=False).tolist())
+                             for _ in range(int(g.integers(1, 4)))]
+    probe = explicit_rule({m: normalize(b, m) for m, b in listed.items()},
+                          RuleFlags(eventually_nonempty=True, all_singletons=True, covers_all_n=False,
+                                    max_block_count=math.inf))
+    pats = []
+    for n in range(1, _HORIZON + 1):
+        try:
+            pats.append(probe.pattern(n))
+        except RejectedFullBlockError:
+            pass
+    big = [p.n for p in pats if p.max_block_size() >= 2]
+    overlaps = [p.n for p in pats if p.has_overlap()]
+    flags = {
+        "eventually_nonempty": any(p.blocks for p in pats if p.n >= 2),
+        "all_singletons": not big,
+        "covers_all_n": all(p.is_partition_of_all() for p in pats),
+        "max_block_count": math.inf if g.random() < 0.2 else max(len(p.blocks) for p in pats),
+        "has_block_ge2_at": int(g.choice(big)) if big and g.random() < 0.7 else None,
+        "overlap_at": int(g.choice(overlaps)) if overlaps and g.random() < 0.7 else None,
+    }
+    if g.random() < 0.8:
+        name = list(flags)[int(g.integers(0, len(flags)))]
+        value = flags[name]
+        if isinstance(value, bool):
+            flags[name] = not value
+        elif name == "max_block_count":
+            flags[name] = value - 1 if 0 < value < math.inf else [math.inf, 0, 1][int(g.integers(0, 3))]
+        else:
+            flags[name] = None if value is not None else int(g.integers(1, _HORIZON + 3))
+    return explicit_rule({m: normalize(b, m) for m, b in listed.items()}, RuleFlags(**flags))
+
+
+def _outcome(validate, rule, probe_N):
+    try:
+        return validate(rule, probe_N)
+    except Exception as exc:  # the error's type and message are the outcome
+        return type(exc).__name__, str(exc)
+
+
+class TestValidateRuleAgainstReference:
+    FLAG_MISMATCHES = {
+        "all_singletons declared but T_# has a block of size >= #",
+        "eventually_nonempty=False but T_# is nonempty",
+        "covers_all_n declared but T_# is not a partition of range(#)",
+        "T_# has # blocks, above the declared maximum #",
+        "has_block_ge#_at=# but that pattern has no block of size >= #",
+        "overlap_at=# but that pattern has no overlap",
+        "all_singletons=False requires a probed block of size >= # or a declared location",
+    }
+
+    def test_same_regime_or_error_as_reference(self):
+        g = np.random.default_rng(2022)
+        regimes, mismatches, errors = set(), set(), set()
+        for _ in range(1000):
+            rule = _random_explicit_rule(g)
+            for probe_N in (3, 5, 12):
+                got = _outcome(validate_rule, rule, probe_N)
+                assert got == _outcome(_validate_rule_reference, rule, probe_N), (rule.flags, probe_N)
+                if isinstance(got, str):
+                    regimes.add(got)
+                else:
+                    errors.add(got[0])
+                    if got[0] == "FlagMismatchError":
+                        mismatches.add(re.sub(r"\d+", "#", got[1]))
+        assert regimes == {R1_EMPTY, R2_SINGLETONS, R3A_PARTITION_ALL, R3B_SUBPARTITION_OTHER, R4_OVERLAPPING}
+        assert mismatches == self.FLAG_MISMATCHES
+        assert errors == {"FlagMismatchError", "RejectedFullBlockError"}
 
 
 # Rule files as the CLI reads them: 1-based indices, "inf" for an unbounded block count.
