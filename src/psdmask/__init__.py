@@ -49,7 +49,6 @@ from .patterns import (
     PatternRule,
     RuleFlags,
     all_singletons_rule,
-    classify_pattern,
     classify_sequence,
     contiguous_partition_rule,
     empty_rule,

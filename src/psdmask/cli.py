@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import PsdMaskError
 from .functions import Domain, Identity, admissible_family, function_from_json
-from .linalg import _within_cap, is_psd, matrix_from_json
+from .linalg import _cell_to_complex, _within_cap, is_psd, matrix_from_json
 from .patterns import classify_sequence, rule_from_json
 from .verify import VerifyConfig, refute_scalar_outside_interval, verify_preservation
 from .witnesses import (
@@ -164,7 +164,8 @@ def _witness_from_args(args) -> Witness:
     if name == "all_ones":
         return all_ones_witness(args.x, args.n, domain)
     if name == "rank_one":
-        v = [complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in json.loads(args.v)]
+        v = [_cell_to_complex(e) for e in json.loads(args.v)]  # a cell as in a matrix document
+        _within_cap(len(v))
         return rank_one_gram(v, domain if args.domain else None)  # no default domain, as in the library
     if name == "duplicated_pair":
         return duplicated_pair_gram(_parse_complex(args.w), _parse_complex(args.z), domain)
@@ -181,6 +182,7 @@ def _witness_from_args(args) -> Witness:
         return Witness(M, "pad_embed", {"N": args.n})
     if name == "corner":
         A = matrix_from_json(_load_json(args.matrix))
+        _within_cap(len(A) + 1)
         if args.eps is not None:
             return Witness(corner_extend(A, args.eps, domain), "corner_extension", {"eps": args.eps})
         M, eps = corner_extend_auto(A, domain)
@@ -189,8 +191,8 @@ def _witness_from_args(args) -> Witness:
 
 def _cmd_witness(args) -> int:
     wit = _witness_from_args(args)
+    report = is_psd(wit.matrix, WITNESS_PSD_TOL)  # first: a size it refuses exits before the JSON body is formed
     body = wit.to_json()
-    report = is_psd(wit.matrix, WITNESS_PSD_TOL)
     body["psd"] = report.to_json()
     lines = [
         f"witness {body['provenance']} ({body['matrix']['n']} x {body['matrix']['n']})",

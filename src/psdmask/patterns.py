@@ -44,10 +44,18 @@ DEFAULT_PROBE_N = 12
 
 
 @dataclass(frozen=True)
+class PatternClass:
+    kind: str
+    block_count: int
+    covers_all: bool
+    max_block_size: int
+
+
+@dataclass(frozen=True)
 class BlockPattern:
     """Normalized block pattern on range(n); build with ``normalize``, which keeps
     every block inside range(n).  So n distinct indices of the blocks are all of
-    range(n), and each fact below is read off block sizes, never off range(n)."""
+    range(n), and each fact of ``cls`` is read off block sizes, never off range(n)."""
 
     n: int
     blocks: tuple[frozenset[int], ...]
@@ -58,18 +66,29 @@ class BlockPattern:
             out |= b
         return frozenset(out)
 
-    def max_block_size(self) -> int:
-        return max((len(b) for b in self.blocks), default=0)
+    @cached_property
+    def cls(self) -> PatternClass:
+        """The pattern's one kind, with the facts it is read off.  Built on first
+        use and kept as long as the pattern, like ``mask``.
 
-    def is_full_block(self) -> bool:
-        return len(self.blocks) == 1 and len(self.blocks[0]) == self.n
-
-    def is_partition_of_all(self) -> bool:
-        return sum(len(b) for b in self.blocks) == self.n == len(self.covered())
-
-    def has_overlap(self) -> bool:
-        # an index held by two blocks counts twice in their sizes but once in their union
-        return sum(len(b) for b in self.blocks) > len(self.covered())
+        Precedence: Empty, SingletonsOnly, Overlapping, PartitionOfAll,
+        SubpartitionWithBigBlock (disjoint blocks, at least one of size >= 2,
+        union possibly proper).
+        """
+        sizes = [len(b) for b in self.blocks]
+        union = len(self.covered())
+        size = max(sizes, default=0)
+        if not sizes:
+            kind = EMPTY
+        elif size == 1:
+            kind = SINGLETONS_ONLY
+        elif sum(sizes) > union:  # an index held by two blocks counts twice in their sizes but once in their union
+            kind = OVERLAPPING
+        elif union == self.n:
+            kind = PARTITION_OF_ALL
+        else:
+            kind = SUBPARTITION_WITH_BIG_BLOCK
+        return PatternClass(kind=kind, block_count=len(sizes), covers_all=union == self.n, max_block_size=size)
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -106,37 +125,6 @@ def normalize(blocks, n: int) -> BlockPattern:
     return BlockPattern(n=n, blocks=tuple(kept))
 
 
-@dataclass(frozen=True)
-class PatternClass:
-    kind: str
-    block_count: int
-    covers_all: bool
-    max_block_size: int
-
-
-def classify_pattern(pattern: BlockPattern) -> PatternClass:
-    """Assign exactly one kind to a normalized pattern.
-
-    Precedence: Empty, SingletonsOnly, Overlapping, PartitionOfAll,
-    SubpartitionWithBigBlock (disjoint blocks, at least one of size >= 2,
-    union possibly proper).
-    """
-    covers = len(pattern.covered()) == pattern.n
-    count = len(pattern.blocks)
-    size = pattern.max_block_size()
-    if count == 0:
-        kind = EMPTY
-    elif size == 1:
-        kind = SINGLETONS_ONLY
-    elif pattern.has_overlap():
-        kind = OVERLAPPING
-    elif covers:
-        kind = PARTITION_OF_ALL
-    else:
-        kind = SUBPARTITION_WITH_BIG_BLOCK
-    return PatternClass(kind=kind, block_count=count, covers_all=covers, max_block_size=size)
-
-
 # -- rule sequences -----------------------------------------------------------
 
 
@@ -166,11 +154,11 @@ class PatternRule:
     _patterns: dict[int, BlockPattern] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pattern(self, n: int) -> BlockPattern:
-        """T_n, built on first use and kept, with its mask, as long as the rule.
+        """T_n, built on first use and kept, with its class and mask, as long as the rule.
         A full block at n >= 2 raises on every call and is never kept."""
         if n not in self._patterns:
             p = self.generator(n)
-            if n >= 2 and p.is_full_block():
+            if p.cls.kind == PARTITION_OF_ALL and p.cls.block_count == 1:  # size >= 2, so n >= 2
                 raise RejectedFullBlockError(f"rule {self.name!r} materializes the full block at n={n}")
             self._patterns[n] = p
         return self._patterns[n]
@@ -320,8 +308,8 @@ def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str
 
 def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
     """Check declared flags against T_1..T_probe_N and the flags' witness
-    dimensions; return the sequence regime.  The patterns it reads are the
-    rule's own (``PatternRule.pattern``), so a later call builds none again.
+    dimensions; return the sequence regime.  The patterns and classes it reads
+    are the rule's own (``PatternRule.pattern``), so a later call makes none.
 
     Regime precedence: overlap anywhere -> R4; else any block of size >= 2 ->
     R3a (partition of range(n) for all n with finite max block count) or R3b
@@ -335,7 +323,7 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
     flags = rule.flags
     classes = []
     for n in range(1, probe_N + 1):
-        cls = classify_pattern(rule.pattern(n))
+        cls = rule.pattern(n).cls
         classes.append(cls)
         if flags.all_singletons and cls.max_block_size >= 2:
             raise FlagMismatchError(f"all_singletons declared but T_{n} has a block of size >= 2")
@@ -347,11 +335,11 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
             raise FlagMismatchError(
                 f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
             )
-    if flags.has_block_ge2_at is not None and rule.pattern(flags.has_block_ge2_at).max_block_size() < 2:
+    if flags.has_block_ge2_at is not None and rule.pattern(flags.has_block_ge2_at).cls.max_block_size < 2:
         raise FlagMismatchError(
             f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
         )
-    if flags.overlap_at is not None and not rule.pattern(flags.overlap_at).has_overlap():
+    if flags.overlap_at is not None and rule.pattern(flags.overlap_at).cls.kind != OVERLAPPING:
         raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
     big = flags.has_block_ge2_at is not None or any(c.max_block_size >= 2 for c in classes)
     if not (flags.all_singletons or big or flags.overlap_at is not None):

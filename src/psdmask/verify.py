@@ -607,7 +607,7 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     regime = validate_rule(rule, cfg.probe_N)
     if regime != R3A_PARTITION_ALL:
         raise RegimeMismatchError(f"rule is in regime {regime}, not a partition-of-all sequence")
-    if not (math.isfinite(rule.flags.max_block_count) and int(rule.flags.max_block_count) == K):
+    if int(rule.flags.max_block_count) != K:  # R3a holds only for a finite declared count
         raise RegimeMismatchError(
             f"K={K} differs from the rule's declared max block count {rule.flags.max_block_count}"
         )

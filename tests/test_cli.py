@@ -421,6 +421,34 @@ class TestWitness:
         assert "dimension 2000 exceeds the eigensolver cap 64" in err
         assert peak < 5 * 2**20  # a 2000 x 2000 complex witness alone is 64 MB
 
+    def test_rank_one_above_the_eigensolver_cap_refused_before_it_is_built(self, capsys):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run(["witness", "rank_one", "--v", json.dumps([0.5] * 3000)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE and out == ""
+        assert "dimension 3000 exceeds the eigensolver cap 64" in err
+        assert peak < 5 * 2**20  # a 3000 x 3000 complex witness alone is 144 MB
+
+    def test_corner_above_the_eigensolver_cap_is_usage_error(self, tmp_path, capsys):
+        mat = tmp_path / "flat64.json"  # PSD with positive entries: only its size is refused
+        mat.write_text(json.dumps({"n": 64, "entries": np.full((64, 64), 0.01).tolist()}))
+        code, out, err = run(["witness", "corner", "--matrix", str(mat)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "dimension 65 exceeds the eigensolver cap 64" in err
+
+    @pytest.mark.parametrize("v", ["[1, [2, 0, 7]]", "[true, 0.5]", '["1", 0.5]'],
+                             ids=["three_parts", "bool", "string"])
+    def test_vector_entry_that_is_not_a_cell_is_usage_error(self, capsys, v):
+        # an entry is read as a matrix cell: a number or a pair of numbers
+        code, out, err = run(["witness", "rank_one", "--v", v], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:")
+
     def test_corner_auto(self, files, tmp_path, capsys):
         dom = tmp_path / "pos.json"
         dom.write_text(json.dumps({"kind": "open_pos", "rho": 1.0}))

@@ -25,7 +25,6 @@ from psdmask.patterns import (
     PatternClass,
     RuleFlags,
     all_singletons_rule,
-    classify_pattern,
     classify_sequence,
     contiguous_partition_rule,
     empty_rule,
@@ -96,8 +95,8 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_all_pairs_scan(self, seed):
-        # the element index finds the same maximal blocks, and has_overlap the same
-        # verdict, as comparing every pair of blocks
+        # the element index finds the same maximal blocks, and the class the same
+        # overlap verdict, as comparing every pair of blocks
         g = np.random.default_rng(seed)
         n = int(g.integers(1, 9))
         blocks = [frozenset(g.choice(n, size=g.integers(1, n + 1), replace=False).tolist())
@@ -107,7 +106,7 @@ class TestNormalize:
                       key=lambda u: (min(u), len(u), sorted(u)))
         p = normalize(blocks, n)
         assert p.blocks == tuple(kept)
-        assert p.has_overlap() == any(u & v for i, u in enumerate(kept) for v in kept[i + 1:])
+        assert (p.cls.kind == OVERLAPPING) == any(u & v for i, u in enumerate(kept) for v in kept[i + 1:])
 
     @settings(max_examples=100, deadline=None)
     @given(block_families())
@@ -119,45 +118,46 @@ class TestNormalize:
         whole = frozenset(range(n))
         covers = frozenset().union(*p.blocks) == whole
         disjoint = all(not u & v for i, u in enumerate(p.blocks) for v in p.blocks[i + 1:])
-        assert p.is_full_block() == (p.blocks == (whole,))
-        assert classify_pattern(p).covers_all == covers
-        assert p.is_partition_of_all() == (covers and disjoint)
+        assert (p.cls.kind == PARTITION_OF_ALL and p.cls.block_count == 1) == (p.blocks == (whole,) and n >= 2)
+        assert p.cls.covers_all == covers
+        assert (p.cls.covers_all and p.cls.kind != OVERLAPPING) == (covers and disjoint)
+        assert p.cls == _classify_reference(p)
 
     def test_twenty_thousand_blocks_sharing_one_index(self):
         # every block {0, i} holds 0, so a check against the blocks holding each
         # block's smallest element compares all 20,000 with one another
         p = normalize([{i, 0} for i in range(20000, 0, -1)], 20001)
         assert p.blocks == tuple(frozenset({0, i}) for i in range(1, 20001))
-        assert p.has_overlap()
+        assert p.cls.kind == OVERLAPPING
 
     def test_twenty_thousand_blocks(self):
         # T_{k+1} of contiguous_partition(k) has k blocks; an all-pairs scan of
         # them grows as k^2 and took 7 s at k = 10000
         p = contiguous_partition_rule(20000).pattern(20001)
-        assert len(p.blocks) == 20000 and p.max_block_size() == 2 and not p.has_overlap()
+        assert p.cls == PatternClass(PARTITION_OF_ALL, block_count=20000, covers_all=True, max_block_size=2)
 
 
 class TestClassifyPattern:
     def test_partition_of_all(self):
-        cls = classify_pattern(normalize([{0, 1}, {2}], 3))
+        cls = normalize([{0, 1}, {2}], 3).cls
         assert cls.kind == PARTITION_OF_ALL
         assert cls.block_count == 2 and cls.max_block_size == 2 and cls.covers_all
 
     def test_overlapping(self):
-        cls = classify_pattern(normalize([{0, 1}, {1, 2}], 3))
+        cls = normalize([{0, 1}, {1, 2}], 3).cls
         assert cls.kind == OVERLAPPING
 
     def test_subpartition_with_big_block(self):
-        cls = classify_pattern(normalize([{0, 1}], 3))
+        cls = normalize([{0, 1}], 3).cls
         assert cls.kind == SUBPARTITION_WITH_BIG_BLOCK
         assert not cls.covers_all
 
     def test_empty_and_singletons(self):
-        assert classify_pattern(normalize([], 3)).kind == EMPTY
-        assert classify_pattern(normalize([{0}, {2}], 3)).kind == SINGLETONS_ONLY
+        assert normalize([], 3).cls.kind == EMPTY
+        assert normalize([{0}, {2}], 3).cls.kind == SINGLETONS_ONLY
 
     def test_singletons_covering_all_stay_singletons(self):
-        cls = classify_pattern(normalize([{0}, {1}, {2}], 3))
+        cls = normalize([{0}, {1}, {2}], 3).cls
         assert cls.kind == SINGLETONS_ONLY and cls.covers_all
 
     def test_partition_of_all_covers_each_index_once(self, rng):
@@ -167,7 +167,7 @@ class TestClassifyPattern:
                                                               rng.integers(1, n + 1))
                       if g.size]
             p = normalize(blocks, n)
-            if classify_pattern(p).kind == PARTITION_OF_ALL:
+            if p.cls.kind == PARTITION_OF_ALL:
                 counts = [sum(i in b for b in p.blocks) for i in range(n)]
                 assert counts == [1] * n
 
@@ -222,9 +222,9 @@ class TestBuiltinRules:
         rule = contiguous_partition_rule(3)
         assert classify_sequence(rule) == R3A_PARTITION_ALL
         p5 = rule.pattern(5)
-        assert p5.is_partition_of_all()
+        assert p5.cls.kind == PARTITION_OF_ALL
         assert [sorted(b) for b in p5.blocks] == [[0, 1], [2, 3], [4]]
-        assert rule.pattern(2).is_partition_of_all()
+        assert rule.pattern(2).cls == PatternClass(SINGLETONS_ONLY, block_count=2, covers_all=True, max_block_size=1)
 
     def test_contiguous_partition_needs_k_at_least_two(self):
         with pytest.raises(ValueError):
@@ -321,14 +321,14 @@ class TestRuleValidation:
 
 
 def _classify_reference(p: BlockPattern) -> PatternClass:
-    """classify_pattern with covers_all read off the set definition."""
-    covers = p.covered() == frozenset(range(p.n))
-    count, size = len(p.blocks), p.max_block_size()
+    """BlockPattern.cls with every fact read off its set definition."""
+    covers = frozenset().union(*p.blocks) == frozenset(range(p.n))
+    count, size = len(p.blocks), max((len(b) for b in p.blocks), default=0)
     if count == 0:
         kind = EMPTY
     elif size == 1:
         kind = SINGLETONS_ONLY
-    elif p.has_overlap():
+    elif any(u & v for i, u in enumerate(p.blocks) for v in p.blocks[i + 1:]):
         kind = OVERLAPPING
     elif covers:
         kind = PARTITION_OF_ALL
@@ -360,17 +360,17 @@ def _validate_rule_reference(rule, probe_N: int) -> str:
             raise FlagMismatchError(f"all_singletons declared but T_{n} has a block of size >= 2")
         if not flags.eventually_nonempty and n >= 2 and cls.block_count > 0:
             raise FlagMismatchError(f"eventually_nonempty=False but T_{n} is nonempty")
-        if flags.covers_all_n and not (sum(len(b) for b in p.blocks) == n and p.covered() == frozenset(range(n))):
+        if flags.covers_all_n and not (sum(len(b) for b in p.blocks) == n and cls.covers_all):
             raise FlagMismatchError(f"covers_all_n declared but T_{n} is not a partition of range({n})")
         if math.isfinite(flags.max_block_count) and cls.block_count > flags.max_block_count:
             raise FlagMismatchError(
                 f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
             )
-    if flags.has_block_ge2_at is not None and rule.pattern(flags.has_block_ge2_at).max_block_size() < 2:
+    if flags.has_block_ge2_at is not None and _classify_reference(rule.pattern(flags.has_block_ge2_at)).max_block_size < 2:
         raise FlagMismatchError(
             f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
         )
-    if flags.overlap_at is not None and not rule.pattern(flags.overlap_at).has_overlap():
+    if flags.overlap_at is not None and _classify_reference(rule.pattern(flags.overlap_at)).kind != OVERLAPPING:
         raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
     declared_big = flags.has_block_ge2_at is not None or flags.overlap_at is not None
     if not flags.all_singletons and not probed_big and not declared_big:
@@ -427,12 +427,13 @@ def _random_explicit_rule(g: np.random.Generator):
             pats.append(probe.pattern(n))
         except RejectedFullBlockError:
             pass
-    big = [p.n for p in pats if p.max_block_size() >= 2]
-    overlaps = [p.n for p in pats if p.has_overlap()]
+    classes = {p.n: _classify_reference(p) for p in pats}
+    big = [n for n, c in classes.items() if c.max_block_size >= 2]
+    overlaps = [n for n, c in classes.items() if c.kind == OVERLAPPING]
     flags = {
         "eventually_nonempty": any(p.blocks for p in pats if p.n >= 2),
         "all_singletons": not big,
-        "covers_all_n": all(p.is_partition_of_all() for p in pats),
+        "covers_all_n": all(c.covers_all and c.kind != OVERLAPPING for c in classes.values()),
         "max_block_count": math.inf if g.random() < 0.2 else max(len(p.blocks) for p in pats),
         "has_block_ge2_at": int(g.choice(big)) if big and g.random() < 0.7 else None,
         "overlap_at": int(g.choice(overlaps)) if overlaps and g.random() < 0.7 else None,
@@ -674,6 +675,17 @@ class TestRuleOwnsPatterns:
         assert validate_rule(rule) == classify_sequence(rule)
         assert isinstance(validate_rule(rule), str)
 
+    @pytest.mark.parametrize("rule", _builtin_rules() + [EXPLICIT], ids=lambda r: r.name)
+    def test_pattern_is_classified_once(self, rule, monkeypatch):
+        # a kept pattern keeps its class, so validating the rule again reads no block
+        regime = validate_rule(rule)
+
+        def unread(self):
+            raise AssertionError(f"T_{self.n} was classified again")
+
+        monkeypatch.setattr(BlockPattern, "covered", unread)
+        assert validate_rule(rule) == regime
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(block_families(), min_size=1, max_size=3))
     def test_explicit_pattern_is_listed_blocks_normalized_at_n(self, families):
@@ -682,7 +694,7 @@ class TestRuleOwnsPatterns:
         rule = explicit_rule({m: BlockPattern(m, blocks) for m, blocks in listed.items()}, self.EXPLICIT.flags)
         for n in range(1, 13):
             expected = normalize(max(((m, b) for m, b in listed.items() if m <= n), default=(0, []))[1], n)
-            if n >= 2 and expected.is_full_block():
+            if n >= 2 and expected.blocks == (frozenset(range(n)),):
                 with pytest.raises(RejectedFullBlockError):
                     rule.pattern(n)
             else:
