@@ -164,7 +164,10 @@ def _witness_from_args(args) -> Witness:
     if name == "all_ones":
         return all_ones_witness(args.x, args.n, domain)
     if name == "rank_one":
-        v = [_cell_to_complex(e) for e in json.loads(args.v)]  # a cell as in a matrix document
+        v = json.loads(args.v)
+        if not isinstance(v, list):  # a number, a string or an object is no vector
+            raise PsdMaskError(f"--v must be a JSON list of cells, got {args.v!r}")
+        v = [_cell_to_complex(e) for e in v]  # a cell as in a matrix document
         _within_cap(len(v))
         return rank_one_gram(v, domain if args.domain else None)  # no default domain, as in the library
     if name == "duplicated_pair":

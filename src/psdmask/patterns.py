@@ -151,6 +151,7 @@ class PatternRule:
     name: str
     generator: Callable[[int], BlockPattern]
     flags: RuleFlags
+    _listed: tuple[int, ...] = field(default=(), repr=False, compare=False)  # set by explicit_rule alone
     _patterns: dict[int, BlockPattern] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pattern(self, n: int) -> BlockPattern:
@@ -179,15 +180,15 @@ def _contiguous_split(count: int, parts: int) -> list[list[int]]:
 
 
 def empty_rule() -> PatternRule:
-    return PatternRule(
-        name="empty",
-        generator=lambda n: normalize([], n),
-        flags=RuleFlags(
+    return explicit_rule(
+        {1: normalize([], 1)},
+        RuleFlags(
             eventually_nonempty=False,
             all_singletons=True,
             covers_all_n=False,
             max_block_count=0,
         ),
+        name="empty",
     )
 
 
@@ -209,24 +210,18 @@ def single_block_rule(block) -> PatternRule:
     blk = frozenset(int(i) for i in block)
     if not blk or any(i < 0 for i in blk):
         raise ValueError("block must be a nonempty set of indices >= 0")
-
     top = max(blk)
-
-    def gen(n: int) -> BlockPattern:
-        # blk lies in range(n) when top < n, and is all of it when len(blk) == n too
-        return normalize([blk] if top < n and not (n >= 2 and len(blk) == n) else [], n)
-
-    first_n = top + 2 if len(blk) == top + 1 >= 2 else top + 1
-    return PatternRule(
-        name="single_block",
-        generator=gen,
-        flags=RuleFlags(
+    first_n = top + 2 if len(blk) == top + 1 >= 2 else top + 1  # past range(top + 1) when blk is all of it
+    return explicit_rule(
+        {first_n: normalize([blk], first_n)},
+        RuleFlags(
             eventually_nonempty=True,
             all_singletons=len(blk) == 1,
             covers_all_n=False,
             max_block_count=1,
             has_block_ge2_at=first_n if len(blk) >= 2 else None,
         ),
+        name="single_block",
     )
 
 
@@ -266,10 +261,9 @@ def proper_subpartition_rule(k: int) -> PatternRule:
 
 def overlapping_chain_rule() -> PatternRule:
     """T_n = {{0,1},{1,2}} for n >= 3 (two blocks sharing index 1), empty below."""
-    return PatternRule(
-        name="overlapping_chain",
-        generator=lambda n: normalize([{0, 1}, {1, 2}] if n >= 3 else [], n),
-        flags=RuleFlags(
+    return explicit_rule(
+        {3: normalize([{0, 1}, {1, 2}], 3)},
+        RuleFlags(
             eventually_nonempty=True,
             all_singletons=False,
             covers_all_n=False,
@@ -277,6 +271,7 @@ def overlapping_chain_rule() -> PatternRule:
             has_block_ge2_at=3,
             overlap_at=3,
         ),
+        name="overlapping_chain",
     )
 
 
@@ -287,7 +282,8 @@ def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str
     rule is built.  For an unlisted dimension the pattern of the largest
     listed n' <= n is reused with n in place of n' (its blocks still fit in
     range(n), and normalizing them on range(n) gives the same blocks in the
-    same order); below the smallest listed n the pattern is empty.
+    same order); below the smallest listed n the pattern is empty.  The rule
+    keeps its listed n's: ``validate_rule`` reads each and the n after it.
     """
     if not patterns:
         raise ValueError("at least one pattern must be listed")
@@ -299,17 +295,15 @@ def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str
             return normalize([], n)
         return replace(listed[best], n=n)
 
-    return PatternRule(
-        name=name,
-        generator=gen,
-        flags=flags,
-    )
+    return PatternRule(name=name, generator=gen, flags=flags, _listed=tuple(listed))
 
 
 def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
-    """Check declared flags against T_1..T_probe_N and the flags' witness
-    dimensions; return the sequence regime.  The patterns and classes it reads
-    are the rule's own (``PatternRule.pattern``), so a later call makes none.
+    """Check declared flags against T_n at each n of 1..probe_N, at the flags'
+    witness dimensions, and at each listed n of an explicit rule and the n
+    after it, past which its T_n keeps its blocks: so an explicit rule is
+    decided whatever probe_N is, and is never R3a.  Return the regime, read
+    off the rule's own kept classes (``PatternRule.pattern``), never rebuilt.
 
     Regime precedence: overlap anywhere -> R4; else any block of size >= 2 ->
     R3a (partition of range(n) for all n with finite max block count) or R3b
@@ -321,10 +315,11 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
     if probe_N < 3:
         raise ValueError("probe_N must be >= 3")
     flags = rule.flags
-    classes = []
-    for n in range(1, probe_N + 1):
-        cls = rule.pattern(n).cls
-        classes.append(cls)
+    dims = {*range(1, probe_N + 1), *rule._listed, *(m + 1 for m in rule._listed)}
+    dims.update(n for n in (flags.has_block_ge2_at, flags.overlap_at) if n is not None)
+    classes = {}
+    for n in sorted(dims):
+        cls = classes[n] = rule.pattern(n).cls
         if flags.all_singletons and cls.max_block_size >= 2:
             raise FlagMismatchError(f"all_singletons declared but T_{n} has a block of size >= 2")
         if not flags.eventually_nonempty and n >= 2 and cls.block_count > 0:
@@ -335,18 +330,18 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
             raise FlagMismatchError(
                 f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
             )
-    if flags.has_block_ge2_at is not None and rule.pattern(flags.has_block_ge2_at).cls.max_block_size < 2:
+    if flags.has_block_ge2_at is not None and classes[flags.has_block_ge2_at].max_block_size < 2:
         raise FlagMismatchError(
             f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
         )
-    if flags.overlap_at is not None and rule.pattern(flags.overlap_at).cls.kind != OVERLAPPING:
+    if flags.overlap_at is not None and classes[flags.overlap_at].kind != OVERLAPPING:
         raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
-    big = flags.has_block_ge2_at is not None or any(c.max_block_size >= 2 for c in classes)
-    if not (flags.all_singletons or big or flags.overlap_at is not None):
+    big = any(c.max_block_size >= 2 for c in classes.values())
+    if not (flags.all_singletons or big):
         raise FlagMismatchError(
             "all_singletons=False requires a probed block of size >= 2 or a declared location"
         )
-    if flags.overlap_at is not None or any(c.kind == OVERLAPPING for c in classes):
+    if any(c.kind == OVERLAPPING for c in classes.values()):
         return R4_OVERLAPPING
     if big:
         # T_2 is a partition of range(2) with at most K blocks, and not the full block: so K >= 2

@@ -30,7 +30,7 @@ So ``eigvalsh`` decides every other stack and is the only source of
 ``min_eig`` and of every Refuted verdict.
 
 Each n's random samples come from their own stream, split from the master
-seed as ``default_rng([seed, 6, n])`` (6 is ``random_gram``'s family id), so
+seed as ``default_rng([seed, 6, n])`` (6 is ``_RANDOM_GRAM_STREAM``), so
 no stage depends on the order in which the others ran.
 """
 
@@ -99,7 +99,7 @@ from .witnesses import (
 OUTCOME_PRESERVED = "PreservedWithinBudget"
 OUTCOME_REFUTED = "Refuted"
 
-_FAMILY_IDS = {"random_gram": 6}
+_RANDOM_GRAM_STREAM = 6  # the middle word of each random_gram stream's entropy [seed, 6, n]
 
 # The entries of one stack: n x n matrices are settled, applied and screened
 # ``_stack_rows(n)`` at a time, 64 kB of complex128 per temporary.  The cost
@@ -179,10 +179,6 @@ class Verdict:
             "counterexample": None if self.counterexample is None else self.counterexample.to_json(),
             "stats": self.stats,
         }
-
-
-def _rng(seed: int, family: str, n: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), _FAMILY_IDS[family], int(n)])
 
 
 def _draw(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = None) -> np.ndarray:
@@ -265,7 +261,8 @@ def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray
     this function; a caller's generator (``sample_psd``, the suite) keeps
     ``rng.integers``, so that its kept half stays numpy's own.
     """
-    rng, parts, count = _rng(cfg.seed, "random_gram", n), (2 if domain.kind == DISC else 1), cfg.samples_per_n
+    rng = np.random.default_rng([int(cfg.seed), _RANDOM_GRAM_STREAM, int(n)])
+    parts, count = (2 if domain.kind == DISC else 1), cfg.samples_per_n
     step, ranks = parts * n, [1] * count
     flat = np.empty(step * (count + count // 2 * (n - 1)))  # room for rank n at every odd s
     raw, fill, threshold = rng.bit_generator.random_raw, rng.standard_normal, (2**32 - n) % n

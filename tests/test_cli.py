@@ -13,6 +13,7 @@ import psdmask
 from psdmask.cli import EXIT_OK, EXIT_REFUTED, EXIT_SUITE_FAIL, EXIT_USAGE, _config_from, build_parser, main
 from psdmask.linalg import matrix_from_json
 from psdmask.verify import VerifyConfig, canonical_json
+from test_patterns import LISTED_PAST_THE_PROBE
 
 
 @pytest.fixture
@@ -133,6 +134,18 @@ class TestClassify:
         assert code == EXIT_OK and err == ""
         assert json.loads(out)["report"]["regime"] == "R3b-Subpartition-Other"
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("case", sorted(LISTED_PAST_THE_PROBE))
+    def test_explicit_rule_read_past_the_probe(self, files, capsys, case):
+        # a listing keeps its blocks past its largest n: each listed n and the next decide it
+        doc, probe_N, regime, error = LISTED_PAST_THE_PROBE[case]
+        path = files["tmp"] / "rule_listed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["classify", "--rule", str(path), "--probe-n", str(probe_N), "--json"], capsys)
+        if regime is not None:
+            assert code == EXIT_OK and json.loads(out)["report"]["regime"] == regime
+        else:
+            assert code == EXIT_USAGE and out == "" and err == f"error: {error}\n"
 
     def test_rule_nested_too_deeply_is_usage_error(self, files, capsys):
         path = files["tmp"] / "rule_deep.json"
@@ -296,6 +309,11 @@ class TestRefute:
         assert code == EXIT_USAGE and out == ""
         assert "dimension 65 exceeds the eigensolver cap 64" in err
 
+    def test_unbounded_block_count_is_usage_error(self, files, capsys):
+        code, out, err = run(["refute", "--rule", files["rule_singletons"], "--c", "2"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: the rule must declare a finite max block count\n"
+
     def test_zero_x_is_usage_error(self, files, capsys):
         code, out, err = run(
             ["refute", "--rule", files["rule_k3"], "--c=-1", "--x", "0", "--domain", files["disc1"]],
@@ -448,6 +466,19 @@ class TestWitness:
         code, out, err = run(["witness", "rank_one", "--v", v], capsys)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("v", ["5", '"ab"', "{}", "null"], ids=["number", "string", "object", "null"])
+    def test_vector_that_is_not_a_list_is_usage_error(self, capsys, v):
+        # a string would be read one character at a time, and an object as an empty vector
+        code, out, err = run(["witness", "rank_one", "--v", v], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --v must be a JSON list of cells, got {v!r}\n"
+
+    def test_vector_of_real_and_complex_cells(self, capsys):
+        code, out, _ = run(["witness", "rank_one", "--v", "[0.5, [0, 0.5]]", "--json"], capsys)
+        assert code == EXIT_OK
+        M = matrix_from_json(json.loads(out)["report"]["matrix"])
+        assert np.array_equal(M, np.outer([0.5, 0.5j], np.conj([0.5, 0.5j])))
 
     def test_corner_auto(self, files, tmp_path, capsys):
         dom = tmp_path / "pos.json"

@@ -23,6 +23,7 @@ from psdmask.patterns import (
     SUBPARTITION_WITH_BIG_BLOCK,
     BlockPattern,
     PatternClass,
+    PatternRule,
     RuleFlags,
     all_singletons_rule,
     classify_sequence,
@@ -59,6 +60,13 @@ def block_families(draw):
     if blocks:
         blocks += draw(st.lists(st.sampled_from(blocks), max_size=3))
     return n, [sorted(b, reverse=True) for b in draw(st.permutations(blocks))]
+
+
+@st.composite
+def listings(draw):
+    """An explicit rule's listing: up to three n in 1..16, each with a few blocks of range(n)."""
+    return {m: normalize(draw(st.lists(st.sets(st.integers(0, m - 1), max_size=3), max_size=4)), m)
+            for m in draw(st.sets(st.integers(1, 16), min_size=1, max_size=3))}
 
 
 class TestNormalize:
@@ -251,6 +259,30 @@ class TestBuiltinRules:
             assert len(results) == 1
 
 
+def _explicit_doc(listed: dict, **flags) -> dict:
+    """An explicit rule document listing 1-based blocks at each n; the flags not given are those
+    of a nonempty rule with at most two blocks, no singletons-only claim and no cover."""
+    return {"kind": "explicit",
+            "params": {"patterns": [{"n": m, "blocks": blocks} for m, blocks in listed.items()]},
+            "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
+                      "max_block_count": 2, **flags}}
+
+
+# Explicit rules whose facts lie past T_probe_N: (document, probe_N, regime, FlagMismatchError message)
+LISTED_PAST_THE_PROBE = {
+    "true_flag_overlap_at_13": (_explicit_doc({13: [[1, 2], [2, 3]]}, has_block_ge2_at=13), 12,
+                                R4_OVERLAPPING, None),
+    "partitions_to_12": (_explicit_doc({m: [list(range(1, m)), [m]] if m > 1 else [[1]] for m in range(1, 13)},
+                                       covers_all_n=True, has_block_ge2_at=3), 12,
+                         None, "covers_all_n declared but T_13 is not a partition of range(13)"),
+    "singleton_at_13": (_explicit_doc({13: [[1]]}, eventually_nonempty=False, all_singletons=True,
+                                      max_block_count=1), 12,
+                        None, "eventually_nonempty=False but T_13 is nonempty"),
+    "singletons_with_overlap_at_10": (_explicit_doc({10: [[1, 2], [2, 3]]}, all_singletons=True, overlap_at=10), 5,
+                                      None, "all_singletons declared but T_10 has a block of size >= 2"),
+}
+
+
 class TestRuleValidation:
     def test_flag_mismatch_all_singletons(self):
         bad = explicit_rule(
@@ -279,8 +311,10 @@ class TestRuleValidation:
             validate_rule(bad)
 
     def test_undeclared_big_block_location(self):
-        bad = explicit_rule(
-            {20: normalize([{0, 1}], 20)},
+        # a generic rule: nothing but a declared location would take validation to T_20
+        bad = PatternRule(
+            "far_block",
+            lambda n: normalize([{0, 1}] if n >= 20 else [], n),
             RuleFlags(
                 eventually_nonempty=True,
                 all_singletons=False,
@@ -289,8 +323,48 @@ class TestRuleValidation:
             ),
         )
         # a size->=2 block is claimed but neither probed nor located
-        with pytest.raises(FlagMismatchError):
+        with pytest.raises(FlagMismatchError, match="all_singletons=False requires"):
             validate_rule(bad, probe_N=5)
+
+    def test_undeclared_big_block_of_a_listing_is_read(self):
+        # the same sequence listed: T_20 and T_21 are read whatever the probe depth
+        rule = explicit_rule(
+            {20: normalize([{0, 1}], 20)},
+            RuleFlags(
+                eventually_nonempty=True,
+                all_singletons=False,
+                covers_all_n=False,
+                max_block_count=1,
+            ),
+        )
+        assert validate_rule(rule, probe_N=5) == R3B_SUBPARTITION_OTHER
+
+    @pytest.mark.parametrize("case", sorted(LISTED_PAST_THE_PROBE))
+    def test_listing_read_at_each_listed_n_and_the_next(self, case):
+        doc, probe_N, regime, error = LISTED_PAST_THE_PROBE[case]
+        rule = rule_from_json(doc)
+        if regime is not None:
+            assert validate_rule(rule, probe_N) == regime
+        else:
+            with pytest.raises(FlagMismatchError, match=re.escape(error)):
+                validate_rule(rule, probe_N)
+
+    @settings(max_examples=150, deadline=None)
+    @given(listings(), st.data())
+    def test_listing_decided_whatever_the_probe_depth(self, listed, data):
+        # a listing keeps its blocks past its largest n, so probing deeper reads nothing new
+        flags = RuleFlags(
+            eventually_nonempty=data.draw(st.booleans()),
+            all_singletons=data.draw(st.booleans()),
+            covers_all_n=data.draw(st.booleans()),
+            max_block_count=data.draw(st.sampled_from([0, 1, 2, 3, math.inf])),
+            has_block_ge2_at=data.draw(st.none() | st.integers(1, 20)),
+            overlap_at=data.draw(st.none() | st.integers(1, 20)),
+        )
+        rule = explicit_rule(listed, flags)
+        outcomes = [_outcome(validate_rule, rule, probe_N) for probe_N in (3, 12, 20)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] != R3A_PARTITION_ALL
 
     def test_declared_location_beyond_probe_is_checked(self):
         ok = explicit_rule(
@@ -337,19 +411,22 @@ def _classify_reference(p: BlockPattern) -> PatternClass:
     return PatternClass(kind=kind, block_count=count, covers_all=covers, max_block_size=size)
 
 
-def _validate_rule_reference(rule, probe_N: int) -> str:
+def _validate_rule_reference(rule, listed, probe_N: int) -> str:
     """validate_rule as it was written with a flag per probed property and a
-    second, set-based partition check of each T_n: the rewrite must give the
-    same regime, or the same error, for every rule."""
+    second, set-based partition check of each T_n, read at 1..probe_N, at the
+    flags' witness dimensions and at each listed n and the n after it: the
+    rewrite must give the same regime, or the same error, for every rule."""
     if probe_N < 3:
         raise ValueError("probe_N must be >= 3")
     flags = rule.flags
+    witnesses = {n for n in (flags.has_block_ge2_at, flags.overlap_at) if n is not None}
     probed_nonempty = False
     probed_big = False
     probed_overlap = False
-    for n in range(1, probe_N + 1):
+    classes = {}
+    for n in sorted(set(range(1, probe_N + 1)) | witnesses | set(listed) | {m + 1 for m in listed}):
         p = rule.pattern(n)
-        cls = _classify_reference(p)
+        cls = classes[n] = _classify_reference(p)
         if n >= 2 and cls.block_count > 0:
             probed_nonempty = True
         if cls.max_block_size >= 2:
@@ -366,20 +443,19 @@ def _validate_rule_reference(rule, probe_N: int) -> str:
             raise FlagMismatchError(
                 f"T_{n} has {cls.block_count} blocks, above the declared maximum {flags.max_block_count}"
             )
-    if flags.has_block_ge2_at is not None and _classify_reference(rule.pattern(flags.has_block_ge2_at)).max_block_size < 2:
+    if flags.has_block_ge2_at is not None and classes[flags.has_block_ge2_at].max_block_size < 2:
         raise FlagMismatchError(
             f"has_block_ge2_at={flags.has_block_ge2_at} but that pattern has no block of size >= 2"
         )
-    if flags.overlap_at is not None and _classify_reference(rule.pattern(flags.overlap_at)).kind != OVERLAPPING:
+    if flags.overlap_at is not None and classes[flags.overlap_at].kind != OVERLAPPING:
         raise FlagMismatchError(f"overlap_at={flags.overlap_at} but that pattern has no overlap")
-    declared_big = flags.has_block_ge2_at is not None or flags.overlap_at is not None
-    if not flags.all_singletons and not probed_big and not declared_big:
+    if not flags.all_singletons and not probed_big:
         raise FlagMismatchError(
             "all_singletons=False requires a probed block of size >= 2 or a declared location"
         )
-    if probed_overlap or flags.overlap_at is not None:
+    if probed_overlap:
         return R4_OVERLAPPING
-    if probed_big or flags.has_block_ge2_at is not None:
+    if probed_big:
         if flags.covers_all_n and math.isfinite(flags.max_block_count):
             return R3A_PARTITION_ALL
         return R3B_SUBPARTITION_OTHER
@@ -398,31 +474,41 @@ def _random_partition(g: np.random.Generator, m: int) -> list[set[int]]:
     return [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
 
 
-def _random_explicit_rule(g: np.random.Generator):
-    """An explicit rule, its flags read off T_1..T_14 and then, four times in
-    five, one field perturbed.  One rule in four lists a partition of range(n)
-    at every n, now and then with a block {0, n-1} added that overlaps it; the
-    others list a few empty, singleton or random patterns, among them, now
-    and then, the full block."""
+def _random_rule(g: np.random.Generator):
+    """A rule and its listed n's, its flags read off T_1..T_15 and then, four
+    times in five, one field perturbed.  One rule in four is generic, with no
+    listed n: it partitions range(n) at every n, now and then with a block
+    {0, n-1} added that overlaps it.  The others are explicit and list a few
+    empty, singleton or random patterns, among them, now and then, the full
+    block."""
     if g.random() < 0.25:
-        listed = {m: _random_partition(g, m) + ([{0, m - 1}] if m >= 3 and g.random() < 0.1 else [])
-                  for m in range(1, _HORIZON + 1)}
+        seed, listed = int(g.integers(2**32)), ()
+
+        def generator(n):
+            h = np.random.default_rng([seed, n])
+            return normalize(_random_partition(h, n) + ([{0, n - 1}] if n >= 3 and h.random() < 0.1 else []), n)
+
+        def make(flags):
+            return PatternRule("partitions", generator, flags)
     else:
-        listed = {}
+        blocks = {}
         for m in set(g.integers(1, _HORIZON + 1, size=int(g.integers(1, 4))).tolist()):
             kind = int(g.integers(0, 4))
             if kind == 0:
-                listed[m] = []
+                blocks[m] = []
             elif kind == 1:
-                listed[m] = [{int(i)} for i in g.choice(m, size=int(g.integers(1, m + 1)), replace=False)]
+                blocks[m] = [{int(i)} for i in g.choice(m, size=int(g.integers(1, m + 1)), replace=False)]
             else:
-                listed[m] = [set(g.choice(m, size=int(g.integers(1, min(m, 4) + 1)), replace=False).tolist())
+                blocks[m] = [set(g.choice(m, size=int(g.integers(1, min(m, 4) + 1)), replace=False).tolist())
                              for _ in range(int(g.integers(1, 4)))]
-    probe = explicit_rule({m: normalize(b, m) for m, b in listed.items()},
-                          RuleFlags(eventually_nonempty=True, all_singletons=True, covers_all_n=False,
-                                    max_block_count=math.inf))
+        listed = tuple(blocks)
+
+        def make(flags):
+            return explicit_rule({m: normalize(b, m) for m, b in blocks.items()}, flags)
+    probe = make(RuleFlags(eventually_nonempty=True, all_singletons=True, covers_all_n=False,
+                           max_block_count=math.inf))
     pats = []
-    for n in range(1, _HORIZON + 1):
+    for n in range(1, _HORIZON + 2):
         try:
             pats.append(probe.pattern(n))
         except RejectedFullBlockError:
@@ -447,7 +533,7 @@ def _random_explicit_rule(g: np.random.Generator):
             flags[name] = value - 1 if 0 < value < math.inf else [math.inf, 0, 1][int(g.integers(0, 3))]
         else:
             flags[name] = None if value is not None else int(g.integers(1, _HORIZON + 3))
-    return explicit_rule({m: normalize(b, m) for m, b in listed.items()}, RuleFlags(**flags))
+    return make(RuleFlags(**flags)), listed
 
 
 def _outcome(validate, rule, probe_N):
@@ -472,10 +558,11 @@ class TestValidateRuleAgainstReference:
         g = np.random.default_rng(2022)
         regimes, mismatches, errors = set(), set(), set()
         for _ in range(1000):
-            rule = _random_explicit_rule(g)
+            rule, listed = _random_rule(g)
             for probe_N in (3, 5, 12):
                 got = _outcome(validate_rule, rule, probe_N)
-                assert got == _outcome(_validate_rule_reference, rule, probe_N), (rule.flags, probe_N)
+                want = _outcome(lambda r, N: _validate_rule_reference(r, listed, N), rule, probe_N)
+                assert got == want, (rule.flags, listed, probe_N)
                 if isinstance(got, str):
                     regimes.add(got)
                 else:
@@ -726,6 +813,6 @@ class TestRuleOwnsPatterns:
         fresh = dataclasses.replace(rule)
         text = repr(fresh)
         rule.pattern(5)
-        assert repr(rule) == text and "_patterns" not in text
-        assert rule == fresh and hash(rule) == hash(fresh)
+        assert repr(rule) == text and "_patterns" not in text and "_listed" not in text
+        assert rule == fresh and hash(rule) == hash(fresh) and fresh._listed == rule._listed
         assert fresh.pattern(5) is not rule.pattern(5) and fresh.pattern(5) == rule.pattern(5)

@@ -41,7 +41,6 @@ from psdmask.verify import (
     _grams,
     _into_domain,
     _random_battery,
-    _rng,
     _stack_rows,
     sample_psd,
 )
@@ -51,6 +50,11 @@ from test_verdict_bytes import verdict_bytes
 
 SIZES = range(1, 9)
 NAN_AT = 4
+
+
+def _stream(seed, n):
+    """The random stage's stream for n, split from the master seed as [seed, 6, n]."""
+    return np.random.default_rng([seed, 6, n])
 
 
 def _exact_hermitian_reference(H):
@@ -204,7 +208,7 @@ def test_random_battery_matches_sample_psd_one_at_a_time(dom, cfg):
     stacks = list(_random_battery(dom, cfg))
     assert len(stacks) == _stack_count(cfg)
     for n in range(1, cfg.max_n + 1):
-        rng = _rng(cfg.seed, "random_gram", n)
+        rng = _stream(cfg.seed, n)
         s = 0
         for W, n_w, family, params in stacks:
             if n_w != n:
@@ -257,7 +261,7 @@ def _gram_reference(rng, n, domain, rank=None):
 def _random_battery_reference(domain, cfg):
     """The random stage as it was: each Gram drawn and formed alone, then settled per stack."""
     for n in range(1, cfg.max_n + 1):
-        rng = _rng(cfg.seed, "random_gram", n)
+        rng = _stream(cfg.seed, n)
         for start in range(0, cfg.samples_per_n, _stack_rows(n)):
             stop = min(start + _stack_rows(n), cfg.samples_per_n)
             params = []
@@ -389,7 +393,8 @@ def test_random_grams_decode_ranks_as_integers_draws_them(monkeypatch, dom, n, w
         if probe.bit_generator.random_raw() == forced:
             break
     decoded, reference = _generator_reading(forced, before), _generator_reading(forced, before)
-    monkeypatch.setattr(verify, "_rng", lambda seed, family, n: decoded)
+    monkeypatch.setattr(verify.np.random, "default_rng",
+                        lambda entropy: decoded if entropy == [0, 6, n] else pytest.fail(f"stream {entropy}"))
     grams, ranks = verify._random_grams(n, dom, cfg)
     want = []
     for s in range(cfg.samples_per_n):  # in stream order: the rank, then the factor

@@ -578,6 +578,13 @@ class TestRefuteScalar:
         with pytest.raises(RegimeMismatchError):
             refute_scalar_outside_interval(proper_subpartition_rule(2), 2, -0.6, DISC1)
 
+    def test_declared_block_count_never_realized(self):
+        # a generic rule partitions range(n) into three blocks at most, yet declares four: R3a, with no T_n to refute at
+        rule = dataclasses.replace(contiguous_partition_rule(3),
+                                   flags=dataclasses.replace(contiguous_partition_rule(3).flags, max_block_count=4))
+        with pytest.raises(RegimeMismatchError, match="no dimension up to 12 realizes 4 blocks"):
+            refute_scalar_outside_interval(rule, 4, -1, DISC1)
+
     def test_wrong_k(self):
         with pytest.raises(RegimeMismatchError):
             refute_scalar_outside_interval(contiguous_partition_rule(3), 4, -0.6, DISC1)
