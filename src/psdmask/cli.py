@@ -53,8 +53,12 @@ def _load_domain(args) -> Domain:
     return Domain.disc(1.0)
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace("i", "j").replace(" ", ""))
+def _parse_complex(text: str, flag: str) -> complex:
+    """A complex flag such as 0.3+0.4i or 2; any other text is a usage error naming the flag."""
+    try:
+        return complex(text.replace("i", "j").replace(" ", ""))
+    except ValueError:
+        raise PsdMaskError(f"--{flag} must be a complex number such as 0.3+0.4i, got {text!r}") from None
 
 
 def _emit(body: dict, args, lines: list[str]) -> None:
@@ -82,13 +86,12 @@ def _config_from(args) -> VerifyConfig:
         samples_per_n=args.samples,
         seed=args.seed,
         tol=args.tol,
-        probe_N=args.probe_n,
     )
 
 
 def _cmd_classify(args) -> int:
     rule = rule_from_json(_load_json(args.rule))
-    regime = classify_sequence(rule, args.probe_n)
+    regime = classify_sequence(rule)
     family = admissible_family(regime, rule.flags.max_block_count)
     K = rule.flags.max_block_count
     body = {"rule": rule.name, "K": "inf" if K == math.inf else int(K)}
@@ -127,8 +130,7 @@ def _cmd_refute(args) -> int:
     K = rule.flags.max_block_count
     if not math.isfinite(K):
         raise PsdMaskError("the rule must declare a finite max block count")
-    cfg = VerifyConfig(probe_N=args.probe_n)
-    verdict = refute_scalar_outside_interval(rule, int(K), c, domain, x=args.x, cfg=cfg)
+    verdict = refute_scalar_outside_interval(rule, int(K), c, domain, x=args.x)
     ce = verdict.counterexample
     body = {"c": str(c), "K": int(K), "domain": domain.to_json(), **verdict.to_json()}
     lines = [
@@ -164,18 +166,21 @@ def _witness_from_args(args) -> Witness:
     if name == "all_ones":
         return all_ones_witness(args.x, args.n, domain)
     if name == "rank_one":
-        v = json.loads(args.v)
+        try:
+            v = json.loads(args.v)
+        except ValueError:  # not JSON at all
+            v = None
         if not isinstance(v, list):  # a number, a string or an object is no vector
             raise PsdMaskError(f"--v must be a JSON list of cells, got {args.v!r}")
         v = [_cell_to_complex(e) for e in v]  # a cell as in a matrix document
         _within_cap(len(v))
         return rank_one_gram(v, domain if args.domain else None)  # no default domain, as in the library
     if name == "duplicated_pair":
-        return duplicated_pair_gram(_parse_complex(args.w), _parse_complex(args.z), domain)
+        return duplicated_pair_gram(_parse_complex(args.w, "w"), _parse_complex(args.z, "z"), domain)
     if name == "overlap_probe":
-        return overlap_probe(args.r, _parse_complex(args.z), domain)
+        return overlap_probe(args.r, _parse_complex(args.z, "z"), domain)
     if name == "tail_gram":
-        return tail_gram(_parse_complex(args.w), args.t, domain)
+        return tail_gram(_parse_complex(args.w, "w"), args.t, domain)
     if name == "tensor_blowup":
         A = matrix_from_json(_load_json(args.matrix))
         _within_cap(args.m * len(A))
@@ -224,7 +229,6 @@ def _add_config_flags(sp, defaults: VerifyConfig) -> None:
     sp.add_argument("--max-n", dest="max_n", type=int, default=defaults.max_n)
     sp.add_argument("--samples", type=int, default=defaults.samples_per_n)
     sp.add_argument("--tol", type=float, default=defaults.tol)
-    sp.add_argument("--probe-n", dest="probe_n", type=int, default=defaults.probe_N)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="classify a pattern rule and print its admissible family")
     sp.add_argument("--rule", required=True)
-    sp.add_argument("--probe-n", dest="probe_n", type=int, default=defaults.probe_N)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_classify)
 
@@ -255,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", required=True, help="scalar, as a fraction like -11/20 or a decimal")
     sp.add_argument("--domain")
     sp.add_argument("--x", type=float, default=None)
-    sp.add_argument("--probe-n", dest="probe_n", type=int, default=defaults.probe_N)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_refute)
 

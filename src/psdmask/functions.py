@@ -23,6 +23,7 @@ from .patterns import (
     R3B_SUBPARTITION_OTHER,
     R4_OVERLAPPING,
     _integer,
+    _members,
     _real,
 )
 
@@ -111,7 +112,7 @@ class Domain:
 
     @classmethod
     def from_json(cls, data: dict) -> "Domain":
-        rho = data["rho"]
+        rho = _members(data, "domain", ("kind", "rho"))["rho"]
         return cls(data["kind"], math.inf if rho in ("inf", None) else _real(rho, "rho"))
 
 
@@ -312,9 +313,17 @@ def scaled_identity(c: float) -> ScalarMultiple:
     return ScalarMultiple(c, Identity())
 
 
+_VARIANT_PARAMS = {  # variant: (its required params, its optional ones)
+    "identity": ((), ()), "zero": ((), ()), "herz_monomial": (("alpha", "m", "k"), ()),
+    "herz_series": (("coeffs",), ("max_degree",)), "scalar_multiple": (("c", "inner"), ()),
+}
+
+
 def function_from_json(data: dict) -> PreserverFunction:
-    variant = data["variant"]
-    params = data.get("params", {})
+    variant = _members(data, "function", ("variant",), ("params",))["variant"]
+    if variant not in _VARIANT_PARAMS:
+        raise ValueError(f"unknown function variant {variant!r}")
+    params = _members(data.get("params", {}), f"{variant!r} params", *_VARIANT_PARAMS[variant])
     if variant == "identity":
         return Identity()
     if variant == "zero":
@@ -328,9 +337,7 @@ def function_from_json(data: dict) -> PreserverFunction:
                 raise ValueError(f"herz_series lists the term ({m}, {k}) twice")
             coeffs[(m, k)] = _real(c, "coefficient")
         return HerzSeries(coeffs, max_degree=params.get("max_degree", 8))
-    if variant == "scalar_multiple":
-        return ScalarMultiple(_real(params["c"], "c"), function_from_json(params["inner"]))
-    raise ValueError(f"unknown function variant {variant!r}")
+    return ScalarMultiple(_real(params["c"], "c"), function_from_json(params["inner"]))
 
 
 def conjugate_equivariance_check(f: PreserverFunction, samples, tol: float = 1e-10) -> bool:

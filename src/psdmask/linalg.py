@@ -28,7 +28,7 @@ from .errors import (
     NonSquareError,
     SingularBlockError,
 )
-from .patterns import _integer, _real
+from .patterns import _integer, _members, _real
 
 # Full eigendecompositions are only contracted up to this dimension.
 EIG_DIM_CAP = 64
@@ -306,7 +306,7 @@ def _cell_to_complex(cell) -> complex:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    n = _integer(data["n"], "n", 1)
+    n = _integer(_members(data, "matrix", ("n", "entries"))["n"], "n", 1)
     rows = data["entries"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise NonSquareError(f"entries do not form an {n} x {n} grid")

@@ -165,44 +165,59 @@ class PatternRule:
         return self._patterns[n]
 
 
-def _contiguous_split(count: int, parts: int) -> list[list[int]]:
-    """Split range(count) into ``parts`` contiguous runs with balanced sizes."""
+def _contiguous_split(count: int, parts: int | float) -> list[list[int]]:
+    """Split range(count) into min(parts, count) contiguous runs with balanced sizes."""
     parts = min(parts, count)
     if parts <= 0:
         return []
-    base, extra = divmod(count, parts)
-    runs, start = [], 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        runs.append(list(range(start, start + size)))
-        start += size
-    return runs
+    base, extra = divmod(count, parts)  # the first ``extra`` runs are one longer
+    starts = [i * base + min(i, extra) for i in range(parts + 1)]
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+
+
+def _split_rule(name: str, k: int | float, free: int) -> PatternRule:
+    """T_n splits range(n - free) into at most k contiguous runs; the last
+    ``free`` indices lie in no block.  Each flag follows from (k, free): a run
+    of size >= 2 first appears at n = k + free + 1, never when k is infinite."""
+    return PatternRule(
+        name=name,
+        generator=lambda n: normalize(_contiguous_split(n - free, k), n),
+        flags=RuleFlags(
+            eventually_nonempty=True,
+            all_singletons=k == math.inf,
+            covers_all_n=free == 0,
+            max_block_count=k,
+            has_block_ge2_at=None if k == math.inf else k + free + 1,
+        ),
+    )
+
+
+def _listing(name: str, n: int, blocks) -> PatternRule:
+    """The explicit rule listing one pattern at n, its flags read off that
+    pattern's class; past n its blocks never cover range(n)."""
+    pattern = normalize(blocks, n)
+    cls = pattern.cls
+    big = cls.max_block_size >= 2
+    return explicit_rule(
+        {n: pattern},
+        RuleFlags(
+            eventually_nonempty=cls.block_count > 0,
+            all_singletons=not big,
+            covers_all_n=False,
+            max_block_count=cls.block_count,
+            has_block_ge2_at=n if big else None,
+            overlap_at=n if cls.kind == OVERLAPPING else None,
+        ),
+        name=name,
+    )
 
 
 def empty_rule() -> PatternRule:
-    return explicit_rule(
-        {1: normalize([], 1)},
-        RuleFlags(
-            eventually_nonempty=False,
-            all_singletons=True,
-            covers_all_n=False,
-            max_block_count=0,
-        ),
-        name="empty",
-    )
+    return _listing("empty", 1, [])
 
 
 def all_singletons_rule() -> PatternRule:
-    return PatternRule(
-        name="all_singletons",
-        generator=lambda n: normalize([{j} for j in range(n)], n),
-        flags=RuleFlags(
-            eventually_nonempty=True,
-            all_singletons=True,
-            covers_all_n=True,
-            max_block_count=math.inf,
-        ),
-    )
+    return _split_rule("all_singletons", math.inf, 0)
 
 
 def single_block_rule(block) -> PatternRule:
@@ -212,67 +227,26 @@ def single_block_rule(block) -> PatternRule:
         raise ValueError("block must be a nonempty set of indices >= 0")
     top = max(blk)
     first_n = top + 2 if len(blk) == top + 1 >= 2 else top + 1  # past range(top + 1) when blk is all of it
-    return explicit_rule(
-        {first_n: normalize([blk], first_n)},
-        RuleFlags(
-            eventually_nonempty=True,
-            all_singletons=len(blk) == 1,
-            covers_all_n=False,
-            max_block_count=1,
-            has_block_ge2_at=first_n if len(blk) >= 2 else None,
-        ),
-        name="single_block",
-    )
+    return _listing("single_block", first_n, [blk])
 
 
 def contiguous_partition_rule(k: int) -> PatternRule:
     """Partition of range(n) into min(n, k) contiguous blocks, for every n."""
     if k < 2:
         raise ValueError("k must be >= 2 (k = 1 would be the rejected full block)")
-    return PatternRule(
-        name="contiguous_partition",
-        generator=lambda n: normalize(_contiguous_split(n, k), n),
-        flags=RuleFlags(
-            eventually_nonempty=True,
-            all_singletons=False,
-            covers_all_n=True,
-            max_block_count=k,
-            has_block_ge2_at=k + 1,
-        ),
-    )
+    return _split_rule("contiguous_partition", k, 0)
 
 
 def proper_subpartition_rule(k: int) -> PatternRule:
     """Partition of range(n-1) into min(n-1, k) contiguous blocks; index n-1 stays free."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return PatternRule(
-        name="proper_subpartition",
-        generator=lambda n: normalize(_contiguous_split(n - 1, k), n),
-        flags=RuleFlags(
-            eventually_nonempty=True,
-            all_singletons=False,
-            covers_all_n=False,
-            max_block_count=k,
-            has_block_ge2_at=k + 2,
-        ),
-    )
+    return _split_rule("proper_subpartition", k, 1)
 
 
 def overlapping_chain_rule() -> PatternRule:
     """T_n = {{0,1},{1,2}} for n >= 3 (two blocks sharing index 1), empty below."""
-    return explicit_rule(
-        {3: normalize([{0, 1}, {1, 2}], 3)},
-        RuleFlags(
-            eventually_nonempty=True,
-            all_singletons=False,
-            covers_all_n=False,
-            max_block_count=2,
-            has_block_ge2_at=3,
-            overlap_at=3,
-        ),
-        name="overlapping_chain",
-    )
+    return _listing("overlapping_chain", 3, [{0, 1}, {1, 2}])
 
 
 def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str = "explicit") -> PatternRule:
@@ -380,58 +354,81 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _members(data, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """data if it is a JSON object holding every required member and no member
+    besides them and the optional ones; otherwise a ValueError naming the
+    member and the document, ``what``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    for name in required:
+        if name not in data:
+            raise ValueError(f"{what} lacks the member {name!r}")
+    for name in data:
+        if name not in required and name not in optional:
+            raise ValueError(f"{what} has an unknown member {name!r}")
+    return data
+
+
+def _block(value) -> list[int]:
+    """A JSON block of 1-based indices as 0-based ones."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"a block must be a list of indices >= 1, got {value!r}")
+    return [_integer(i, "block index", 1) - 1 for i in value]
+
+
 def _listed_from_json(data: dict) -> BlockPattern:
     """A pattern document's n and 0-based blocks as listed, not yet normalized."""
-    blocks = tuple([_integer(i, "block index", 1) - 1 for i in b] for b in data.get("blocks", []))
+    _members(data, "pattern", ("n",), ("blocks",))
+    blocks = tuple(_block(b) for b in data.get("blocks", []))
     return BlockPattern(_integer(data["n"], "n", 1), blocks)
 
 
 def flags_from_json(data: dict) -> RuleFlags:
     """Read a flags object: the three booleans are true or false, and the
     counts integers or null; a member of another type is a ValueError."""
-    for name in ("eventually_nonempty", "all_singletons", "covers_all_n"):
+    bools = ("eventually_nonempty", "all_singletons", "covers_all_n")
+    _members(data, "flags", (*bools, "max_block_count"), ("has_block_ge2_at", "overlap_at"))
+    for name in bools:
         if not isinstance(data[name], bool):
             raise ValueError(f"flag {name} must be true or false, got {data[name]!r}")
     K, big_at, overlap_at = data["max_block_count"], data.get("has_block_ge2_at"), data.get("overlap_at")
     return RuleFlags(
-        eventually_nonempty=data["eventually_nonempty"],
-        all_singletons=data["all_singletons"],
-        covers_all_n=data["covers_all_n"],
+        **{name: data[name] for name in bools},
         max_block_count=math.inf if K in ("inf", None) else _integer(K, "max_block_count"),
         has_block_ge2_at=None if big_at is None else _integer(big_at, "has_block_ge2_at", 1),
         overlap_at=None if overlap_at is None else _integer(overlap_at, "overlap_at", 1),
     )
 
 
-_BUILTIN_RULES = {
-    "empty": lambda params: empty_rule(),
-    "all_singletons": lambda params: all_singletons_rule(),
-    "single_block": lambda params: single_block_rule([_integer(i, "block index", 1) - 1
-                                                      for i in params["block"]]),
-    "contiguous_partition": lambda params: contiguous_partition_rule(_integer(params["k"], "k")),
-    "proper_subpartition": lambda params: proper_subpartition_rule(_integer(params["k"], "k")),
-    "overlapping_chain": lambda params: overlapping_chain_rule(),
+_BUILTIN_RULES = {  # kind: (the params it takes, its builder)
+    "empty": ((), lambda params: empty_rule()),
+    "all_singletons": ((), lambda params: all_singletons_rule()),
+    "single_block": (("block",), lambda params: single_block_rule(_block(params["block"]))),
+    "contiguous_partition": (("k",), lambda params: contiguous_partition_rule(_integer(params["k"], "k"))),
+    "proper_subpartition": (("k",), lambda params: proper_subpartition_rule(_integer(params["k"], "k"))),
+    "overlapping_chain": ((), lambda params: overlapping_chain_rule()),
 }
 
 
 def rule_from_json(data: dict) -> PatternRule:
     """Read a rule document.  A built-in kind's flags are its own: a document
     may restate them, and flags that say otherwise are a ValueError."""
-    kind = data["kind"]
-    params = data.get("params", {})
+    kind = _members(data, "rule", ("kind",), ("params", "flags"))["kind"]
     if kind in _BUILTIN_RULES:
-        rule = _BUILTIN_RULES[kind](params)
+        needs, build = _BUILTIN_RULES[kind]
+        rule = build(_members(data.get("params", {}), f"{kind!r} rule params", needs))
         if "flags" in data:
             try:
-                ok = isinstance(data["flags"], dict) and flags_from_json(data["flags"]) == rule.flags
-            except (KeyError, TypeError, ValueError):
+                ok = flags_from_json(data["flags"]) == rule.flags
+            except ValueError:
                 ok = False
             if not ok:
                 raise ValueError(f"flags {data['flags']!r} contradict the {kind!r} rule's own flags {rule.flags}")
         return rule
     if kind == "explicit":
+        _members(data, "explicit rule", ("kind", "params", "flags"))
         pats = {}
-        for entry in params["patterns"]:
+        for entry in _members(data["params"], "explicit rule params", ("patterns",))["patterns"]:
             p = _listed_from_json(entry)  # explicit_rule normalizes it
             if p.n in pats:  # a dict would keep the last pattern without a word
                 raise ValueError(f"explicit rule lists two patterns at n={p.n}")

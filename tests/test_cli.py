@@ -56,10 +56,13 @@ class TestParserDefaults:
         for argv in (["suite"], ["verify", "--rule", "r.json", "--f", "f.json"]):
             assert _config_from(parser.parse_args(argv)) == VerifyConfig()
 
-    def test_probe_depth_defaults_to_verify_config(self):
-        parser = build_parser()
-        for argv in (["classify", "--rule", "r.json"], ["refute", "--rule", "r.json", "--c", "-1"]):
-            assert parser.parse_args(argv).probe_n == VerifyConfig().probe_N
+    @pytest.mark.parametrize("argv", [["classify", "--rule", "r.json"], ["verify", "--rule", "r.json", "--f", "f.json"],
+                                      ["refute", "--rule", "r.json", "--c", "-1"], ["suite"]],
+                             ids=lambda argv: argv[0])
+    def test_no_subcommand_takes_a_probe_depth(self, argv, capsys):
+        # every rule document is decided whatever the probe depth, so no command sets it
+        assert main([*argv, "--probe-n", "5"]) == EXIT_USAGE
+        assert "unrecognized arguments: --probe-n 5" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -138,14 +141,40 @@ class TestClassify:
     @pytest.mark.parametrize("case", sorted(LISTED_PAST_THE_PROBE))
     def test_explicit_rule_read_past_the_probe(self, files, capsys, case):
         # a listing keeps its blocks past its largest n: each listed n and the next decide it
-        doc, probe_N, regime, error = LISTED_PAST_THE_PROBE[case]
+        doc, _, regime, error = LISTED_PAST_THE_PROBE[case]
         path = files["tmp"] / "rule_listed.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(["classify", "--rule", str(path), "--probe-n", str(probe_N), "--json"], capsys)
+        code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
         if regime is not None:
             assert code == EXIT_OK and json.loads(out)["report"]["regime"] == regime
         else:
             assert code == EXIT_USAGE and out == "" and err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"kind": "empty", "params": {"block": [1, 2]}}, "'empty' rule params has an unknown member 'block'"),
+        ({"kind": "single_block", "params": {"block": [1, 2], "k": 4}},
+         "'single_block' rule params has an unknown member 'k'"),
+        ({"kind": "contiguous_partition", "params": {"k": 3}, "flagz": {}}, "rule has an unknown member 'flagz'"),
+        ({"kind": "contiguous_partition", "params": {"K": 3}},
+         "'contiguous_partition' rule params lacks the member 'k'"),
+        ({"kind": "single_block", "params": {"block": 5}}, "a block must be a list of indices >= 1, got 5"),
+        ({"params": {"k": 3}}, "rule lacks the member 'kind'"),
+        ({"kind": "explicit", "params": {"patterns": [{"n": 3, "blocks": [[1, 2]]}]},
+          "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
+                    "max_block_count": 1, "bogus": 3}}, "flags has an unknown member 'bogus'"),
+        ({"kind": "explicit", "params": {"patterns": [{"n": 3, "blocks": [[1, 2]]}]}},
+         "explicit rule lacks the member 'flags'"),
+        ({"kind": "explicit", "params": {"patterns": [{"blocks": [[1, 2]]}]},
+          "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
+                    "max_block_count": 1}}, "pattern lacks the member 'n'"),
+    ], ids=["empty_with_block", "single_block_with_k", "misspelt_flags", "k_misspelt", "block_not_a_list",
+            "no_kind", "explicit_flag_unknown", "explicit_without_flags", "pattern_without_n"])
+    def test_unknown_or_missing_member_is_usage_error(self, files, capsys, doc, error):
+        path = files["tmp"] / "rule_members.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {error}\n"
 
     def test_rule_nested_too_deeply_is_usage_error(self, files, capsys):
         path = files["tmp"] / "rule_deep.json"
@@ -176,6 +205,23 @@ class TestVerify:
         code, out, err = run(["verify", *(x for pair in argv.items() for x in pair), "--samples", "0"], capsys)
         assert code == EXIT_USAGE and out == ""
         assert "must be a number" in err
+
+    @pytest.mark.parametrize("flag, doc, error", [
+        ("--f", {"variant": "herz_series", "params": {"coeffs": [[5, 0, 1.0]], "max_deg": 3}},
+         "'herz_series' params has an unknown member 'max_deg'"),
+        ("--f", {"variant": "herz_monomial", "params": {"alpha": 1, "m": 1}},
+         "'herz_monomial' params lacks the member 'k'"),
+        ("--f", {"variant": "identity", "parms": {}}, "function has an unknown member 'parms'"),
+        ("--domain", {"kind": "disc", "rho": 1, "radius": 2}, "domain has an unknown member 'radius'"),
+        ("--domain", {"kind": "disc"}, "domain lacks the member 'rho'"),
+    ], ids=["series_max_deg", "monomial_without_k", "function_parms", "domain_radius", "domain_without_rho"])
+    def test_unknown_or_missing_member_is_usage_error(self, files, capsys, flag, doc, error):
+        path = files["tmp"] / "members.json"
+        path.write_text(json.dumps(doc))
+        argv = {"--rule": files["rule_k2"], "--f": files["f_half"], "--domain": files["disc1"], flag: str(path)}
+        code, out, err = run(["verify", *(x for pair in argv.items() for x in pair), "--samples", "0"], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {error}\n"
 
     def test_f_nested_too_deeply_is_usage_error(self, files, capsys):
         path = files["tmp"] / "f_deep.json"
@@ -467,18 +513,42 @@ class TestWitness:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("v", ["5", '"ab"', "{}", "null"], ids=["number", "string", "object", "null"])
+    @pytest.mark.parametrize("v", ["5", '"ab"', "{}", "null", "abc"],
+                             ids=["number", "string", "object", "null", "not_json"])
     def test_vector_that_is_not_a_list_is_usage_error(self, capsys, v):
         # a string would be read one character at a time, and an object as an empty vector
         code, out, err = run(["witness", "rank_one", "--v", v], capsys)
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: --v must be a JSON list of cells, got {v!r}\n"
 
+    @pytest.mark.parametrize("name, flag, text", [("duplicated_pair", "--w", "abc"), ("tail_gram", "--w", "0.5x"),
+                                                   ("overlap_probe", "--z", "inf")])
+    def test_complex_flag_that_does_not_parse_is_usage_error(self, tmp_path, capsys, name, flag, text):
+        code, out, err = run(self._argv(tmp_path, name, {**self.KIND_FLAGS[name], flag: text}), capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {flag} must be a complex number such as 0.3+0.4i, got {text!r}\n"
+
+    def test_complex_flag_written_with_i(self, capsys):
+        code, out, _ = run(["witness", "duplicated_pair", "--w", "0.3+0.4i", "--z", "0.25", "--json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["report"]["params"]["w"] == [0.3, 0.4]
+
     def test_vector_of_real_and_complex_cells(self, capsys):
         code, out, _ = run(["witness", "rank_one", "--v", "[0.5, [0, 0.5]]", "--json"], capsys)
         assert code == EXIT_OK
         M = matrix_from_json(json.loads(out)["report"]["matrix"])
         assert np.array_equal(M, np.outer([0.5, 0.5j], np.conj([0.5, 0.5j])))
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"n": 2, "entries": [[0.5, 0.4], [0.4, 0.5]], "hermitian": True}, "matrix has an unknown member 'hermitian'"),
+        ({"n": 2}, "matrix lacks the member 'entries'"),
+    ], ids=["unknown", "missing"])
+    def test_matrix_member_is_usage_error(self, tmp_path, capsys, doc, error):
+        mat = tmp_path / "A.json"
+        mat.write_text(json.dumps(doc))
+        code, out, err = run(["witness", "corner", "--matrix", str(mat)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {error}\n"
 
     def test_corner_auto(self, files, tmp_path, capsys):
         dom = tmp_path / "pos.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import det2, random_psd
 from psdmask.errors import (
@@ -22,6 +24,11 @@ from psdmask.patterns import normalize
 
 DISC1 = Domain.disc(1.0)
 DISC = Domain.disc()
+
+_herz_or_linear = st.one_of(
+    st.builds(HerzMonomial, st.floats(0, 2), st.integers(0, 3), st.integers(0, 3)),
+    st.builds(scaled_identity, st.floats(-2, 2)),
+)
 
 
 def spec_of(f, blocks, n, g=None, domain=DISC):
@@ -193,6 +200,22 @@ class TestOperatorInvariants:
         moved = OperatorSpec(f=f, pattern=normalize(moved_blocks, n), domain=DISC1, g=g)
         rhs = apply(moved, permute_conjugate(A, sigma))
         assert np.abs(lhs - rhs).max() <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_relabeling_commutes_with_apply(self, data):
+        # moving the pattern by sigma and conjugating the input by sigma gives the
+        # sigma-conjugate of the image, bit for bit: apply is entrywise
+        n = data.draw(st.integers(1, 8))
+        blocks = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
+        sigma = data.draw(st.permutations(range(n)))
+        g, f = data.draw(_herz_or_linear), data.draw(_herz_or_linear)
+        A = symmetrize(random_psd(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n))
+        A /= 2 * np.abs(A).max()
+        image = apply(OperatorSpec(f=f, pattern=normalize(blocks, n), domain=DISC1, g=g), A)
+        moved_blocks = [{p for p in range(n) if sigma[p] in b} for b in blocks]
+        moved = OperatorSpec(f=f, pattern=normalize(moved_blocks, n), domain=DISC1, g=g)
+        assert np.array_equal(apply(moved, permute_conjugate(A, sigma)), permute_conjugate(image, sigma))
 
     def test_tensor_identity(self, rng):
         # (g,f) star-applied to J_m (x) A splits into the two Kronecker terms

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -257,6 +258,98 @@ class TestBuiltinRules:
                      overlapping_chain_rule()):
             results = {classify_sequence(rule, probe) for probe in (6, 12, 20)}
             assert len(results) == 1
+
+
+# The six built-in constructions as they were written out by hand, each with its
+# own generator or listing and literal flags: the reference for the two shared
+# constructions (a one-pattern listing and a contiguous split) that replace them.
+
+def _split_reference(count: int, parts: int) -> list[list[int]]:
+    parts = min(parts, count)
+    if parts <= 0:
+        return []
+    base, extra = divmod(count, parts)
+    runs, start = [], 0
+    for i in range(parts):
+        size = base + (1 if i < extra else 0)
+        runs.append(list(range(start, start + size)))
+        start += size
+    return runs
+
+
+def _empty_reference():
+    return explicit_rule({1: normalize([], 1)}, RuleFlags(
+        eventually_nonempty=False, all_singletons=True, covers_all_n=False, max_block_count=0), name="empty")
+
+
+def _all_singletons_reference():
+    return PatternRule("all_singletons", lambda n: normalize([{j} for j in range(n)], n), RuleFlags(
+        eventually_nonempty=True, all_singletons=True, covers_all_n=True, max_block_count=math.inf))
+
+
+def _single_block_reference(block):
+    blk = frozenset(int(i) for i in block)
+    top = max(blk)
+    first_n = top + 2 if len(blk) == top + 1 >= 2 else top + 1
+    return explicit_rule({first_n: normalize([blk], first_n)}, RuleFlags(
+        eventually_nonempty=True, all_singletons=len(blk) == 1, covers_all_n=False, max_block_count=1,
+        has_block_ge2_at=first_n if len(blk) >= 2 else None), name="single_block")
+
+
+def _contiguous_partition_reference(k):
+    return PatternRule("contiguous_partition", lambda n: normalize(_split_reference(n, k), n), RuleFlags(
+        eventually_nonempty=True, all_singletons=False, covers_all_n=True, max_block_count=k,
+        has_block_ge2_at=k + 1))
+
+
+def _proper_subpartition_reference(k):
+    return PatternRule("proper_subpartition", lambda n: normalize(_split_reference(n - 1, k), n), RuleFlags(
+        eventually_nonempty=True, all_singletons=False, covers_all_n=False, max_block_count=k,
+        has_block_ge2_at=k + 2))
+
+
+def _overlapping_chain_reference():
+    return explicit_rule({3: normalize([{0, 1}, {1, 2}], 3)}, RuleFlags(
+        eventually_nonempty=True, all_singletons=False, covers_all_n=False, max_block_count=2,
+        has_block_ge2_at=3, overlap_at=3), name="overlapping_chain")
+
+
+def _builtin_cases():
+    """(id, document, rule, its reference) for every built-in the comparison covers."""
+    yield "empty", {"kind": "empty"}, empty_rule(), _empty_reference()
+    yield "all_singletons", {"kind": "all_singletons"}, all_singletons_rule(), _all_singletons_reference()
+    yield "overlapping_chain", {"kind": "overlapping_chain"}, overlapping_chain_rule(), _overlapping_chain_reference()
+    for k in range(2, 21):
+        yield (f"contiguous_partition_{k}", {"kind": "contiguous_partition", "params": {"k": k}},
+               contiguous_partition_rule(k), _contiguous_partition_reference(k))
+    for k in range(1, 21):
+        yield (f"proper_subpartition_{k}", {"kind": "proper_subpartition", "params": {"k": k}},
+               proper_subpartition_rule(k), _proper_subpartition_reference(k))
+    for size in range(1, 5):
+        for block in itertools.combinations(range(7), size):
+            yield (f"single_block_{''.join(map(str, block))}",
+                   {"kind": "single_block", "params": {"block": [i + 1 for i in block]}},
+                   single_block_rule(block), _single_block_reference(block))
+
+
+def _flags_doc(flags: RuleFlags) -> dict:
+    doc = dataclasses.asdict(flags)
+    return {**doc, "max_block_count": "inf" if flags.max_block_count == math.inf else flags.max_block_count}
+
+
+class TestBuiltinsMatchTheirReference:
+    @pytest.mark.parametrize("case", list(_builtin_cases()), ids=lambda case: case[0])
+    def test_same_flags_patterns_listing_and_regime(self, case):
+        _, doc, rule, reference = case
+        assert rule.name == reference.name
+        assert rule.flags == reference.flags
+        assert rule._listed == reference._listed
+        for n in range(1, 20):
+            assert rule.pattern(n) == reference.pattern(n)
+        for probe_N in (3, 12, 20):
+            assert _outcome(validate_rule, rule, probe_N) == _outcome(validate_rule, reference, probe_N)
+        # a document that restates the reference's literal flags reads as the rule
+        assert rule_from_json({**doc, "flags": _flags_doc(reference.flags)}).flags == reference.flags
 
 
 def _explicit_doc(listed: dict, **flags) -> dict:
