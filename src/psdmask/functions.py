@@ -23,6 +23,7 @@ from .patterns import (
     R3B_SUBPARTITION_OTHER,
     R4_OVERLAPPING,
     _integer,
+    _list,
     _members,
     _real,
 )
@@ -332,7 +333,7 @@ def function_from_json(data: dict) -> PreserverFunction:
         return HerzMonomial(_real(params["alpha"], "alpha"), params["m"], params["k"])
     if variant == "herz_series":
         coeffs = {}
-        for m, k, c in params["coeffs"]:
+        for m, k, c in _list(params, "coeffs", "'herz_series' params"):
             if (m, k) in coeffs:  # a dict would keep the last coefficient without a word
                 raise ValueError(f"herz_series lists the term ({m}, {k}) twice")
             coeffs[(m, k)] = _real(c, "coefficient")

@@ -6,6 +6,9 @@ triangle mirrors the upper one bit-for-bit and diagonals carry a zero
 imaginary part).  Every function here is pure; index sets in the Python API
 are 0-based, only the JSON wire format uses human-friendly conventions.
 
+``_settle``, behind ``symmetrize`` and ``operators.apply``, halves before it
+adds, and weighs the asymmetry only where some entry differs from its mirror.
+
 ``psd_holds`` owns the tolerance semantics of the PSD test, on the extreme
 eigenvalues ``eig_extremes`` computes.  Its private screen ``_cleared`` may
 pass a whole stack on one shifted Cholesky instead, only where that implies
@@ -28,7 +31,7 @@ from .errors import (
     NonSquareError,
     SingularBlockError,
 )
-from .patterns import _integer, _members, _real
+from .patterns import _integer, _list, _members, _real
 
 # Full eigendecompositions are only contracted up to this dimension.
 EIG_DIM_CAP = 64
@@ -102,23 +105,30 @@ def exact_hermitian(H: np.ndarray) -> np.ndarray:
 
 
 def _settle(raw: np.ndarray, error: type[Exception], what: str) -> np.ndarray:
-    """(raw + raw*)/2 with exactly conjugate-symmetric storage, per matrix of a stack.
+    """raw/2 + raw*/2, complex128 with exactly conjugate-symmetric storage, per
+    matrix of a stack.  Halved before it is added, so a sum past the float
+    range does not overflow.
 
     Raises ``error``, led by ``what``, when a matrix's asymmetry exceeds
     ASYM_TOL relative to max(1, its largest entry modulus); fmax and ``>``
-    let NaN through, as Python's max(1.0, nan) and nan > x do.
+    let NaN through, as Python's max(1.0, nan) and nan > x do.  The
+    asymmetry is weighed only when some entry differs from its mirror: where
+    none does, it is 0 (or NaN at an infinite entry) and can never raise.
     """
-    raw_h = np.swapaxes(raw, -1, -2).conj()
-    scale = np.fmax(1.0, np.abs(raw).max(axis=(-2, -1)))
-    gap = np.abs(raw - raw_h).max(axis=(-2, -1))
-    asym = gap > ASYM_TOL * scale
-    if asym.any():
-        raise error(f"{what}: asymmetry {gap[asym][0]:.3e} exceeds {ASYM_TOL:.1e} * {scale[asym][0]:.3e}")
-    return exact_hermitian((raw + raw_h) / 2.0)
+    raw_h = np.conj(np.swapaxes(raw, -1, -2))  # a new array, also for a real raw
+    if not (raw == raw_h).all():
+        scale = np.fmax(1.0, np.abs(raw).max(axis=(-2, -1)))
+        gap = np.abs(raw - raw_h).max(axis=(-2, -1))
+        asym = gap > ASYM_TOL * scale
+        if asym.any():
+            raise error(f"{what}: asymmetry {gap[asym][0]:.3e} exceeds {ASYM_TOL:.1e} * {scale[asym][0]:.3e}")
+    avg = np.multiply(raw, 0.5).astype(np.complex128, copy=False)  # a real raw halves as reals
+    avg += np.multiply(raw_h, 0.5, out=raw_h)
+    return _mirror(avg)
 
 
 def symmetrize(raw) -> np.ndarray:
-    """Return (raw + raw*)/2 with exactly conjugate-symmetric storage.
+    """Return raw/2 + raw*/2 with exactly conjugate-symmetric storage.
 
     Rejects input whose asymmetry exceeds ASYM_TOL relative to
     ``max(1, largest entry modulus)``.
@@ -307,7 +317,7 @@ def _cell_to_complex(cell) -> complex:
 
 def matrix_from_json(data: dict) -> np.ndarray:
     n = _integer(_members(data, "matrix", ("n", "entries"))["n"], "n", 1)
-    rows = data["entries"]
+    rows = _list(data, "entries", "matrix")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise NonSquareError(f"entries do not form an {n} x {n} grid")
     raw = np.array([[_cell_to_complex(c) for c in row] for row in rows], dtype=np.complex128)

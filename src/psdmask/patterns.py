@@ -369,6 +369,16 @@ def _members(data, what: str, required: tuple[str, ...], optional: tuple[str, ..
     return data
 
 
+def _list(data: dict, name: str, what: str) -> list:
+    """The member name of the JSON object data, ``what``, if it is a list (an
+    absent one reads as empty); otherwise a ValueError naming the member and
+    the document."""
+    value = data.get(name, [])
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} member {name!r} must be a list, got {value!r}")
+    return value
+
+
 def _block(value) -> list[int]:
     """A JSON block of 1-based indices as 0-based ones."""
     if not isinstance(value, (list, tuple)):
@@ -379,7 +389,7 @@ def _block(value) -> list[int]:
 def _listed_from_json(data: dict) -> BlockPattern:
     """A pattern document's n and 0-based blocks as listed, not yet normalized."""
     _members(data, "pattern", ("n",), ("blocks",))
-    blocks = tuple(_block(b) for b in data.get("blocks", []))
+    blocks = tuple(_block(b) for b in _list(data, "blocks", "pattern"))
     return BlockPattern(_integer(data["n"], "n", 1), blocks)
 
 
@@ -428,7 +438,8 @@ def rule_from_json(data: dict) -> PatternRule:
     if kind == "explicit":
         _members(data, "explicit rule", ("kind", "params", "flags"))
         pats = {}
-        for entry in _members(data["params"], "explicit rule params", ("patterns",))["patterns"]:
+        params = _members(data["params"], "explicit rule params", ("patterns",))
+        for entry in _list(params, "patterns", "explicit rule params"):
             p = _listed_from_json(entry)  # explicit_rule normalizes it
             if p.n in pats:  # a dict would keep the last pattern without a word
                 raise ValueError(f"explicit rule lists two patterns at n={p.n}")

@@ -40,7 +40,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -143,9 +143,10 @@ class VerifyConfig:
         _integer(self.probe_N, "probe_N", 3)
         if not isinstance(self.rank_one_only, bool):
             raise ValueError(f"rank_one_only must be true or false, got {self.rank_one_only!r}")
-        for name, value in asdict(self).items():
+        for member in fields(self):
+            value = getattr(self, member.name)
             if isinstance(value, (np.integer, np.floating)):
-                object.__setattr__(self, name, value.item())
+                object.__setattr__(self, member.name, value.item())
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -555,12 +556,14 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         "seed": cfg.seed,
     }
 
-    specs = {n: OperatorSpec(f=f, pattern=p, domain=domain, g=g) for n, p in patterns.items()}
+    specs: dict[int, OperatorSpec] = {}  # each n's, built when its first stack fires
     # witnesses are built to refute, so only the random stage is screened (see _first_failure)
     stages = ((_deterministic_battery(domain, patterns, cfg.max_n), False), (_random_battery(domain, cfg), True))
     for stage, screened in stages:
         # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
         for W, n, families, params in stage:
+            if n not in specs:
+                specs[n] = OperatorSpec(f=f, pattern=patterns[n], domain=domain, g=g)
             hit = _first_failure(specs[n], W, cfg.tol, screened)
             checked = len(W) if hit is None else hit[0] + 1
             for family, count in Counter(families[:checked]).items():

@@ -167,8 +167,15 @@ class TestClassify:
         ({"kind": "explicit", "params": {"patterns": [{"blocks": [[1, 2]]}]},
           "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
                     "max_block_count": 1}}, "pattern lacks the member 'n'"),
+        ({"kind": "explicit", "params": {"patterns": 5},
+          "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
+                    "max_block_count": 1}}, "explicit rule params member 'patterns' must be a list, got 5"),
+        ({"kind": "explicit", "params": {"patterns": [{"n": 3, "blocks": 5}]},
+          "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": False,
+                    "max_block_count": 1}}, "pattern member 'blocks' must be a list, got 5"),
     ], ids=["empty_with_block", "single_block_with_k", "misspelt_flags", "k_misspelt", "block_not_a_list",
-            "no_kind", "explicit_flag_unknown", "explicit_without_flags", "pattern_without_n"])
+            "no_kind", "explicit_flag_unknown", "explicit_without_flags", "pattern_without_n",
+            "patterns_not_a_list", "blocks_not_a_list"])
     def test_unknown_or_missing_member_is_usage_error(self, files, capsys, doc, error):
         path = files["tmp"] / "rule_members.json"
         path.write_text(json.dumps(doc))
@@ -214,7 +221,10 @@ class TestVerify:
         ("--f", {"variant": "identity", "parms": {}}, "function has an unknown member 'parms'"),
         ("--domain", {"kind": "disc", "rho": 1, "radius": 2}, "domain has an unknown member 'radius'"),
         ("--domain", {"kind": "disc"}, "domain lacks the member 'rho'"),
-    ], ids=["series_max_deg", "monomial_without_k", "function_parms", "domain_radius", "domain_without_rho"])
+        ("--f", {"variant": "herz_series", "params": {"coeffs": 5}},
+         "'herz_series' params member 'coeffs' must be a list, got 5"),
+    ], ids=["series_max_deg", "monomial_without_k", "function_parms", "domain_radius", "domain_without_rho",
+            "coeffs_not_a_list"])
     def test_unknown_or_missing_member_is_usage_error(self, files, capsys, flag, doc, error):
         path = files["tmp"] / "members.json"
         path.write_text(json.dumps(doc))
@@ -542,7 +552,8 @@ class TestWitness:
     @pytest.mark.parametrize("doc, error", [
         ({"n": 2, "entries": [[0.5, 0.4], [0.4, 0.5]], "hermitian": True}, "matrix has an unknown member 'hermitian'"),
         ({"n": 2}, "matrix lacks the member 'entries'"),
-    ], ids=["unknown", "missing"])
+        ({"n": 2, "entries": 5}, "matrix member 'entries' must be a list, got 5"),
+    ], ids=["unknown", "missing", "entries_not_a_list"])
     def test_matrix_member_is_usage_error(self, tmp_path, capsys, doc, error):
         mat = tmp_path / "A.json"
         mat.write_text(json.dumps(doc))

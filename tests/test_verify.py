@@ -659,6 +659,18 @@ class TestPatternsBuiltOnce:
         refute_scalar_outside_interval(counted, 3, -0.6, DISC1, cfg=VerifyConfig(probe_N=4))
         assert calls == first
 
+    def test_operator_built_when_its_n_first_fires(self, monkeypatch):
+        built = []
+
+        def counted(**members):
+            built.append(members["pattern"].n)
+            return OperatorSpec(**members)
+
+        monkeypatch.setattr(verify, "OperatorSpec", counted)
+        verdict = verify_preservation(Identity(), scaled_identity(2.0), contiguous_partition_rule(2), DISC1)
+        assert verdict.refuted and verdict.counterexample.n == 2
+        assert built == [1, 2]
+
     @pytest.mark.parametrize("c, outcome", [(-0.75, "Refuted"), (0.5, OUTCOME_PRESERVED)])
     def test_kept_patterns_give_the_same_bytes(self, c, outcome):
         rule, cfg = contiguous_partition_rule(3), VerifyConfig(max_n=5, samples_per_n=30)
