@@ -48,6 +48,7 @@ from .patterns import (
     PatternClass,
     PatternRule,
     RuleFlags,
+    Split,
     all_singletons_rule,
     classify_sequence,
     contiguous_partition_rule,

@@ -333,10 +333,13 @@ def function_from_json(data: dict) -> PreserverFunction:
         return HerzMonomial(_real(params["alpha"], "alpha"), params["m"], params["k"])
     if variant == "herz_series":
         coeffs = {}
-        for m, k, c in _list(params, "coeffs", "'herz_series' params"):
+        for term in _list(params, "coeffs", "'herz_series' params"):
+            if not isinstance(term, (list, tuple)) or len(term) != 3:
+                raise ValueError(f"'herz_series' params member 'coeffs' must list terms [m, k, c], got {term!r}")
+            m, k = _integer(term[0], "exponent m"), _integer(term[1], "exponent k")
             if (m, k) in coeffs:  # a dict would keep the last coefficient without a word
                 raise ValueError(f"herz_series lists the term ({m}, {k}) twice")
-            coeffs[(m, k)] = _real(c, "coefficient")
+            coeffs[(m, k)] = _real(term[2], "coefficient")
         return HerzSeries(coeffs, max_degree=params.get("max_degree", 8))
     return ScalarMultiple(_real(params["c"], "c"), function_from_json(params["inner"]))
 

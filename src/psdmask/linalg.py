@@ -318,6 +318,9 @@ def _cell_to_complex(cell) -> complex:
 def matrix_from_json(data: dict) -> np.ndarray:
     n = _integer(_members(data, "matrix", ("n", "entries"))["n"], "n", 1)
     rows = _list(data, "entries", "matrix")
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"matrix member 'entries' must list rows of cells, got the row {row!r}")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise NonSquareError(f"entries do not form an {n} x {n} grid")
     raw = np.array([[_cell_to_complex(c) for c in row] for row in rows], dtype=np.complex128)

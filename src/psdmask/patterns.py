@@ -2,11 +2,10 @@
 
 A ``BlockPattern`` is a normalized family of pairwise-incomparable subsets of
 range(n): the positions where the diagonal-block function g acts instead of
-the everywhere function f.  A ``PatternRule`` generates one pattern per
-dimension together with declared global flags; the flags carry the properties
-of the whole sequence that no finite probe can decide (max block count,
-"partition of range(n) for every n", ...), and are validated against the
-materialized patterns wherever possible.
+the everywhere function f.  A ``PatternRule`` is a shape, a listing of
+patterns or a contiguous split, with declared global flags: the properties of
+the whole sequence (max block count, "partition of range(n) for every n",
+...), which ``validate_rule`` decides from the shape.
 
 Indices are 0-based in Python; the JSON wire format is 1-based.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -39,8 +37,6 @@ R2_SINGLETONS = "R2-Singletons"
 R3A_PARTITION_ALL = "R3a-PartitionAll-FiniteK"
 R3B_SUBPARTITION_OTHER = "R3b-Subpartition-Other"
 R4_OVERLAPPING = "R4-Overlapping"
-
-DEFAULT_PROBE_N = 12
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,8 @@ class RuleFlags:
 
     ``max_block_count`` is max over n of the number of blocks in T_n
     (``math.inf`` when unbounded).  ``has_block_ge2_at``/``overlap_at`` name a
-    dimension witnessing a size->=2 block / an overlapping pair, so the
-    classifier does not depend on the probe depth reaching them.
+    dimension witnessing a size->=2 block / an overlapping pair; a listing's
+    validation reads T_n there too.
     """
 
     eventually_nonempty: bool
@@ -147,49 +143,72 @@ class RuleFlags:
 
 
 @dataclass(frozen=True)
+class Split:
+    """The shape of a rule whose T_n splits range(n - free) into at most k
+    contiguous runs with balanced sizes; the last ``free`` indices lie in no
+    block.  free is an integer >= 0, and k ``math.inf`` or an integer >= 1,
+    >= 2 when free = 0 (k = 1 would be the rejected full block)."""
+
+    k: int | float
+    free: int
+
+    def __post_init__(self):
+        if self.k != math.inf:
+            _integer(self.k, "k", 2 if self.free == 0 else 1)
+        _integer(self.free, "free", 0)
+
+    @property
+    def flags(self) -> RuleFlags:
+        """The flags (k, free) give: a run of size >= 2 first appears at n = k + free + 1."""
+        return RuleFlags(
+            eventually_nonempty=True,
+            all_singletons=self.k == math.inf,
+            covers_all_n=self.free == 0,
+            max_block_count=self.k,
+            has_block_ge2_at=None if self.k == math.inf else self.k + self.free + 1,
+        )
+
+    def rule(self, name: str) -> PatternRule:
+        """The rule of this shape with the flags it gives."""
+        return PatternRule(name, self, self.flags)
+
+    def build(self, n: int) -> BlockPattern:
+        """T_n, built afresh: range(n - free) in min(k, n - free) runs, the longer ones first."""
+        count = n - self.free
+        parts = min(self.k, count)
+        if parts <= 0:
+            return normalize([], n)
+        base, extra = divmod(count, parts)
+        starts = [i * base + min(i, extra) for i in range(parts + 1)]
+        return normalize([range(a, b) for a, b in zip(starts, starts[1:])], n)
+
+
+@dataclass(frozen=True)
 class PatternRule:
+    """A pattern sequence: its shape, a ``Split`` or a listing of normalized
+    patterns in increasing n (``explicit_rule``), and its declared flags."""
+
     name: str
-    generator: Callable[[int], BlockPattern]
+    shape: tuple[BlockPattern, ...] | Split
     flags: RuleFlags
-    _listed: tuple[int, ...] = field(default=(), repr=False, compare=False)  # set by explicit_rule alone
     _patterns: dict[int, BlockPattern] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pattern(self, n: int) -> BlockPattern:
         """T_n, built on first use and kept, with its class and mask, as long as the rule.
         A full block at n >= 2 raises on every call and is never kept."""
         if n not in self._patterns:
-            p = self.generator(n)
+            p = self._build(n)
             if p.cls.kind == PARTITION_OF_ALL and p.cls.block_count == 1:  # size >= 2, so n >= 2
                 raise RejectedFullBlockError(f"rule {self.name!r} materializes the full block at n={n}")
             self._patterns[n] = p
         return self._patterns[n]
 
-
-def _contiguous_split(count: int, parts: int | float) -> list[list[int]]:
-    """Split range(count) into min(parts, count) contiguous runs with balanced sizes."""
-    parts = min(parts, count)
-    if parts <= 0:
-        return []
-    base, extra = divmod(count, parts)  # the first ``extra`` runs are one longer
-    starts = [i * base + min(i, extra) for i in range(parts + 1)]
-    return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
-
-
-def _split_rule(name: str, k: int | float, free: int) -> PatternRule:
-    """T_n splits range(n - free) into at most k contiguous runs; the last
-    ``free`` indices lie in no block.  Each flag follows from (k, free): a run
-    of size >= 2 first appears at n = k + free + 1, never when k is infinite."""
-    return PatternRule(
-        name=name,
-        generator=lambda n: normalize(_contiguous_split(n - free, k), n),
-        flags=RuleFlags(
-            eventually_nonempty=True,
-            all_singletons=k == math.inf,
-            covers_all_n=free == 0,
-            max_block_count=k,
-            has_block_ge2_at=None if k == math.inf else k + free + 1,
-        ),
-    )
+    def _build(self, n: int) -> BlockPattern:
+        """T_n from the shape, as ``Split`` and ``explicit_rule`` state it."""
+        if isinstance(self.shape, Split):
+            return self.shape.build(n)
+        below = [p for p in self.shape if p.n <= n]
+        return replace(below[-1], n=n) if below else normalize([], n)
 
 
 def _listing(name: str, n: int, blocks) -> PatternRule:
@@ -217,7 +236,7 @@ def empty_rule() -> PatternRule:
 
 
 def all_singletons_rule() -> PatternRule:
-    return _split_rule("all_singletons", math.inf, 0)
+    return Split(math.inf, 0).rule("all_singletons")
 
 
 def single_block_rule(block) -> PatternRule:
@@ -232,16 +251,12 @@ def single_block_rule(block) -> PatternRule:
 
 def contiguous_partition_rule(k: int) -> PatternRule:
     """Partition of range(n) into min(n, k) contiguous blocks, for every n."""
-    if k < 2:
-        raise ValueError("k must be >= 2 (k = 1 would be the rejected full block)")
-    return _split_rule("contiguous_partition", k, 0)
+    return Split(k, 0).rule("contiguous_partition")
 
 
 def proper_subpartition_rule(k: int) -> PatternRule:
     """Partition of range(n-1) into min(n-1, k) contiguous blocks; index n-1 stays free."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _split_rule("proper_subpartition", k, 1)
+    return Split(k, 1).rule("proper_subpartition")
 
 
 def overlapping_chain_rule() -> PatternRule:
@@ -250,49 +265,42 @@ def overlapping_chain_rule() -> PatternRule:
 
 
 def explicit_rule(patterns: dict[int, BlockPattern], flags: RuleFlags, name: str = "explicit") -> PatternRule:
-    """Rule from explicitly listed patterns.
-
-    Each listed pattern is normalized once, on range of its own n, when the
-    rule is built.  For an unlisted dimension the pattern of the largest
-    listed n' <= n is reused with n in place of n' (its blocks still fit in
-    range(n), and normalizing them on range(n) gives the same blocks in the
-    same order); below the smallest listed n the pattern is empty.  The rule
-    keeps its listed n's: ``validate_rule`` reads each and the n after it.
-    """
+    """Rule listing the given patterns, each normalized once, on range of its
+    own n, when the rule is built.  An unlisted dimension reuses the pattern
+    of the largest listed n' <= n with n in place of n' (its blocks still fit
+    in range(n), and normalizing them on range(n) gives the same blocks in the
+    same order); below the smallest listed n the pattern is empty."""
     if not patterns:
         raise ValueError("at least one pattern must be listed")
-    listed = {m: normalize(p.blocks, m) for m, p in patterns.items()}
-
-    def gen(n: int) -> BlockPattern:
-        best = max((m for m in listed if m <= n), default=None)
-        if best is None:
-            return normalize([], n)
-        return replace(listed[best], n=n)
-
-    return PatternRule(name=name, generator=gen, flags=flags, _listed=tuple(listed))
+    listed = sorted((normalize(p.blocks, m) for m, p in patterns.items()), key=lambda p: p.n)
+    return PatternRule(name, tuple(listed), flags)
 
 
-def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
-    """Check declared flags against T_n at each n of 1..probe_N, at the flags'
-    witness dimensions, and at each listed n of an explicit rule and the n
-    after it, past which its T_n keeps its blocks: so an explicit rule is
-    decided whatever probe_N is, and is never R3a.  Return the regime, read
-    off the rule's own kept classes (``PatternRule.pattern``), never rebuilt.
+def validate_rule(rule: PatternRule) -> str:
+    """Check the declared flags against the rule's shape and return its regime.
 
-    Regime precedence: overlap anywhere -> R4; else any block of size >= 2 ->
-    R3a (partition of range(n) for all n with finite max block count) or R3b
-    (proper subpartition somewhere, or unbounded block count); else nonempty
-    -> R2; else R1.  Raises FlagMismatchError on any contradiction and
-    RejectedFullBlockError if the rule materializes the full block at some
-    n >= 2.
+    A split is decided in closed form and builds no T_n: its flags must be
+    those (k, free) give, and it is R2 when k is infinite, R3a when free = 0,
+    R3b otherwise.  A listing's flags are checked against T_n at n = 1, at
+    each listed n and the n after it, and at the flags' witness dimensions:
+    between listed n's T_n keeps its blocks, so a check that fails anywhere
+    first fails at one of these n.  Its regime is read off the rule's own kept
+    classes of those T_n (``PatternRule.pattern``): overlap anywhere -> R4;
+    else any block of size >= 2 -> R3b; else nonempty -> R2; else R1.
+
+    Raises FlagMismatchError on any contradiction and RejectedFullBlockError
+    if the rule materializes the full block at some n >= 2.
     """
-    if probe_N < 3:
-        raise ValueError("probe_N must be >= 3")
-    flags = rule.flags
-    dims = {*range(1, probe_N + 1), *rule._listed, *(m + 1 for m in rule._listed)}
-    dims.update(n for n in (flags.has_block_ge2_at, flags.overlap_at) if n is not None)
+    flags, shape = rule.flags, rule.shape
+    if isinstance(shape, Split):
+        if flags != shape.flags:
+            raise FlagMismatchError(f"the split {shape} declares {flags}, not its own {shape.flags}")
+        if shape.k == math.inf:
+            return R2_SINGLETONS
+        return R3A_PARTITION_ALL if shape.free == 0 else R3B_SUBPARTITION_OTHER
+    dims = {1, *(p.n for p in shape), *(p.n + 1 for p in shape), flags.has_block_ge2_at, flags.overlap_at}
     classes = {}
-    for n in sorted(dims):
+    for n in sorted(dims - {None}):
         cls = classes[n] = rule.pattern(n).cls
         if flags.all_singletons and cls.max_block_size >= 2:
             raise FlagMismatchError(f"all_singletons declared but T_{n} has a block of size >= 2")
@@ -318,17 +326,15 @@ def validate_rule(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
     if any(c.kind == OVERLAPPING for c in classes.values()):
         return R4_OVERLAPPING
     if big:
-        # T_2 is a partition of range(2) with at most K blocks, and not the full block: so K >= 2
-        if flags.covers_all_n and math.isfinite(flags.max_block_count):
-            return R3A_PARTITION_ALL
+        # never R3a: past its largest n a listing's blocks miss index n - 1, so covers_all_n has raised
         return R3B_SUBPARTITION_OTHER
     # a nonempty T_n at n >= 2 without eventually_nonempty has raised above
     return R2_SINGLETONS if flags.eventually_nonempty else R1_EMPTY
 
 
-def classify_sequence(rule: PatternRule, probe_N: int = DEFAULT_PROBE_N) -> str:
+def classify_sequence(rule: PatternRule) -> str:
     """The sequence regime ``validate_rule`` decides."""
-    return validate_rule(rule, probe_N)
+    return validate_rule(rule)
 
 
 # -- JSON wire format ----------------------------------------------------------

@@ -219,13 +219,11 @@ def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> tuple[bool, dict]
     max_dev = 0.0
     # necessity dimensions are pinned at the criterion level (the witness for
     # k blocks needs n = k), independent of any reduced budget in cfg
-    battery_only = VerifyConfig(
-        max_n=8, samples_per_n=0, seed=cfg.seed, tol=cfg.tol, probe_N=cfg.probe_N
-    )
+    battery_only = VerifyConfig(max_n=8, samples_per_n=0, seed=cfg.seed, tol=cfg.tol)
     for k in (2, 3, 4):
         c_out = Fraction(-1, k - 1) - Fraction(1, 20)
         rule = contiguous_partition_rule(k)
-        verdict = refute_scalar_outside_interval(rule, k, c_out, dom, cfg=battery_only)
+        verdict = refute_scalar_outside_interval(rule, k, c_out, dom)
         ce = verdict.counterexample
         refuted = refuted and verdict.refuted and ce.family == "all_ones"
         law = (1.0 + (k - 1) * float(c_out)) * ce.params["x"]
@@ -442,7 +440,7 @@ def _criterion_builtin_regimes(cfg: VerifyConfig) -> tuple[bool, dict]:
     ok = True
     rows = []
     for rule, want_regime, want_interval, want_constraint in table:
-        regime = classify_sequence(rule, cfg.probe_N)
+        regime = classify_sequence(rule)
         family = admissible_family(regime, rule.flags.max_block_count)
         entry = family.to_json()
         rows.append({"rule": rule.name, "regime": regime, "family": entry})

@@ -74,7 +74,6 @@ from .linalg import (
 )
 from .operators import OperatorSpec, apply
 from .patterns import (
-    DEFAULT_PROBE_N,
     R3A_PARTITION_ALL,
     R3B_SUBPARTITION_OTHER,
     R4_OVERLAPPING,
@@ -127,7 +126,6 @@ class VerifyConfig:
     samples_per_n: int = 500
     seed: int = 0
     tol: float = 1e-8
-    probe_N: int = DEFAULT_PROBE_N
     rank_one_only: bool = False
 
     def __post_init__(self):
@@ -140,7 +138,6 @@ class VerifyConfig:
         _integer(self.seed, "seed")
         if not 0 <= _real(self.tol, "tol") < math.inf:
             raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
-        _integer(self.probe_N, "probe_N", 3)
         if not isinstance(self.rank_one_only, bool):
             raise ValueError(f"rank_one_only must be true or false, got {self.rank_one_only!r}")
         for member in fields(self):
@@ -544,7 +541,7 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
                 f"{tag} fails conjugate equivariance on the domain probe set; "
                 "its entrywise images cannot stay Hermitian"
             )
-    regime = validate_rule(rule, cfg.probe_N)
+    regime = validate_rule(rule)
     if regime in (R3A_PARTITION_ALL, R3B_SUBPARTITION_OTHER, R4_OVERLAPPING) and cfg.max_n < 3:
         raise ValueError("max_n must be >= 3 for rules with blocks of size >= 2")
     patterns = {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
@@ -589,22 +586,20 @@ def _as_fraction(c) -> Fraction:
 
 
 def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
-                                   x: float | None = None,
-                                   cfg: VerifyConfig | None = None) -> Verdict:
+                                   x: float | None = None) -> Verdict:
     """Refute f(z) = c z for a partition-of-all rule when c leaves [-1/(K-1), 1].
 
     K must be an integer >= 2 (ValueError otherwise, never truncated) and the
     rule's declared max block count; a K above ``EIG_DIM_CAP`` is an
-    EigFailure, raised before the rule is validated or searched.
+    EigFailure, raised before the rule is validated or T_K built.
 
-    Uses the scaled all-ones witness x J (x > 0; ValueError otherwise) at the
-    first dimension whose pattern has K blocks; the reported eigenvalue is the
-    negative one of the K x K principal submatrix taken at one representative
-    index per block, i.e. (1 + (K-1)c) x or (1 - c) x.
+    Uses the scaled all-ones witness x J (x > 0; ValueError otherwise) at
+    n = K: an R3a rule is the split (K, 0), whose T_K is K singletons.  The
+    reported eigenvalue is the negative one of the K x K image, i.e.
+    (1 + (K-1)c) x or (1 - c) x.
     """
-    cfg = cfg or VerifyConfig()
     K = _within_cap(_integer(K, "K", 2))  # checked first: the K x K eigen-solve below would refuse it
-    regime = validate_rule(rule, cfg.probe_N)
+    regime = validate_rule(rule)
     if regime != R3A_PARTITION_ALL:
         raise RegimeMismatchError(f"rule is in regime {regime}, not a partition-of-all sequence")
     if int(rule.flags.max_block_count) != K:  # R3a holds only for a finite declared count
@@ -615,29 +610,21 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
     lo, hi = admissible_family(R3A_PARTITION_ALL, K).c_interval
     if lo <= c_frac <= hi:
         raise CNotOutsideError(f"c={c_frac} lies inside [{lo}, {hi}]")
-    for target_n in range(1, max(cfg.probe_N, K + 2) + 1):
-        pattern = rule.pattern(target_n)
-        if len(pattern.blocks) == K:
-            break
-    else:
-        raise RegimeMismatchError(f"no dimension up to {max(cfg.probe_N, K + 2)} realizes {K} blocks")
     if x is None:
         x = 0.5 * domain.reference_radius()
     elif not x > 0:
         raise ValueError(f"x={x} must be > 0")
-    witness = all_ones_witness(x, target_n, domain)
-    spec = OperatorSpec(f=scaled_identity(float(c_frac)), pattern=pattern, domain=domain)
-    image = apply(spec, witness.matrix)
-    reps = sorted(min(b) for b in pattern.blocks)
-    sub_min, _ = eig_extremes(image[np.ix_(reps, reps)])
+    witness = all_ones_witness(x, K, domain)
+    spec = OperatorSpec(f=scaled_identity(float(c_frac)), pattern=rule.pattern(K), domain=domain)
+    min_eig, _ = eig_extremes(apply(spec, witness.matrix))
     ce = CounterExample(
         family="all_ones",
-        params={"x": x, "n": target_n, "c": str(c_frac), "representative_indices": reps},
-        n=target_n,
+        params={"x": x, "n": K, "c": str(c_frac), "representative_indices": list(range(K))},
+        n=K,
         matrix=witness.matrix,
-        min_eig=sub_min,
+        min_eig=min_eig,
     )
-    stats = {"families": {"all_ones": {str(target_n): 1}}, "checked": 1, "K": K}
+    stats = {"families": {"all_ones": {str(K): 1}}, "checked": 1, "K": K}
     return Verdict(OUTCOME_REFUTED, ce, stats)
 
 

@@ -138,10 +138,27 @@ class TestClassify:
         assert json.loads(out)["report"]["regime"] == "R3b-Subpartition-Other"
         assert peak < 5 * 2**20
 
+    def test_large_partition_classifies_at_once(self, files, capsys):
+        # a split is decided in closed form; reading T_{k+1} for its flags took 6.6 s and 686 MB at k = 10^6
+        path = files["tmp"] / "rule_k1e9.json"
+        path.write_text(json.dumps({"kind": "contiguous_partition", "params": {"k": 10**9}}))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK and err == ""
+        report = json.loads(out)["report"]
+        assert report["regime"] == "R3a-PartitionAll-FiniteK" and report["K"] == 10**9
+        assert peak < 5 * 2**20
+
     @pytest.mark.parametrize("case", sorted(LISTED_PAST_THE_PROBE))
     def test_explicit_rule_read_past_the_probe(self, files, capsys, case):
         # a listing keeps its blocks past its largest n: each listed n and the next decide it
-        doc, _, regime, error = LISTED_PAST_THE_PROBE[case]
+        doc, regime, error = LISTED_PAST_THE_PROBE[case]
         path = files["tmp"] / "rule_listed.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
@@ -223,8 +240,12 @@ class TestVerify:
         ("--domain", {"kind": "disc"}, "domain lacks the member 'rho'"),
         ("--f", {"variant": "herz_series", "params": {"coeffs": 5}},
          "'herz_series' params member 'coeffs' must be a list, got 5"),
+        ("--f", {"variant": "herz_series", "params": {"coeffs": [5]}},
+         "'herz_series' params member 'coeffs' must list terms [m, k, c], got 5"),
+        ("--f", {"variant": "herz_series", "params": {"coeffs": [[1, 2]]}},
+         "'herz_series' params member 'coeffs' must list terms [m, k, c], got [1, 2]"),
     ], ids=["series_max_deg", "monomial_without_k", "function_parms", "domain_radius", "domain_without_rho",
-            "coeffs_not_a_list"])
+            "coeffs_not_a_list", "term_not_a_list", "term_of_two"])
     def test_unknown_or_missing_member_is_usage_error(self, files, capsys, flag, doc, error):
         path = files["tmp"] / "members.json"
         path.write_text(json.dumps(doc))
@@ -553,7 +574,8 @@ class TestWitness:
         ({"n": 2, "entries": [[0.5, 0.4], [0.4, 0.5]], "hermitian": True}, "matrix has an unknown member 'hermitian'"),
         ({"n": 2}, "matrix lacks the member 'entries'"),
         ({"n": 2, "entries": 5}, "matrix member 'entries' must be a list, got 5"),
-    ], ids=["unknown", "missing", "entries_not_a_list"])
+        ({"n": 2, "entries": [5, 5]}, "matrix member 'entries' must list rows of cells, got the row 5"),
+    ], ids=["unknown", "missing", "entries_not_a_list", "row_not_a_list"])
     def test_matrix_member_is_usage_error(self, tmp_path, capsys, doc, error):
         mat = tmp_path / "A.json"
         mat.write_text(json.dumps(doc))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from psdmask.patterns import (
     PatternClass,
     PatternRule,
     RuleFlags,
+    Split,
     all_singletons_rule,
     classify_sequence,
     contiguous_partition_rule,
@@ -253,16 +255,17 @@ class TestBuiltinRules:
         assert [sorted(b) for b in rule.pattern(5).blocks] == [[0, 1], [1, 2]]
 
     def test_classification_stable_in_probe_depth(self):
+        # the probing reference reads the same regime at every depth
         for rule in (empty_rule(), all_singletons_rule(), single_block_rule({0, 1}),
                      contiguous_partition_rule(3), proper_subpartition_rule(3),
                      overlapping_chain_rule()):
-            results = {classify_sequence(rule, probe) for probe in (6, 12, 20)}
+            results = {classify_sequence(rule)} | {_validate_rule_reference(rule, probe) for probe in (6, 12, 20)}
             assert len(results) == 1
 
 
 # The six built-in constructions as they were written out by hand, each with its
-# own generator or listing and literal flags: the reference for the two shared
-# constructions (a one-pattern listing and a contiguous split) that replace them.
+# own function n -> T_n or listing and literal flags: the reference for the two
+# shared constructions (a one-pattern listing and a contiguous split) that replace them.
 
 def _split_reference(count: int, parts: int) -> list[list[int]]:
     parts = min(parts, count)
@@ -283,7 +286,10 @@ def _empty_reference():
 
 
 def _all_singletons_reference():
-    return PatternRule("all_singletons", lambda n: normalize([{j} for j in range(n)], n), RuleFlags(
+    def pattern(n):
+        return normalize([{j} for j in range(n)], n)
+
+    return SimpleNamespace(name="all_singletons", pattern=pattern, flags=RuleFlags(
         eventually_nonempty=True, all_singletons=True, covers_all_n=True, max_block_count=math.inf))
 
 
@@ -297,13 +303,19 @@ def _single_block_reference(block):
 
 
 def _contiguous_partition_reference(k):
-    return PatternRule("contiguous_partition", lambda n: normalize(_split_reference(n, k), n), RuleFlags(
+    def pattern(n):
+        return normalize(_split_reference(n, k), n)
+
+    return SimpleNamespace(name="contiguous_partition", pattern=pattern, flags=RuleFlags(
         eventually_nonempty=True, all_singletons=False, covers_all_n=True, max_block_count=k,
         has_block_ge2_at=k + 1))
 
 
 def _proper_subpartition_reference(k):
-    return PatternRule("proper_subpartition", lambda n: normalize(_split_reference(n - 1, k), n), RuleFlags(
+    def pattern(n):
+        return normalize(_split_reference(n - 1, k), n)
+
+    return SimpleNamespace(name="proper_subpartition", pattern=pattern, flags=RuleFlags(
         eventually_nonempty=True, all_singletons=False, covers_all_n=False, max_block_count=k,
         has_block_ge2_at=k + 2))
 
@@ -343,11 +355,12 @@ class TestBuiltinsMatchTheirReference:
         _, doc, rule, reference = case
         assert rule.name == reference.name
         assert rule.flags == reference.flags
-        assert rule._listed == reference._listed
+        if isinstance(reference, PatternRule):  # a listing; a split's reference is its function n -> T_n
+            assert rule.shape == reference.shape
         for n in range(1, 20):
             assert rule.pattern(n) == reference.pattern(n)
         for probe_N in (3, 12, 20):
-            assert _outcome(validate_rule, rule, probe_N) == _outcome(validate_rule, reference, probe_N)
+            assert _outcome(validate_rule, rule) == _outcome(_validate_rule_reference, reference, probe_N)
         # a document that restates the reference's literal flags reads as the rule
         assert rule_from_json({**doc, "flags": _flags_doc(reference.flags)}).flags == reference.flags
 
@@ -361,17 +374,18 @@ def _explicit_doc(listed: dict, **flags) -> dict:
                       "max_block_count": 2, **flags}}
 
 
-# Explicit rules whose facts lie past T_probe_N: (document, probe_N, regime, FlagMismatchError message)
+# Explicit rules whose facts lie past T_12, at a listed n or the n after it, where a
+# validator probing T_1..T_12 alone would stop: (document, regime, FlagMismatchError message)
 LISTED_PAST_THE_PROBE = {
-    "true_flag_overlap_at_13": (_explicit_doc({13: [[1, 2], [2, 3]]}, has_block_ge2_at=13), 12,
+    "true_flag_overlap_at_13": (_explicit_doc({13: [[1, 2], [2, 3]]}, has_block_ge2_at=13),
                                 R4_OVERLAPPING, None),
     "partitions_to_12": (_explicit_doc({m: [list(range(1, m)), [m]] if m > 1 else [[1]] for m in range(1, 13)},
-                                       covers_all_n=True, has_block_ge2_at=3), 12,
+                                       covers_all_n=True, has_block_ge2_at=3),
                          None, "covers_all_n declared but T_13 is not a partition of range(13)"),
     "singleton_at_13": (_explicit_doc({13: [[1]]}, eventually_nonempty=False, all_singletons=True,
-                                      max_block_count=1), 12,
+                                      max_block_count=1),
                         None, "eventually_nonempty=False but T_13 is nonempty"),
-    "singletons_with_overlap_at_10": (_explicit_doc({10: [[1, 2], [2, 3]]}, all_singletons=True, overlap_at=10), 5,
+    "singletons_with_overlap_at_10": (_explicit_doc({10: [[1, 2], [2, 3]]}, all_singletons=True, overlap_at=10),
                                       None, "all_singletons declared but T_10 has a block of size >= 2"),
 }
 
@@ -403,24 +417,8 @@ class TestRuleValidation:
         with pytest.raises(FlagMismatchError):
             validate_rule(bad)
 
-    def test_undeclared_big_block_location(self):
-        # a generic rule: nothing but a declared location would take validation to T_20
-        bad = PatternRule(
-            "far_block",
-            lambda n: normalize([{0, 1}] if n >= 20 else [], n),
-            RuleFlags(
-                eventually_nonempty=True,
-                all_singletons=False,
-                covers_all_n=False,
-                max_block_count=1,
-            ),
-        )
-        # a size->=2 block is claimed but neither probed nor located
-        with pytest.raises(FlagMismatchError, match="all_singletons=False requires"):
-            validate_rule(bad, probe_N=5)
-
     def test_undeclared_big_block_of_a_listing_is_read(self):
-        # the same sequence listed: T_20 and T_21 are read whatever the probe depth
+        # T_20 and T_21 are read though no flag names them
         rule = explicit_rule(
             {20: normalize([{0, 1}], 20)},
             RuleFlags(
@@ -430,17 +428,17 @@ class TestRuleValidation:
                 max_block_count=1,
             ),
         )
-        assert validate_rule(rule, probe_N=5) == R3B_SUBPARTITION_OTHER
+        assert validate_rule(rule) == R3B_SUBPARTITION_OTHER
 
     @pytest.mark.parametrize("case", sorted(LISTED_PAST_THE_PROBE))
     def test_listing_read_at_each_listed_n_and_the_next(self, case):
-        doc, probe_N, regime, error = LISTED_PAST_THE_PROBE[case]
+        doc, regime, error = LISTED_PAST_THE_PROBE[case]
         rule = rule_from_json(doc)
         if regime is not None:
-            assert validate_rule(rule, probe_N) == regime
+            assert validate_rule(rule) == regime
         else:
             with pytest.raises(FlagMismatchError, match=re.escape(error)):
-                validate_rule(rule, probe_N)
+                validate_rule(rule)
 
     @settings(max_examples=150, deadline=None)
     @given(listings(), st.data())
@@ -455,9 +453,10 @@ class TestRuleValidation:
             overlap_at=data.draw(st.none() | st.integers(1, 20)),
         )
         rule = explicit_rule(listed, flags)
-        outcomes = [_outcome(validate_rule, rule, probe_N) for probe_N in (3, 12, 20)]
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        assert outcomes[0] != R3A_PARTITION_ALL
+        outcome = _outcome(validate_rule, rule)
+        for probe_N in (max(listed) + 2, 20):
+            assert outcome == _outcome(_validate_rule_reference, rule, probe_N)
+        assert outcome != R3A_PARTITION_ALL
 
     def test_declared_location_beyond_probe_is_checked(self):
         ok = explicit_rule(
@@ -470,7 +469,7 @@ class TestRuleValidation:
                 has_block_ge2_at=20,
             ),
         )
-        assert classify_sequence(ok, probe_N=5) == R3B_SUBPARTITION_OTHER
+        assert classify_sequence(ok) == R3B_SUBPARTITION_OTHER
 
     def test_rejected_full_block(self):
         bad = explicit_rule(
@@ -504,14 +503,17 @@ def _classify_reference(p: BlockPattern) -> PatternClass:
     return PatternClass(kind=kind, block_count=count, covers_all=covers, max_block_size=size)
 
 
-def _validate_rule_reference(rule, listed, probe_N: int) -> str:
+def _validate_rule_reference(rule, probe_N: int) -> str:
     """validate_rule as it was written with a flag per probed property and a
     second, set-based partition check of each T_n, read at 1..probe_N, at the
-    flags' witness dimensions and at each listed n and the n after it: the
-    rewrite must give the same regime, or the same error, for every rule."""
+    flags' witness dimensions and at each listed n of a listing and the n after
+    it: the rewrite must give the same regime, or the same error, for every
+    rule.  ``rule`` is a PatternRule, or a reference with a name, flags and a
+    function n -> T_n in place of ``pattern``."""
     if probe_N < 3:
         raise ValueError("probe_N must be >= 3")
-    flags = rule.flags
+    flags, shape = rule.flags, getattr(rule, "shape", None)
+    listed = [p.n for p in shape] if isinstance(shape, tuple) else []
     witnesses = {n for n in (flags.has_block_ge2_at, flags.overlap_at) if n is not None}
     probed_nonempty = False
     probed_big = False
@@ -519,6 +521,8 @@ def _validate_rule_reference(rule, listed, probe_N: int) -> str:
     classes = {}
     for n in sorted(set(range(1, probe_N + 1)) | witnesses | set(listed) | {m + 1 for m in listed}):
         p = rule.pattern(n)
+        if n >= 2 and len(p.blocks) == 1 and len(p.blocks[0]) == n:
+            raise RejectedFullBlockError(f"rule {rule.name!r} materializes the full block at n={n}")
         cls = classes[n] = _classify_reference(p)
         if n >= 2 and cls.block_count > 0:
             probed_nonempty = True
@@ -560,44 +564,28 @@ def _validate_rule_reference(rule, listed, probe_N: int) -> str:
 _HORIZON = 14  # explicit rules list patterns up to here, past the deepest probe (12)
 
 
-def _random_partition(g: np.random.Generator, m: int) -> list[set[int]]:
-    """A partition of range(m), into at least two blocks when m >= 2."""
-    labels = g.integers(0, int(g.integers(2, m + 1)) if m >= 2 else 1, size=m)
-    labels[: min(m, 2)] = np.arange(min(m, 2))  # two labels at least, so never the full block
-    return [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
-
-
 def _random_rule(g: np.random.Generator):
-    """A rule and its listed n's, its flags read off T_1..T_15 and then, four
-    times in five, one field perturbed.  One rule in four is generic, with no
-    listed n: it partitions range(n) at every n, now and then with a block
-    {0, n-1} added that overlaps it.  The others are explicit and list a few
-    empty, singleton or random patterns, among them, now and then, the full
-    block."""
+    """A rule, one in four a split with the flags its (k, free) give, among
+    them now and then the rejected full block (1, 0).  The others are
+    listings of a few empty, singleton or random patterns, among them, now and
+    then, the full block; their flags are read off T_1..T_15 and then, four
+    times in five, one field perturbed."""
     if g.random() < 0.25:
-        seed, listed = int(g.integers(2**32)), ()
+        free = int(g.integers(0, 2))
+        return Split(math.inf if g.random() < 0.1 else int(g.integers(2 - free, 21)), free).rule("split")
+    blocks = {}
+    for m in set(g.integers(1, _HORIZON + 1, size=int(g.integers(1, 4))).tolist()):
+        kind = int(g.integers(0, 4))
+        if kind == 0:
+            blocks[m] = []
+        elif kind == 1:
+            blocks[m] = [{int(i)} for i in g.choice(m, size=int(g.integers(1, m + 1)), replace=False)]
+        else:
+            blocks[m] = [set(g.choice(m, size=int(g.integers(1, min(m, 4) + 1)), replace=False).tolist())
+                         for _ in range(int(g.integers(1, 4)))]
 
-        def generator(n):
-            h = np.random.default_rng([seed, n])
-            return normalize(_random_partition(h, n) + ([{0, n - 1}] if n >= 3 and h.random() < 0.1 else []), n)
-
-        def make(flags):
-            return PatternRule("partitions", generator, flags)
-    else:
-        blocks = {}
-        for m in set(g.integers(1, _HORIZON + 1, size=int(g.integers(1, 4))).tolist()):
-            kind = int(g.integers(0, 4))
-            if kind == 0:
-                blocks[m] = []
-            elif kind == 1:
-                blocks[m] = [{int(i)} for i in g.choice(m, size=int(g.integers(1, m + 1)), replace=False)]
-            else:
-                blocks[m] = [set(g.choice(m, size=int(g.integers(1, min(m, 4) + 1)), replace=False).tolist())
-                             for _ in range(int(g.integers(1, 4)))]
-        listed = tuple(blocks)
-
-        def make(flags):
-            return explicit_rule({m: normalize(b, m) for m, b in blocks.items()}, flags)
+    def make(flags):
+        return explicit_rule({m: normalize(b, m) for m, b in blocks.items()}, flags)
     probe = make(RuleFlags(eventually_nonempty=True, all_singletons=True, covers_all_n=False,
                            max_block_count=math.inf))
     pats = []
@@ -626,12 +614,12 @@ def _random_rule(g: np.random.Generator):
             flags[name] = value - 1 if 0 < value < math.inf else [math.inf, 0, 1][int(g.integers(0, 3))]
         else:
             flags[name] = None if value is not None else int(g.integers(1, _HORIZON + 3))
-    return make(RuleFlags(**flags)), listed
+    return make(RuleFlags(**flags))
 
 
-def _outcome(validate, rule, probe_N):
+def _outcome(validate, *args):
     try:
-        return validate(rule, probe_N)
+        return validate(*args)
     except Exception as exc:  # the error's type and message are the outcome
         return type(exc).__name__, str(exc)
 
@@ -651,20 +639,62 @@ class TestValidateRuleAgainstReference:
         g = np.random.default_rng(2022)
         regimes, mismatches, errors = set(), set(), set()
         for _ in range(1000):
-            rule, listed = _random_rule(g)
+            rule = _random_rule(g)
+            got = _outcome(validate_rule, rule)
             for probe_N in (3, 5, 12):
-                got = _outcome(validate_rule, rule, probe_N)
-                want = _outcome(lambda r, N: _validate_rule_reference(r, listed, N), rule, probe_N)
-                assert got == want, (rule.flags, listed, probe_N)
-                if isinstance(got, str):
-                    regimes.add(got)
-                else:
-                    errors.add(got[0])
-                    if got[0] == "FlagMismatchError":
-                        mismatches.add(re.sub(r"\d+", "#", got[1]))
+                assert got == _outcome(_validate_rule_reference, rule, probe_N), (rule, probe_N)
+            if isinstance(got, str):
+                regimes.add(got)
+            else:
+                errors.add(got[0])
+                if got[0] == "FlagMismatchError":
+                    mismatches.add(re.sub(r"\d+", "#", got[1]))
         assert regimes == {R1_EMPTY, R2_SINGLETONS, R3A_PARTITION_ALL, R3B_SUBPARTITION_OTHER, R4_OVERLAPPING}
         assert mismatches == self.FLAG_MISMATCHES
         assert errors == {"FlagMismatchError", "RejectedFullBlockError"}
+
+
+class TestSplitClosedForm:
+    @pytest.mark.parametrize("k, free", [*itertools.product(range(1, 21), (0, 1)), (math.inf, 0)])
+    def test_same_regime_or_error_as_reference(self, k, free):
+        def pattern(n):  # the split by its definition
+            return normalize(_split_reference(n - free, k), n)
+
+        flags = RuleFlags(eventually_nonempty=True, all_singletons=k == math.inf, covers_all_n=free == 0,
+                          max_block_count=k, has_block_ge2_at=None if k == math.inf else k + free + 1)
+        reference = SimpleNamespace(name="split", pattern=pattern, flags=flags)
+        if (k, free) == (1, 0):  # the full block at n = 2, refused as soon as the shape is built
+            with pytest.raises(RejectedFullBlockError):
+                _validate_rule_reference(reference, 3)
+            with pytest.raises(ValueError, match="k must be an integer >= 2, got 1"):
+                Split(k, free)
+            return
+        rule = Split(k, free).rule("split")
+        assert rule.flags == flags
+        got = _outcome(validate_rule, rule)
+        assert not rule._patterns  # decided without building any T_n
+        for probe_N in (3, 12, 20):
+            assert got == _outcome(_validate_rule_reference, reference, probe_N)
+        for n in range(1, 23):
+            assert rule.pattern(n) == pattern(n)
+
+    @pytest.mark.parametrize("k, free", [(3, 0), (3, 1), (math.inf, 0)])
+    def test_flags_other_than_its_own_rejected(self, k, free):
+        # even flags that hold, such as a looser max_block_count, are not the split's own
+        own = Split(k, free).flags
+        changes = {"eventually_nonempty": False, "all_singletons": not own.all_singletons,
+                   "covers_all_n": not own.covers_all_n, "max_block_count": 5 if k == math.inf else k + 1,
+                   "has_block_ge2_at": None if own.has_block_ge2_at else 3, "overlap_at": 3}
+        for name, value in changes.items():
+            rule = PatternRule("split", Split(k, free), dataclasses.replace(own, **{name: value}))
+            with pytest.raises(FlagMismatchError, match=re.escape(f"the split {Split(k, free)} declares")):
+                validate_rule(rule)
+
+    @pytest.mark.parametrize("k, free", [(0, 0), (1, 0), (0, 1), (2.5, 0), (2.0, 1), (True, 0), (3, -1), (3, 0.5),
+                                         (-math.inf, 0)])
+    def test_shape_out_of_range_rejected(self, k, free):
+        with pytest.raises(ValueError, match=r"^(k|free) must be an integer"):
+            Split(k, free)
 
 
 # Rule files as the CLI reads them: 1-based indices, "inf" for an unbounded block count.
@@ -880,17 +910,17 @@ class TestRuleOwnsPatterns:
             else:
                 assert rule.pattern(n) == expected
 
-    def test_full_block_raises_on_every_call(self):
+    def test_full_block_raises_on_every_call(self, monkeypatch):
         calls = []
-        rule = dataclasses.replace(
-            all_singletons_rule(),
-            generator=lambda n: calls.append(n) or normalize([range(n)] if n in (1, 3) else [], n),
-        )
+        build = PatternRule._build
+        monkeypatch.setattr(PatternRule, "_build", lambda rule, n: calls.append(n) or build(rule, n))
+        rule = explicit_rule({1: normalize([{0}], 1), 3: normalize([range(3)], 3)}, self.EXPLICIT.flags)
         for _ in range(3):
             with pytest.raises(RejectedFullBlockError):
                 rule.pattern(3)
         assert calls == [3, 3, 3]
         assert rule.pattern(1) is rule.pattern(1)  # the full block {0} of range(1) is kept
+        assert calls == [3, 3, 3, 1]
 
     def test_flag_mismatch_raises_on_every_validation(self):
         bad = explicit_rule(
@@ -906,6 +936,6 @@ class TestRuleOwnsPatterns:
         fresh = dataclasses.replace(rule)
         text = repr(fresh)
         rule.pattern(5)
-        assert repr(rule) == text and "_patterns" not in text and "_listed" not in text
-        assert rule == fresh and hash(rule) == hash(fresh) and fresh._listed == rule._listed
+        assert repr(rule) == text and "_patterns" not in text
+        assert rule == fresh and hash(rule) == hash(fresh)
         assert fresh.pattern(5) is not rule.pattern(5) and fresh.pattern(5) == rule.pattern(5)

@@ -14,6 +14,7 @@ from psdmask.errors import (
     CNotOutsideError,
     EigFailure,
     EpsTooLargeError,
+    FlagMismatchError,
     NonHermitianOutputError,
     OutOfDomainError,
     RegimeMismatchError,
@@ -36,6 +37,7 @@ from psdmask.patterns import (
     R3A_PARTITION_ALL,
     R3B_SUBPARTITION_OTHER,
     R4_OVERLAPPING,
+    PatternRule,
     RuleFlags,
     all_singletons_rule,
     classify_sequence,
@@ -579,10 +581,10 @@ class TestRefuteScalar:
             refute_scalar_outside_interval(proper_subpartition_rule(2), 2, -0.6, DISC1)
 
     def test_declared_block_count_never_realized(self):
-        # a generic rule partitions range(n) into three blocks at most, yet declares four: R3a, with no T_n to refute at
+        # a split into three blocks at most that declares four has no T_n to refute at: its flags are refused
         rule = dataclasses.replace(contiguous_partition_rule(3),
                                    flags=dataclasses.replace(contiguous_partition_rule(3).flags, max_block_count=4))
-        with pytest.raises(RegimeMismatchError, match="no dimension up to 12 realizes 4 blocks"):
+        with pytest.raises(FlagMismatchError, match="max_block_count=4"):
             refute_scalar_outside_interval(rule, 4, -1, DISC1)
 
     def test_wrong_k(self):
@@ -596,15 +598,13 @@ class TestRefuteScalar:
             refute_scalar_outside_interval(contiguous_partition_rule(3), K, -1, DISC1)
 
     @pytest.mark.parametrize("K", [EIG_DIM_CAP + 1, 300, 100000])
-    def test_k_above_the_eigensolver_cap_refused_before_any_search(self, K):
-        def guarded(n):  # the search over n is O(K^3): a regression that starts it fails here instead of hanging
-            if n > EIG_DIM_CAP:
-                pytest.fail(f"T_{n} built for K={K}")
-            return rule.generator(n)
+    def test_k_above_the_eigensolver_cap_refused_before_any_search(self, K, monkeypatch):
+        def guarded(rule, n):  # T_K is O(K^3) to refute at: a regression that builds it fails here instead of hanging
+            pytest.fail(f"T_{n} built for K={K}")
 
-        rule = contiguous_partition_rule(K)
+        monkeypatch.setattr(PatternRule, "_build", guarded)
         with pytest.raises(EigFailure, match=f"dimension {K} exceeds the eigensolver cap {EIG_DIM_CAP}"):
-            refute_scalar_outside_interval(dataclasses.replace(rule, generator=guarded), K, -1, DISC1)
+            refute_scalar_outside_interval(contiguous_partition_rule(K), K, -1, DISC1)
 
     def test_k_at_the_eigensolver_cap_refutes(self):
         K = EIG_DIM_CAP
@@ -621,42 +621,40 @@ class TestRefuteScalar:
 class TestPatternsBuiltOnce:
     """A rule builds each T_n once: validation and the battery read the rule's own patterns."""
 
-    CFG = VerifyConfig(max_n=6, samples_per_n=2, probe_N=4)
+    CFG = VerifyConfig(max_n=6, samples_per_n=2)
 
-    @staticmethod
-    def _counted(rule):
-        calls = Counter()
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The n of each T_n a rule builds."""
+        calls, build = Counter(), PatternRule._build
 
-        def generator(n):
+        def counted(rule, n):
             calls[n] += 1
-            return rule.generator(n)
+            return build(rule, n)
 
-        return dataclasses.replace(rule, generator=generator), calls
+        monkeypatch.setattr(PatternRule, "_build", counted)
+        return calls
 
     @pytest.mark.parametrize("rule", [contiguous_partition_rule(3), proper_subpartition_rule(3),
                                       overlapping_chain_rule(), single_block_rule({0, 4}),
                                       all_singletons_rule(), empty_rule()],
                              ids=lambda r: r.name)
-    def test_verify_preservation(self, rule):
-        counted, calls = self._counted(rule)
-        verify_preservation(Identity(), Identity(), counted, DISC1, self.CFG)
+    def test_verify_preservation(self, rule, calls):
+        verify_preservation(Identity(), Identity(), rule, DISC1, self.CFG)
         assert set(calls) >= set(range(1, self.CFG.max_n + 1))
         assert max(calls.values()) == 1, calls
 
-    @pytest.mark.parametrize("probe_N", [3, 4, 12])
-    def test_refute_scalar_outside_interval(self, probe_N):
-        counted, calls = self._counted(contiguous_partition_rule(3))
-        cfg = VerifyConfig(probe_N=probe_N)
-        assert refute_scalar_outside_interval(counted, 3, -0.6, DISC1, cfg=cfg).refuted
-        assert set(calls) >= set(range(1, probe_N + 1))
-        assert max(calls.values()) == 1, calls
+    def test_refute_scalar_outside_interval(self, calls):
+        # the split is validated in closed form, so T_K alone is built, once
+        assert refute_scalar_outside_interval(contiguous_partition_rule(3), 3, -0.6, DISC1).refuted
+        assert calls == {3: 1}
 
-    def test_calls_again_build_nothing(self):
-        counted, calls = self._counted(contiguous_partition_rule(3))
-        verify_preservation(Identity(), Identity(), counted, DISC1, self.CFG)
+    def test_calls_again_build_nothing(self, calls):
+        rule = contiguous_partition_rule(3)
+        verify_preservation(Identity(), Identity(), rule, DISC1, self.CFG)
         first = dict(calls)
-        verify_preservation(Identity(), Identity(), counted, DISC1, self.CFG)
-        refute_scalar_outside_interval(counted, 3, -0.6, DISC1, cfg=VerifyConfig(probe_N=4))
+        verify_preservation(Identity(), Identity(), rule, DISC1, self.CFG)
+        refute_scalar_outside_interval(rule, 3, -0.6, DISC1)
         assert calls == first
 
     def test_operator_built_when_its_n_first_fires(self, monkeypatch):
@@ -727,15 +725,14 @@ class TestConfig:
             VerifyConfig(seed=-1)
         with pytest.raises(ValueError):
             VerifyConfig(tol=-1e-9)
-        with pytest.raises(ValueError):
-            VerifyConfig(probe_N=2)
+        with pytest.raises(TypeError):  # the probe depth is gone: every rule is decided from its shape
+            VerifyConfig(probe_N=12)
 
     @pytest.mark.parametrize("member, value", [
         ("tol", float("nan")), ("tol", float("inf")), ("tol", "1e-8"), ("tol", True),
         ("seed", 1.5), ("seed", True), ("seed", "0"),
         ("max_n", True), ("max_n", 8.0),
         ("samples_per_n", 2.5), ("samples_per_n", False),
-        ("probe_N", 12.0),
         ("rank_one_only", 1), ("rank_one_only", "yes"),
     ])
     def test_wrong_type_or_non_finite_is_rejected_not_coerced(self, member, value):
@@ -744,14 +741,14 @@ class TestConfig:
 
     def test_valid_members_are_kept_as_given(self):
         # members are checked, not converted, so a config's report bytes stay what they were
-        cfg = VerifyConfig(max_n=5, tol=0, probe_N=4)
+        cfg = VerifyConfig(max_n=5, tol=0)
         assert canonical_json(cfg.to_json()) == (
-            '{"max_n":5,"probe_N":4,"rank_one_only":false,"samples_per_n":500,"seed":0,"tol":0}')
+            '{"max_n":5,"rank_one_only":false,"samples_per_n":500,"seed":0,"tol":0}')
 
     def test_numpy_members_serialize_as_python_numbers(self):
         cfg = VerifyConfig(max_n=np.int64(3), samples_per_n=np.int32(2), seed=np.int64(3),
-                           tol=np.float32(0.25), probe_N=np.int16(4))
-        plain = VerifyConfig(max_n=3, samples_per_n=2, seed=3, tol=float(np.float32(0.25)), probe_N=4)
+                           tol=np.float32(0.25))
+        plain = VerifyConfig(max_n=3, samples_per_n=2, seed=3, tol=float(np.float32(0.25)))
         assert all(type(getattr(cfg, k)) is type(getattr(plain, k)) for k in plain.to_json())
         assert canonical_json(cfg.to_json()) == canonical_json(plain.to_json())
         verdicts = [verify_preservation(Identity(), scaled_identity(0.5), contiguous_partition_rule(2), DISC1, c)
