@@ -31,7 +31,6 @@ from .linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    permute_conjugate,
     schur_complement,
     schur_product,
     symmetrize,

@@ -31,10 +31,6 @@ class SingularBlockError(PsdMaskError):
     """The pivot block of a Schur complement is numerically singular."""
 
 
-class InvalidPermutationError(PsdMaskError):
-    """The given index sequence is not a permutation of range(n)."""
-
-
 # -- block patterns and rule sequences ---------------------------------------
 
 class BlockOutOfRangeError(PsdMaskError):

@@ -26,7 +26,6 @@ from .errors import (
     AsymmetricInputError,
     DimensionMismatchError,
     EigFailure,
-    InvalidPermutationError,
     NonFiniteEntryError,
     NonSquareError,
     SingularBlockError,
@@ -247,6 +246,9 @@ def schur_complement(M: np.ndarray, block) -> np.ndarray:
     indices; its principal submatrix must be invertible (smallest singular
     value above 1e-12 times the spectral scale of M), otherwise
     ``SingularBlockError`` is raised, naming the first such matrix of a stack.
+    The complement C is returned as C/2 + C*/2, halved before it is added as
+    in ``_settle``, so a finite complement near the float range stays finite;
+    its asymmetry, which an ill-conditioned pivot can grow, is not weighed.
     """
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
@@ -274,17 +276,7 @@ def schur_complement(M: np.ndarray, block) -> np.ndarray:
         )
     solved = np.linalg.solve(P, M[..., blk[:, None], rest])
     C = M[..., rest[:, None], rest] - M[..., rest[:, None], blk] @ solved
-    return exact_hermitian((C + np.swapaxes(C, -1, -2).conj()) / 2.0)
-
-
-def permute_conjugate(M: np.ndarray, sigma) -> np.ndarray:
-    """Conjugate by the permutation matrix of sigma: output[p][q] = M[sigma[p]][sigma[q]]."""
-    M = _as_square_grid(M)
-    n = M.shape[0]
-    s = [int(i) for i in sigma]
-    if sorted(s) != list(range(n)):
-        raise InvalidPermutationError(f"not a permutation of range({n}): {sigma}")
-    return M[np.ix_(s, s)].copy()
+    return _mirror(np.multiply(C, 0.5) + np.multiply(np.swapaxes(C, -1, -2).conj(), 0.5))
 
 
 def all_ones(n: int) -> np.ndarray:

@@ -72,8 +72,9 @@ def _image(mask: np.ndarray, G: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The kernel of ``apply``: the values G of g where the mask holds and the
     values F of f elsewhere, settled Hermitian.
 
-    G and F are the functions evaluated on the (domain-checked) input; a
-    stack ``(k, n, n)`` of masks broadcasts against stacks of values.
+    G and F are the functions evaluated on an input inside the domain (checked
+    by ``apply``; verify and the suite build theirs inside it); a stack
+    ``(k, n, n)`` of masks broadcasts against stacks of values.
     """
     return _settle_hermitian(np.where(mask, G, F))
 

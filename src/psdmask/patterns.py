@@ -329,6 +329,8 @@ def validate_rule(rule: PatternRule) -> str:
         # never R3a: past its largest n a listing's blocks miss index n - 1, so covers_all_n has raised
         return R3B_SUBPARTITION_OTHER
     # a nonempty T_n at n >= 2 without eventually_nonempty has raised above
+    if flags.eventually_nonempty and not any(c.block_count for n, c in classes.items() if n >= 2):
+        raise FlagMismatchError("eventually_nonempty declared but every T_n read at n >= 2 is empty")
     return R2_SINGLETONS if flags.eventually_nonempty else R1_EMPTY
 
 

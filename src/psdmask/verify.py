@@ -27,7 +27,9 @@ its own, every sample bit for bit what ``sample_psd`` draws.  A random stack
 whose images one shifted Cholesky clears (``linalg._cleared``) passes
 without an eigen-solve; the witnesses, built to refute, are never screened.
 So ``eigvalsh`` decides every other stack and is the only source of
-``min_eig`` and of every Refuted verdict.
+``min_eig`` and of every Refuted verdict.  Verify and the suite call the
+kernel behind ``apply``, ``operators._image``, on T_n's kept mask: they build
+their stacks inside the domain, so they check none of them again.
 
 Each n's random samples come from their own stream, split from the master
 seed as ``default_rng([seed, 6, n])`` (6 is ``_RANDOM_GRAM_STREAM``), so
@@ -72,7 +74,7 @@ from .linalg import (
     is_psd,
     psd_holds,
 )
-from .operators import OperatorSpec, apply
+from .operators import _image
 from .patterns import (
     R3A_PARTITION_ALL,
     R3B_SUBPARTITION_OTHER,
@@ -495,10 +497,10 @@ def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], ma
         yield from _stacks(blowups, m * base_n, zip(rows, itertools.repeat(())), {})
 
 
-def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float,
-                   screened: bool = False) -> tuple[int, float] | None:
+def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray,
+                   tol: float, screened: bool = False) -> tuple[int, float] | None:
     """Index and min eigenvalue of the first matrix of the stack W whose image
-    fails the PSD test, or None.
+    (g where the mask holds, f elsewhere) fails the PSD test, or None.
 
     A screened stack whose images ``linalg._cleared`` clears passes without
     an eigen-solve; any other is decided by ``eig_extremes``.  If the stack
@@ -506,7 +508,7 @@ def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float,
     surfaces at its own matrix and only when no earlier matrix refutes.
     """
     try:
-        H = apply(spec, W)
+        H = _image(mask, g.evaluate_array(W), f.evaluate_array(W))
         if screened and _cleared(H, tol):
             return None
         lo, hi = eig_extremes(H)
@@ -514,7 +516,7 @@ def _first_failure(spec: OperatorSpec, W: np.ndarray, tol: float,
         if len(W) == 1:
             raise
         for j in range(len(W)):
-            hit = _first_failure(spec, W[j:j + 1], tol, screened)
+            hit = _first_failure(g, f, mask, W[j:j + 1], tol, screened)
             if hit is not None:
                 return j, hit[1]
         return None
@@ -553,15 +555,12 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         "seed": cfg.seed,
     }
 
-    specs: dict[int, OperatorSpec] = {}  # each n's, built when its first stack fires
     # witnesses are built to refute, so only the random stage is screened (see _first_failure)
     stages = ((_deterministic_battery(domain, patterns, cfg.max_n), False), (_random_battery(domain, cfg), True))
     for stage, screened in stages:
         # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
         for W, n, families, params in stage:
-            if n not in specs:
-                specs[n] = OperatorSpec(f=f, pattern=patterns[n], domain=domain, g=g)
-            hit = _first_failure(specs[n], W, cfg.tol, screened)
+            hit = _first_failure(g, f, patterns[n].mask, W, cfg.tol, screened)
             checked = len(W) if hit is None else hit[0] + 1
             for family, count in Counter(families[:checked]).items():
                 fam = stats["families"].setdefault(family, {})
@@ -614,14 +613,13 @@ def refute_scalar_outside_interval(rule: PatternRule, K, c, domain: Domain,
         x = 0.5 * domain.reference_radius()
     elif not x > 0:
         raise ValueError(f"x={x} must be > 0")
-    witness = all_ones_witness(x, K, domain)
-    spec = OperatorSpec(f=scaled_identity(float(c_frac)), pattern=rule.pattern(K), domain=domain)
-    min_eig, _ = eig_extremes(apply(spec, witness.matrix))
+    A = all_ones_witness(x, K, domain).matrix
+    min_eig, _ = eig_extremes(_image(rule.pattern(K).mask, A, scaled_identity(float(c_frac)).evaluate_array(A)))
     ce = CounterExample(
         family="all_ones",
         params={"x": x, "n": K, "c": str(c_frac), "representative_indices": list(range(K))},
         n=K,
-        matrix=witness.matrix,
+        matrix=A,
         min_eig=min_eig,
     )
     stats = {"families": {"all_ones": {str(K): 1}}, "checked": 1, "K": K}

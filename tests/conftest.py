@@ -45,6 +45,12 @@ def random_psd(rng, n, complex_entries=True, rank=None):
     return B @ B.conj().T
 
 
+def permute_conjugate(M, sigma):
+    """Conjugate by the permutation matrix of sigma: output[p][q] = M[sigma[p]][sigma[q]]."""
+    s = [int(i) for i in sigma]
+    return np.asarray(M, dtype=np.complex128)[np.ix_(s, s)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -16,8 +16,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import permute_conjugate
 from psdmask.functions import Domain
-from psdmask.linalg import permute_conjugate
 from psdmask.patterns import (
     contiguous_partition_rule,
     overlapping_chain_rule,

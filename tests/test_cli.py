@@ -90,15 +90,21 @@ class TestClassify:
         assert report["regime"] == "R4-Overlapping"
         assert report["family"] == "identity only"
 
-    def test_contradicting_flags_are_usage_error(self, files, capsys):
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"kind": "contiguous_partition", "params": {"k": 3},
+          "flags": {"eventually_nonempty": True, "all_singletons": False, "covers_all_n": True,
+                    "max_block_count": 9, "has_block_ge2_at": 4, "overlap_at": None}}, "contiguous_partition"),
+        # every T_n is empty, so the rule is R1, not the R2 its eventually_nonempty flag would make it
+        ({"kind": "explicit", "params": {"patterns": [{"n": 1, "blocks": []}]},
+          "flags": {"eventually_nonempty": True, "all_singletons": True, "covers_all_n": False,
+                    "max_block_count": 0}}, "eventually_nonempty declared but every T_n read at n >= 2 is empty"),
+    ], ids=["split_flags", "empty_listing_declared_nonempty"])
+    def test_contradicting_flags_are_usage_error(self, files, capsys, doc, fragment):
         path = files["tmp"] / "rule_bad_flags.json"
-        path.write_text(json.dumps({"kind": "contiguous_partition", "params": {"k": 3},
-                                    "flags": {"eventually_nonempty": True, "all_singletons": False,
-                                              "covers_all_n": True, "max_block_count": 9,
-                                              "has_block_ge2_at": 4, "overlap_at": None}}))
+        path.write_text(json.dumps(doc))
         code, out, err = run(["classify", "--rule", str(path), "--json"], capsys)
         assert code == EXIT_USAGE and out == ""
-        assert "contiguous_partition" in err
+        assert fragment in err
 
     @pytest.mark.parametrize("doc", [
         {"kind": "contiguous_partition", "params": {"k": 2.7}},

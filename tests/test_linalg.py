@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chol_psd, eig2, random_psd
+from conftest import chol_psd, eig2, permute_conjugate, random_psd
 from psdmask.errors import (
     AsymmetricInputError,
     DimensionMismatchError,
     EigFailure,
-    InvalidPermutationError,
     NonFiniteEntryError,
     NonHermitianOutputError,
     NonSquareError,
@@ -27,7 +26,6 @@ from psdmask.linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    permute_conjugate,
     psd_holds,
     schur_complement,
     schur_product,
@@ -394,6 +392,30 @@ class TestSchurComplement:
         C = schur_complement(M, {1})
         assert C[0, 0] == pytest.approx(2.0 - 1.0 / 4.0)
 
+    def test_finite_complement_near_the_float_range_does_not_overflow(self):
+        # (C + C*)/2 overflowed to inf here; C/2 + C*/2 is C
+        C = schur_complement([[1.7e308, 0], [0, 1.7e308]], {0})
+        assert np.array_equal(C, [[1.7e308]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n=st.integers(2, 8),
+           exponent=st.sampled_from([-100, -8, 0, 8, 100]), real=st.booleans(), data=st.data())
+    def test_agrees_with_the_old_complement(self, seed, k, n, exponent, real, data):
+        # entries about 10**exponent: no sum overflows and no half is subnormal, so halving
+        # before adding is the old add-then-halve, bit for bit
+        g = np.random.default_rng(seed)
+        B = g.standard_normal((k, n, n)) + (0.0 if real else 1j * g.standard_normal((k, n, n)))
+        M = exact_hermitian((B @ np.swapaxes(B.conj(), -1, -2) + np.eye(n)) * 10.0 ** exponent)
+        block = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        blk = np.array(sorted(block))
+        rest = np.array([i for i in range(n) if i not in block])
+        solved = np.linalg.solve(M[:, blk[:, None], blk], M[:, blk[:, None], rest])
+        C = M[:, rest[:, None], rest] - M[:, rest[:, None], blk] @ solved
+        old = exact_hermitian((C + np.swapaxes(C, -1, -2).conj()) / 2.0)
+        new = schur_complement(M, block)
+        # bit for bit up to the sign of a zero, compared as TestSettle compares the settles
+        assert np.array_equal(new.view(np.float64), old.view(np.float64))
+
 
 class TestPermuteConjugate:
     def test_identity_permutation(self, rng):
@@ -411,10 +433,6 @@ class TestPermuteConjugate:
         before = eig_extremes(A)
         after = eig_extremes(permute_conjugate(A, sigma))
         assert before == (pytest.approx(after[0], abs=1e-12), pytest.approx(after[1], abs=1e-12))
-
-    def test_invalid_permutation(self):
-        with pytest.raises(InvalidPermutationError):
-            permute_conjugate(np.eye(3), [0, 0, 1])
 
 
 class TestMatrixJson:

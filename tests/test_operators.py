@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det2, random_psd
+from conftest import det2, permute_conjugate, random_psd
 from psdmask.errors import (
     AsymmetricInputError,
     DimensionMismatchError,
@@ -12,7 +12,7 @@ from psdmask.errors import (
     OutOfDomainError,
 )
 from psdmask.functions import Custom, Domain, HerzMonomial, Identity, Zero, scaled_identity
-from psdmask.linalg import all_ones, eig_extremes, identity, permute_conjugate, symmetrize
+from psdmask.linalg import all_ones, eig_extremes, identity, symmetrize
 from psdmask.operators import (
     OperatorSpec,
     apply,

@@ -556,7 +556,9 @@ def _validate_rule_reference(rule, probe_N: int) -> str:
         if flags.covers_all_n and math.isfinite(flags.max_block_count):
             return R3A_PARTITION_ALL
         return R3B_SUBPARTITION_OTHER
-    if probed_nonempty or flags.eventually_nonempty:
+    if flags.eventually_nonempty and not probed_nonempty:
+        raise FlagMismatchError("eventually_nonempty declared but every T_n read at n >= 2 is empty")
+    if probed_nonempty:
         return R2_SINGLETONS
     return R1_EMPTY
 
@@ -633,6 +635,7 @@ class TestValidateRuleAgainstReference:
         "has_block_ge#_at=# but that pattern has no block of size >= #",
         "overlap_at=# but that pattern has no overlap",
         "all_singletons=False requires a probed block of size >= # or a declared location",
+        "eventually_nonempty declared but every T_n read at n >= # is empty",
     }
 
     def test_same_regime_or_error_as_reference(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import traceback
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_psd
 from psdmask import verify
@@ -15,6 +18,7 @@ from psdmask.errors import (
     EigFailure,
     EpsTooLargeError,
     FlagMismatchError,
+    NonFiniteEntryError,
     NonHermitianOutputError,
     OutOfDomainError,
     RegimeMismatchError,
@@ -295,39 +299,45 @@ class TestSmallMaxN:
         assert verdict.outcome == OUTCOME_PRESERVED
 
 
+def _folded_unless_marked(z):
+    """-0.6 z with its imaginary part folded up, so not conjugate-equivariant; raises at the marked 0.25."""
+    if z == 0.25:
+        raise ValueError(f"marked entry {z}")
+    return -0.6 * complex(z.real, abs(z.imag))
+
+
 class TestStackOrder:
     """In a stack the first failure wins; an error raised by a later matrix does not."""
 
-    SPEC = OperatorSpec(
-        f=Custom(lambda z: -0.6 * complex(z.real, abs(z.imag)), name="folded scalar"),
-        pattern=all_singletons_rule().pattern(3), domain=DISC1,
-    )
+    G, F = Identity(), Custom(_folded_unless_marked, name="folded scalar")
+    PATTERN = all_singletons_rule().pattern(3)
+    SPEC = OperatorSpec(f=F, pattern=PATTERN, domain=DISC1)
     OK = 0.5 * identity(3)
     REFUTES = 0.5 * all_ones(3)  # image: 0.5 on the diagonal, -0.3 off it; eigenvalue -0.1
     NON_HERMITIAN = exact_hermitian(0.2 * identity(3) + 0.1j * (all_ones(3) - identity(3)))
-    OUTSIDE = 2.0 * identity(3)
+    MARKED = 0.25 * identity(3)
+
+    def first_failure(self, stack):
+        return _first_failure(self.G, self.F, self.PATTERN.mask, stack, 1e-8)
 
     def test_all_pass(self):
-        assert _first_failure(self.SPEC, np.array([self.OK, self.OK]), 1e-8) is None
+        assert self.first_failure(np.array([self.OK, self.OK])) is None
 
     def test_first_refutation_wins(self):
-        stack = np.array([self.OK, self.REFUTES, self.REFUTES])
-        j, min_eig = _first_failure(self.SPEC, stack, 1e-8)
+        j, min_eig = self.first_failure(np.array([self.OK, self.REFUTES, self.REFUTES]))
         assert j == 1 and min_eig == is_psd(apply(self.SPEC, self.REFUTES)).min_eig
 
-    @pytest.mark.parametrize("bad", ["NON_HERMITIAN", "OUTSIDE"])
+    @pytest.mark.parametrize("bad", ["NON_HERMITIAN", "MARKED"])
     def test_error_after_refutation_is_not_raised(self, bad):
-        stack = np.array([self.OK, self.REFUTES, getattr(self, bad)])
-        assert _first_failure(self.SPEC, stack, 1e-8)[0] == 1
+        assert self.first_failure(np.array([self.OK, self.REFUTES, getattr(self, bad)]))[0] == 1
 
     @pytest.mark.parametrize("bad, error", [("NON_HERMITIAN", NonHermitianOutputError),
-                                            ("OUTSIDE", OutOfDomainError)])
+                                            ("MARKED", ValueError)])
     def test_error_before_refutation_is_raised_as_alone(self, bad, error):
         with pytest.raises(error) as alone:
             apply(self.SPEC, getattr(self, bad))
-        stack = np.array([self.OK, getattr(self, bad), self.REFUTES])
         with pytest.raises(error) as stacked:
-            _first_failure(self.SPEC, stack, 1e-8)
+            self.first_failure(np.array([self.OK, getattr(self, bad), self.REFUTES]))
         assert str(stacked.value) == str(alone.value)
 
 
@@ -348,6 +358,31 @@ def consume(stacks, out):
     """Append the stream's stacks to out; an error it raises propagates."""
     for item in stacks:
         out.append(item)
+
+
+BUILTINS = [empty_rule(), all_singletons_rule(), single_block_rule({0, 4}), contiguous_partition_rule(3),
+            proper_subpartition_rule(3), overlapping_chain_rule()]
+
+
+class TestStacksInDomain:
+    """verify fires its stacks through the operator kernel unchecked: every stack both
+    batteries yield lies inside the domain and is n x n, the size of T_n's mask."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["disc", "open_sym", "half_open_nonneg", "open_pos"]),
+           rho=st.sampled_from([1e-300, 0.3, 1.0, 1e300, math.inf]), rule=st.sampled_from(BUILTINS),
+           max_n=st.integers(1, 8), samples=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_every_stack_lies_inside_the_domain(self, kind, rho, rule, max_n, samples, seed):
+        domain = Domain(kind, rho)
+        patterns = {n: rule.pattern(n) for n in range(1, max_n + 1)}
+        cfg = VerifyConfig(max_n=max_n, samples_per_n=samples, seed=seed)
+        for stage in (_deterministic_battery(domain, patterns, max_n), verify._random_battery(domain, cfg)):
+            try:
+                for W, n, _, _ in stage:
+                    assert W.shape[1:] == patterns[n].mask.shape == (n, n)
+                    assert domain.contains_array(W).all()
+            except (NonFiniteEntryError, OutOfDomainError):  # a witness that cannot be built, raised as verify raises it
+                continue
 
 
 class TestBatteryStacks:
@@ -657,17 +692,12 @@ class TestPatternsBuiltOnce:
         refute_scalar_outside_interval(rule, 3, -0.6, DISC1)
         assert calls == first
 
-    def test_operator_built_when_its_n_first_fires(self, monkeypatch):
-        built = []
-
-        def counted(**members):
-            built.append(members["pattern"].n)
-            return OperatorSpec(**members)
-
-        monkeypatch.setattr(verify, "OperatorSpec", counted)
-        verdict = verify_preservation(Identity(), scaled_identity(2.0), contiguous_partition_rule(2), DISC1)
+    def test_refute_at_n_2_reads_the_masks_of_t1_and_t2_only(self):
+        rule = contiguous_partition_rule(2)
+        verdict = verify_preservation(Identity(), scaled_identity(2.0), rule, DISC1)
         assert verdict.refuted and verdict.counterexample.n == 2
-        assert built == [1, 2]
+        assert len(rule._patterns) == VerifyConfig().max_n  # every T_n is built, and only fired ones are read
+        assert sorted(n for n, p in rule._patterns.items() if "mask" in vars(p)) == [1, 2]
 
     @pytest.mark.parametrize("c, outcome", [(-0.75, "Refuted"), (0.5, OUTCOME_PRESERVED)])
     def test_kept_patterns_give_the_same_bytes(self, c, outcome):
