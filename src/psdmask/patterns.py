@@ -98,6 +98,30 @@ class BlockPattern:
         mask.flags.writeable = False
         return mask
 
+    @cached_property
+    def anchors(self) -> tuple[tuple, tuple]:
+        """Where the 3x3 witnesses go, as (pairs, overlaps) of sorted index triples
+        (i, j, l): a size->=2 block's two least indices with a third from another
+        block or the least uncovered index, and two overlapping blocks' least
+        private indices around their least shared one.  Kept like ``mask``, and
+        compared by value, so equal patterns share the plans ``verify`` keeps."""
+        covered = self.covered()
+        free = next((i for i in range(self.n) if i not in covered), None)
+        pairs = set()
+        for u in self.blocks:
+            if len(u) < 2:
+                continue
+            i, j = sorted(u)[:2]
+            thirds = {free} if free is not None else set()
+            thirds.update(min(v - {i, j}) for v in self.blocks if v is not u and v - {i, j})
+            pairs.update((i, j, l) for l in thirds if l not in (i, j))
+        overlaps = set()
+        for a, u in enumerate(self.blocks):
+            for v in self.blocks[a + 1:]:
+                if u & v and u - v and v - u:
+                    overlaps.add((min(u - v), min(u & v), min(v - u)))
+        return tuple(sorted(pairs)), tuple(sorted(overlaps))
+
 
 def normalize(blocks, n: int) -> BlockPattern:
     """Drop empty sets, drop subsets contained in another block, order canonically."""

@@ -11,12 +11,17 @@ Every stack is fired as one record ``(W, n, families, params)``: W is
 j's params, so only the refuting matrix's are built.  The witnesses depend
 only on (domain, max_n), so each battery section (all ones, anchored,
 blowups) is grown once per process into one read-only table, kept for
-``BATTERY_CACHE_SIZE`` (domain, max_n) pairs, and fired at each n in stacks
-of 8, 16, 32, ... rows up to ``_stack_rows(n)``, each one gather whose
-placements are computed once per n; random samples come ``_stack_rows(n)``
-a stack.  A stack holds about ``STACK_ENTRIES`` entries whatever n (why is
-measured at the constant), so all 500 default samples go in one stack at
-n = 1 and 2, and 64 at n = 8.
+``BATTERY_CACHE_SIZE`` (domain, max_n) pairs.  Where its rows go at n
+depends only on T_n's anchors (``BlockPattern.anchors``, compared by value),
+so the section keeps that too, as a plan: the rows and placements of every
+stack in one small-int array, each stack's families with their tally, and
+the error that ends the order.  A plan is built on first need and replayed
+by every call that shares the domain, max_n and T_n's anchors, in stacks of
+8, 16, 32, ... rows up to ``_stack_rows(n)``, each one gather made only when
+the stack is needed; random samples come ``_stack_rows(n)`` a stack.  A
+passing stack takes its tally from its plan.  A stack holds about
+``STACK_ENTRIES`` entries whatever n (why is measured at the constant), so
+all 500 default samples go in one stack at n = 1 and 2, and 64 at n = 8.
 Within a stack the first failing matrix wins, and each matrix is judged bit
 for bit as it would be alone.  Each n's random samples are drawn in one pass
 over its stream, read one raw 64-bit word at a time: the ranks are decoded
@@ -113,7 +118,10 @@ STACK_ENTRIES = 4096
 
 # The battery sections of this many (domain, max_n) pairs are kept per
 # process, least recently used dropped first: at most 60 kB a pair at max_n 8,
-# growing as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.
+# growing as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.  Each section keeps the plans
+# of this many anchor sets per n the same way, at 30-70 bytes a row (traced by
+# tracemalloc): 1-22 kB a plan for the built-in rules at n <= 8, 0.25-0.43 MB
+# for T_8 = all 28 pairs of range(8), whose plan has 3,528-7,560 rows.
 BATTERY_CACHE_SIZE = 16
 
 
@@ -328,47 +336,36 @@ def _pair_zs(w: float, domain: Domain) -> list[complex]:
     return [0.0, 0.5 * w, w]
 
 
-def _anchor_positions(pattern: BlockPattern) -> dict:
-    """Index triples (i, j, l) anchored at size->=2 blocks and at overlaps."""
-    covered = pattern.covered()
-    free = next((i for i in range(pattern.n) if i not in covered), None)  # the least uncovered index
-    pairs = []
-    for u in pattern.blocks:
-        if len(u) < 2:
-            continue
-        i, j = sorted(u)[:2]
-        thirds = [] if free is None else [free]
-        for v in pattern.blocks:
-            if v is u:
-                continue
-            rest = sorted(v - {i, j})
-            if rest:
-                thirds.append(rest[0])
-        for l in sorted(set(thirds)):
-            if l not in (i, j):
-                pairs.append((i, j, l))
-    overlaps = []
-    for a, u in enumerate(pattern.blocks):
-        for v in pattern.blocks[a + 1:]:
-            shared = u & v
-            if not shared:
-                continue
-            j = min(shared)
-            left = sorted(u - v)
-            right = sorted(v - u)
-            if left and right:
-                overlaps.append((left[0], j, right[0]))
-    return {"pairs": sorted(set(pairs)), "overlaps": sorted(set(overlaps))}
-
-
 class _Section(NamedTuple):
     """A battery section, row i witness i: L[i] holds it grown as far as it went
-    (zeros beyond, read-only), reach[i] that size, errors[i] what stopped it."""
+    (zeros beyond, read-only), reach[i] that size, errors[i] what stopped it.
+    plans[n] keeps, by key, the ``_Plan`` of each order the battery fired at n."""
     L: np.ndarray
     families: tuple
     params: tuple
     reach: tuple
     errors: tuple
+    plans: dict
+
+
+class _Families(tuple):
+    """One stack's family per matrix, kept in its plan with ``counts``, their tally."""
+
+    def __new__(cls, families):
+        self = super().__new__(cls, families)
+        self.counts = Counter(self)
+        return self
+
+
+class _Plan(NamedTuple):
+    """How a section fires one order at one n.  Row p of index is the order's
+    p-th matrix: its section row, then (for an order with coords) where each of
+    its n indices comes from.  Stack s is index[cuts[s]:cuts[s + 1]], of
+    families[s]; error, if any, is raised after the last stack."""
+    index: np.ndarray
+    cuts: tuple
+    families: tuple
+    error: Exception | None
 
 
 def _runs(domain: Domain, max_n: int, name: str) -> list:
@@ -408,7 +405,8 @@ def _section(domain: Domain, max_n: int, name: str) -> _Section:
     Each witness of each run is built and grown to the run's size.  One that
     cannot be built reaches 0 and ends its run; one whose growth fails keeps
     the size it reached.  Either keeps its error for ``_stacks`` to raise where
-    the battery first needs the row.
+    the battery first needs the row.  The section keeps its plans too, so they
+    go when it does.
     """
     runs = _runs(domain, max_n, name)
     grown = []  # (family, params, the witness as far as it grew, the error that stopped it or None)
@@ -431,43 +429,79 @@ def _section(domain: Domain, max_n: int, name: str) -> _Section:
     for out, M in zip(L, mats):
         out[:len(M), :len(M)] = M
     L.setflags(write=False)
-    return _Section(L, families, params, tuple(map(len, mats)), errors)
+    return _Section(L, families, params, tuple(map(len, mats)), errors, {})
 
 
-def _stacks(section: _Section, n: int, order, extra: dict):
-    """Yield the rows of order, an iterator of (row, coords) read as needed, in
-    n x n stacks of 8, 16, 32, ... up to ``_stack_rows(n)``: one gather puts each row's
-    leading block on its coords (which join its params) and the rest of its
-    growth, in order, on the other indices.  Rows without coords stay in
-    order: they come as a contiguous run, never with rows with coords, and
-    are gathered by one slice.  At the first row that does not reach n, the
-    rows before it are yielded and its error is raised."""
-    L, families, params, reach, errors = section
-    places, rows, coords, least, most = {}, [], [], 8, _stack_rows(n)
+def _plan_of(section: _Section, n: int, key) -> _Plan:
+    """The plan of key at n, built by walking its order a row at a time.
 
-    def stack(rows, coords):  # rows and coords bound here, as the stack is yielded
-        if coords[0]:
-            P = np.array([places[c] for c in coords])
-            W = L[np.array(rows)[:, None, None], P[:, :, None], P[:, None, :]]
-        else:
-            W = L[rows[0]:rows[-1] + 1, :n, :n].copy()
-        return (W, n, [families[r] for r in rows],
-                lambda j: {**params[rows[j]], **extra, **({"coords": coords[j]} if coords[j] else {})})
-
+    key is a range of rows, fired in order on their leading n x n blocks, or
+    T_n's anchors, each (i, j, l) of which places every row of its span (the
+    pair runs for pairs, the overlap run for overlaps) with its leading block on
+    (i, j, l) and the rest of its growth, in order, on the other indices.  The
+    rows come in stacks of 8, 16, 32, ... up to ``_stack_rows(n)``, and stop at
+    the first that does not reach n, whose error the plan keeps."""
+    L, families, _, reach, errors, _ = section
+    if isinstance(key, range):
+        order = zip(key, itertools.repeat(()))
+    else:
+        split = families.index("overlap_probe")  # the overlap run comes last
+        spans = (range(split), range(split, len(L)))
+        order = ((row, at) for span, ats in zip(spans, key) for at in ats for row in span)
+    index, places, error = [], {}, None
     for row, at in order:
         if reach[row] < n:
-            if rows:
-                yield stack(rows, coords)
-            raise errors[row].with_traceback(None)  # the section is kept: raise it without its last traceback
-        if at and at not in places:
-            places[at] = np.array([*at, *[q for q in range(n) if q not in at]]).argsort()
-        rows.append(row)
-        coords.append(at)
-        if len(rows) == least:
-            yield stack(rows, coords)
-            rows, coords, least = [], [], min(2 * least, most)
-    if rows:
-        yield stack(rows, coords)
+            error = errors[row]
+            break
+        if at and at not in places:  # at's indices first, then the others in order: W's index q is L's places[at][q]
+            places[at] = tuple(np.argsort([*at, *(q for q in range(n) if q not in at)]).tolist())
+        index.append((row, *places.get(at, ())))
+    cuts, size = [0], 8
+    while cuts[-1] < len(index):
+        cuts.append(min(cuts[-1] + size, len(index)))
+        size = min(2 * size, _stack_rows(n))
+    # a section has at most 45 rows and n is at most EIG_DIM_CAP (64), so every entry fits a byte
+    index = np.array(index, dtype=np.uint8).reshape(len(index), -1 if index else 1)
+    stacks = [_Families(families[row] for row in index[a:b, 0].tolist()) for a, b in zip(cuts, cuts[1:])]
+    return _Plan(index, tuple(cuts), tuple(stacks), error)
+
+
+def _plan(section: _Section, n: int, key) -> _Plan:
+    """The kept plan of key at n, built on first need; a section keeps the plans
+    of ``BATTERY_CACHE_SIZE`` keys per n, least recently used dropped first."""
+    kept = section.plans.setdefault(n, {})
+    plan = kept.pop(key, None)
+    if plan is None:
+        plan = _plan_of(section, n, key)
+        if len(kept) == BATTERY_CACHE_SIZE:
+            del kept[next(iter(kept))]
+    kept[key] = plan
+    return plan
+
+
+def _stack_params(params: tuple, index: np.ndarray, extra: dict, start: int, j: int) -> dict:
+    """The params of plan row start + j: its witness's, extra's, and its coords if it has them."""
+    p = start + j
+    coords = {"coords": tuple(index[p, 1:].argsort()[:3].tolist())} if index.shape[1] > 1 else {}
+    return {**params[index[p, 0]], **extra, **coords}
+
+
+def _stacks(section: _Section, n: int, key, extra: dict):
+    """Yield the stacks of key's plan at n (see ``_plan_of``), each one gather
+    when it is needed; extra joins every row's params.  After the last stack
+    the error of the row that ended the order, if one did, is raised."""
+    L, _, params, _, _, _ = section
+    index, cuts, stacks, error = _plan(section, n, key)
+    for a, b, families in zip(cuts, cuts[1:], stacks):
+        if isinstance(key, range):  # contiguous rows: one slice
+            W = L[key.start + a:key.start + b, :n, :n].copy()
+        else:
+            at = index[a:b]
+            P = at[:, 1:]
+            W = L[at[:, :1, None], P[:, :, None], P[:, None, :]]
+        yield W, n, families, partial(_stack_params, params, index, extra, a)
+    if error is not None:
+        raise error.with_traceback(None)  # the plan is kept: raise it without its last traceback
 
 
 def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], max_n: int):
@@ -479,22 +513,20 @@ def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], ma
     """
     ones = _section(domain, max_n, "all_ones")
     for n in range(1, max_n + 1):
-        yield from _stacks(ones, n, zip(range(len(ones.L)), itertools.repeat(())), {"n": n})
+        yield from _stacks(ones, n, range(len(ones.L)), {"n": n})
     anchored = None
     for n in range(3, max_n + 1):
-        anchors = _anchor_positions(patterns[n])
-        if not (anchors["pairs"] or anchors["overlaps"]):
+        anchors = patterns[n].anchors
+        if not any(anchors):
             continue
         if anchored is None:
             anchored = _section(domain, max_n, "anchored")
-            split = anchored.families.index("overlap_probe")  # the overlap run comes last
-            spans = {"pairs": range(split), "overlaps": range(split, len(anchored.L))}
-        order = ((row, coords) for key, rows in spans.items() for coords in anchors[key] for row in rows)
-        yield from _stacks(anchored, n, order, {})
+        yield from _stacks(anchored, n, anchors, {})
     blowups = _section(domain, max_n, "blowups")
     for (base_n, m), rows in itertools.groupby(range(len(blowups.L)),
                                                lambda row: (blowups.params[row]["base_n"], blowups.params[row]["m"])):
-        yield from _stacks(blowups, m * base_n, zip(rows, itertools.repeat(())), {})
+        rows = list(rows)
+        yield from _stacks(blowups, m * base_n, range(rows[0], rows[-1] + 1), {})
 
 
 def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray,
@@ -520,10 +552,10 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
             if hit is not None:
                 return j, hit[1]
         return None
-    failed = np.flatnonzero(~psd_holds(lo, hi, tol))
-    if failed.size == 0:
+    holds = psd_holds(lo, hi, tol)
+    if holds.all():
         return None
-    j = int(failed[0])
+    j = int(np.flatnonzero(~holds)[0])
     return j, float(lo[j])
 
 
@@ -561,8 +593,12 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
         for W, n, families, params in stage:
             hit = _first_failure(g, f, patterns[n].mask, W, cfg.tol, screened)
-            checked = len(W) if hit is None else hit[0] + 1
-            for family, count in Counter(families[:checked]).items():
+            if hit is None:  # a random stack is all random_gram; a battery stack's tally is kept in its plan
+                checked, counts = len(W), {"random_gram": len(W)} if screened else families.counts
+            else:
+                checked = hit[0] + 1
+                counts = Counter(families[:checked])
+            for family, count in counts.items():
                 fam = stats["families"].setdefault(family, {})
                 fam[str(n)] = fam.get(str(n), 0) + count
             stats["checked"] += checked

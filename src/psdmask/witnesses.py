@@ -59,12 +59,14 @@ def _jsonable(v):
 
 
 def _witness(rows, provenance: str, params: dict, domain: Domain | None) -> Witness:
-    """The settled matrix of rows, tagged; its entries must be finite and inside the domain."""
+    """The settled matrix of rows, tagged; its entries must be finite and inside the domain.
+    Either error names the witness, its params and the domain."""
     M = exact_hermitian(rows)
+    where = "" if domain is None else f" on {domain.kind}(rho={domain.rho})"
     if not np.isfinite(M).all():
-        raise NonFiniteEntryError(f"witness {provenance} has non-finite entries")
+        raise NonFiniteEntryError(f"witness {provenance} {params}{where} has non-finite entries")
     if domain is not None and not domain.contains_array(M).all():
-        raise OutOfDomainError(f"witness {provenance} has entries outside the domain")
+        raise OutOfDomainError(f"witness {provenance} {params}{where} has entries outside the domain")
     return Witness(M, provenance, params)
 
 

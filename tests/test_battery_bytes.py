@@ -8,7 +8,8 @@ and before the battery became stacks grown once per call.  The reference
 embedding below is the per-witness ``embed_at`` those stacks replaced.  The
 whole-stream hashes, which also pin every matrix's params on every domain
 kind, were generated before the battery became one read-only table per
-section.
+section, and before each section kept the plans it fires; each digest is
+taken twice in one process, from cold plans and from kept ones.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import permute_conjugate
+from psdmask import verify
 from psdmask.functions import Domain
 from psdmask.patterns import (
     contiguous_partition_rule,
@@ -56,9 +58,7 @@ EXPECTED = {
 }
 
 
-@pytest.mark.parametrize("rule_name,rho", sorted(EXPECTED))
-def test_battery_witness_bytes(rule_name, rho):
-    rule = RULES[rule_name]()
+def witness_digest(rule, rho):
     patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
     digest = hashlib.sha256()
     count = 0
@@ -67,7 +67,14 @@ def test_battery_witness_bytes(rule_name, rho):
             digest.update(f"{n}:{family}:".encode())
             digest.update(np.ascontiguousarray(W, dtype=np.complex128).tobytes())
             count += 1
-    assert (count, digest.hexdigest()) == EXPECTED[(rule_name, rho)]
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("rule_name,rho", sorted(EXPECTED))
+def test_battery_witness_bytes(rule_name, rho):
+    verify._section.cache_clear()  # the first digest comes from cold sections and plans, the second from kept ones
+    for _ in range(2):
+        assert witness_digest(RULES[rule_name](), rho) == EXPECTED[(rule_name, rho)]
 
 
 def reference_embed_at(W, n, coords, domain):
@@ -187,6 +194,9 @@ def stream_digest(domain, rule, max_n):
 
 @pytest.mark.parametrize("domain_name,rule_name,max_n", sorted(STREAM))
 def test_whole_stream_bytes(domain_name, rule_name, max_n):
-    """Every matrix the deterministic battery yields, with its family and params, on every domain kind."""
-    got = stream_digest(STREAM_DOMAINS[domain_name], RULES[rule_name](), max_n)
-    assert got == STREAM[(domain_name, rule_name, max_n)]
+    """Every matrix the deterministic battery yields, with its family and params, on every domain
+    kind: once from cold sections and plans, once from kept ones."""
+    verify._section.cache_clear()
+    for _ in range(2):
+        got = stream_digest(STREAM_DOMAINS[domain_name], RULES[rule_name](), max_n)
+        assert got == STREAM[(domain_name, rule_name, max_n)]

@@ -217,6 +217,24 @@ class TestOperatorInvariants:
         moved = OperatorSpec(f=f, pattern=normalize(moved_blocks, n), domain=DISC1, g=g)
         assert np.array_equal(apply(moved, permute_conjugate(A, sigma)), permute_conjugate(image, sigma))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_heredity_on_leading_blocks(self, data):
+        # where T_n's leading k x k block is T_k, the image of each A[:k, :k] is the
+        # leading block of A's image, bit for bit: apply is entrywise
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, n))
+        blocks = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
+        g, f = data.draw(_herz_or_linear), data.draw(_herz_or_linear)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A = np.array([symmetrize(random_psd(rng, n)) for _ in range(data.draw(st.integers(1, 4)))])
+        A /= 2 * np.abs(A).max(axis=(1, 2), keepdims=True)
+        T_n, T_k = normalize(blocks, n), normalize([b & set(range(k)) for b in blocks], k)
+        assert np.array_equal(T_k.mask, T_n.mask[:k, :k])
+        image = apply(OperatorSpec(f=f, pattern=T_n, domain=DISC1, g=g), A)
+        assert np.array_equal(apply(OperatorSpec(f=f, pattern=T_k, domain=DISC1, g=g), A[:, :k, :k]),
+                              image[:, :k, :k])
+
     def test_tensor_identity(self, rng):
         # (g,f) star-applied to J_m (x) A splits into the two Kronecker terms
         from psdmask.linalg import kron

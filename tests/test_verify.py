@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import traceback
@@ -579,10 +580,96 @@ class TestBatteryCache:
                 for _ in battery(dom, single_block_rule({0, 1})):
                     pass
             seen.append((info.value, str(info.value), len(traceback.extract_tb(info.value.__traceback__))))
-        # built once per tail run (t_top is each w's last t), with its section; the later calls raise the kept error
+        # built once per tail run (t_top is each w's last t), with its section; the later calls
+        # replay the kept plan, which raises the kept error with a traceback of its own
         assert built.count(0.95) == 3
         assert all(exc is seen[0][0] for exc, _, _ in seen)
         assert {(msg, depth) for _, msg, depth in seen} == {("refused", seen[0][2])}
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestBatteryPlans:
+    """Each section keeps a plan per (n, anchors) it fires: built once, then replayed stack by stack."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        built = []
+        real = verify._plan_of
+
+        def counting(section, n, key):
+            built.append((n, key))
+            return real(section, n, key)
+
+        monkeypatch.setattr(verify, "_plan_of", counting)
+        return built
+
+    def test_no_plan_outlives_its_section(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        rule = overlapping_chain_rule()
+        cold = flat(battery(DISC1, rule))
+        first = list(built)
+        assert first and len(set(first)) == len(first)
+        assert flat(battery(DISC1, rule)) == cold and built == first  # every plan replayed
+        verify._section.cache_clear()
+        assert flat(battery(DISC1, rule)) == cold and built == first + first
+
+    def test_equal_patterns_share_one_plan_build(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        a, b = proper_subpartition_rule(3), proper_subpartition_rule(3)
+        assert a.pattern(6) is not b.pattern(6) and a.pattern(6).anchors == b.pattern(6).anchors
+        cold = flat(battery(DISC1, a))
+        count = len(built)
+        assert count > 0 and flat(battery(DISC1, b)) == cold and len(built) == count
+
+    def test_a_section_keeps_its_latest_anchor_sets(self):
+        section = verify._section(DISC1, 5, "anchored")
+        pairs = itertools.combinations(range(5), 2)
+        anchor_sets = list(dict.fromkeys(normalize(blocks, 5).anchors for blocks in itertools.combinations(pairs, 2)))
+        assert len(anchor_sets) > verify.BATTERY_CACHE_SIZE
+        for anchors in anchor_sets:
+            for _ in verify._stacks(section, 5, anchors, {}):
+                pass
+        assert list(section.plans[5]) == anchor_sets[-verify.BATTERY_CACHE_SIZE:]
+
+    def test_a_refuting_stack_fires_no_later_stack(self, monkeypatch):
+        drawn = []
+        real = verify._stacks
+
+        def recording(*args):
+            for record in real(*args):
+                drawn.append(record)
+                yield record
+
+        monkeypatch.setattr(verify, "_stacks", recording)
+        rule = overlapping_chain_rule()
+        v = verify_preservation(Identity(), HerzSeries({(0, 1): 1.0}), rule, DISC1, BATTERY_ONLY)
+        W, n, families, params = drawn[-1]
+        j = v.stats["checked"] - sum(len(record[0]) for record in drawn[:-1]) - 1
+        assert v.refuted and v.counterexample.n == n and params(j) == v.counterexample.params
+        assert np.array_equal(W[j], v.counterexample.matrix)
+        plan = verify._section(DISC1, BATTERY_ONLY.max_n, "anchored").plans[n][rule.pattern(n).anchors]
+        fired = [record for record in drawn if record[1] == n and record[2][0] in ANCHORED]
+        assert families[0] in ANCHORED and len(fired) < len(plan.families)  # no later stack of its plan was gathered
+
+
+class TestWitnessErrors:
+    """A witness that cannot be built names itself, its params and the domain, at its place in battery order."""
+
+    @pytest.mark.parametrize("domain, error, message", [
+        (Domain.open_sym(1e308), NonFiniteEntryError,
+         "witness duplicated_pair_gram {'w': (6e+307+0j), 'z': (3e+307+0j)} on open_sym(rho=1e+308) "
+         "has non-finite entries"),
+        (Domain.disc(1e308), NonFiniteEntryError,
+         "witness duplicated_pair_gram {'w': (6e+307+0j), 'z': (3e+307+0j)} on disc(rho=1e+308) "
+         "has non-finite entries"),
+        (Domain.open_pos(1e-300), OutOfDomainError,
+         "witness duplicated_pair_gram {'w': (6e-301+0j), 'z': (3e-301+0j)} on open_pos(rho=1e-300) "
+         "has entries outside the domain"),
+    ], ids=["open_sym", "disc", "open_pos"])
+    def test_error_names_the_witness_and_the_domain(self, domain, error, message):
+        with pytest.raises(error) as info:
+            verify_preservation(Identity(), Identity(), empty_rule(), domain)
+        assert str(info.value) == message
 
 
 class TestRefuteScalar:
