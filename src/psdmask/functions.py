@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RegimeMismatchError
+from .linalg import exact_hermitian
 from .patterns import (
     R1_EMPTY,
     R2_SINGLETONS,
@@ -120,11 +121,12 @@ class Domain:
 def _int_pow(Z: np.ndarray, m: int):
     """Integer power by repeated squaring (conj-symmetric bit for bit, 0**0 = 1).
 
-    The product starts from the scalar 1 + 0j: every product by 1 or 0 is
+    The product starts from the scalar 1.0, which keeps a real Z real; numpy
+    multiplies a complex Z by it as by 1 + 0j.  Every product by 1 or 0 is
     exact, so the bits are those of a start from an all-ones array, signed
     zeros, inf and NaN included.  A zero exponent returns that scalar.
     """
-    out = 1 + 0j
+    out = 1.0
     base = Z
     e = m
     while e > 0:
@@ -138,19 +140,36 @@ def _int_pow(Z: np.ndarray, m: int):
 
 def _power_term(c: float, Z: np.ndarray, m: int, k: int):
     """c z^m conj(z)^k entrywise, multiplied left to right; conj(Z) is formed
-    only for k > 0, and the result is the scalar c (1 + 0j) when m = k = 0."""
-    return c * _int_pow(Z, m) * (_int_pow(np.conj(Z), k) if k else 1 + 0j)
+    only for k > 0, and the result is the scalar c when m = k = 0.  Like
+    ``_int_pow`` it starts from 1.0, so a real Z stays real."""
+    return c * _int_pow(Z, m) * (_int_pow(np.conj(Z), k) if k else 1.0)
 
 
 class PreserverFunction:
     """A scalar function applied entrywise; immutable and pure."""
+
+    _keeps_dtype = False  # set for a class that defines _values, or inherits them and not evaluate_array
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._keeps_dtype = "_values" in vars(cls) or (cls._keeps_dtype and "evaluate_array" not in vars(cls))
 
     def evaluate(self, z: complex) -> complex:
         Z = np.array([[complex(z)]], dtype=np.complex128)
         return complex(self.evaluate_array(Z)[0, 0])
 
     def evaluate_array(self, Z: np.ndarray) -> np.ndarray:
+        return self._values(np.asarray(Z, dtype=np.complex128))
+
+    def _values(self, Z: np.ndarray) -> np.ndarray:
+        """A built-in's values on Z, in Z's dtype; ``evaluate_array`` is them on Z as complex128."""
         raise NotImplementedError
+
+    def _stack_values(self, Z: np.ndarray) -> np.ndarray:
+        """A built-in's ``_values`` on a stack Z, else ``evaluate_array`` on Z's ``exact_hermitian``."""
+        if self._keeps_dtype:
+            return self._values(Z)
+        return self.evaluate_array(Z if Z.dtype.kind == "c" else exact_hermitian(Z))
 
     def __call__(self, z: complex) -> complex:
         return self.evaluate(z)
@@ -164,8 +183,8 @@ class PreserverFunction:
 
 
 class Identity(PreserverFunction):
-    def evaluate_array(self, Z):
-        return np.asarray(Z, dtype=np.complex128).copy()
+    def _values(self, Z):
+        return Z.copy()
 
     def linear_slope(self):
         return 1.0
@@ -178,8 +197,8 @@ class Identity(PreserverFunction):
 
 
 class Zero(PreserverFunction):
-    def evaluate_array(self, Z):
-        return np.zeros_like(np.asarray(Z, dtype=np.complex128))
+    def _values(self, Z):
+        return np.zeros_like(Z)
 
     def linear_slope(self):
         return 0.0
@@ -202,10 +221,9 @@ class HerzMonomial(PreserverFunction):
         self.m = _integer(m, "exponent m")
         self.k = _integer(k, "exponent k")
 
-    def evaluate_array(self, Z):
-        Z = np.asarray(Z, dtype=np.complex128)
+    def _values(self, Z):
         out = _power_term(self.alpha, Z, self.m, self.k)
-        return out if self.m or self.k else np.full(Z.shape, out)
+        return out if self.m or self.k else np.full(Z.shape, out, dtype=Z.dtype)
 
     def linear_slope(self):
         if (self.m, self.k) == (1, 0):
@@ -241,8 +259,7 @@ class HerzSeries(PreserverFunction):
         self.coeffs = dict(sorted(terms.items()))
         self.max_degree = max_degree
 
-    def evaluate_array(self, Z):
-        Z = np.asarray(Z, dtype=np.complex128)
+    def _values(self, Z):
         out = np.zeros_like(Z)
         for (m, k), c in self.coeffs.items():
             out = out + _power_term(c, Z, m, k)
@@ -278,6 +295,9 @@ class ScalarMultiple(PreserverFunction):
 
     def evaluate_array(self, Z):
         return self.c * self.inner.evaluate_array(Z)
+
+    def _values(self, Z):
+        return self.c * self.inner._stack_values(Z)
 
     def linear_slope(self):
         s = self.inner.linear_slope()

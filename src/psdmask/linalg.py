@@ -13,7 +13,7 @@ adds, and weighs the asymmetry only where some entry differs from its mirror.
 eigenvalues ``eig_extremes`` computes.  Its private screen ``_cleared`` may
 pass a whole stack on one shifted Cholesky instead, only where that implies
 ``psd_holds`` on ``eigvalsh``'s output (tol at least 16 n^3 eps, finite
-entries); a stack it does not clear is decided by ``eigvalsh``.
+entries, a real or an unsettled stack too); ``eigvalsh`` decides the rest.
 """
 
 from __future__ import annotations
@@ -87,10 +87,12 @@ def _hermitian_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _mirror(H: np.ndarray) -> np.ndarray:
-    """``exact_hermitian`` in place, on a complex128 matrix or stack H; returns H."""
+    """``exact_hermitian`` in place, on a complex128 or float64 matrix or stack H
+    (a real one is made symmetric and keeps its dtype); returns H."""
     rows, cols, diag = _hermitian_index(H.shape[-1])
     H[..., rows, cols] = np.conj(H[..., cols, rows])
-    H.imag[..., diag, diag] = 0.0
+    if H.dtype.kind == "c":
+        H.imag[..., diag, diag] = 0.0
     return H
 
 
@@ -172,6 +174,11 @@ def psd_holds(min_eig, max_eig, tol: float):
     return min_eig >= -tol * np.fmax(1.0, np.abs(max_eig))
 
 
+def _screen_floor(n: int) -> float:
+    """The least tol at which ``_cleared`` may clear an n x n stack: 16 n^3 eps."""
+    return 16 * n ** 3 * np.finfo(np.float64).eps
+
+
 def _cleared(H: np.ndarray, tol: float) -> bool:
     """True when a shifted Cholesky certifies that every matrix of the settled
     stack H ``(k, n, n)`` passes ``psd_holds`` at tol on ``eig_extremes``'
@@ -191,23 +198,28 @@ def _cleared(H: np.ndarray, tol: float) -> bool:
     computed lo >= -tol max(1, |hi|), the test ``psd_holds`` makes, for every
     matrix cleared here.
 
-    The bound and the argument hold as well in real arithmetic, so a stack
-    whose imaginary parts are all zero is factored as its real part, the
-    same matrices.  A 1 x 1 stack is decided by d + s > 0 with no copy and no
-    LAPACK: that sum is the one pivot ``potrf`` would test, so this is
-    exactly when its Cholesky completes.
+    The bound and the argument hold as well in real arithmetic, so a float64
+    stack, or one whose imaginary parts are all zero, is factored as its real
+    part, the same matrices.  H need not be settled, if it equals its
+    conjugate transpose exactly (verify screens its random stacks so): it
+    then settles, as its exact complex form if real, to the same entries up
+    to signs of zero, except where halving a subnormal rounds.  That moves an
+    entry by less than 2^-1074 and an eigenvalue by less than n 2^-1074,
+    far inside the slack the bounds above leave.  A 1 x 1 stack is decided
+    by d + s > 0 with no copy and no LAPACK: that sum is the one pivot
+    ``potrf`` would test, so this is exactly when its Cholesky completes.
 
     Never cleared: a stack with a non-finite entry, a tol below that floor
     (so tol = 0 always goes to ``eig_extremes``), or a Cholesky that fails.
     """
     n = H.shape[-1]
-    if tol < 16 * n ** 3 * np.finfo(np.float64).eps or not np.isfinite(H).all():
+    if tol < _screen_floor(n) or not np.isfinite(H).all():
         return False
     if n == 1:
         d = H.real[..., 0, 0]
         return bool((d + 0.5 * tol * np.fmax(1.0, d) > 0).all())
     diag = _hermitian_index(n)[2]
-    A = H.real.copy() if not H.imag.any() else H.copy()
+    A = H.copy() if H.dtype.kind == "c" and H.imag.any() else H.real.copy()
     A[..., diag, diag] += 0.5 * tol * np.fmax(1.0, A.real[..., diag, diag].max(axis=-1))[..., None]
     try:
         np.linalg.cholesky(A)

@@ -28,10 +28,12 @@ over its stream, read one raw 64-bit word at a time: the ranks are decoded
 from the words as ``rng.integers`` draws them, and the factors between two
 words take one normal fill.  One Gram kernel, ``_formed``, forms them as it
 forms ``sample_psd``'s and the suite's draws, and each stack is settled on
-its own, every sample bit for bit what ``sample_psd`` draws.  A random stack
-whose images one shifted Cholesky clears (``linalg._cleared``) passes
-without an eigen-solve; the witnesses, built to refute, are never screened.
-So ``eigvalsh`` decides every other stack and is the only source of
+its own, float64 off the disc, its ``exact_hermitian`` bit for bit what
+``sample_psd`` draws.  A random stack passes without an eigen-solve when
+its image, unsettled and in its dtype (``_stack_values``), equals its
+conjugate transpose and one shifted Cholesky clears it (``linalg._cleared``).
+Any other goes, made exact, through ``_first_failure``; the witnesses, built
+to refute, are never screened.  So ``eigvalsh`` is the only source of
 ``min_eig`` and of every Refuted verdict.  Verify and the suite call the
 kernel behind ``apply``, ``operators._image``, on T_n's kept mask: they build
 their stacks inside the domain, so they check none of them again.
@@ -73,6 +75,7 @@ from .linalg import (
     EIG_DIM_CAP,
     _cleared,
     _mirror,
+    _screen_floor,
     _within_cap,
     eig_extremes,
     exact_hermitian,
@@ -108,12 +111,12 @@ OUTCOME_REFUTED = "Refuted"
 _RANDOM_GRAM_STREAM = 6  # the middle word of each random_gram stream's entropy [seed, 6, n]
 
 # The entries of one stack: n x n matrices are settled, applied and screened
-# ``_stack_rows(n)`` at a time, 64 kB of complex128 per temporary.  The cost
-# per matrix is least at 4096-8192 entries a stack.  Below that a stack's
-# fixed numpy cost dominates: 64 matrices at n = 1 take 50 us, 512 take
-# 107 us.  At 16384 entries it grows 1.5-1.9 times at n = 4-8: 4.2 us a
-# matrix at n = 8 with 64 a stack, 6.3 us with 256.  (disc(1), a 3-term
-# series, best of 9 timeit runs on a 2-vCPU x86-64 VM.)
+# ``_stack_rows(n)`` at a time, 32 kB of float64 (64 kB of complex128 on the
+# disc) per temporary.  The cost per matrix is least at 4096-8192 entries a
+# stack.  Below that a stack's fixed numpy cost dominates: 64 matrices at
+# n = 1 take 50 us, 512 take 107 us.  At 16384 entries it grows 1.5-1.9 times
+# at n = 4-8: 4.2 us a matrix at n = 8 with 64 a stack, 6.3 us with 256.
+# (disc(1), a 3-term series, best of 9 timeit runs on a 2-vCPU x86-64 VM.)
 STACK_ENTRIES = 4096
 
 # The battery sections of this many (domain, max_n) pairs are kept per
@@ -228,9 +231,10 @@ def _grams(draws: list, domain: Domain) -> np.ndarray:
 
 
 def _into_domain(grams: np.ndarray, domain: Domain) -> np.ndarray:
-    """Settle a stack of Grams; for finite rho scale each to peak modulus 0.95 rho, in place
-    and then mirrored once.  A matrix of peak 0 or NaN is left as settled."""
-    M = exact_hermitian(grams)
+    """Settle a stack of Grams in its dtype, its ``exact_hermitian`` bit for bit the complex one's; for
+    finite rho scale each to peak modulus 0.95 rho, in place and then mirrored once.  A matrix of peak
+    0 or NaN is left as settled."""
+    M = _mirror(np.array(grams))
     if math.isfinite(domain.rho):
         peak = np.abs(M).max(axis=(1, 2))
         hit = peak > 0.0
@@ -249,7 +253,7 @@ def sample_psd(rng: np.random.Generator, n: int, domain: Domain, rank: int | Non
     """
     n = _integer(n, "n", 1)
     rank = None if rank is None else _integer(rank, "rank", 1)
-    return _into_domain(_grams([_draw(rng, n, domain, rank)], domain), domain)[0]
+    return exact_hermitian(_into_domain(_grams([_draw(rng, n, domain, rank)], domain), domain)[0])
 
 
 def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray, list]:
@@ -559,6 +563,19 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
     return j, float(lo[j])
 
 
+def _screened(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray, tol: float) -> bool:
+    """True when W's image by ``_stack_values``, unsettled and in W's dtype, equals its conjugate transpose
+    and ``linalg._cleared`` clears it (see there why); below its tol floor nothing is evaluated.  False, or an
+    error, decides nothing: the stack goes through ``_first_failure``, which raises the error where it arises."""
+    if tol < _screen_floor(W.shape[-1]):
+        return False
+    try:
+        H = np.where(mask, g._stack_values(W), f._stack_values(W))
+        return bool((H == np.conj(np.swapaxes(H, -1, -2))).all()) and _cleared(H, tol)
+    except Exception:
+        return False
+
+
 def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: PatternRule,
                         domain: Domain, cfg: VerifyConfig | None = None) -> Verdict:
     """Decide, within budget, whether (g, f) preserves PSD under the rule.
@@ -592,7 +609,11 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
     for stage, screened in stages:
         # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
         for W, n, families, params in stage:
-            hit = _first_failure(g, f, patterns[n].mask, W, cfg.tol, screened)
+            if screened and _screened(g, f, patterns[n].mask, W, cfg.tol):
+                hit = None
+            else:  # a real random stack is judged, and reported, as its exact complex form
+                W = exact_hermitian(W) if screened and W.dtype.kind == "f" else W
+                hit = _first_failure(g, f, patterns[n].mask, W, cfg.tol, screened)
             if hit is None:  # a random stack is all random_gram; a battery stack's tally is kept in its plan
                 checked, counts = len(W), {"random_gram": len(W)} if screened else families.counts
             else:

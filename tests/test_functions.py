@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psdmask.errors import RegimeMismatchError
+from psdmask.linalg import exact_hermitian
 from psdmask.functions import (
     Custom,
     Domain,
@@ -176,15 +177,16 @@ _COEFFS = st.floats(0.0, 4.0, exclude_min=True)
 
 
 class TestPowerBits:
-    """Powers and monomials start their products from the scalar 1 + 0j; the
-    bits must be those of a start from an all-ones array."""
+    """Powers and monomials start their products from the scalar 1.0, which
+    numpy multiplies a complex array by as by 1 + 0j; the bits must be those
+    of a start from an all-ones array."""
 
     @settings(max_examples=200, deadline=None)
     @given(_ARRAYS, _EXPONENTS | st.just(400))
     def test_int_pow(self, Z, m):
         with np.errstate(all="ignore"):
             got, want = _int_pow(Z, m), _ones_start_pow(Z, m)
-        assert np.broadcast_to(got, Z.shape).tobytes() == want.tobytes()
+        assert np.broadcast_to(np.asarray(got, np.complex128), Z.shape).tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(_ARRAYS, _EXPONENTS, _EXPONENTS, st.floats(0.0, 4.0))
@@ -204,6 +206,63 @@ class TestPowerBits:
             for (m, k), c in sorted(coeffs.items()):
                 want = want + c * _ones_start_pow(Z, m) * _ones_start_pow(np.conj(Z), k)
         assert got.tobytes() == want.tobytes()
+
+
+_BUILTINS = st.recursive(
+    st.sampled_from([Identity(), Zero()])
+    | st.builds(HerzMonomial, _COEFFS | st.just(0.0), _EXPONENTS, _EXPONENTS)
+    | st.builds(HerzSeries, st.dictionaries(st.tuples(_EXPONENTS, _EXPONENTS), _COEFFS, min_size=1, max_size=4),
+                st.just(18)),
+    lambda inner: st.builds(ScalarMultiple, st.floats(-4.0, 4.0), inner), max_leaves=3)
+
+
+@st.composite
+def _real_stacks(draw):
+    """A symmetric float64 stack (k, n, n) with entries inside a real domain, or signed zeros, inf or NaN."""
+    domain = Domain(draw(st.sampled_from(["open_sym", "half_open_nonneg", "open_pos"])),
+                    draw(st.sampled_from([1.0, 1e300, math.inf])))
+    inside = st.floats(-domain.upper if domain.kind == "open_sym" else 0.0, domain.upper,
+                       exclude_min=domain.kind == "open_pos").filter(domain.contains)
+    specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324])
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    Z = np.array(draw(st.lists(inside | specials, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
+    lower = np.tril_indices(n, -1)
+    Z[:, lower[0], lower[1]] = Z[:, lower[1], lower[0]]
+    return Z
+
+
+class TestRealValues:
+    """On a float64 stack a built-in keeps its values real, as verify's random stage screens a real domain's
+    stacks.  The screen clears only finite images, so it rests on this: each entry is finite exactly where
+    the complex image's is, and there the two agree, with a zero imaginary part.  (Not at an infinite entry:
+    HerzMonomial(1, 1, 0) gives inf there but NaN + NaN j in complex, as (1 + 0j)(inf + 0j) = inf + NaN j.)"""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BUILTINS, _real_stacks())
+    def test_real_values_are_the_complex_image_wherever_finite(self, f, Z):
+        with np.errstate(all="ignore"):
+            real = f._stack_values(Z)
+            images = f.evaluate_array(Z), f.evaluate_array(exact_hermitian(Z))
+        assert real.dtype == np.float64 and real.shape == Z.shape
+        finite = np.isfinite(real)
+        for image in images:
+            assert image.dtype == np.complex128 and (np.isfinite(image) == finite).all()
+            assert (image.real[finite] == real[finite]).all() and (image.imag[finite] == 0.0).all()
+
+    def test_a_subclass_that_overrides_evaluate_array_sees_the_exact_complex_form(self):
+        seen = []
+
+        class Counted(HerzMonomial):
+            def evaluate_array(self, Z):
+                seen.append(Z.copy())
+                return super().evaluate_array(Z)
+
+        Z = np.array([[[0.5, -0.25], [-0.25, 0.0]]])
+        with np.errstate(all="ignore"):
+            got = Counted(1.0, 2, 1)._stack_values(Z)
+        assert len(seen) == 1 and seen[0].tobytes() == exact_hermitian(Z).tobytes()
+        assert got.tobytes() == HerzMonomial(1.0, 2, 1).evaluate_array(exact_hermitian(Z)).tobytes()
+        assert HerzMonomial(1.0, 2, 1)._stack_values(Z).dtype == np.float64
 
 
 class TestConjugateEquivariance:

@@ -21,6 +21,7 @@ from psdmask.operators import (
     star_pattern,
 )
 from psdmask.patterns import normalize
+from psdmask.witnesses import tensor_blowup
 
 DISC1 = Domain.disc(1.0)
 DISC = Domain.disc()
@@ -235,21 +236,30 @@ class TestOperatorInvariants:
         assert np.array_equal(apply(OperatorSpec(f=f, pattern=T_k, domain=DISC1, g=g), A[:, :k, :k]),
                               image[:, :k, :k])
 
-    def test_tensor_identity(self, rng):
-        # (g,f) star-applied to J_m (x) A splits into the two Kronecker terms
-        from psdmask.linalg import kron
-
-        A = symmetrize(random_psd(rng, 2))
-        A /= 2 * np.abs(A).max()
-        g, f = HerzMonomial(1.1, 1, 0), HerzMonomial(0.6, 1, 1)
-        for m in (2, 3, 4):
-            big = kron(np.ones((m, m)), A)
-            lhs = apply(OperatorSpec(f=f, pattern=star_pattern(2 * m), domain=DISC1, g=g), big)
-            f_img = apply(OperatorSpec(f=f, pattern=normalize([], 2), domain=DISC1), A)
-            G, F = g.evaluate_array(A), f.evaluate_array(A)
-            diag_term = np.where(np.eye(2, dtype=bool), G - F, 0)
-            rhs = kron(np.ones((m, m)), f_img) + kron(np.eye(m), diag_term)
-            assert np.abs(lhs - rhs).max() <= 1e-14 * max(1.0, np.abs(lhs).max())
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tensor_blowup_scales_the_spectrum(self, data):
+        # under the blown-up pattern (each block B of T_n becomes the indices a n + i, i in B, of every copy a),
+        # the image of J_m (x) A is J_m (x) the image of A entry for entry: apply is entrywise.  So its spectrum
+        # is the image's times m, plus n (m - 1) zeros: each eigenvalue within 4 (n m)^2 eps m ||image||_2 of
+        # that, eigvalsh's backward error on both sides, plus m 2^-1074 for their rounding to subnormals
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(2, 8 // n))
+        blocks = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
+        g, f = data.draw(_herz_or_linear), data.draw(_herz_or_linear)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A = np.array([symmetrize(random_psd(rng, n)) for _ in range(data.draw(st.integers(1, 4)))])
+        A /= 2 * np.abs(A).max(axis=(1, 2), keepdims=True)
+        big = np.tile(A, (1, m, m))
+        assert np.array_equal(big[0], tensor_blowup(m, A[0]).matrix)
+        T_nm = normalize([{a * n + i for a in range(m) for i in b} for b in blocks], n * m)
+        image = apply(OperatorSpec(f=f, pattern=normalize(blocks, n), domain=DISC1, g=g), A)
+        blown = apply(OperatorSpec(f=f, pattern=T_nm, domain=DISC1, g=g), big)
+        assert np.array_equal(blown, np.tile(image, (1, m, m)))
+        w = np.linalg.eigvalsh(image)
+        want = np.sort(np.concatenate([m * w, np.zeros((len(A), n * (m - 1)))], axis=1), axis=1)
+        bound = 4 * (n * m) ** 2 * np.finfo(float).eps * m * np.abs(w).max(axis=1, keepdims=True) + m * 2.0 ** -1074
+        assert (np.abs(np.linalg.eigvalsh(blown) - want) <= bound).all()
 
     def test_output_hermitian(self, rng):
         A = symmetrize(random_psd(rng, 4))

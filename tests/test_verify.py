@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -32,6 +34,7 @@ from psdmask.functions import (
     HerzSeries,
     Identity,
     ScalarMultiple,
+    Zero,
     scaled_identity,
 )
 from psdmask.linalg import EIG_DIM_CAP, _cleared, all_ones, eig_extremes, exact_hermitian, identity, is_psd
@@ -943,3 +946,65 @@ class TestRandomStageScreen:
         # one screen per random stack and none for the deterministic witnesses, each one cleared
         assert len(seen) == sum(-(-cfg.samples_per_n // _stack_rows(n)) for n in range(1, cfg.max_n + 1))
         assert all(seen)
+
+    def test_below_the_tol_floor_each_random_stack_is_evaluated_once(self, monkeypatch):
+        dtypes = []
+
+        class Counted(Identity):
+            def _values(self, Z):
+                dtypes.append(Z.dtype)
+                return super()._values(Z)
+
+        def evaluations():
+            dtypes.clear()
+            cfg = VerifyConfig(max_n=4, samples_per_n=70, tol=0)
+            verdict = verify_preservation(Counted(), Zero(), all_singletons_rule(), Domain.open_sym(1.0), cfg)
+            assert verdict.outcome == OUTCOME_PRESERVED  # a diagonal image: eigvalsh is exact
+            return len(dtypes)
+
+        # tol = 0 clears nothing, so the screen must not evaluate g on top of the eigen-check path
+        screened = evaluations()
+        assert np.dtype(np.float64) not in dtypes
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_screened", lambda *args: False)
+            assert screened == evaluations()
+
+    # sha256 of each verdict's bytes, pinned before the random stage screened its stacks in real arithmetic.
+    # sqrt is conjugate-equivariant only through signed zeros, sqrt(-x + 0j) = i sqrt(x) but sqrt(-x - 0j) =
+    # -i sqrt(x): its image of a real stack is Hermitian only on the stack's exact complex form, whose lower
+    # triangle holds -0 imaginary parts.  Both sqrt cases clear n = 1 and 2 and refute at n = 3, sample 2.
+    _SQRT = Custom(cmath.sqrt, name="sqrt")
+    _CUSTOM_PINS = {
+        "sqrt": (_SQRT, "f1ff9bbf9d32f3ee389d0940da46d30f5bd3368091beb2577e74488987e4fda4"),
+        "half_sqrt": (ScalarMultiple(0.5, _SQRT), "54aeb3c026337b6132d15828860e1165378739afda8a2bd51e64b7a5244ca139"),
+        "half_square": (ScalarMultiple(0.5, Custom(lambda z: z * z, name="square")),
+                        "51ef1acb030c435d776da7f6eeb959d41a8aaa571e23c553d5117bdc64375718"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_CUSTOM_PINS))
+    def test_custom_functions_on_a_real_domain_keep_their_pinned_bytes(self, monkeypatch, name):
+        f, pin = self._CUSTOM_PINS[name]
+        case = partial(verify_preservation, Identity(), f, empty_rule(), Domain.open_sym(1.0))
+        screened = _verdict_bytes(case())
+        assert hashlib.sha256(screened.encode()).hexdigest() == pin
+        assert screened == self._unscreened(monkeypatch, case)
+
+    def test_a_built_in_subclass_is_screened_through_its_own_evaluate_array(self, monkeypatch):
+        class Abs(Identity):  # Identity's values must not stand in for these on a screened stack
+            def evaluate_array(self, Z):
+                return np.abs(super().evaluate_array(Z)).astype(np.complex128)
+
+        case = partial(verify_preservation, Identity(), Abs(), empty_rule(), Domain.disc(1.0))
+        screened = _verdict_bytes(case())
+        assert '"provenance": "random_gram"' in screened and screened == self._unscreened(monkeypatch, case)
+
+    def test_a_non_hermitian_random_image_raises_as_without_the_screen(self, monkeypatch):
+        # folded only below |z| = 0.3, off the probe set, so only the random stage's off-diagonal entries show it
+        f = Custom(lambda z: complex(z.real, abs(z.imag)) if abs(z) < 0.3 else z, name="folded below 0.3")
+        case = partial(verify_preservation, Identity(), f, empty_rule(), Domain.disc(1.0))
+        with pytest.raises(NonHermitianOutputError) as screened:
+            case()
+        with monkeypatch.context() as m, pytest.raises(NonHermitianOutputError) as unscreened:
+            m.setattr(verify, "_cleared", lambda H, tol: False)
+            case()
+        assert str(screened.value) == str(unscreened.value)
