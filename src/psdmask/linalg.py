@@ -201,8 +201,8 @@ def _cleared(H: np.ndarray, tol: float) -> bool:
     The bound and the argument hold as well in real arithmetic, so a float64
     stack, or one whose imaginary parts are all zero, is factored as its real
     part, the same matrices.  H need not be settled, if it equals its
-    conjugate transpose exactly (verify screens its random stacks so): it
-    then settles, as its exact complex form if real, to the same entries up
+    conjugate transpose exactly (verify screens its stacks' images so,
+    before any settle): it then settles, as its exact complex form if real, to the same entries up
     to signs of zero, except where halving a subnormal rounds.  That moves an
     entry by less than 2^-1074 and an eigenvalue by less than n 2^-1074,
     far inside the slack the bounds above leave.  A 1 x 1 stack is decided

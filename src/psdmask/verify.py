@@ -29,14 +29,16 @@ from the words as ``rng.integers`` draws them, and the factors between two
 words take one normal fill.  One Gram kernel, ``_formed``, forms them as it
 forms ``sample_psd``'s and the suite's draws, and each stack is settled on
 its own, float64 off the disc, its ``exact_hermitian`` bit for bit what
-``sample_psd`` draws.  A random stack passes without an eigen-solve when
-its image, unsettled and in its dtype (``_stack_values``), equals its
-conjugate transpose and one shifted Cholesky clears it (``linalg._cleared``).
-Any other goes, made exact, through ``_first_failure``; the witnesses, built
-to refute, are never screened.  So ``eigvalsh`` is the only source of
-``min_eig`` and of every Refuted verdict.  Verify and the suite call the
-kernel behind ``apply``, ``operators._image``, on T_n's kept mask: they build
-their stacks inside the domain, so they check none of them again.
+``sample_psd`` draws.  One kernel, ``_first_failure``, evaluates each
+stack's image once on T_n's kept mask, unsettled and in its dtype.  A
+screened stack passes with no settle or eigen-solve when that image equals
+its conjugate transpose and one shifted Cholesky clears it
+(``linalg._cleared``); any other is settled and solved.  Random and 1 x 1
+stacks are screened, and so is a battery stack that follows one of its n;
+the first stack of a battery order, its refutation probe, is not.  So
+``eigvalsh`` is the only source of ``min_eig`` and of every Refuted verdict.
+Verify and the suite build their stacks inside the domain, so they check
+none of them again.
 
 Each n's random samples come from their own stream, split from the master
 seed as ``default_rng([seed, 6, n])`` (6 is ``_RANDOM_GRAM_STREAM``), so
@@ -82,7 +84,7 @@ from .linalg import (
     is_psd,
     psd_holds,
 )
-from .operators import _image
+from .operators import _image, _settle_hermitian
 from .patterns import (
     R3A_PARTITION_ALL,
     R3B_SUBPARTITION_OTHER,
@@ -233,12 +235,18 @@ def _grams(draws: list, domain: Domain) -> np.ndarray:
 def _into_domain(grams: np.ndarray, domain: Domain) -> np.ndarray:
     """Settle a stack of Grams in its dtype, its ``exact_hermitian`` bit for bit the complex one's; for
     finite rho scale each to peak modulus 0.95 rho, in place and then mirrored once.  A matrix of peak
-    0 or NaN is left as settled."""
+    0 or NaN is left as settled.  Where the factor 0.95 rho / peak overflows (a small peak at a large
+    rho), the matrix is divided by its peak first and then multiplied by 0.95 rho."""
     M = _mirror(np.array(grams))
     if math.isfinite(domain.rho):
         peak = np.abs(M).max(axis=(1, 2))
         hit = peak > 0.0
-        factor = np.divide(0.95 * domain.rho, peak, out=np.ones_like(peak), where=hit)
+        with np.errstate(over="ignore"):
+            factor = np.divide(0.95 * domain.rho, peak, out=np.ones_like(peak), where=hit)
+        over = np.isinf(factor)
+        if over.any():
+            M[over] /= peak[over, None, None]
+            factor[over] = 0.95 * domain.rho
         _mirror(np.multiply(M, factor[:, None, None], out=M, where=hit[:, None, None]))
     return M
 
@@ -538,42 +546,39 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
     """Index and min eigenvalue of the first matrix of the stack W whose image
     (g where the mask holds, f elsewhere) fails the PSD test, or None.
 
-    A screened stack whose images ``linalg._cleared`` clears passes without
-    an eigen-solve; any other is decided by ``eig_extremes``.  If the stack
-    raises, its matrices are checked again one at a time, so an error
-    surfaces at its own matrix and only when no earlier matrix refutes.
+    The image is evaluated once, unsettled and in W's dtype (``_stack_values``).
+    A screened stack passes when it equals its conjugate transpose and
+    ``linalg._cleared`` clears it (never below the screen's tol floor); any
+    other is settled and decided by ``eig_extremes``, a real one (or one that
+    raises) as its exact complex form.  If a complex stack raises, its matrices
+    are checked again one at a time, so an error surfaces at its own matrix and
+    only when no earlier matrix refutes.
     """
+    screened = screened and tol >= _screen_floor(W.shape[-1])
+    if W.dtype.kind == "f" and not screened:
+        W = exact_hermitian(W)
     try:
-        H = _image(mask, g.evaluate_array(W), f.evaluate_array(W))
-        if screened and _cleared(H, tol):
+        H = np.where(mask, g._stack_values(W), f._stack_values(W))
+        if screened and (H == np.conj(np.swapaxes(H, -1, -2))).all() and _cleared(H, tol):
             return None
-        lo, hi = eig_extremes(H)
+        if W.dtype.kind == "c":
+            lo, hi = eig_extremes(_settle_hermitian(H))
     except Exception:  # g and f may raise anything; the rerun raises it in battery order
-        if len(W) == 1:
-            raise
-        for j in range(len(W)):
-            hit = _first_failure(g, f, mask, W[j:j + 1], tol, screened)
-            if hit is not None:
-                return j, hit[1]
-        return None
+        if W.dtype.kind == "c":
+            if len(W) == 1:
+                raise
+            for j in range(len(W)):
+                hit = _first_failure(g, f, mask, W[j:j + 1], tol, screened)
+                if hit is not None:
+                    return j, hit[1]
+            return None
+    if W.dtype.kind == "f":
+        return _first_failure(g, f, mask, W, tol)
     holds = psd_holds(lo, hi, tol)
     if holds.all():
         return None
     j = int(np.flatnonzero(~holds)[0])
     return j, float(lo[j])
-
-
-def _screened(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray, tol: float) -> bool:
-    """True when W's image by ``_stack_values``, unsettled and in W's dtype, equals its conjugate transpose
-    and ``linalg._cleared`` clears it (see there why); below its tol floor nothing is evaluated.  False, or an
-    error, decides nothing: the stack goes through ``_first_failure``, which raises the error where it arises."""
-    if tol < _screen_floor(W.shape[-1]):
-        return False
-    try:
-        H = np.where(mask, g._stack_values(W), f._stack_values(W))
-        return bool((H == np.conj(np.swapaxes(H, -1, -2))).all()) and _cleared(H, tol)
-    except Exception:
-        return False
 
 
 def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: PatternRule,
@@ -604,18 +609,16 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         "seed": cfg.seed,
     }
 
-    # witnesses are built to refute, so only the random stage is screened (see _first_failure)
+    # screened: random and 1 x 1 stacks, and battery stacks after a passing one of their n (not the probes)
+    last_n = None
     stages = ((_deterministic_battery(domain, patterns, cfg.max_n), False), (_random_battery(domain, cfg), True))
-    for stage, screened in stages:
+    for stage, random in stages:
         # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
         for W, n, families, params in stage:
-            if screened and _screened(g, f, patterns[n].mask, W, cfg.tol):
-                hit = None
-            else:  # a real random stack is judged, and reported, as its exact complex form
-                W = exact_hermitian(W) if screened and W.dtype.kind == "f" else W
-                hit = _first_failure(g, f, patterns[n].mask, W, cfg.tol, screened)
+            hit = _first_failure(g, f, patterns[n].mask, W, cfg.tol, random or n in (1, last_n))
+            last_n = n
             if hit is None:  # a random stack is all random_gram; a battery stack's tally is kept in its plan
-                checked, counts = len(W), {"random_gram": len(W)} if screened else families.counts
+                checked, counts = len(W), {"random_gram": len(W)} if random else families.counts
             else:
                 checked = hit[0] + 1
                 counts = Counter(families[:checked])
@@ -625,10 +628,11 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
             stats["checked"] += checked
             if hit is not None:
                 j, min_eig = hit
+                A = exact_hermitian(W[j]) if W.dtype.kind == "f" else W[j]  # a real sample as it was judged
                 # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
-                if not is_psd(W[j], WITNESS_PSD_TOL).is_psd:
+                if not is_psd(A, WITNESS_PSD_TOL).is_psd:
                     raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
-                ce = CounterExample(family=families[j], params=params(j), n=n, matrix=W[j], min_eig=min_eig)
+                ce = CounterExample(family=families[j], params=params(j), n=n, matrix=A, min_eig=min_eig)
                 return Verdict(OUTCOME_REFUTED, ce, stats)
     return Verdict(OUTCOME_PRESERVED, None, stats)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from psdmask.operators import (
     mask_factorization,
     star_pattern,
 )
-from psdmask.patterns import normalize
+from psdmask.patterns import contiguous_partition_rule, normalize
+from psdmask.suite import _reduce_scalar
 from psdmask.witnesses import tensor_blowup
 
 DISC1 = Domain.disc(1.0)
@@ -260,6 +263,33 @@ class TestOperatorInvariants:
         want = np.sort(np.concatenate([m * w, np.zeros((len(A), n * (m - 1)))], axis=1), axis=1)
         bound = 4 * (n * m) ** 2 * np.finfo(float).eps * m * np.abs(w).max(axis=1, keepdims=True) + m * 2.0 ** -1074
         assert (np.abs(np.linalg.eigvalsh(blown) - want) <= bound).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_partition_induction_step(self, data):
+        # R3a's induction step (criterion 12), exactly: peeling the last of T_n's K blocks maps c in
+        # [-1/(K-1), 0) to c' = c/(1+c) in [-1/(K-2), 0), and on the leading part A' that holds the other
+        # K-1 blocks, (f_T[A'] - c^2 A') / (1 - c^2) is the same map with c' entry for entry.  A' is an
+        # integer Gram and c a dyadic rational, so each image apply returns is exact and both sides are
+        # compared as rationals
+        K = data.draw(st.integers(3, 6))
+        j = data.draw(st.integers(3, 12))
+        c = Fraction(-data.draw(st.integers(1, 2**j // (K - 1))), 2**j)
+        reduced = _reduce_scalar(c)
+        assert Fraction(-1, K - 1) <= c < 0 and Fraction(-1, K - 2) <= reduced < 0
+        n = data.draw(st.integers(K, 8))
+        *blocks, last = sorted(contiguous_partition_rule(K).pattern(n).blocks, key=min)
+        m = n - len(last)
+        B = np.array(data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1,
+                                        max_size=3))).T
+        A = (B @ B.T).astype(np.complex128)
+        T = normalize(blocks, m)
+        image = apply(OperatorSpec(f=scaled_identity(float(c)), pattern=T, domain=DISC), A)
+        on_blocks = apply(OperatorSpec(f=Zero(), pattern=T, domain=DISC), A)  # A' on T's blocks, 0 elsewhere
+        assert not image.imag.any() and not on_blocks.imag.any()
+        exact = np.vectorize(lambda x: Fraction(float(x)), otypes=[object])
+        image, on_blocks, A = exact(image.real), exact(on_blocks.real), exact(A.real)
+        assert ((image - c * c * A) / (1 - c * c) == on_blocks + reduced * (A - on_blocks)).all()
 
     def test_output_hermitian(self, rng):
         A = symmetrize(random_psd(rng, 4))

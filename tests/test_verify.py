@@ -8,6 +8,7 @@ import traceback
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,6 +93,26 @@ class TestSampling:
                                                        for rank in (None, 1, n, None, None)], dom), dom)
                 assert dom.contains_array(A).all()
                 assert all(is_psd(M, 1e-10).is_psd for M in A)
+
+    @pytest.mark.parametrize("kind", ["open_sym", "disc"])
+    def test_a_small_peak_at_a_large_radius_scales_to_a_finite_stack(self, kind):
+        # the factor 0.95 rho / peak, 9.5e309 here, overflows; dividing by the peak first, then scaling, does not
+        dom = Domain(kind, 1e300)
+        G = np.array([[[1e-10, 5e-11], [5e-11, 1e-10]]], dtype=complex if kind == "disc" else float)
+        M = verify._into_domain(G, dom)
+        assert np.isfinite(M).all() and np.array_equal(M, np.conj(np.swapaxes(M, -1, -2)))
+        assert dom.contains_array(M).all()
+        assert np.array_equal(M[0], 0.95e300 * (G[0] / 1e-10))
+
+    @pytest.mark.parametrize("rho", [1e300, 1e308])
+    @pytest.mark.parametrize("kind", ["disc", "open_sym", "half_open_nonneg", "open_pos"])
+    def test_samples_at_a_large_radius_are_finite_and_inside(self, kind, rho):
+        # at 1e308 every peak below 0.95 overflowed the old factor: a 1 x 1 sample came out inf
+        dom = Domain(kind, rho)
+        for seed in range(40):
+            M = sample_psd(np.random.default_rng(seed), 1 + seed % 4, dom)
+            assert np.isfinite(M).all() and np.array_equal(M, M.conj().T)
+            assert dom.contains_array(M).all()
 
     def test_rank_control(self, rng):
         M = sample_psd(rng, 5, DISC1, rank=1)
@@ -933,41 +954,101 @@ class TestRandomStageScreen:
         (all_singletons_rule(), 0.5, Domain.half_open_nonneg(1.0)),
     ], ids=["disc_boundary", "open_sym", "half_open_nonneg"])
     def test_default_preserved_run_clears_every_random_stack(self, monkeypatch, rule, c, domain):
-        seen = []
+        seen, solved = [], []
 
         def spy(H, tol):
             seen.append(_cleared(H, tol))
             return seen[-1]
 
+        def eig_spy(H):
+            solved.append(len(H))
+            return eig_extremes(H)
+
         monkeypatch.setattr(verify, "_cleared", spy)
+        monkeypatch.setattr(verify, "eig_extremes", eig_spy)
         cfg = VerifyConfig()
         verdict = verify_preservation(Identity(), scaled_identity(c), rule, domain, cfg)
         assert verdict.outcome == OUTCOME_PRESERVED
-        # one screen per random stack and none for the deterministic witnesses, each one cleared
-        assert len(seen) == sum(-(-cfg.samples_per_n // _stack_rows(n)) for n in range(1, cfg.max_n + 1))
+        # every random stack, every 1 x 1 stack and every battery stack that follows one of its n is screened,
+        # and cleared; only the rest, the refutation probes, are eigen-solved
+        patterns = {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
+        sizes, ns = zip(*[(len(W), n) for W, n, _, _ in _deterministic_battery(domain, patterns, cfg.max_n)])
+        probes = [at for at, n in enumerate(ns) if n >= 2 and ns[at - 1:at] != (n,)]
+        randoms = sum(-(-cfg.samples_per_n // _stack_rows(n)) for n in range(1, cfg.max_n + 1))
+        assert len(seen) == len(ns) - len(probes) + randoms
         assert all(seen)
+        assert solved == [sizes[at] for at in probes]
 
     def test_below_the_tol_floor_each_random_stack_is_evaluated_once(self, monkeypatch):
         dtypes = []
 
         class Counted(Identity):
             def _values(self, Z):
-                dtypes.append(Z.dtype)
+                if Z.ndim == 3:  # a stack; the conjugate-equivariance check evaluates its probe points first
+                    dtypes.append(Z.dtype)
                 return super()._values(Z)
 
-        def evaluations():
-            dtypes.clear()
-            cfg = VerifyConfig(max_n=4, samples_per_n=70, tol=0)
-            verdict = verify_preservation(Counted(), Zero(), all_singletons_rule(), Domain.open_sym(1.0), cfg)
-            assert verdict.outcome == OUTCOME_PRESERVED  # a diagonal image: eigvalsh is exact
-            return len(dtypes)
+        def never(H, tol):
+            raise AssertionError("a stack below the screen's tol floor was screened")
 
-        # tol = 0 clears nothing, so the screen must not evaluate g on top of the eigen-check path
-        screened = evaluations()
-        assert np.dtype(np.float64) not in dtypes
+        monkeypatch.setattr(verify, "_cleared", never)
+        domain, rule, cfg = Domain.open_sym(1.0), all_singletons_rule(), VerifyConfig(max_n=4, samples_per_n=70, tol=0)
+        verdict = verify_preservation(Counted(), Zero(), rule, domain, cfg)
+        assert verdict.outcome == OUTCOME_PRESERVED  # a diagonal image: eigvalsh is exact
+        # tol = 0 screens nothing, so each stack, battery or random, has g evaluated once, as its exact complex form
+        patterns = {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
+        battery = sum(1 for _ in _deterministic_battery(domain, patterns, cfg.max_n))
+        randoms = sum(-(-cfg.samples_per_n // _stack_rows(n)) for n in range(1, cfg.max_n + 1))
+        assert len(dtypes) == battery + randoms
+        assert set(dtypes) == {np.dtype(np.complex128)}
+
+    @staticmethod
+    def _outcome(case):
+        """A call's verdict bytes, or the type and message of what it raised."""
+        try:
+            with np.errstate(all="ignore"):
+                return _verdict_bytes(case())
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule=st.sampled_from(BUILTINS), kind=st.sampled_from(["disc", "open_sym", "half_open_nonneg", "open_pos"]),
+           rho=st.sampled_from([1.0, 2.0, math.inf]),
+           f=st.one_of(st.sampled_from([-1.5, -0.6, -0.5 - 1e-8, -0.5, -0.3, 0.0, 0.5, 1.0, 1.0 + 1e-6, 1.2])
+                       .map(scaled_identity),
+                       st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                       st.floats(0.05, 1.5), min_size=1, max_size=3).map(HerzSeries)),
+           tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]), max_n=st.integers(3, 6), samples=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_verdict_bytes_equal_those_without_the_screen(self, rule, kind, rho, f, tol, max_n, samples, seed):
+        # c inside and outside each rule's interval, or a series of up to 3 terms; a screen that clears a stack
+        # eigvalsh would refute, or skips one it would pass, moves a verdict or its tally
+        cfg = VerifyConfig(max_n=max_n, samples_per_n=samples, seed=seed, tol=tol)
+        case = partial(verify_preservation, Identity(), f, rule, Domain(kind, rho), cfg)
+        screened = self._outcome(case)
+        with mock.patch.object(verify, "_cleared", lambda H, tol: False):
+            assert screened == self._outcome(case)
+
+    @pytest.mark.parametrize("domain", SCREEN_DOMAINS[:2], ids=lambda d: d.kind)
+    def test_a_refutation_in_a_screened_battery_stack_is_unchanged(self, monkeypatch, domain):
+        # (z + z^8)/2 off the blocks of a 3-block partition passes every witness of the pair runs' first stack at
+        # n = 4, whose 8 rows on these domains all have w = 0.3, and fails in the second, at w = 0.6: that stack
+        # is screened, not cleared, and then solved
+        results = []
+
+        def spy(H, tol):
+            results.append((H.shape[-1], _cleared(H, tol)))
+            return results[-1][1]
+
+        case = partial(verify_preservation, Identity(), HerzSeries({(1, 0): 0.5, (8, 0): 0.5}),
+                       contiguous_partition_rule(3), domain, VerifyConfig(max_n=6, samples_per_n=40))
         with monkeypatch.context() as m:
-            m.setattr(verify, "_screened", lambda *args: False)
-            assert screened == evaluations()
+            m.setattr(verify, "_cleared", spy)
+            screened = _verdict_bytes(case())
+        ce = case().counterexample
+        assert (ce.family, ce.n, ce.params["w"]) == ("duplicated_pair_gram", 4, 0.6)
+        assert results[-1] == (4, False)
+        assert screened == self._unscreened(monkeypatch, case)
 
     # sha256 of each verdict's bytes, pinned before the random stage screened its stacks in real arithmetic.
     # sqrt is conjugate-equivariant only through signed zeros, sqrt(-x + 0j) = i sqrt(x) but sqrt(-x - 0j) =
