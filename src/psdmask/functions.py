@@ -10,6 +10,7 @@ every function, built-in or Custom, on the domain's probe set.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,8 +72,9 @@ class Domain:
 
     @property
     def upper(self) -> float:
-        """Largest admitted modulus (open end pulled in by the boundary slack)."""
-        return math.inf if math.isinf(self.rho) else self.rho * (1.0 - BOUNDARY_SLACK)
+        """Largest admitted modulus: the open end pulled in by the boundary slack, or
+        the largest finite float when rho is infinite, so that no domain holds inf."""
+        return sys.float_info.max if math.isinf(self.rho) else self.rho * (1.0 - BOUNDARY_SLACK)
 
     @property
     def has_zero(self) -> bool:
@@ -292,9 +294,6 @@ class ScalarMultiple(PreserverFunction):
             raise ValueError("c must be finite")
         self.c = c
         self.inner = inner
-
-    def evaluate_array(self, Z):
-        return self.c * self.inner.evaluate_array(Z)
 
     def _values(self, Z):
         return self.c * self.inner._stack_values(Z)

@@ -19,6 +19,7 @@ entries, a real or an unsettled stack too); ``eigvalsh`` decides the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,17 +73,12 @@ def _as_square_grid(raw) -> np.ndarray:
     return A
 
 
-# Per-dimension (row, column, diagonal) index arrays of exact_hermitian, filled on first use.
-_HERMITIAN_INDEX: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=None)
 def _hermitian_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    index = _HERMITIAN_INDEX.get(n)
-    if index is None:
-        index = (*np.tril_indices(n, -1), np.arange(n))
-        for a in index:
-            a.flags.writeable = False
-        _HERMITIAN_INDEX[n] = index
+    """The (row, column, diagonal) index arrays of exact_hermitian at n, read-only, built on first use."""
+    index = (*np.tril_indices(n, -1), np.arange(n))
+    for a in index:
+        a.flags.writeable = False
     return index
 
 

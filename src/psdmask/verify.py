@@ -10,16 +10,17 @@ Every stack is fired as one record ``(W, n, families, params)``: W is
 ``(k, n, n)`` with one family per matrix, and ``params(j)`` builds matrix
 j's params, so only the refuting matrix's are built.  The witnesses depend
 only on (domain, max_n), so each battery section (all ones, anchored,
-blowups) is grown once per process into one read-only table, kept for
-``BATTERY_CACHE_SIZE`` (domain, max_n) pairs.  Where its rows go at n
-depends only on T_n's anchors (``BlockPattern.anchors``, compared by value),
-so the section keeps that too, as a plan: the rows and placements of every
-stack in one small-int array, each stack's families with their tally, and
-the error that ends the order.  A plan is built on first need and replayed
-by every call that shares the domain, max_n and T_n's anchors, in stacks of
-8, 16, 32, ... rows up to ``_stack_rows(n)``, each one gather made only when
-the stack is needed; random samples come ``_stack_rows(n)`` a stack.  A
-passing stack takes its tally from its plan.  A stack holds about
+blowups) is grown once per process into one read-only table with each run's
+(size, rows), kept for ``BATTERY_CACHE_SIZE`` (domain, max_n) pairs.  Where
+its rows go at n depends only on T_n's anchors (``BlockPattern.anchors``,
+compared by value), so the section keeps that too, as a plan: the rows and
+placements of every stack in one small-int array, each stack's families
+with their tally, and the error that ends the order.  A plan is built on
+first need, kept in the section's lru_cache for n, and replayed by every
+call that shares the domain, max_n and T_n's anchors, in stacks of 8, 16,
+32, ... rows up to ``_stack_rows(n)``, each one gather made only when the
+stack is needed; random samples come ``_stack_rows(n)`` a stack.  A passing
+stack takes its tally from its plan.  A stack holds about
 ``STACK_ENTRIES`` entries whatever n (why is measured at the constant), so
 all 500 default samples go in one stack at n = 1 and 2, and 64 at n = 8.
 Within a stack the first failing matrix wins, and each matrix is judged bit
@@ -123,10 +124,11 @@ STACK_ENTRIES = 4096
 
 # The battery sections of this many (domain, max_n) pairs are kept per
 # process, least recently used dropped first: at most 60 kB a pair at max_n 8,
-# growing as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.  Each section keeps the plans
-# of this many anchor sets per n the same way, at 30-70 bytes a row (traced by
-# tracemalloc): 1-22 kB a plan for the built-in rules at n <= 8, 0.25-0.43 MB
-# for T_8 = all 28 pairs of range(8), whose plan has 3,528-7,560 rows.
+# growing as max_n ** 2 to 3.5 MB at EIG_DIM_CAP.  Each section keeps the
+# plans of this many anchor sets per n the same way, in one lru_cache per n:
+# 30-70 bytes a row (traced by tracemalloc), 1-22 kB a plan for the built-in
+# rules at n <= 8, 0.25-0.43 MB for T_8 = all 28 pairs of range(8), whose plan
+# has 3,528-7,560 rows.
 BATTERY_CACHE_SIZE = 16
 
 
@@ -351,13 +353,15 @@ def _pair_zs(w: float, domain: Domain) -> list[complex]:
 class _Section(NamedTuple):
     """A battery section, row i witness i: L[i] holds it grown as far as it went
     (zeros beyond, read-only), reach[i] that size, errors[i] what stopped it.
-    plans[n] keeps, by key, the ``_Plan`` of each order the battery fired at n."""
+    runs[r] is run r's (size, rows) in battery order, and plans[n] the
+    lru_cache of ``_plan_of`` at n, which keeps its key's ``_Plan``."""
     L: np.ndarray
     families: tuple
     params: tuple
     reach: tuple
     errors: tuple
-    plans: dict
+    runs: tuple
+    plans: tuple
 
 
 class _Families(tuple):
@@ -417,12 +421,13 @@ def _section(domain: Domain, max_n: int, name: str) -> _Section:
     Each witness of each run is built and grown to the run's size.  One that
     cannot be built reaches 0 and ends its run; one whose growth fails keeps
     the size it reached.  Either keeps its error for ``_stacks`` to raise where
-    the battery first needs the row.  The section keeps its plans too, so they
-    go when it does.
+    the battery first needs the row.  Each run's (size, rows) is recorded as it
+    grows, and the plans are kept in the section, so they go when it does.
     """
-    runs = _runs(domain, max_n, name)
+    runs = []  # (size, rows) per run
     grown = []  # (family, params, the witness as far as it grew, the error that stopped it or None)
-    for family, size, items in runs:
+    for family, size, items in _runs(domain, max_n, name):
+        start = len(grown)
         for params, make in items:
             M = error = None
             try:
@@ -435,30 +440,33 @@ def _section(domain: Domain, max_n: int, name: str) -> _Section:
             grown.append((family, params, np.zeros((0, 0)) if M is None else M, error))
             if M is None:
                 break
+        runs.append((size, range(start, len(grown))))
     families, params, mats, errors = zip(*grown) if grown else [()] * 4
-    width = max((size for _, size, _ in runs), default=0)
+    width = max((size for size, _ in runs), default=0)
     L = np.zeros((len(mats), width, width), dtype=np.complex128)
     for out, M in zip(L, mats):
         out[:len(M), :len(M)] = M
     L.setflags(write=False)
-    return _Section(L, families, params, tuple(map(len, mats)), errors, {})
+    reach, runs = tuple(map(len, mats)), tuple(runs)
+    plans = tuple(lru_cache(maxsize=BATTERY_CACHE_SIZE)(partial(_plan_of, families, reach, errors, runs, n))
+                  for n in range(max_n + 1))
+    return _Section(L, families, params, reach, errors, runs, plans)
 
 
-def _plan_of(section: _Section, n: int, key) -> _Plan:
+def _plan_of(families: tuple, reach: tuple, errors: tuple, runs: tuple, n: int, key) -> _Plan:
     """The plan of key at n, built by walking its order a row at a time.
 
-    key is a range of rows, fired in order on their leading n x n blocks, or
+    key is a run's rows, fired in order on their leading n x n blocks, or
     T_n's anchors, each (i, j, l) of which places every row of its span (the
     pair runs for pairs, the overlap run for overlaps) with its leading block on
     (i, j, l) and the rest of its growth, in order, on the other indices.  The
     rows come in stacks of 8, 16, 32, ... up to ``_stack_rows(n)``, and stop at
     the first that does not reach n, whose error the plan keeps."""
-    L, families, _, reach, errors, _ = section
     if isinstance(key, range):
         order = zip(key, itertools.repeat(()))
     else:
-        split = families.index("overlap_probe")  # the overlap run comes last
-        spans = (range(split), range(split, len(L)))
+        overlaps = runs[-1][1]  # the overlap run comes last, after the pair runs
+        spans = (range(overlaps.start), overlaps)
         order = ((row, at) for span, ats in zip(spans, key) for at in ats for row in span)
     index, places, error = [], {}, None
     for row, at in order:
@@ -478,19 +486,6 @@ def _plan_of(section: _Section, n: int, key) -> _Plan:
     return _Plan(index, tuple(cuts), tuple(stacks), error)
 
 
-def _plan(section: _Section, n: int, key) -> _Plan:
-    """The kept plan of key at n, built on first need; a section keeps the plans
-    of ``BATTERY_CACHE_SIZE`` keys per n, least recently used dropped first."""
-    kept = section.plans.setdefault(n, {})
-    plan = kept.pop(key, None)
-    if plan is None:
-        plan = _plan_of(section, n, key)
-        if len(kept) == BATTERY_CACHE_SIZE:
-            del kept[next(iter(kept))]
-    kept[key] = plan
-    return plan
-
-
 def _stack_params(params: tuple, index: np.ndarray, extra: dict, start: int, j: int) -> dict:
     """The params of plan row start + j: its witness's, extra's, and its coords if it has them."""
     p = start + j
@@ -502,16 +497,15 @@ def _stacks(section: _Section, n: int, key, extra: dict):
     """Yield the stacks of key's plan at n (see ``_plan_of``), each one gather
     when it is needed; extra joins every row's params.  After the last stack
     the error of the row that ended the order, if one did, is raised."""
-    L, _, params, _, _, _ = section
-    index, cuts, stacks, error = _plan(section, n, key)
+    index, cuts, stacks, error = section.plans[n](key)
     for a, b, families in zip(cuts, cuts[1:], stacks):
         if isinstance(key, range):  # contiguous rows: one slice
-            W = L[key.start + a:key.start + b, :n, :n].copy()
+            W = section.L[key.start + a:key.start + b, :n, :n].copy()
         else:
             at = index[a:b]
             P = at[:, 1:]
-            W = L[at[:, :1, None], P[:, :, None], P[:, None, :]]
-        yield W, n, families, partial(_stack_params, params, index, extra, a)
+            W = section.L[at[:, :1, None], P[:, :, None], P[:, None, :]]
+        yield W, n, families, partial(_stack_params, section.params, index, extra, a)
     if error is not None:
         raise error.with_traceback(None)  # the plan is kept: raise it without its last traceback
 
@@ -525,7 +519,8 @@ def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], ma
     """
     ones = _section(domain, max_n, "all_ones")
     for n in range(1, max_n + 1):
-        yield from _stacks(ones, n, range(len(ones.L)), {"n": n})
+        for _, rows in ones.runs:
+            yield from _stacks(ones, n, rows, {"n": n})
     anchored = None
     for n in range(3, max_n + 1):
         anchors = patterns[n].anchors
@@ -535,10 +530,8 @@ def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], ma
             anchored = _section(domain, max_n, "anchored")
         yield from _stacks(anchored, n, anchors, {})
     blowups = _section(domain, max_n, "blowups")
-    for (base_n, m), rows in itertools.groupby(range(len(blowups.L)),
-                                               lambda row: (blowups.params[row]["base_n"], blowups.params[row]["m"])):
-        rows = list(rows)
-        yield from _stacks(blowups, m * base_n, range(rows[0], rows[-1] + 1), {})
+    for size, rows in blowups.runs:
+        yield from _stacks(blowups, size, rows, {})
 
 
 def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray,

@@ -81,6 +81,14 @@ class TestDomain:
         for z in values:
             assert d.contains(z) == bool(d.contains_array(z)), z
 
+    @pytest.mark.parametrize("rho", [1.0, math.inf])
+    @pytest.mark.parametrize("kind", ["disc", "open_sym", "half_open_nonneg", "open_pos"])
+    def test_no_domain_contains_an_infinity(self, kind, rho):
+        d = Domain(kind, rho)
+        assert not d.contains(math.inf) and not d.contains(-math.inf)
+        assert not d.contains_array(np.array([math.inf, -math.inf, complex(math.inf, 0.0)])).any()
+        assert d.contains(np.finfo(float).max) == math.isinf(rho)  # an unbounded domain holds the largest float
+
     def test_probe_points_inside_and_conj_closed(self):
         for d in (Domain.disc(1.0), Domain.open_sym(2.0),
                   Domain.half_open_nonneg(1.0), Domain.open_pos(0.5), Domain.disc()):

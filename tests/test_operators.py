@@ -64,6 +64,12 @@ class TestApply:
         with pytest.raises(OutOfDomainError, match=r"\(1,1\)"):
             apply(spec_of(Identity(), [], 2, domain=DISC1), A)
 
+    def test_infinite_entry_lies_outside_the_unbounded_disc(self):
+        A = np.array([[np.inf, 1.0], [1.0, 1.0]])
+        for domain in (DISC1, Domain.disc()):
+            with pytest.raises(OutOfDomainError, match=r"entry \(0,0\) = \(inf\+0j\) lies outside"):
+                apply(OperatorSpec(HerzMonomial(1.0, 1, 0), star_pattern(2), domain), A)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             apply(spec_of(Identity(), [], 3), np.eye(2))

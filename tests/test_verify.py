@@ -617,12 +617,14 @@ class TestBatteryPlans:
 
     @staticmethod
     def count_builds(monkeypatch) -> list:
+        """The (first family, n, key) of every plan built by a section grown after this call;
+        fresh_cache drops every section before and after the test, so none outlives the count."""
         built = []
         real = verify._plan_of
 
-        def counting(section, n, key):
-            built.append((n, key))
-            return real(section, n, key)
+        def counting(families, reach, errors, runs, n, key):
+            built.append((families[0], n, key))
+            return real(families, reach, errors, runs, n, key)
 
         monkeypatch.setattr(verify, "_plan_of", counting)
         return built
@@ -632,7 +634,7 @@ class TestBatteryPlans:
         rule = overlapping_chain_rule()
         cold = flat(battery(DISC1, rule))
         first = list(built)
-        assert first and len(set(first)) == len(first)
+        assert first and len(set(first)) == len(first)  # each (n, key) built once per section
         assert flat(battery(DISC1, rule)) == cold and built == first  # every plan replayed
         verify._section.cache_clear()
         assert flat(battery(DISC1, rule)) == cold and built == first + first
@@ -645,15 +647,25 @@ class TestBatteryPlans:
         count = len(built)
         assert count > 0 and flat(battery(DISC1, b)) == cold and len(built) == count
 
-    def test_a_section_keeps_its_latest_anchor_sets(self):
+    def test_a_section_keeps_its_latest_anchor_sets(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
         section = verify._section(DISC1, 5, "anchored")
         pairs = itertools.combinations(range(5), 2)
         anchor_sets = list(dict.fromkeys(normalize(blocks, 5).anchors for blocks in itertools.combinations(pairs, 2)))
         assert len(anchor_sets) > verify.BATTERY_CACHE_SIZE
-        for anchors in anchor_sets:
-            for _ in verify._stacks(section, 5, anchors, {}):
-                pass
-        assert list(section.plans[5]) == anchor_sets[-verify.BATTERY_CACHE_SIZE:]
+
+        def fire(*keys):
+            for anchors in keys:
+                for _ in verify._stacks(section, 5, anchors, {}):
+                    pass
+            return [key for _, _, key in built]
+
+        kept = anchor_sets[-verify.BATTERY_CACHE_SIZE:]
+        assert fire(*anchor_sets) == anchor_sets
+        assert fire(*kept) == anchor_sets  # the latest sets are all kept
+        assert fire(anchor_sets[0]) == anchor_sets + anchor_sets[:1]  # the oldest was dropped
+        # it took the place of the least recently used set, kept[0]
+        assert fire(*kept[1:], kept[0]) == anchor_sets + anchor_sets[:1] + kept[:1]
 
     def test_a_refuting_stack_fires_no_later_stack(self, monkeypatch):
         drawn = []
@@ -671,9 +683,42 @@ class TestBatteryPlans:
         j = v.stats["checked"] - sum(len(record[0]) for record in drawn[:-1]) - 1
         assert v.refuted and v.counterexample.n == n and params(j) == v.counterexample.params
         assert np.array_equal(W[j], v.counterexample.matrix)
-        plan = verify._section(DISC1, BATTERY_ONLY.max_n, "anchored").plans[n][rule.pattern(n).anchors]
+        plan = verify._section(DISC1, BATTERY_ONLY.max_n, "anchored").plans[n](rule.pattern(n).anchors)
         fired = [record for record in drawn if record[1] == n and record[2][0] in ANCHORED]
         assert families[0] in ANCHORED and len(fired) < len(plan.families)  # no later stack of its plan was gathered
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestSectionRuns:
+    """Each section records its runs' (size, rows) once; the battery reads every order off them."""
+
+    @pytest.mark.parametrize("rho", [1.0, math.inf])
+    @pytest.mark.parametrize("kind", ["disc", "open_sym", "half_open_nonneg", "open_pos"])
+    def test_runs_are_the_layout_worked_out_from_the_rows(self, kind, rho):
+        domain = Domain(kind, rho)
+        for max_n in range(1, 9):
+            names = ("all_ones", "anchored", "blowups") if max_n >= 3 else ("all_ones", "blowups")  # 3 x 3 anchors
+            sections = {name: verify._section(domain, max_n, name) for name in names}
+            for section in sections.values():  # the runs tile the rows, one family a run
+                assert [row for _, rows in section.runs for row in rows] == list(range(len(section.L)))
+                assert all(len({section.families[row] for row in rows}) == 1 for _, rows in section.runs)
+            ones, blowups = sections["all_ones"], sections["blowups"]
+            assert ones.runs == ((max_n, range(len(ones.L))),)
+            if max_n >= 3:
+                anchored = sections["anchored"]
+                assert {size for size, _ in anchored.runs} == {max_n}
+                split = anchored.families.index("overlap_probe")  # the pair span ends at the first overlap row
+                assert anchored.runs[-1][1] == range(split, len(anchored.L)) and anchored.runs[-2][1].stop == split
+            groups = [(key, list(rows)) for key, rows in itertools.groupby(
+                range(len(blowups.L)), lambda row: (blowups.params[row]["base_n"], blowups.params[row]["m"]))]
+            assert blowups.runs == tuple((m * base_n, range(rows[0], rows[-1] + 1)) for (base_n, m), rows in groups)
+            assert bool(blowups.runs) == (max_n >= 4)
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3])
+    def test_a_section_with_no_runs_fires_nothing(self, max_n):
+        assert verify._section(DISC1, max_n, "blowups").runs == ()
+        families = [family for _, family, _, _ in flat(battery(DISC1, overlapping_chain_rule(), max_n))]
+        assert families and "tensor_blowup" not in families
 
 
 class TestWitnessErrors:

@@ -238,6 +238,11 @@ class TestCornerExtend:
         with pytest.raises(EpsTooLargeError):
             corner_extend(A, 2 * eps, domain=Domain.open_pos(1.0))
 
+    def test_auto_border_that_overflows_leaves_the_unbounded_domain(self):
+        # the row sums 2e308 overflow to inf, which no domain holds, so no witness with an inf border is returned
+        with np.errstate(over="ignore"), pytest.raises(EpsTooLargeError):
+            corner_extend_auto(np.full((2, 2), 1e308), Domain.open_pos())
+
     def test_nonpositive_entries_rejected(self):
         with pytest.raises(NonPositiveEntriesError):
             corner_extend(np.eye(2), 0.1)
@@ -252,7 +257,8 @@ class TestCornerExtend:
 
 class TestWitnessFiniteness:
     def test_infinite_all_ones_scale(self):
-        with pytest.raises(NonFiniteEntryError):
+        # no domain holds inf, so the scale is refused before any entry is formed
+        with pytest.raises(OutOfDomainError, match="x=inf must be a nonnegative real inside the domain"):
             all_ones_witness(math.inf, 3, DISC)
 
     def test_overflowing_gram(self):
@@ -265,12 +271,12 @@ class TestWitnessFiniteness:
             duplicated_pair_gram(3e299, 1.5e299, Domain.disc(1e300))
 
     def test_overflowing_pair_gram_modulus(self):
-        # both parts of w are finite, but |w| exceeds the float range
-        with pytest.raises(NonFiniteEntryError):
+        # both parts of w are finite, but |w| exceeds the float range, so w lies outside every domain
+        with pytest.raises(OutOfDomainError, match=r"w=\(1\.5e\+308\+1\.5e\+308j\) is outside the domain"):
             duplicated_pair_gram(complex(1.5e308, 1.5e308), 0, DISC)
 
     def test_overflowing_tail_gram_modulus(self):
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(OutOfDomainError, match="need \\|w\\| <= t with both inside the domain"):
             tail_gram(complex(1.5e308, 1.5e308), math.inf, DISC)
 
     def test_overflowing_overlap_modulus(self):
