@@ -150,12 +150,6 @@ def _power_term(c: float, Z: np.ndarray, m: int, k: int):
 class PreserverFunction:
     """A scalar function applied entrywise; immutable and pure."""
 
-    _keeps_dtype = False  # set for a class that defines _values, or inherits them and not evaluate_array
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._keeps_dtype = "_values" in vars(cls) or (cls._keeps_dtype and "evaluate_array" not in vars(cls))
-
     def evaluate(self, z: complex) -> complex:
         Z = np.array([[complex(z)]], dtype=np.complex128)
         return complex(self.evaluate_array(Z)[0, 0])
@@ -168,8 +162,9 @@ class PreserverFunction:
         raise NotImplementedError
 
     def _stack_values(self, Z: np.ndarray) -> np.ndarray:
-        """A built-in's ``_values`` on a stack Z, else ``evaluate_array`` on Z's ``exact_hermitian``."""
-        if self._keeps_dtype:
+        """``_values`` on a stack Z, in Z's dtype, where the class keeps this ``evaluate_array``;
+        else its own ``evaluate_array`` on Z's ``exact_hermitian``."""
+        if type(self).evaluate_array is PreserverFunction.evaluate_array:
             return self._values(Z)
         return self.evaluate_array(Z if Z.dtype.kind == "c" else exact_hermitian(Z))
 

@@ -12,8 +12,8 @@ adds, and weighs the asymmetry only where some entry differs from its mirror.
 ``psd_holds`` owns the tolerance semantics of the PSD test, on the extreme
 eigenvalues ``eig_extremes`` computes.  Its private screen ``_cleared`` may
 pass a whole stack on one shifted Cholesky instead, only where that implies
-``psd_holds`` on ``eigvalsh``'s output (tol at least 16 n^3 eps, finite
-entries, a real or an unsettled stack too); ``eigvalsh`` decides the rest.
+``psd_holds`` on ``eigvalsh``'s output (it checks tol >= 16 n^3 eps, finite
+entries and exact conjugate symmetry itself); ``eigvalsh`` decides the rest.
 """
 
 from __future__ import annotations
@@ -196,20 +196,22 @@ def _cleared(H: np.ndarray, tol: float) -> bool:
 
     The bound and the argument hold as well in real arithmetic, so a float64
     stack, or one whose imaginary parts are all zero, is factored as its real
-    part, the same matrices.  H need not be settled, if it equals its
-    conjugate transpose exactly (verify screens its stacks' images so,
-    before any settle): it then settles, as its exact complex form if real, to the same entries up
-    to signs of zero, except where halving a subnormal rounds.  That moves an
-    entry by less than 2^-1074 and an eigenvalue by less than n 2^-1074,
-    far inside the slack the bounds above leave.  A 1 x 1 stack is decided
-    by d + s > 0 with no copy and no LAPACK: that sum is the one pivot
-    ``potrf`` would test, so this is exactly when its Cholesky completes.
+    part, the same matrices.  H need not be settled: one that equals its
+    conjugate transpose exactly settles, as its exact complex form if real,
+    to the same entries up to signs of zero, except where halving a
+    subnormal rounds.  That moves an entry by less than 2^-1074 and an
+    eigenvalue by less than n 2^-1074, far inside the slack the bounds above
+    leave.  A 1 x 1 stack is decided by d + s > 0 with no copy and no
+    LAPACK: that sum is the one pivot ``potrf`` would test, so this is
+    exactly when its Cholesky completes.
 
-    Never cleared: a stack with a non-finite entry, a tol below that floor
-    (so tol = 0 always goes to ``eig_extremes``), or a Cholesky that fails.
+    Never cleared: a tol below that floor (so tol = 0 always goes to
+    ``eig_extremes``), a stack with a non-finite entry or one that differs
+    from its conjugate transpose, or a Cholesky that fails.
     """
     n = H.shape[-1]
-    if tol < _screen_floor(n) or not np.isfinite(H).all():
+    if (tol < _screen_floor(n) or not np.isfinite(H).all()
+            or (H != np.conj(np.swapaxes(H, -1, -2))).any()):
         return False
     if n == 1:
         d = H.real[..., 0, 0]

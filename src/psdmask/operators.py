@@ -48,19 +48,14 @@ def _check_input(spec: OperatorSpec, A: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"pattern is on range({spec.pattern.n}) but the matrix is {n} x {n}"
         )
-    _check_domain(spec.domain, A)
-    return A
-
-
-def _check_domain(domain: Domain, A: np.ndarray) -> None:
-    """Raise OutOfDomainError naming the first entry of A, in stack order, outside the domain."""
-    inside = domain.contains_array(A)
-    if not inside.all():
+    inside = spec.domain.contains_array(A)
+    if not inside.all():  # name the first entry outside the domain, in stack order
         where = tuple(int(k) for k in np.argwhere(~inside)[0])
         i, j = where[-2:]
         raise OutOfDomainError(
-            f"entry ({i},{j}) = {A[where]} lies outside {domain.kind}(rho={domain.rho})"
+            f"entry ({i},{j}) = {A[where]} lies outside {spec.domain.kind}(rho={spec.domain.rho})"
         )
+    return A
 
 
 def _settle_hermitian(raw: np.ndarray) -> np.ndarray:

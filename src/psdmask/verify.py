@@ -31,13 +31,14 @@ words take one normal fill.  One Gram kernel, ``_formed``, forms them as it
 forms ``sample_psd``'s and the suite's draws, and each stack is settled on
 its own, float64 off the disc, its ``exact_hermitian`` bit for bit what
 ``sample_psd`` draws.  One kernel, ``_first_failure``, evaluates each
-stack's image once on T_n's kept mask, unsettled and in its dtype.  A
-screened stack passes with no settle or eigen-solve when that image equals
-its conjugate transpose and one shifted Cholesky clears it
-(``linalg._cleared``); any other is settled and solved.  Random and 1 x 1
-stacks are screened, and so is a battery stack that follows one of its n;
-the first stack of a battery order, its refutation probe, is not.  So
-``eigvalsh`` is the only source of ``min_eig`` and of every Refuted verdict.
+stack's image on T_n's kept mask, unsettled and in its dtype.  A screened
+stack passes with no settle or eigen-solve when one shifted Cholesky
+clears that image (``linalg._cleared``, which checks its own
+preconditions); any other is settled and solved, a real one as its exact
+complex form.  Random and 1 x 1 stacks are screened, and so is a battery
+stack that follows one of its n; the first stack of a battery order, its
+refutation probe, is not.  So ``eigvalsh`` is the only source of
+``min_eig`` and of every Refuted verdict.
 Verify and the suite build their stacks inside the domain, so they check
 none of them again.
 
@@ -391,6 +392,8 @@ def _runs(domain: Domain, max_n: int, name: str) -> list:
         return [("all_ones", max_n, [({"x": x}, partial(all_ones_witness, x, max_n, domain))
                                      for x in _all_ones_grid(domain)])]
     runs = []
+    if name == "anchored" and max_n < 3:  # its witnesses are 3 x 3, so it has no run below n = 3
+        return runs
     if name == "anchored":
         w_grid = [f * r0 for f in (0.3, 0.6, 0.9)]
         t_top = 0.95 * r0
@@ -539,34 +542,34 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
     """Index and min eigenvalue of the first matrix of the stack W whose image
     (g where the mask holds, f elsewhere) fails the PSD test, or None.
 
-    The image is evaluated once, unsettled and in W's dtype (``_stack_values``).
-    A screened stack passes when it equals its conjugate transpose and
-    ``linalg._cleared`` clears it (never below the screen's tol floor); any
-    other is settled and decided by ``eig_extremes``, a real one (or one that
-    raises) as its exact complex form.  If a complex stack raises, its matrices
-    are checked again one at a time, so an error surfaces at its own matrix and
-    only when no earlier matrix refutes.
+    The image is evaluated unsettled and in W's dtype (``_stack_values``).  A
+    screened stack passes when ``linalg._cleared`` clears it (a float64 image
+    settles to its exact complex form's entries, signs of zero aside); any
+    other is settled and decided by ``eig_extremes`` as that complex form,
+    whose signs of zero ``eigvalsh`` reads: so a real stack is evaluated in
+    float64 only at a tol the screen may clear at, and again if not cleared.
+    If a stack raises, its matrices are checked again one at a time, so an
+    error surfaces at its own matrix and only when no earlier matrix refutes.
     """
     screened = screened and tol >= _screen_floor(W.shape[-1])
     if W.dtype.kind == "f" and not screened:
         W = exact_hermitian(W)
     try:
         H = np.where(mask, g._stack_values(W), f._stack_values(W))
-        if screened and (H == np.conj(np.swapaxes(H, -1, -2))).all() and _cleared(H, tol):
+        if screened and _cleared(H, tol):
             return None
-        if W.dtype.kind == "c":
-            lo, hi = eig_extremes(_settle_hermitian(H))
+        if W.dtype.kind == "f":
+            W = exact_hermitian(W)
+            H = np.where(mask, g._stack_values(W), f._stack_values(W))
+        lo, hi = eig_extremes(_settle_hermitian(H))
     except Exception:  # g and f may raise anything; the rerun raises it in battery order
-        if W.dtype.kind == "c":
-            if len(W) == 1:
-                raise
-            for j in range(len(W)):
-                hit = _first_failure(g, f, mask, W[j:j + 1], tol, screened)
-                if hit is not None:
-                    return j, hit[1]
-            return None
-    if W.dtype.kind == "f":
-        return _first_failure(g, f, mask, W, tol)
+        if len(W) == 1:
+            raise
+        for j in range(len(W)):
+            hit = _first_failure(g, f, mask, W[j:j + 1], tol, screened)
+            if hit is not None:
+                return j, hit[1]
+        return None
     holds = psd_holds(lo, hi, tol)
     if holds.all():
         return None

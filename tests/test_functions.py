@@ -14,6 +14,7 @@ from psdmask.functions import (
     HerzMonomial,
     HerzSeries,
     Identity,
+    PreserverFunction,
     ScalarMultiple,
     Zero,
     _int_pow,
@@ -271,6 +272,19 @@ class TestRealValues:
         assert len(seen) == 1 and seen[0].tobytes() == exact_hermitian(Z).tobytes()
         assert got.tobytes() == HerzMonomial(1.0, 2, 1).evaluate_array(exact_hermitian(Z)).tobytes()
         assert HerzMonomial(1.0, 2, 1)._stack_values(Z).dtype == np.float64
+
+    def test_evaluate_array_decides_over_values_defined_beside_it(self):
+        class Shifted(PreserverFunction):  # its _values are not what it evaluates: apply would see evaluate_array
+            def _values(self, Z):
+                return Z.copy()
+
+            def evaluate_array(self, Z):
+                return np.asarray(Z, dtype=np.complex128) + 1.0
+
+        Z = np.array([[[0.5, -0.25], [-0.25, 0.0]]])
+        got = Shifted()._stack_values(Z)
+        assert got.dtype == np.complex128 and got.tobytes() == (exact_hermitian(Z) + 1.0).tobytes()
+        assert Shifted()._stack_values(exact_hermitian(Z)).tobytes() == got.tobytes()
 
 
 class TestConjugateEquivariance:

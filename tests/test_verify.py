@@ -38,8 +38,17 @@ from psdmask.functions import (
     Zero,
     scaled_identity,
 )
-from psdmask.linalg import EIG_DIM_CAP, _cleared, all_ones, eig_extremes, exact_hermitian, identity, is_psd
-from psdmask.operators import OperatorSpec, apply
+from psdmask.linalg import (
+    EIG_DIM_CAP,
+    _cleared,
+    all_ones,
+    eig_extremes,
+    exact_hermitian,
+    identity,
+    is_psd,
+    psd_holds,
+)
+from psdmask.operators import OperatorSpec, _settle_hermitian, apply
 from psdmask.patterns import (
     R1_EMPTY,
     R2_SINGLETONS,
@@ -697,18 +706,19 @@ class TestSectionRuns:
     def test_runs_are_the_layout_worked_out_from_the_rows(self, kind, rho):
         domain = Domain(kind, rho)
         for max_n in range(1, 9):
-            names = ("all_ones", "anchored", "blowups") if max_n >= 3 else ("all_ones", "blowups")  # 3 x 3 anchors
-            sections = {name: verify._section(domain, max_n, name) for name in names}
+            sections = {name: verify._section(domain, max_n, name) for name in ("all_ones", "anchored", "blowups")}
             for section in sections.values():  # the runs tile the rows, one family a run
                 assert [row for _, rows in section.runs for row in rows] == list(range(len(section.L)))
                 assert all(len({section.families[row] for row in rows}) == 1 for _, rows in section.runs)
             ones, blowups = sections["all_ones"], sections["blowups"]
             assert ones.runs == ((max_n, range(len(ones.L))),)
+            anchored = sections["anchored"]
             if max_n >= 3:
-                anchored = sections["anchored"]
                 assert {size for size, _ in anchored.runs} == {max_n}
                 split = anchored.families.index("overlap_probe")  # the pair span ends at the first overlap row
                 assert anchored.runs[-1][1] == range(split, len(anchored.L)) and anchored.runs[-2][1].stop == split
+            else:  # its witnesses are 3 x 3: below n = 3 the section is empty, as the blowups are below 4
+                assert anchored.runs == () and anchored.L.shape == (0, 0, 0)
             groups = [(key, list(rows)) for key, rows in itertools.groupby(
                 range(len(blowups.L)), lambda row: (blowups.params[row]["base_n"], blowups.params[row]["m"]))]
             assert blowups.runs == tuple((m * base_n, range(rows[0], rows[-1] + 1)) for (base_n, m), rows in groups)
@@ -1134,3 +1144,84 @@ class TestRandomStageScreen:
             m.setattr(verify, "_cleared", lambda H, tol: False)
             case()
         assert str(screened.value) == str(unscreened.value)
+
+
+# built-ins as test_functions draws them, with powers that overflow or underflow on the real domains at rho = 2 and inf
+_POWERS = st.integers(0, 9) | st.sampled_from([40, 300, 400])
+_IMAGE_BUILTINS = st.recursive(
+    st.sampled_from([Identity(), Zero()])
+    | st.builds(HerzMonomial, st.floats(0.0, 4.0) | st.just(1e300), _POWERS, st.integers(0, 9))
+    | st.builds(HerzSeries, st.dictionaries(st.tuples(_POWERS, st.integers(0, 9)), st.floats(0.05, 4.0) | st.just(1e300),
+                                            min_size=1, max_size=3), st.just(409)),
+    lambda inner: st.builds(ScalarMultiple, st.floats(-4.0, 4.0), inner), max_leaves=3)
+
+
+def _real_stack(kind: str, rho: float, n: int, samples: int, seed: int) -> np.ndarray:
+    """A random stage's real stack: its samples at n as verify draws and settles them."""
+    domain = Domain(kind, rho)
+    grams, _ = verify._random_grams(n, domain, VerifyConfig(samples_per_n=samples, seed=seed))
+    return verify._into_domain(grams, domain)
+
+
+def _image(g, f, mask, W):
+    return np.where(mask, g._stack_values(W), f._stack_values(W))
+
+
+class TestRealImageSettle:
+    """The random stage evaluates a real domain's stack in float64 to screen it, and judges every stack the
+    screen does not clear as its exact complex form.  The screen is sound on the float64 image because it settles
+    to the complex form's image entry for entry; it is not the complex image byte for byte, since the signs of its
+    zeros differ where a product underflows or a factor is zero, and eigvalsh reads them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_IMAGE_BUILTINS, f=_IMAGE_BUILTINS, kind=st.sampled_from(["open_sym", "half_open_nonneg", "open_pos"]),
+           rho=st.sampled_from([1.0, 2.0, math.inf]), n=st.integers(1, 8), samples=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-12, 1e-8, 1e-4]))
+    def test_a_finite_real_image_settles_to_the_complex_forms_entry_for_entry(self, g, f, kind, rho, n, samples,
+                                                                              seed, tol):
+        W = _real_stack(kind, rho, n, samples, seed)
+        mask = np.random.default_rng(seed).random((n, n)) < 0.5
+        mask |= mask.T
+        with np.errstate(all="ignore"):
+            real, image = _image(g, f, mask, W), _image(g, f, mask, exact_hermitian(W))
+            finite = np.isfinite(real).all(axis=(1, 2))
+            assert real.dtype == np.float64 and (finite == np.isfinite(image).all(axis=(1, 2))).all()
+            settled, judged = _settle_hermitian(real[finite]), _settle_hermitian(image[finite])
+            assert settled.dtype == judged.dtype == np.complex128
+            assert np.array_equal(settled.real, judged.real) and np.array_equal(settled.imag, judged.imag)
+            if _cleared(real, tol):  # and so a cleared real image is one eigvalsh passes on the complex form
+                assert psd_holds(*eig_extremes(judged), tol).all()
+
+    def test_an_uncleared_real_stack_is_judged_as_its_exact_complex_form(self):
+        # -z^300 conj(z) off the diagonal, 8e83 at the largest entry of this sample and an underflow to a signed
+        # zero at the smallest: eigvalsh on its settled float64 image gives another min_eig, 3 ulp away
+        W = _real_stack("open_sym", 2.0, 3, 8, 0)[3:4]
+        g, f, mask = Identity(), ScalarMultiple(-1.0, HerzMonomial(1.0, 300, 1)), all_singletons_rule().pattern(3).mask
+        with np.errstate(all="ignore"):
+            hit = _first_failure(g, f, mask, W, 1e-8, screened=True)
+            want = _first_failure(g, f, mask, exact_hermitian(W), 1e-8, screened=True)
+            lo, _ = eig_extremes(_settle_hermitian(_image(g, f, mask, W)))
+        assert hit[0] == want[0] == 0 and np.float64(hit[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert lo[0] != want[1]
+
+    def test_a_real_stack_is_evaluated_again_only_where_the_screen_does_not_clear_it(self):
+        calls = []
+
+        class Counted(HerzMonomial):
+            def _values(self, Z):
+                calls.append((self.m, Z.dtype.name))
+                return super()._values(Z)
+
+        W, mask = _real_stack("open_sym", 1.0, 3, 8, 0), all_singletons_rule().pattern(3).mask
+        cases = [  # (g, f, tol, what is evaluated): z on the diagonal and z/2 off it is PSD, so cleared at 1e-8;
+            (Counted(1.0, 1, 0), Counted(0.5, 1, 0), 1e-8, [(1, "float64")] * 2),
+            # z^2 on the diagonal and z off it refutes a rank-one sample, so it is solved as its complex form
+            (Counted(1.0, 2, 0), Counted(1.0, 1, 0), 1e-8, [(2, "float64"), (1, "float64"),
+                                                            (2, "complex128"), (1, "complex128")]),
+            # below the screen's floor it is evaluated once, as its complex form
+            (Counted(1.0, 2, 0), Counted(1.0, 1, 0), 0.0, [(2, "complex128"), (1, "complex128")]),
+        ]
+        for g, f, tol, evaluated in cases:
+            calls.clear()
+            hit = _first_failure(g, f, mask, W, tol, screened=True)
+            assert calls == evaluated and (hit is None) == (evaluated[-1][1] == "float64")
