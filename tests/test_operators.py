@@ -251,7 +251,10 @@ class TestOperatorInvariants:
         # under the blown-up pattern (each block B of T_n becomes the indices a n + i, i in B, of every copy a),
         # the image of J_m (x) A is J_m (x) the image of A entry for entry: apply is entrywise.  So its spectrum
         # is the image's times m, plus n (m - 1) zeros: each eigenvalue within 4 (n m)^2 eps m ||image||_2 of
-        # that, eigvalsh's backward error on both sides, plus m 2^-1074 for their rounding to subnormals
+        # that, the eigensolver's backward error on both sides, plus m 2^-1074 for their rounding to subnormals.
+        # Both spectra come from eigh, whose QL iteration carries that bound; eigvalsh's root-free QR
+        # (LAPACK's sterf) squares the off-diagonals, and where those squares underflow its error is far
+        # larger: on n = 4, m = 2, T = [{0, 1}], g = 3.8e-157 z, f = 1, seed 0 its lowest eigenvalue is off by 1e-9
         n = data.draw(st.integers(1, 4))
         m = data.draw(st.integers(2, 8 // n))
         blocks = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))
@@ -265,10 +268,10 @@ class TestOperatorInvariants:
         image = apply(OperatorSpec(f=f, pattern=normalize(blocks, n), domain=DISC1, g=g), A)
         blown = apply(OperatorSpec(f=f, pattern=T_nm, domain=DISC1, g=g), big)
         assert np.array_equal(blown, np.tile(image, (1, m, m)))
-        w = np.linalg.eigvalsh(image)
+        w = np.linalg.eigh(image)[0]
         want = np.sort(np.concatenate([m * w, np.zeros((len(A), n * (m - 1)))], axis=1), axis=1)
         bound = 4 * (n * m) ** 2 * np.finfo(float).eps * m * np.abs(w).max(axis=1, keepdims=True) + m * 2.0 ** -1074
-        assert (np.abs(np.linalg.eigvalsh(blown) - want) <= bound).all()
+        assert (np.abs(np.linalg.eigh(blown)[0] - want) <= bound).all()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
