@@ -3,8 +3,9 @@ admissible family attached to each sequence regime.
 
 The built-in variants (monomials alpha z^m conj(z)^k with alpha >= 0, their
 nonnegative combinations, scalar multiples, identity, zero) all satisfy
-f(conj z) = conj(f(z)); a Custom function may not, so the verifier checks
-every function, built-in or Custom, on the domain's probe set.
+f(conj z) = conj(f(z)) by construction (``_equivariant_by_construction``);
+a Custom function or a subclass of a built-in may not, so the verifier
+checks each of those on the domain's probe set.
 """
 
 from __future__ import annotations
@@ -366,6 +367,31 @@ def conjugate_equivariance_check(f: PreserverFunction, samples, tol: float = 1e-
     Z = np.array([complex(z) for z in samples], dtype=np.complex128)
     gap = np.abs(f.evaluate_array(np.conj(Z)) - np.conj(f.evaluate_array(Z)))
     return not (gap > tol).any()
+
+
+def _equivariant_by_construction(f: PreserverFunction) -> bool:
+    """True when f is an exact built-in: ``Identity``, ``Zero``, ``HerzMonomial``,
+    ``HerzSeries``, or a ``ScalarMultiple`` whose chain of inner ends at one.
+    The type must be one of these exactly, so a subclass (which may override
+    ``evaluate_array``) or a Custom is not one.
+
+    An exact built-in passes ``conjugate_equivariance_check`` on every
+    conjugation-closed sample set at every tol >= 0, so verify skips the check
+    for it.  Its values are sums and products of z, conj(z) and finite real
+    floats, and on conjugated operands numpy gives the conjugated result:
+
+    - a complex product: the real part ac - bd takes the same operands, and
+      the imaginary part (-a d) + (-b c) rounds as -(ad + bc), signs of zero
+      aside;
+    - a real-scalar multiply (by c + 0j) or a sum: the same up to signs of
+      zero, and a signed zero stays a zero, or becomes NaN on both sides
+      where it meets an infinity;
+    - so the gap is 0 (|+-0 - -+0| = 0), or NaN where the values hold an
+      infinity or a NaN, and a NaN gap passes.
+    """
+    if type(f) is ScalarMultiple:
+        return _equivariant_by_construction(f.inner)
+    return type(f) in (Identity, Zero, HerzMonomial, HerzSeries)
 
 
 # -- admissible families per regime --------------------------------------------

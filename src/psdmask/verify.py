@@ -22,7 +22,7 @@ call that shares the domain, max_n and T_n's anchors, in stacks of 8, 16,
 stack is needed; random samples come ``_stack_rows(n)`` a stack.  A passing
 stack takes its tally from its plan.  A stack holds about
 ``STACK_ENTRIES`` entries whatever n (why is measured at the constant), so
-all 500 default samples go in one stack at n = 1 and 2, and 64 at n = 8.
+all 500 default samples go in one stack at n <= 4, and 128 at n = 8.
 Within a stack the first failing matrix wins, and each matrix is judged bit
 for bit as it would be alone.  Each n's random samples are drawn in one pass
 over its stream, read one raw 64-bit word at a time: the ranks are decoded
@@ -71,6 +71,7 @@ from .functions import (
     OPEN_SYM,
     Domain,
     PreserverFunction,
+    _equivariant_by_construction,
     admissible_family,
     conjugate_equivariance_check,
     scaled_identity,
@@ -115,13 +116,16 @@ OUTCOME_REFUTED = "Refuted"
 _RANDOM_GRAM_STREAM = 6  # the middle word of each random_gram stream's entropy [seed, 6, n]
 
 # The entries of one stack: n x n matrices are settled, applied and screened
-# ``_stack_rows(n)`` at a time, 32 kB of float64 (64 kB of complex128 on the
-# disc) per temporary.  The cost per matrix is least at 4096-8192 entries a
-# stack.  Below that a stack's fixed numpy cost dominates: 64 matrices at
-# n = 1 take 50 us, 512 take 107 us.  At 16384 entries it grows 1.5-1.9 times
-# at n = 4-8: 4.2 us a matrix at n = 8 with 64 a stack, 6.3 us with 256.
-# (disc(1), a 3-term series, best of 9 timeit runs on a 2-vCPU x86-64 VM.)
-STACK_ENTRIES = 4096
+# ``_stack_rows(n)`` at a time, 64 kB of float64 (128 kB of complex128 on the
+# disc) per temporary, 16 random stacks a default verify call.  Chosen end to
+# end: perfbench's preserved_full read a median wall_s of 0.1474 reference s
+# at 4096 entries, 0.1398 at 6144, 0.1361 at 8192, 0.1384 at 12288 and 0.1380
+# at 16384 (4 s runs at seed 0, 5 interleaved rounds, 2-vCPU x86-64 VM); its
+# peak_rss_mb grew 0.5 MB at 12288 and 1.1 MB at 16384, and the other
+# workloads did not move beyond noise.  Below 8192 each stack's fixed numpy
+# cost, the screen's included, is paid more often: 30 random stacks a call
+# at 4096.
+STACK_ENTRIES = 8192
 
 # The battery sections of this many (domain, max_n) pairs are kept per
 # process, least recently used dropped first: at most 60 kB a pair at max_n 8,
@@ -584,11 +588,16 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
     Deterministic battery first, then ``samples_per_n`` seeded random PSD
     samples per dimension (rank-one weighted 50%).  The first failing output
     is reported; otherwise the verdict is PreservedWithinBudget.
+
+    Each of g and f that is not an exact built-in (a Custom, a subclass of a
+    built-in, or a ScalarMultiple of either) must first pass
+    ``conjugate_equivariance_check`` on the domain's probe points, or
+    NonHermitianOutputError is raised; an exact built-in passes it by
+    construction (``functions._equivariant_by_construction``).
     """
     cfg = cfg or VerifyConfig()
-    probes = domain.probe_points()
     for fn, tag in ((g, "g"), (f, "f")):
-        if not conjugate_equivariance_check(fn, probes):
+        if not _equivariant_by_construction(fn) and not conjugate_equivariance_check(fn, domain.probe_points()):
             raise NonHermitianOutputError(
                 f"{tag} fails conjugate equivariance on the domain probe set; "
                 "its entrywise images cannot stay Hermitian"

@@ -17,6 +17,7 @@ from psdmask.functions import (
     PreserverFunction,
     ScalarMultiple,
     Zero,
+    _equivariant_by_construction,
     _int_pow,
     admissible_c_interval_pair,
     admissible_family,
@@ -320,6 +321,44 @@ class TestConjugateEquivariance:
 
         assert conjugate_equivariance_check(Counted(), [0j, 0.3, 0.1 + 0.4j, 0.1 - 0.4j])
         assert calls == [(4,), (4,)]
+
+
+# exact built-ins with powers and coefficients near the ends of the float range, nested scalar multiples included
+_PROOF_EXPONENTS = _EXPONENTS | st.sampled_from([40, 300, 400])
+_PROOF_COEFFS = st.floats(0.0, 4.0) | st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308])
+_EXACT_BUILTINS = st.recursive(
+    st.sampled_from([Identity(), Zero()])
+    | st.builds(HerzMonomial, _PROOF_COEFFS, _PROOF_EXPONENTS, _PROOF_EXPONENTS)
+    | st.builds(HerzSeries, st.dictionaries(st.tuples(_PROOF_EXPONENTS, _PROOF_EXPONENTS), _PROOF_COEFFS,
+                                            min_size=1, max_size=4), st.just(800)),
+    lambda inner: st.builds(ScalarMultiple, st.floats(-4.0, 4.0) | st.sampled_from([-0.0, -1e300, 1e-300]), inner),
+    max_leaves=4)
+# conjugation-closed samples: signed zeros, subnormals, 1e+-200, 1e308, infinities, NaN and any other float
+_EDGE_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e200, -1e200, 1e308, -1e308,
+                               math.inf, -math.inf, math.nan]) | st.floats(width=64)
+_CLOSED_SAMPLES = st.lists(st.builds(complex, _EDGE_PARTS, _EDGE_PARTS), min_size=1, max_size=12).map(
+    lambda zs: zs + [z.conjugate() for z in zs])
+
+
+class TestEquivarianceByConstruction:
+    """verify runs no ``conjugate_equivariance_check`` on an exact built-in (``_equivariant_by_construction``),
+    because the check cannot fail for one: this is that fact, which rests on numpy's complex multiply."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EXACT_BUILTINS, _CLOSED_SAMPLES)
+    def test_exact_builtins_pass_the_check_on_every_sample(self, f, samples):
+        assert _equivariant_by_construction(f)
+        with np.errstate(all="ignore"):
+            assert conjugate_equivariance_check(f, samples, tol=0.0)
+
+    def test_subclasses_and_customs_are_not_exact_builtins(self):
+        class Sub(HerzMonomial):
+            pass
+
+        for f in (Custom(lambda z: z), Sub(1.0, 1, 0), ScalarMultiple(2.0, Custom(lambda z: z)),
+                  ScalarMultiple(-1.0, ScalarMultiple(0.5, Sub(1.0, 1, 0)))):
+            assert not _equivariant_by_construction(f)
+        assert _equivariant_by_construction(ScalarMultiple(-1.0, ScalarMultiple(0.5, HerzSeries({(2, 1): 1.0}))))
 
 
 class TestAdmissibleFamily:

@@ -36,6 +36,7 @@ from psdmask.functions import (
     Identity,
     ScalarMultiple,
     Zero,
+    conjugate_equivariance_check,
     scaled_identity,
 )
 from psdmask.linalg import (
@@ -180,9 +181,28 @@ class TestVerifyPreservation:
             assert verdict.outcome == OUTCOME_PRESERVED
 
     def test_non_equivariant_function_fails_fast(self):
-        f = Custom(lambda z: complex(z.real, abs(z.imag)), name="fold")
-        with pytest.raises(NonHermitianOutputError):
-            verify_preservation(Identity(), f, empty_rule(), DISC1, FAST)
+        """As g or as f: a Custom, a ScalarMultiple of one and a subclass of a built-in are all checked."""
+        fold = Custom(lambda z: complex(z.real, abs(z.imag)), name="fold")
+        for fn in (fold, ScalarMultiple(0.5, fold), _FoldedIdentity()):
+            for tag, (g, f) in (("g", (fn, Identity())), ("f", (Identity(), fn))):
+                with pytest.raises(NonHermitianOutputError, match=f"^{tag} fails conjugate equivariance"):
+                    verify_preservation(g, f, empty_rule(), DISC1, FAST)
+
+    def test_no_check_runs_for_exact_builtins(self, monkeypatch):
+        checked = []
+
+        def spy(fn, samples, tol=1e-10):
+            checked.append(fn)
+            return conjugate_equivariance_check(fn, samples, tol)
+
+        monkeypatch.setattr(verify, "conjugate_equivariance_check", spy)
+        nested = ScalarMultiple(-0.5, ScalarMultiple(2.0, HerzSeries({(0, 0): 0.2, (2, 1): 0.1})))
+        for g, f in ((Identity(), scaled_identity(0.5)), (HerzMonomial(1.0, 2, 1), nested), (Zero(), Zero())):
+            verify_preservation(g, f, all_singletons_rule(), DISC1, BATTERY_ONLY)
+        assert checked == []
+        custom = Custom(lambda z: z, name="identity")
+        verdict = verify_preservation(Identity(), custom, all_singletons_rule(), DISC1, BATTERY_ONLY)
+        assert verdict.outcome == OUTCOME_PRESERVED and checked == [custom]
 
     def test_verdict_deterministic(self):
         f = scaled_identity(-0.75)
@@ -331,6 +351,14 @@ class TestSmallMaxN:
     def test_max_n_3_runs_every_regime(self, rule, regime):
         verdict = verify_preservation(Identity(), Identity(), rule, DISC1, VerifyConfig(max_n=3, samples_per_n=4))
         assert verdict.outcome == OUTCOME_PRESERVED
+
+
+class _FoldedIdentity(Identity):
+    """An Identity whose own evaluate_array folds the imaginary part up, so not conjugate-equivariant."""
+
+    def evaluate_array(self, Z):
+        Z = np.asarray(Z, dtype=np.complex128)
+        return Z.real + 1j * np.abs(Z.imag)
 
 
 def _folded_unless_marked(z):
