@@ -14,6 +14,8 @@ eigenvalues ``eig_extremes`` computes.  Its private screen ``_cleared`` may
 pass a whole stack on one shifted Cholesky instead, only where that implies
 ``psd_holds`` on ``eigvalsh``'s output (it checks tol >= 16 n^3 eps, finite
 entries and exact conjugate symmetry itself); ``eigvalsh`` decides the rest.
+Smaller images padded with the identity to N x N clear only where each
+would, at tol >= 16 N^3 eps.
 """
 
 from __future__ import annotations
@@ -192,7 +194,20 @@ def _cleared(H: np.ndarray, tol: float) -> bool:
     and hi move from the exact extremes by at most n^2 eps ||H||_2 <=
     (tol/16) ||H||_2, and the exact largest eigenvalue is at least d.  So the
     computed lo >= -tol max(1, |hi|), the test ``psd_holds`` makes, for every
-    matrix cleared here.
+    matrix cleared here.  That last step rests on ``eigvalsh`` meeting its
+    bound, which its values-only path does not where squared off-diagonals
+    underflow: on an 8 x 8 tensor blowup with entries near 1e-158 beside
+    entries of 1 its lo has relative error 1.5e-10, where the bound allows
+    64 eps = 1.4e-14.  There a matrix cleared here may have a computed lo
+    that fails the test by that much; this is not mended here.
+
+    Verify pads: a matrix of a padded stack is diag(H, I), H an n x n image
+    in the leading block of an N x N slot.  Its spectrum is H's and 1, its
+    largest diagonal entry max(d, 1), so its shift is H's own (tol/2) m, and
+    the bounds above hold with N's constants, at tol >= 16 N^3 eps: if the
+    N x N Cholesky completes, lambda_min(H) >= -s - N^2 gamma_{N+1} (m + s),
+    and ``eigvalsh`` on H alone meets its n x n bound.  So a padded stack
+    cleared here clears every H in it, for ``psd_holds`` on H's own extremes.
 
     The bound and the argument hold as well in real arithmetic, so a float64
     stack, or one whose imaginary parts are all zero, is factored as its real

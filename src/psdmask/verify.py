@@ -35,9 +35,15 @@ stack's image on T_n's kept mask, unsettled and in its dtype.  A screened
 stack passes with no settle or eigen-solve when one shifted Cholesky
 clears that image (``linalg._cleared``, which checks its own
 preconditions); any other is settled and solved, a real one as its exact
-complex form.  Random and 1 x 1 stacks are screened, and so is a battery
-stack that follows one of its n; the first stack of a battery order, its
-refutation probe, is not.  So ``eigvalsh`` is the only source of
+complex form.  Random and 1 x 1 stacks are screened alone.  Each battery
+section's first stack at an n >= 2, its refutation probe, is solved
+unscreened, and its later stacks, at every later n, are screened in
+batches (``_section_hits``): each stack's image fills the leading n x n
+block of a max_n x max_n slot whose rest is the identity, up to
+``STACK_ENTRIES`` padded entries a batch, and one Cholesky judges the
+batch.  A batch that is not cleared goes back through ``_first_failure``
+stack by stack, so the first failure, the tallies and any error are what
+they are without the batch.  So ``eigvalsh`` is the only source of
 ``min_eig`` and of every Refuted verdict.
 Verify and the suite build their stacks inside the domain, so they check
 none of them again.
@@ -517,28 +523,44 @@ def _stacks(section: _Section, n: int, key, extra: dict):
         raise error.with_traceback(None)  # the plan is kept: raise it without its last traceback
 
 
+def _battery_sections(domain: Domain, patterns: dict[int, BlockPattern], max_n: int) -> tuple:
+    """The battery's sections (all ones, anchored, blowups) in refutation priority order, each
+    an iterator of its stacks that builds its section when its first stack is needed."""
+    def ones():
+        section = _section(domain, max_n, "all_ones")
+        for n in range(1, max_n + 1):
+            for _, rows in section.runs:
+                yield from _stacks(section, n, rows, {"n": n})
+
+    def anchored():
+        section = None
+        for n in range(3, max_n + 1):
+            anchors = patterns[n].anchors
+            if any(anchors):
+                if section is None:
+                    section = _section(domain, max_n, "anchored")
+                yield from _stacks(section, n, anchors, {})
+
+    def blowups():
+        section = _section(domain, max_n, "blowups")
+        for size, rows in section.runs:
+            yield from _stacks(section, size, rows, {})
+
+    return ones(), anchored(), blowups()
+
+
 def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], max_n: int):
     """Yield (stack (k, n, n), n, family per matrix, params) in refutation priority order,
-    where params(j) builds matrix j's params.
+    where params(j) builds matrix j's params: the stacks of ``_battery_sections``, chained.
 
-    Each section is built when the battery first needs it.  Growth keeps every
-    smaller growth as its leading block, so one row serves every (n, coords).
+    Growth keeps every smaller growth as its leading block, so one row serves every (n, coords).
     """
-    ones = _section(domain, max_n, "all_ones")
-    for n in range(1, max_n + 1):
-        for _, rows in ones.runs:
-            yield from _stacks(ones, n, rows, {"n": n})
-    anchored = None
-    for n in range(3, max_n + 1):
-        anchors = patterns[n].anchors
-        if not any(anchors):
-            continue
-        if anchored is None:
-            anchored = _section(domain, max_n, "anchored")
-        yield from _stacks(anchored, n, anchors, {})
-    blowups = _section(domain, max_n, "blowups")
-    for size, rows in blowups.runs:
-        yield from _stacks(blowups, size, rows, {})
+    return itertools.chain.from_iterable(_battery_sections(domain, patterns, max_n))
+
+
+def _raw_image(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The image of the stack W, g where the mask holds and f elsewhere, unsettled and in W's dtype."""
+    return np.where(mask, g._stack_values(W), f._stack_values(W))
 
 
 def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray,
@@ -546,7 +568,7 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
     """Index and min eigenvalue of the first matrix of the stack W whose image
     (g where the mask holds, f elsewhere) fails the PSD test, or None.
 
-    The image is evaluated unsettled and in W's dtype (``_stack_values``).  A
+    The image is evaluated unsettled and in W's dtype (``_raw_image``).  A
     screened stack passes when ``linalg._cleared`` clears it (a float64 image
     settles to its exact complex form's entries, signs of zero aside); any
     other is settled and decided by ``eig_extremes`` as that complex form,
@@ -554,17 +576,18 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
     float64 only at a tol the screen may clear at, and again if not cleared.
     If a stack raises, its matrices are checked again one at a time, so an
     error surfaces at its own matrix and only when no earlier matrix refutes.
+    Every stack that no padded batch clears (``_batch_hits``) is judged here.
     """
     screened = screened and tol >= _screen_floor(W.shape[-1])
     if W.dtype.kind == "f" and not screened:
         W = exact_hermitian(W)
     try:
-        H = np.where(mask, g._stack_values(W), f._stack_values(W))
+        H = _raw_image(g, f, mask, W)
         if screened and _cleared(H, tol):
             return None
         if W.dtype.kind == "f":
             W = exact_hermitian(W)
-            H = np.where(mask, g._stack_values(W), f._stack_values(W))
+            H = _raw_image(g, f, mask, W)
         lo, hi = eig_extremes(_settle_hermitian(H))
     except Exception:  # g and f may raise anything; the rerun raises it in battery order
         if len(W) == 1:
@@ -579,6 +602,66 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
         return None
     j = int(np.flatnonzero(~holds)[0])
     return j, float(lo[j])
+
+
+def _padded(images: list, size: int) -> np.ndarray:
+    """The stacks of images, each (k, n, n) with n <= size, as one (sum of k, size, size) stack:
+    each matrix in the leading n x n block of its slot, whose rest is the identity."""
+    P = np.zeros((sum(map(len, images)), size, size), dtype=np.result_type(*images))
+    P[:, range(size), range(size)] = 1.0
+    at = 0
+    for H in images:
+        P[at:at + len(H), :H.shape[-1], :H.shape[-1]] = H
+        at += len(H)
+    return P
+
+
+def _batch_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, batch: list, tol: float, size: int):
+    """Yield each stack of batch with None where one ``_cleared`` call clears all their
+    images, ``_padded`` to size; otherwise, or for a batch of one stack, with its own
+    screened ``_first_failure``, judged only once every stack before it has passed."""
+    try:
+        images = [_raw_image(g, f, patterns[n].mask, W) for W, n, _, _ in batch] if len(batch) > 1 else []
+    except Exception:  # g and f may raise anything; each stack's own judge raises it in battery order
+        images = []
+    cleared = bool(images) and _cleared(_padded(images, size), tol)
+    for stack in batch:
+        yield stack, None if cleared else _first_failure(g, f, patterns[stack[1]].mask, stack[0], tol, True)
+
+
+def _section_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, stacks, tol: float, max_n: int):
+    """Yield each stack of one battery section with its ``_first_failure``, None where it passes.
+
+    A 1 x 1 stack before the section's first stack at an n >= 2, its refutation
+    probe, is screened alone, and the probe is solved unscreened.  Every later
+    stack, at every n, joins a batch of at most ``STACK_ENTRIES`` entries padded
+    to max_n x max_n, judged by ``_batch_hits``; below ``_screen_floor(max_n)``
+    the screen cannot clear a padded batch, so each batch is one stack.  An error
+    that ends the section is raised once the stacks before it are judged.
+    """
+    cap = STACK_ENTRIES if tol >= _screen_floor(max_n) else 0
+    batch, entries, probed = [], 0, False
+    stacks = iter(stacks)
+    while True:
+        try:
+            stack = next(stacks)
+        except StopIteration:
+            break
+        except Exception:  # a witness that did not grow to this n: the stacks before it come first
+            yield from _batch_hits(g, f, patterns, batch, tol, max_n)
+            raise
+        W, n = stack[0], stack[1]
+        if not probed:
+            probed = n > 1
+            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, n == 1)
+            continue
+        size = len(W) * max_n ** 2
+        if entries + size > cap:
+            yield from _batch_hits(g, f, patterns, batch, tol, max_n)
+            batch, entries = [], 0
+        batch.append(stack)
+        entries += size
+    yield from _batch_hits(g, f, patterns, batch, tol, max_n)
 
 
 def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: PatternRule,
@@ -614,14 +697,13 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         "seed": cfg.seed,
     }
 
-    # screened: random and 1 x 1 stacks, and battery stacks after a passing one of their n (not the probes)
-    last_n = None
-    stages = ((_deterministic_battery(domain, patterns, cfg.max_n), False), (_random_battery(domain, cfg), True))
-    for stage, random in stages:
+    battery = (hit for stacks in _battery_sections(domain, patterns, cfg.max_n)
+               for hit in _section_hits(g, f, patterns, stacks, cfg.tol, cfg.max_n))
+    randoms = ((stack, _first_failure(g, f, patterns[stack[1]].mask, stack[0], cfg.tol, True))
+               for stack in _random_battery(domain, cfg))
+    for stage, random in ((battery, False), (randoms, True)):
         # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
-        for W, n, families, params in stage:
-            hit = _first_failure(g, f, patterns[n].mask, W, cfg.tol, random or n in (1, last_n))
-            last_n = n
+        for (W, n, families, params), hit in stage:
             if hit is None:  # a random stack is all random_gram; a battery stack's tally is kept in its plan
                 checked, counts = len(W), {"random_gram": len(W)} if random else families.counts
             else:

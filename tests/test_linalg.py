@@ -33,7 +33,7 @@ from psdmask.linalg import (
 )
 from psdmask.operators import OperatorSpec, apply
 from psdmask.patterns import empty_rule, normalize
-from psdmask.verify import sample_psd, verify_preservation
+from psdmask.verify import _padded, sample_psd, verify_preservation
 
 
 class TestSymmetrize:
@@ -306,6 +306,35 @@ class TestClearedScreen:
             assert psd_holds(lo, hi, tol).all()
         if tol >= _tol_floor(n) and all(p[0] >= 0 for p in plants):
             assert cleared  # the shift clears every PSD stack above the floor, so the screen is not vacuous
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([2, 3, 5, 8]),
+           members=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 2), st.booleans(),
+                                      st.sampled_from([1e-3, 1.0, 1e6]), st.booleans(), st.sampled_from(PLANTS)),
+                            min_size=2, max_size=4),
+           tol=st.sampled_from([("floor", 1.0), ("floor", 4.0), 1e-8, 1e-4]))
+    def test_a_cleared_padded_batch_passes_every_member(self, seed, size, members, tol):
+        # verify screens a battery section's stacks of every n <= max_n at once, each in the leading block of a
+        # max_n x max_n slot whose rest is the identity; members are real (float64) or complex stacks
+        tol = tol[1] * _tol_floor(size) if isinstance(tol, tuple) else tol
+        g = np.random.default_rng(seed)
+        stacks = []
+        for n, k, complex_entries, scale, aligned, plant in members:
+            H = np.array([_planted(g, min(n, size), complex_entries, scale, aligned, plant, tol) for _ in range(k)])
+            stacks.append(H if complex_entries else H.real.copy())
+        padded, at = _padded(stacks, size), 0
+        for H in stacks:  # each member leads its slots, whose rest is the identity
+            want = np.array([np.eye(size)] * len(H), dtype=padded.dtype)
+            want[:, :H.shape[-1], :H.shape[-1]] = H
+            assert np.array_equal(padded[at:at + len(H)], want)
+            at += len(H)
+        assert at == len(padded)
+        cleared = _cleared(padded, tol)
+        if cleared:
+            for H in stacks:
+                assert psd_holds(*eig_extremes(H), tol).all()
+        if tol >= _tol_floor(size) and all(p[0] >= 0 for *_, p in members):
+            assert cleared  # a batch of PSD members clears above the floor at the padded size: not vacuous
 
     def test_never_cleared_below_the_tol_floor(self):
         for n in (1, 8, 64):

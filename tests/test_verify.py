@@ -1040,8 +1040,8 @@ class TestRandomStageScreen:
         seen, solved = [], []
 
         def spy(H, tol):
-            seen.append(_cleared(H, tol))
-            return seen[-1]
+            seen.append((H.copy(), _cleared(H, tol)))
+            return seen[-1][1]
 
         def eig_spy(H):
             solved.append(len(H))
@@ -1050,17 +1050,32 @@ class TestRandomStageScreen:
         monkeypatch.setattr(verify, "_cleared", spy)
         monkeypatch.setattr(verify, "eig_extremes", eig_spy)
         cfg = VerifyConfig()
-        verdict = verify_preservation(Identity(), scaled_identity(c), rule, domain, cfg)
+        g, f = Identity(), scaled_identity(c)
+        verdict = verify_preservation(g, f, rule, domain, cfg)
         assert verdict.outcome == OUTCOME_PRESERVED
-        # every random stack, every 1 x 1 stack and every battery stack that follows one of its n is screened,
-        # and cleared; only the rest, the refutation probes, are eigen-solved
-        patterns = {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
-        sizes, ns = zip(*[(len(W), n) for W, n, _, _ in _deterministic_battery(domain, patterns, cfg.max_n)])
-        probes = [at for at, n in enumerate(ns) if n >= 2 and ns[at - 1:at] != (n,)]
-        randoms = sum(-(-cfg.samples_per_n // _stack_rows(n)) for n in range(1, cfg.max_n + 1))
-        assert len(seen) == len(ns) - len(probes) + randoms
-        assert all(seen)
-        assert solved == [sizes[at] for at in probes]
+        # each section's 1 x 1 stacks are screened alone and its first stack at an n >= 2, its probe, is solved;
+        # every later stack is in exactly one batch of at most STACK_ENTRIES entries padded to max_n x max_n, in
+        # order, screened padded (or alone, a batch of one); then every random stack is screened alone; all cleared
+        N, patterns = cfg.max_n, {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
+        screens, probes = [], []
+        for section in verify._battery_sections(domain, patterns, N):
+            stacks = [(W, n) for W, n, _, _ in section]
+            first = next((at for at, (_, n) in enumerate(stacks) if n >= 2), len(stacks))
+            screens += [[stack] for stack in stacks[:first]]
+            probes += [len(W) for W, _ in stacks[first:first + 1]]
+            batches = []
+            for W, n in stacks[first + 1:]:
+                if not batches or (sum(len(V) for V, _ in batches[-1]) + len(W)) * N * N > verify.STACK_ENTRIES:
+                    batches.append([])
+                batches[-1].append((W, n))
+            screens += batches
+        screens += [[(W, n)] for W, n, _, _ in verify._random_battery(domain, cfg)]
+        images = [[verify._raw_image(g, f, patterns[n].mask, W) for W, n in batch] for batch in screens]
+        want = [H[0] if len(H) == 1 else verify._padded(H, N) for H in images]
+        assert any(len(H) > 1 for H in images)
+        assert len(seen) == len(want) and all(cleared for _, cleared in seen)
+        assert all(np.array_equal(H, W) for (H, _), W in zip(seen, want))
+        assert solved == probes
 
     def test_below_the_tol_floor_each_random_stack_is_evaluated_once(self, monkeypatch):
         dtypes = []
@@ -1130,8 +1145,66 @@ class TestRandomStageScreen:
             screened = _verdict_bytes(case())
         ce = case().counterexample
         assert (ce.family, ce.n, ce.params["w"]) == ("duplicated_pair_gram", 4, 0.6)
-        assert results[-1] == (4, False)
+        assert results[-2:] == [(6, False), (4, False)]  # its padded batch is not cleared, then the stack alone
         assert screened == self._unscreened(monkeypatch, case)
+
+    @pytest.mark.parametrize("refute_at", [4, None], ids=["refuted_first", "raised"])
+    def test_an_error_inside_a_batch_surfaces_in_battery_order(self, monkeypatch, refute_at):
+        # the all-ones stacks at n = 3..8 after the probe make one padded batch; f raises on the one at n = 5,
+        # and negates the one at refute_at, so a refutation earlier in the batch wins over the error
+        class Marked(Identity):
+            def _values(self, Z):
+                if Z.ndim == 3 and Z.shape[-1] == 5:
+                    raise ValueError("marked n = 5")
+                return -Z if Z.ndim == 3 and Z.shape[-1] == refute_at else super()._values(Z)
+
+        case = partial(verify_preservation, Identity(), Marked(), empty_rule(), Domain.disc(1.0))
+        screened = self._outcome(case)
+        if refute_at is None:
+            assert screened == "ValueError: marked n = 5"
+        else:
+            ce = case().counterexample
+            assert (ce.family, ce.n) == ("all_ones", 4)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_cleared", lambda H, tol: False)
+            assert screened == self._outcome(case)
+
+    def test_a_growth_error_after_a_cleared_batch_raises_as_without_the_screen(self, monkeypatch, cold_cache):
+        # anchored witnesses that cannot grow past 6 end the section at n = 7; its stacks after the probe, at
+        # n = 3..6, are one padded batch, which is judged before the error is raised
+        real, results, solved = verify.corner_extend_auto, [], []
+
+        def failing(A, domain):
+            if A.shape[0] == 6:
+                raise EpsTooLargeError("no room")
+            return real(A, domain)
+
+        def spy(H, tol):
+            results.append((H.shape, _cleared(H, tol)))
+            return results[-1][1]
+
+        def eig_spy(H):
+            solved.append(len(H))
+            return eig_extremes(H)
+
+        monkeypatch.setattr(verify, "corner_extend_auto", failing)
+        monkeypatch.setattr(verify, "eig_extremes", eig_spy)
+        rule, domain, got = single_block_rule({0, 1}), Domain.open_pos(1.0), []
+        case = partial(verify_preservation, Identity(), scaled_identity(0.5), rule, domain)
+        with pytest.raises(EpsTooLargeError):
+            consume(battery(domain, rule), got)
+        with monkeypatch.context() as m, pytest.raises(EpsTooLargeError) as unscreened:
+            m.setattr(verify, "_cleared", lambda H, tol: False)
+            case()
+        assert sum(solved) == sum(len(W) for W, *_ in got)  # without the screen each matrix before the error
+        solved.clear()
+        with monkeypatch.context() as m, pytest.raises(EpsTooLargeError) as screened:
+            m.setattr(verify, "_cleared", spy)
+            case()
+        assert str(screened.value) == str(unscreened.value) == "no room"
+        assert results[-1] == ((52, 8, 8), True)  # the anchored stacks after the probe, padded in one batch
+        assert all(cleared for _, cleared in results)
+        assert sum(shape[0] for shape, _ in results) + sum(solved) == sum(len(W) for W, *_ in got)
 
     # sha256 of each verdict's bytes, pinned before the random stage screened its stacks in real arithmetic.
     # sqrt is conjugate-equivariant only through signed zeros, sqrt(-x + 0j) = i sqrt(x) but sqrt(-x - 0j) =
