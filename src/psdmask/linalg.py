@@ -14,8 +14,8 @@ eigenvalues ``eig_extremes`` computes.  Its private screen ``_cleared`` may
 pass a whole stack on one shifted Cholesky instead, only where that implies
 ``psd_holds`` on ``eigvalsh``'s output (it checks tol >= 16 n^3 eps, finite
 entries and exact conjugate symmetry itself); ``eigvalsh`` decides the rest.
-Smaller images padded with the identity to N x N clear only where each
-would, at tol >= 16 N^3 eps.
+Smaller images padded with the identity to N x N, as verify batches its
+stacks, clear only where each would, at tol >= 16 N^3 eps.
 """
 
 from __future__ import annotations
@@ -218,21 +218,26 @@ def _cleared(H: np.ndarray, tol: float) -> bool:
     eigenvalue by less than n 2^-1074, far inside the slack the bounds above
     leave.  A 1 x 1 stack is decided by d + s > 0 with no copy and no
     LAPACK: that sum is the one pivot ``potrf`` would test, so this is
-    exactly when its Cholesky completes.
+    exactly when its Cholesky completes.  A larger one is copied once, as its
+    conjugate transpose (its real part's transpose where H has no imaginary
+    part), which is compared with H and then shifted and factored: so the
+    only arrays made are that copy, the comparison and the factor.
 
     Never cleared: a tol below that floor (so tol = 0 always goes to
     ``eig_extremes``), a stack with a non-finite entry or one that differs
     from its conjugate transpose, or a Cholesky that fails.
     """
-    n = H.shape[-1]
-    if (tol < _screen_floor(n) or not np.isfinite(H).all()
-            or (H != np.conj(np.swapaxes(H, -1, -2))).any()):
+    n, T = H.shape[-1], np.swapaxes(H, -1, -2)
+    if tol < _screen_floor(n) or not np.isfinite(H).all():
         return False
+    imaginary = H.dtype.kind == "c" and H.imag.any()
     if n == 1:
         d = H.real[..., 0, 0]
-        return bool((d + 0.5 * tol * np.fmax(1.0, d) > 0).all())
+        return not imaginary and bool((d + 0.5 * tol * np.fmax(1.0, d) > 0).all())
+    A = np.conj(T) if imaginary else T.real.copy()
+    if ((H if imaginary else H.real) != A).any():
+        return False
     diag = _hermitian_index(n)[2]
-    A = H.copy() if H.dtype.kind == "c" and H.imag.any() else H.real.copy()
     A[..., diag, diag] += 0.5 * tol * np.fmax(1.0, A.real[..., diag, diag].max(axis=-1))[..., None]
     try:
         np.linalg.cholesky(A)

@@ -3,54 +3,11 @@
 ``verify_preservation`` fires a deterministic witness battery (scaled
 all-ones matrices, the 3x3 rank-one constructions embedded at every
 size->=2-block and overlap position of the materialized patterns, tensor
-blowups) and then a seeded randomized battery.  The first output matrix that
-fails the PSD check yields a Refuted verdict carrying the witness; battery
-order is the priority order, so the reported counterexample is reproducible.
-Every stack is fired as one record ``(W, n, families, params)``: W is
-``(k, n, n)`` with one family per matrix, and ``params(j)`` builds matrix
-j's params, so only the refuting matrix's are built.  The witnesses depend
-only on (domain, max_n), so each battery section (all ones, anchored,
-blowups) is grown once per process into one read-only table with each run's
-(size, rows), kept for ``BATTERY_CACHE_SIZE`` (domain, max_n) pairs.  Where
-its rows go at n depends only on T_n's anchors (``BlockPattern.anchors``,
-compared by value), so the section keeps that too, as a plan: the rows and
-placements of every stack in one small-int array, each stack's families
-with their tally, and the error that ends the order.  A plan is built on
-first need, kept in the section's lru_cache for n, and replayed by every
-call that shares the domain, max_n and T_n's anchors, in stacks of 8, 16,
-32, ... rows up to ``_stack_rows(n)``, each one gather made only when the
-stack is needed; random samples come ``_stack_rows(n)`` a stack.  A passing
-stack takes its tally from its plan.  A stack holds about
-``STACK_ENTRIES`` entries whatever n (why is measured at the constant), so
-all 500 default samples go in one stack at n <= 4, and 128 at n = 8.
-Within a stack the first failing matrix wins, and each matrix is judged bit
-for bit as it would be alone.  Each n's random samples are drawn in one pass
-over its stream, read one raw 64-bit word at a time: the ranks are decoded
-from the words as ``rng.integers`` draws them, and the factors between two
-words take one normal fill.  One Gram kernel, ``_formed``, forms them as it
-forms ``sample_psd``'s and the suite's draws, and each stack is settled on
-its own, float64 off the disc, its ``exact_hermitian`` bit for bit what
-``sample_psd`` draws.  One kernel, ``_first_failure``, evaluates each
-stack's image on T_n's kept mask, unsettled and in its dtype.  A screened
-stack passes with no settle or eigen-solve when one shifted Cholesky
-clears that image (``linalg._cleared``, which checks its own
-preconditions); any other is settled and solved, a real one as its exact
-complex form.  Random and 1 x 1 stacks are screened alone.  Each battery
-section's first stack at an n >= 2, its refutation probe, is solved
-unscreened, and its later stacks, at every later n, are screened in
-batches (``_section_hits``): each stack's image fills the leading n x n
-block of a max_n x max_n slot whose rest is the identity, up to
-``STACK_ENTRIES`` padded entries a batch, and one Cholesky judges the
-batch.  A batch that is not cleared goes back through ``_first_failure``
-stack by stack, so the first failure, the tallies and any error are what
-they are without the batch.  So ``eigvalsh`` is the only source of
-``min_eig`` and of every Refuted verdict.
-Verify and the suite build their stacks inside the domain, so they check
-none of them again.
-
-Each n's random samples come from their own stream, split from the master
-seed as ``default_rng([seed, 6, n])`` (6 is ``_RANDOM_GRAM_STREAM``), so
-no stage depends on the order in which the others ran.
+blowups), then a seeded random one, as one stream of stacks in refutation
+priority order, so the reported counterexample is reproducible.  The
+stream's four sections (all ones, anchored, blowups, random) are built
+inside the domain, checked nowhere again, and judged by ``_section_hits``
+alone; ``eigvalsh`` gives every ``min_eig`` and every Refuted verdict.
 """
 
 from __future__ import annotations
@@ -66,60 +23,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CNotOutsideError,
-    NonHermitianOutputError,
-    RegimeMismatchError,
-)
-from .functions import (
-    DISC,
-    OPEN_POS,
-    OPEN_SYM,
-    Domain,
-    PreserverFunction,
-    _equivariant_by_construction,
-    admissible_family,
-    conjugate_equivariance_check,
-    scaled_identity,
-)
-from .linalg import (
-    EIG_DIM_CAP,
-    _cleared,
-    _mirror,
-    _screen_floor,
-    _within_cap,
-    eig_extremes,
-    exact_hermitian,
-    is_psd,
-    psd_holds,
-)
+from .errors import CNotOutsideError, NonHermitianOutputError, RegimeMismatchError
+from .functions import (DISC, OPEN_POS, OPEN_SYM, Domain, PreserverFunction, _equivariant_by_construction,
+                        admissible_family, conjugate_equivariance_check, scaled_identity)
+from .linalg import (EIG_DIM_CAP, _cleared, _mirror, _screen_floor, _within_cap, eig_extremes, exact_hermitian,
+                     is_psd, psd_holds)
 from .operators import _image, _settle_hermitian
-from .patterns import (
-    R3A_PARTITION_ALL,
-    R3B_SUBPARTITION_OTHER,
-    R4_OVERLAPPING,
-    BlockPattern,
-    PatternRule,
-    _integer,
-    _real,
-    validate_rule,
-)
-from .witnesses import (
-    WITNESS_PSD_TOL,
-    Witness,
-    all_ones_witness,
-    corner_extend_auto,
-    duplicated_pair_gram,
-    overlap_probe,
-    pad_embed,
-    tail_gram,
-    tensor_blowup,
-)
+from .patterns import (R3A_PARTITION_ALL, R3B_SUBPARTITION_OTHER, R4_OVERLAPPING, BlockPattern, PatternRule,
+                       _integer, _real, validate_rule)
+from .witnesses import (WITNESS_PSD_TOL, Witness, all_ones_witness, corner_extend_auto, duplicated_pair_gram,
+                        overlap_probe, pad_embed, tail_gram, tensor_blowup)
 
 OUTCOME_PRESERVED = "PreservedWithinBudget"
 OUTCOME_REFUTED = "Refuted"
 
-_RANDOM_GRAM_STREAM = 6  # the middle word of each random_gram stream's entropy [seed, 6, n]
+# Each n's random samples come from their own stream, default_rng([seed, 6, n]), so no stage depends on
+# the order in which the others ran.
+_RANDOM_GRAM_STREAM = 6
 
 # The entries of one stack: n x n matrices are settled, applied and screened
 # ``_stack_rows(n)`` at a time, 64 kB of float64 (128 kB of complex128 on the
@@ -331,7 +251,8 @@ def _random_battery(domain: Domain, cfg: VerifyConfig):
         rows = _stack_rows(n)
         for start in range(0, cfg.samples_per_n, rows):
             W = _into_domain(grams[start:start + rows], domain)
-            yield W, n, ["random_gram"] * len(W), partial(_sample_params, ranks, start)
+            families = _Families(itertools.repeat("random_gram", len(W)), {"random_gram": len(W)})
+            yield W, n, families, partial(_sample_params, ranks, start)
         del grams  # the next n's Grams are formed without this n's held (392 kB at n = 7 on the disc)
 
 
@@ -375,13 +296,12 @@ class _Section(NamedTuple):
     plans: tuple
 
 
-class _Families(tuple):
-    """One stack's family per matrix, kept in its plan with ``counts``, their tally."""
+class _Families(list):
+    """One stack's family per matrix, with ``counts``, their tally (a battery stack's kept in its plan)."""
 
-    def __new__(cls, families):
-        self = super().__new__(cls, families)
-        self.counts = Counter(self)
-        return self
+    def __init__(self, families, counts=None):
+        super().__init__(families)
+        self.counts = Counter(self) if counts is None else counts
 
 
 class _Plan(NamedTuple):
@@ -550,11 +470,9 @@ def _battery_sections(domain: Domain, patterns: dict[int, BlockPattern], max_n: 
 
 
 def _deterministic_battery(domain: Domain, patterns: dict[int, BlockPattern], max_n: int):
-    """Yield (stack (k, n, n), n, family per matrix, params) in refutation priority order,
-    where params(j) builds matrix j's params: the stacks of ``_battery_sections``, chained.
-
-    Growth keeps every smaller growth as its leading block, so one row serves every (n, coords).
-    """
+    """Yield (stack (k, n, n), n, family per matrix, params) in refutation priority order, where
+    params(j) builds matrix j's params: the stacks of ``_battery_sections``, chained.  Growth keeps
+    every smaller growth as its leading block, so one row serves every (n, coords)."""
     return itertools.chain.from_iterable(_battery_sections(domain, patterns, max_n))
 
 
@@ -564,25 +482,23 @@ def _raw_image(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: 
 
 
 def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray,
-                   tol: float, screened: bool = False) -> tuple[int, float] | None:
-    """Index and min eigenvalue of the first matrix of the stack W whose image
-    (g where the mask holds, f elsewhere) fails the PSD test, or None.
+                   tol: float, screened: bool = False, H: np.ndarray | None = None) -> tuple[int, float] | None:
+    """Index and min eigenvalue of the first matrix of the stack W whose image (g where the mask
+    holds, f elsewhere) fails the PSD test, or None; each matrix is judged bit for bit as alone.
 
-    The image is evaluated unsettled and in W's dtype (``_raw_image``).  A
-    screened stack passes when ``linalg._cleared`` clears it (a float64 image
-    settles to its exact complex form's entries, signs of zero aside); any
-    other is settled and decided by ``eig_extremes`` as that complex form,
-    whose signs of zero ``eigvalsh`` reads: so a real stack is evaluated in
-    float64 only at a tol the screen may clear at, and again if not cleared.
-    If a stack raises, its matrices are checked again one at a time, so an
-    error surfaces at its own matrix and only when no earlier matrix refutes.
-    Every stack that no padded batch clears (``_batch_hits``) is judged here.
+    The image is ``_raw_image``, unless H is it already.  A screened stack passes when
+    ``linalg._cleared`` clears that image (a float64 one settles to its exact complex form's
+    entries, signs of zero aside); any other is settled and decided by ``eig_extremes`` as that
+    complex form, whose signs of zero ``eigvalsh`` reads.  If a stack raises, its matrices are
+    checked again one at a time, so an error surfaces at its own matrix and only when no earlier
+    matrix refutes.
     """
     screened = screened and tol >= _screen_floor(W.shape[-1])
     if W.dtype.kind == "f" and not screened:
         W = exact_hermitian(W)
     try:
-        H = _raw_image(g, f, mask, W)
+        if H is None:
+            H = _raw_image(g, f, mask, W)
         if screened and _cleared(H, tol):
             return None
         if W.dtype.kind == "f":
@@ -616,31 +532,37 @@ def _padded(images: list, size: int) -> np.ndarray:
     return P
 
 
-def _batch_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, batch: list, tol: float, size: int):
-    """Yield each stack of batch with None where one ``_cleared`` call clears all their
-    images, ``_padded`` to size; otherwise, or for a batch of one stack, with its own
-    screened ``_first_failure``, judged only once every stack before it has passed."""
-    try:
-        images = [_raw_image(g, f, patterns[n].mask, W) for W, n, _, _ in batch] if len(batch) > 1 else []
-    except Exception:  # g and f may raise anything; each stack's own judge raises it in battery order
-        images = []
-    cleared = bool(images) and _cleared(_padded(images, size), tol)
-    for stack in batch:
-        yield stack, None if cleared else _first_failure(g, f, patterns[stack[1]].mask, stack[0], tol, True)
+def _section_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, stacks, tol: float, max_n: int,
+                  probe: bool = True):
+    """Yield each stack of one section with its ``_first_failure``, None where it passes.
 
-
-def _section_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, stacks, tol: float, max_n: int):
-    """Yield each stack of one battery section with its ``_first_failure``, None where it passes.
-
-    A 1 x 1 stack before the section's first stack at an n >= 2, its refutation
-    probe, is screened alone, and the probe is solved unscreened.  Every later
-    stack, at every n, joins a batch of at most ``STACK_ENTRIES`` entries padded
-    to max_n x max_n, judged by ``_batch_hits``; below ``_screen_floor(max_n)``
-    the screen cannot clear a padded batch, so each batch is one stack.  An error
-    that ends the section is raised once the stacks before it are judged.
+    In a section with a probe, each 1 x 1 stack before its first stack at an n >= 2, the probe,
+    is screened alone, and the probe is solved unscreened.  Every other stack joins a batch of at
+    most ``STACK_ENTRIES`` entries padded to max_n x max_n, judged when the next stack does not
+    fit, or when full, before the next stack is drawn.  One ``_cleared`` call may clear a batch of
+    several stacks; any other batch goes to ``_first_failure`` stack by stack, each image a view
+    of the padded batch.  Below ``_screen_floor(max_n)`` each batch is one stack.  An error that
+    ends the section is raised once the stacks before it are judged.
     """
+    def judged(batch):
+        P = None
+        if len(batch) > 1:
+            try:
+                P = _padded([_raw_image(g, f, patterns[n].mask, W) for W, n, _, _ in batch], max_n)
+            except Exception:  # g and f may raise anything; each stack's own judge raises it in battery order
+                pass
+        if P is not None and _cleared(P, tol):
+            yield from zip(batch, itertools.repeat(None))
+            return
+        at = 0
+        for stack in batch:
+            W, n = stack[0], stack[1]
+            H = None if P is None else P[at:at + len(W), :n, :n]
+            at += len(W)
+            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, True, H)
+
     cap = STACK_ENTRIES if tol >= _screen_floor(max_n) else 0
-    batch, entries, probed = [], 0, False
+    batch, entries = [], 0
     stacks = iter(stacks)
     while True:
         try:
@@ -648,20 +570,23 @@ def _section_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, st
         except StopIteration:
             break
         except Exception:  # a witness that did not grow to this n: the stacks before it come first
-            yield from _batch_hits(g, f, patterns, batch, tol, max_n)
+            yield from judged(batch)
             raise
         W, n = stack[0], stack[1]
-        if not probed:
-            probed = n > 1
-            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, n == 1)
+        if probe:  # a 1 x 1 stack before the probe is screened alone, and the probe is solved unscreened
+            probe = n == 1
+            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, screened=probe)
             continue
         size = len(W) * max_n ** 2
         if entries + size > cap:
-            yield from _batch_hits(g, f, patterns, batch, tol, max_n)
+            yield from judged(batch)
             batch, entries = [], 0
         batch.append(stack)
         entries += size
-    yield from _batch_hits(g, f, patterns, batch, tol, max_n)
+        if entries >= cap:  # no stack fits a full batch, so it is judged before the next stack is drawn
+            yield from judged(batch)
+            batch, entries = [], 0
+    yield from judged(batch)
 
 
 def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: PatternRule,
@@ -697,30 +622,26 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         "seed": cfg.seed,
     }
 
-    battery = (hit for stacks in _battery_sections(domain, patterns, cfg.max_n)
-               for hit in _section_hits(g, f, patterns, stacks, cfg.tol, cfg.max_n))
-    randoms = ((stack, _first_failure(g, f, patterns[stack[1]].mask, stack[0], cfg.tol, True))
-               for stack in _random_battery(domain, cfg))
-    for stage, random in ((battery, False), (randoms, True)):
-        # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
-        for (W, n, families, params), hit in stage:
-            if hit is None:  # a random stack is all random_gram; a battery stack's tally is kept in its plan
-                checked, counts = len(W), {"random_gram": len(W)} if random else families.counts
-            else:
-                checked = hit[0] + 1
-                counts = Counter(families[:checked])
-            for family, count in counts.items():
-                fam = stats["families"].setdefault(family, {})
-                fam[str(n)] = fam.get(str(n), 0) + count
-            stats["checked"] += checked
-            if hit is not None:
-                j, min_eig = hit
-                A = exact_hermitian(W[j]) if W.dtype.kind == "f" else W[j]  # a real sample as it was judged
-                # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
-                if not is_psd(A, WITNESS_PSD_TOL).is_psd:
-                    raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
-                ce = CounterExample(family=families[j], params=params(j), n=n, matrix=A, min_eig=min_eig)
-                return Verdict(OUTCOME_REFUTED, ce, stats)
+    randoms = _random_battery(domain, cfg)  # the last section, with no probe
+    hits = itertools.chain.from_iterable(
+        _section_hits(g, f, patterns, stacks, cfg.tol, cfg.max_n, probe=stacks is not randoms)
+        for stacks in (*_battery_sections(domain, patterns, cfg.max_n), randoms))
+    # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
+    for (W, n, families, params), hit in hits:
+        checked = len(W) if hit is None else hit[0] + 1
+        counts = families.counts if hit is None else Counter(families[:checked])
+        for family, count in counts.items():
+            fam = stats["families"].setdefault(family, {})
+            fam[str(n)] = fam.get(str(n), 0) + count
+        stats["checked"] += checked
+        if hit is not None:
+            j, min_eig = hit
+            A = exact_hermitian(W[j]) if W.dtype.kind == "f" else W[j]  # a real sample as it was judged
+            # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
+            if not is_psd(A, WITNESS_PSD_TOL).is_psd:
+                raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")
+            ce = CounterExample(family=families[j], params=params(j), n=n, matrix=A, min_eig=min_eig)
+            return Verdict(OUTCOME_REFUTED, ce, stats)
     return Verdict(OUTCOME_PRESERVED, None, stats)
 
 

@@ -348,8 +348,10 @@ class TestClearedScreen:
             H[1, 2, 2] = bad
             assert not _cleared(H, 1e-8)
 
-    @pytest.mark.parametrize("upper, lower", [(0.25, 0.0), (0.25, -0.25), (0.25j, 0.25j), (0.25 + 1e-9j, 0.25)],
-                             ids=["one_sided", "antisymmetric", "imaginary_not_conjugated", "imaginary_part_off"])
+    @pytest.mark.parametrize("upper, lower", [(0.25, 0.0), (0.25, -0.25), (0.25j, 0.25j), (0.25 + 1e-9j, 0.25),
+                                              (0.25 + 5e-324j, 0.25 + 5e-324j)],
+                             ids=["one_sided", "antisymmetric", "imaginary_not_conjugated", "imaginary_part_off",
+                                  "subnormal_imaginary_not_conjugated"])
     def test_a_stack_that_differs_from_its_conjugate_transpose_is_never_cleared(self, upper, lower):
         # positive definite on either triangle, which is all a Cholesky reads: only the symmetry check stops it
         H = np.array([np.eye(3), np.eye(3)], dtype=np.complex128)
@@ -357,6 +359,10 @@ class TestClearedScreen:
         assert _cleared(H[:1], 1e-8) and not _cleared(H, 1e-8)
         if isinstance(upper, float) and isinstance(lower, float):
             assert not _cleared(H.real.copy(), 1e-8)
+
+    def test_a_1_by_1_stack_with_an_imaginary_part_is_never_cleared(self):
+        H = np.array([[[1.0]], [[1.0 + 5e-324j]]])
+        assert _cleared(H[:1], 1e-8) and not _cleared(H, 1e-8)
 
     def test_one_failing_matrix_keeps_the_stack_uncleared(self):
         H = np.array([np.eye(2), [[1.0, 0.0], [0.0, -1e-3]]], dtype=np.complex128)

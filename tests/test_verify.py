@@ -1077,6 +1077,47 @@ class TestRandomStageScreen:
         assert all(np.array_equal(H, W) for (H, _), W in zip(seen, want))
         assert solved == probes
 
+    @pytest.mark.parametrize("samples", [10, 64])
+    def test_small_budgets_screen_the_random_stacks_in_padded_batches(self, monkeypatch, samples):
+        # the random stage is a section with no probe: at 10 samples per n its eight stacks make one padded batch
+        # of 80 rows; at 64 each two n fill a batch of 8192 entries, screened before the next n's Grams are formed
+        rule, domain, cfg = contiguous_partition_rule(3), Domain.disc(1.0), VerifyConfig(samples_per_n=samples)
+        g, f, N = Identity(), scaled_identity(-0.5), cfg.max_n
+        patterns = {n: rule.pattern(n) for n in range(1, N + 1)}
+        images = [verify._raw_image(g, f, patterns[n].mask, W) for W, n, _, _ in verify._random_battery(domain, cfg)]
+        probes = []
+        for section in verify._battery_sections(domain, patterns, N):
+            probes += [len(W) for W, n, _, _ in section if n >= 2][:1]
+        per_batch = len(images) if samples == 10 else 2
+        want = []
+        for at in range(0, N, per_batch):
+            want += [*range(at + 1, at + per_batch + 1), verify._padded(images[at:at + per_batch], N)]
+        events, solved, real_grams = [], [], verify._random_grams
+
+        def grams_spy(n, domain, cfg):
+            events.append(n)
+            return real_grams(n, domain, cfg)
+
+        def spy(H, tol):
+            events.append((H.copy(), _cleared(H, tol)))
+            return events[-1][1]
+
+        def eig_spy(H):
+            solved.append(len(H))
+            return eig_extremes(H)
+
+        monkeypatch.setattr(verify, "_random_grams", grams_spy)
+        monkeypatch.setattr(verify, "_cleared", spy)
+        monkeypatch.setattr(verify, "eig_extremes", eig_spy)
+        assert verify_preservation(g, f, rule, domain, cfg).outcome == OUTCOME_PRESERVED
+        assert all(event[1] for event in events if not isinstance(event, int))  # every batch, battery or random, clears
+        got = events[events.index(1):]  # the random section, after the battery's
+        # n's Grams are formed only once the full batch before them is screened
+        assert [e if isinstance(e, int) else "screen" for e in got] == [
+            w if isinstance(w, int) else "screen" for w in want]
+        assert all(np.array_equal(e[0], w) for e, w in zip(got, want) if not isinstance(w, int))
+        assert solved == probes  # eigvalsh solves the battery sections' probes alone
+
     def test_below_the_tol_floor_each_random_stack_is_evaluated_once(self, monkeypatch):
         dtypes = []
 
@@ -1147,6 +1188,30 @@ class TestRandomStageScreen:
         assert (ce.family, ce.n, ce.params["w"]) == ("duplicated_pair_gram", 4, 0.6)
         assert results[-2:] == [(6, False), (4, False)]  # its padded batch is not cleared, then the stack alone
         assert screened == self._unscreened(monkeypatch, case)
+
+    @pytest.mark.parametrize("domain", SCREEN_DOMAINS[:2], ids=lambda d: d.kind)
+    def test_an_uncleared_batch_hands_each_stack_its_image(self, monkeypatch, domain):
+        # the refutation above, counted: its padded batch is not cleared, and each stack of it is judged on its
+        # image in that batch, so f is evaluated once on every stack the call fires
+        evaluated, screens = [], []
+
+        class Counted(HerzSeries):
+            def _values(self, Z):
+                if Z.ndim == 3:  # a stack; the conjugate-equivariance check evaluates its probe points first
+                    evaluated.append(Z)
+                return super()._values(Z)
+
+        def spy(H, tol):
+            screens.append((H.shape, _cleared(H, tol)))
+            return screens[-1][1]
+
+        monkeypatch.setattr(verify, "_cleared", spy)
+        f, rule = Counted({(1, 0): 0.5, (8, 0): 0.5}), contiguous_partition_rule(3)
+        verdict = verify_preservation(Identity(), f, rule, domain, VerifyConfig(max_n=6, samples_per_n=40))
+        assert (verdict.counterexample.family, verdict.counterexample.n) == ("duplicated_pair_gram", 4)
+        # the padded batch is not cleared, then the refuting stack's view of it is screened alone
+        assert [(shape[1:], cleared) for shape, cleared in screens[-2:]] == [((6, 6), False), ((4, 4), False)]
+        assert len({id(Z) for Z in evaluated}) == len(evaluated)
 
     @pytest.mark.parametrize("refute_at", [4, None], ids=["refuted_first", "raised"])
     def test_an_error_inside_a_batch_surfaces_in_battery_order(self, monkeypatch, refute_at):
