@@ -7,12 +7,17 @@ rerun with the same seed reproduces the report byte for byte (checked by the
 final criterion itself).  Where the process may run on more than one CPU,
 that rerun runs in a forked child, concurrently with the first body, and
 returns its canonical JSON through a pipe; elsewhere it runs after the
-first body.  Criteria 1-7, 9 and 12 draw all their cases in
-stream order and evaluate each case's own g and f once on its own matrix;
-the settle, the eigen-solve, determinant or Schur complement and the gap
-reductions then run once per stack of same-size cases, through the same
-kernels as ``apply``, ``decompose``, ``mask_factorization`` and
-``schur_complement``.  The suite builds every input inside its domain (the
+first body.  Each criterion reads its stream through ``_Stream``, which
+decodes the integer, uniform, permutation and choice draws from the stream's
+raw words in plain Python, as numpy's ``Generator`` makes them; only the
+normal fills are numpy's own.  Criteria 1-9 and 12 draw all their cases in
+stream order.  Criteria 1-7, 9 and 12 evaluate each case's own g and f once
+on its own matrix; the settle, the eigen-solve, determinant or Schur
+complement and the gap reductions then run once per stack of same-size
+cases, through the same kernels as ``apply``, ``decompose``,
+``mask_factorization`` and ``schur_complement``.  Criterion 8 forms its
+samples per n the same way, then grows and checks each on its own.  The
+suite builds every input inside its domain (the
 samples scaled by ``_into_domain``, the witnesses checked by their
 constructors), so it checks none of them again.  The correlation bound
 (criterion 9) and the peel-one-block recursion (criterion 12) are checked
@@ -91,7 +96,6 @@ from .verify import (
     _into_domain,
     canonical_json,
     refute_scalar_outside_interval,
-    sample_psd,
     verify_preservation,
 )
 from .witnesses import (
@@ -103,11 +107,77 @@ from .witnesses import (
 )
 
 
-def _rng(cfg: VerifyConfig, tag: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, tag])
+class _Stream:
+    """A criterion's private stream ``np.random.default_rng(seed)``, read in order.
+
+    Each method gives the values of the ``Generator`` method of its name and
+    leaves the stream where that method leaves it, decoded in plain Python
+    from the PCG64 words of ``random_raw``.  A 32-bit draw takes the low half
+    of a new word and keeps the high half for the next one, as PCG64's
+    ``next_uint32`` does; ``random`` and the normal fills (numpy's own)
+    read whole words and leave the kept half alone.  The draw helpers below
+    read a numpy ``Generator`` alike.
+    """
+
+    def __init__(self, seed):
+        gen = np.random.default_rng(seed)
+        self._raw, self.standard_normal = gen.bit_generator.random_raw, gen.standard_normal
+        self._kept = None
+
+    def _half(self) -> int:
+        if self._kept is None:
+            word = self._raw()
+            self._kept = word >> 32
+            return word & 0xFFFFFFFF
+        half, self._kept = self._kept, None
+        return half
+
+    def _below(self, m: int) -> int:
+        """Lemire's draw in range(m), 1 <= m <= 2**32, one half a try; nothing is read for m = 1."""
+        if m == 1:
+            return 0
+        x = self._half() * m
+        if x & 0xFFFFFFFF < m:  # the threshold (2**32 - m) % m is below m, so only then can it reject
+            while x & 0xFFFFFFFF < (2**32 - m) % m:
+                x = self._half() * m
+        return x >> 32
+
+    def integers(self, lo: int, hi: int, size: int | None = None):
+        if size is None:
+            return lo + self._below(hi - lo)
+        return [lo + self._below(hi - lo) for _ in range(size)]
+
+    def random(self) -> float:
+        return (self._raw() >> 11) * 2.0**-53
+
+    def permutation(self, n: int) -> list:
+        """Fisher-Yates from the top, each index by masked rejection on halves (``random_interval``)."""
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := self._half() & mask) > i:
+                pass
+            perm[i], perm[j] = perm[j], perm[i]
+        return perm
+
+    def choice(self, n: int, size: int, replace: bool = False) -> list:
+        """Floyd's sample of size of range(n) (numpy's route for n <= 10000), then its shuffle by Lemire."""
+        assert not replace and n <= 10000
+        picked = []
+        for j in range(n - size, n):
+            v = self._below(j + 1)
+            picked.append(j if v in picked else v)
+        for i in range(size - 1, 0, -1):
+            j = self._below(i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
 
 
-def _random_builtin(rng: np.random.Generator, g):
+def _rng(cfg: VerifyConfig, tag: int) -> _Stream:
+    return _Stream([cfg.seed, tag])
+
+
+def _random_builtin(rng: _Stream, g):
     """One of the serializable function variants, seeded."""
     pick = int(rng.integers(0, 5))
     if pick == 0:
@@ -124,22 +194,20 @@ def _random_builtin(rng: np.random.Generator, g):
     return Zero()
 
 
-def _random_pattern(rng: np.random.Generator, n: int):
+def _random_pattern(rng: _Stream, n: int):
     blocks = []
     for _ in range(int(rng.integers(0, 4))):
         size = int(rng.integers(1, min(3, n) + 1))
-        blocks.append(rng.choice(n, size=size, replace=False).tolist())
+        blocks.append(rng.choice(n, size=size, replace=False))
     return normalize(blocks, n)
 
 
-def _partition_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+def _partition_labels(rng: _Stream, n: int, k: int) -> np.ndarray:
     """Group labels of a random partition of range(n) into exactly k nonempty groups."""
-    perm = rng.permutation(n)
-    assign = np.empty(n, dtype=int)
-    assign[perm[:k]] = np.arange(k)
-    if n > k:
-        assign[perm[k:]] = rng.integers(0, k, size=n - k)
-    return assign
+    assign = [0] * n
+    for i, at in enumerate(rng.permutation(n)):
+        assign[at] = i if i < k else int(rng.integers(0, k))
+    return np.array(assign)
 
 
 def _by_n(ns: list[int], *lists: list):
@@ -202,15 +270,15 @@ def _criterion_partition_scalar_interval(cfg: VerifyConfig) -> tuple[bool, dict]
     for k in (2, 3, 4):
         rng = _rng(cfg, 1030 + k)
         f = scaled_identity(float(Fraction(-1, k - 1)))
-        ns, masks, draws = [], [], []
+        ns, labels, draws = [], [], []
         for _ in range(500):
             n = int(rng.integers(k, 9))
-            assign = _partition_labels(rng, n, k)
             ns.append(n)
-            masks.append(assign[:, None] == assign[None, :])  # the mask of the partition's pattern
+            labels.append(_partition_labels(rng, n, k))
             draws.append(_draw(rng, n, dom))
         low = np.empty(500)
-        for at, mask in _by_n(ns, masks):
+        for at, lab in _by_n(ns, labels):
+            mask = lab[:, :, None] == lab[:, None, :]  # the masks of the partitions' patterns
             A = _samples(draws, at, dom)
             low[at] = eig_extremes(_image(mask, A, f.evaluate_array(A)))[0]
         lows += low.tolist()
@@ -369,18 +437,23 @@ def _criterion_mask_factorization(cfg: VerifyConfig) -> tuple[bool, dict]:
 def _criterion_corner_extension(cfg: VerifyConfig) -> tuple[bool, dict]:
     rng = _rng(cfg, 108)
     dom = Domain.open_pos(1.0)
-    ok = True
-    worst_min_eig = math.inf
+    ns, draws = [], []
     for _ in range(100):
         n = int(rng.integers(1, 7))
-        A = sample_psd(rng, n, dom)
-        M, _eps = corner_extend_auto(A, dom)
-        report = is_psd(M, WITNESS_PSD_TOL)
-        worst_min_eig = min(worst_min_eig, report.min_eig)
-        ok = ok and report.is_psd
-        ok = ok and bool(dom.contains_array(M).all())
-        ok = ok and bool(np.array_equal(M[:n, :n], A))
-    return ok, {"cases": 100, "worst_min_eig": float(worst_min_eig)}
+        ns.append(n)
+        draws.append(_draw(rng, n, dom))
+    ok = True
+    lows = np.empty(100)
+    for at, in _by_n(ns):
+        for i, A in zip(at, exact_hermitian(_samples(draws, at, dom))):
+            M, _eps = corner_extend_auto(A, dom)
+            report = is_psd(M, WITNESS_PSD_TOL)
+            lows[i] = report.min_eig
+            ok = ok and report.is_psd
+            ok = ok and bool(dom.contains_array(M).all())
+            ok = ok and bool(np.array_equal(M[:-1, :-1], A))
+    worst = reduce(min, lows.tolist(), math.inf)
+    return ok, {"cases": 100, "worst_min_eig": float(worst)}
 
 
 def _correlations(B: np.ndarray) -> np.ndarray:

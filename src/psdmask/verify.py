@@ -211,8 +211,9 @@ def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray
     needs a new low half and one normal fill for the factors between two
     such words; a fill of a + b values equals a fill of a then one of b, so
     every value is the one ``sample_psd`` draws.  The stream is private to
-    this function; a caller's generator (``sample_psd``, the suite) keeps
-    ``rng.integers``, so that its kept half stays numpy's own.
+    this function; a caller's generator (``sample_psd``) keeps
+    ``rng.integers``, so that its kept half stays numpy's own.  The suite's
+    streams are private too, and ``suite._Stream`` reads them the same way.
     """
     rng = np.random.default_rng([int(cfg.seed), _RANDOM_GRAM_STREAM, int(n)])
     parts, count = (2 if domain.kind == DISC else 1), cfg.samples_per_n

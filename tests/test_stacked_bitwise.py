@@ -34,7 +34,7 @@ from psdmask.patterns import (
     normalize,
     overlapping_chain_rule,
 )
-from psdmask.suite import _partition_labels, _random_pattern
+from psdmask.suite import _partition_labels, _random_pattern, _Stream
 from psdmask.verify import (
     VerifyConfig,
     _draw,
@@ -434,6 +434,18 @@ def _random_partition_reference(rng, n, k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_label_masks_match_partition_pattern_masks(k):
     labelling, partitioning = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(50):
+        for n in range(k, 9):
+            assign = _partition_labels(labelling, n, k)
+            want = _random_partition_reference(partitioning, n, k).mask
+            assert _same_mask(assign[:, None] == assign[None, :], want), f"n={n}"
+    assert labelling.random() == partitioning.random()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_stream_label_masks_match_partition_pattern_masks(k):
+    """The labels as the suite draws them, through its raw-word reader of the same stream."""
+    labelling, partitioning = _Stream(k), np.random.default_rng(k)
     for _ in range(50):
         for n in range(k, 9):
             assign = _partition_labels(labelling, n, k)

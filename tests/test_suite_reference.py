@@ -1,18 +1,22 @@
 """The stacked acceptance criteria against copies of their one-matrix-at-a-time form.
 
 Each ``_reference_*`` function below is the criterion as it ran before its
-cases were stacked per n: every case (for criterion 2, every slope) goes
+cases were stacked per n, drawing from numpy's own ``Generator`` on the
+criterion's stream, not through the suite's raw-word reader: every sample is
+drawn by ``sample_psd``, every case (for criterion 2, every slope) goes
 through the public ``apply``, ``decompose``, ``mask_factorization`` and
-``schur_complement`` on its own matrix, criteria 4 and 5 evaluate g and f at
-the witness's scalars one call at a time, and criteria 9 and 12 go through
-copies of the one-matrix checks they used (``_correlation_bound_check`` and
-``_induction_step_check`` below).  The record the suite builds from the
-stacked check, under its ``_CRITERIA`` row's id and name, must be the same
-record, compared as ``canonical_json`` bytes, at more seeds than
-``suite_bytes.json`` pins.  Since the records of criteria 9 and 12 carry only
-pass/fail for those checks, the stacked checks are also compared verdict by
-verdict with the one-matrix copies, on the suite's draws and on inputs that
-fail.
+``schur_complement`` on its own matrix, criterion 3 labels its partitions by ``_partition_labels``
+on the ``Generator``, criteria 4 and 5 evaluate g and f at the witness's
+scalars one call at a time, criterion 8 grows one sample at a time, and
+criteria 9 and 12 go through copies of the one-matrix checks they used
+(``_correlation_bound_check`` and ``_induction_step_check`` below).  The
+record the suite builds from the stacked check, under its ``_CRITERIA`` row's
+id and name, must be the same record, compared as ``canonical_json`` bytes,
+at more seeds than ``suite_bytes.json`` pins.  Since the records of criteria
+9 and 12 carry only pass/fail for those checks, the stacked checks are also
+compared verdict by verdict with the one-matrix copies, on the suite's draws
+and on inputs that fail.  ``TestStream`` checks the reader itself against
+the ``Generator``, value by value and to the stream position.
 """
 
 import math
@@ -20,17 +24,34 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdmask import suite
 from psdmask.functions import Domain, HerzMonomial, Identity, ScalarMultiple, scaled_identity
-from psdmask.linalg import all_ones, eig_extremes, exact_hermitian, identity, kron, psd_holds, schur_complement
+from psdmask.linalg import (
+    all_ones,
+    eig_extremes,
+    exact_hermitian,
+    identity,
+    is_psd,
+    kron,
+    psd_holds,
+    schur_complement,
+    schur_product,
+)
 from psdmask.operators import OperatorSpec, apply, decompose, mask_factorization, star_pattern
-from psdmask.patterns import normalize
-from psdmask.suite import _random_builtin, _random_pattern, _rng
-from psdmask.verify import VerifyConfig, canonical_json, sample_psd
-from psdmask.witnesses import duplicated_pair_gram, overlap_probe
+from psdmask.patterns import contiguous_partition_rule, normalize
+from psdmask.suite import _partition_labels, _random_builtin, _random_pattern, _Stream
+from psdmask.verify import VerifyConfig, canonical_json, refute_scalar_outside_interval, sample_psd, verify_preservation
+from psdmask.witnesses import WITNESS_PSD_TOL, corner_extend_auto, duplicated_pair_gram, overlap_probe
 
 SEEDS = [0, 1, 2, 3, 7919]
+
+
+def _rng(cfg, tag):
+    """The criterion's stream as numpy's own Generator."""
+    return np.random.default_rng([cfg.seed, tag])
 
 
 def _sample_correlation(rng, n):
@@ -124,6 +145,23 @@ def _induction_draws(cfg):
         yield c, k, A, sizes
 
 
+def _reference_schur_closure(cfg):
+    rng = _rng(cfg, 101)
+    dom = Domain.disc(1.0)
+    worst = math.inf
+    for _ in range(1000):
+        n = int(rng.integers(1, 9))
+        A = sample_psd(rng, n, dom)
+        B = sample_psd(rng, n, dom)
+        worst = min(worst, eig_extremes(schur_product(A, B))[0])
+    return {
+        "id": 1,
+        "name": "schur-product-closure",
+        "passed": bool(worst >= -1e-8),
+        "measured": {"pairs": 1000, "worst_min_eig": float(worst), "bound": -1e-8},
+    }
+
+
 def _reference_star_all_ones_law(cfg):
     dom = Domain.disc(math.inf)
     xs = (0.1, 0.5, 0.9)
@@ -149,6 +187,42 @@ def _reference_star_all_ones_law(cfg):
         "name": "star-all-ones-eigenvalue-law",
         "passed": bool(max_dev <= 1e-10 and mismatches == 0),
         "measured": {"max_eigenvalue_deviation": max_dev, "interval_mismatches": mismatches},
+    }
+
+
+def _reference_partition_scalar_interval(cfg):
+    dom = Domain.disc(1.0)
+    worst = math.inf
+    for k in (2, 3, 4):
+        rng = _rng(cfg, 1030 + k)
+        f = scaled_identity(float(Fraction(-1, k - 1)))
+        for _ in range(500):
+            n = int(rng.integers(k, 9))
+            assign = _partition_labels(rng, n, k)
+            pattern = normalize([np.flatnonzero(assign == j) for j in range(k)], n)
+            A = sample_psd(rng, n, dom)
+            worst = min(worst, eig_extremes(apply(OperatorSpec(f=f, pattern=pattern, domain=dom), A))[0])
+    refuted = True
+    max_dev = 0.0
+    battery_only = VerifyConfig(max_n=8, samples_per_n=0, seed=cfg.seed, tol=cfg.tol)
+    for k in (2, 3, 4):
+        c_out = Fraction(-1, k - 1) - Fraction(1, 20)
+        rule = contiguous_partition_rule(k)
+        ce = refute_scalar_outside_interval(rule, k, c_out, dom).counterexample
+        refuted = refuted and ce.family == "all_ones"
+        max_dev = max(max_dev, abs(ce.min_eig - (1.0 + (k - 1) * float(c_out)) * ce.params["x"]))
+        bce = verify_preservation(Identity(), scaled_identity(float(c_out)), rule, dom, battery_only).counterexample
+        refuted = refuted and bce.family == "all_ones" and bce.n == k
+        max_dev = max(max_dev, abs(bce.min_eig - (1.0 + (k - 1) * float(c_out)) * bce.params["x"]))
+    return {
+        "id": 3,
+        "name": "partition-scalar-interval",
+        "passed": bool(worst >= -1e-8 and refuted and max_dev <= 1e-10),
+        "measured": {
+            "sufficiency_worst_min_eig": float(worst),
+            "necessity_refuted": bool(refuted),
+            "necessity_eigenvalue_deviation": float(max_dev),
+        },
     }
 
 
@@ -269,6 +343,26 @@ def _reference_mask_factorization(cfg):
     }
 
 
+def _reference_corner_extension(cfg):
+    rng = _rng(cfg, 108)
+    dom = Domain.open_pos(1.0)
+    ok = True
+    worst = math.inf
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        A = sample_psd(rng, n, dom)
+        M, _eps = corner_extend_auto(A, dom)
+        report = is_psd(M, WITNESS_PSD_TOL)
+        worst = min(worst, report.min_eig)
+        ok = ok and report.is_psd and bool(dom.contains_array(M).all()) and bool(np.array_equal(M[:n, :n], A))
+    return {
+        "id": 8,
+        "name": "positive-corner-extension",
+        "passed": bool(ok),
+        "measured": {"cases": 100, "worst_min_eig": float(worst)},
+    }
+
+
 def _reference_correlation_bound(cfg):
     ok = True
     worst = math.inf
@@ -299,11 +393,14 @@ def _reference_induction_step(cfg):
 
 
 PAIRS = {
+    1: (_reference_schur_closure, suite._criterion_schur_closure),
     2: (_reference_star_all_ones_law, suite._criterion_star_all_ones_law),
+    3: (_reference_partition_scalar_interval, suite._criterion_partition_scalar_interval),
     4: (_reference_chain_determinant, suite._criterion_chain_determinant),
     5: (_reference_split_pair_complement, suite._criterion_split_pair_complement),
     6: (_reference_decomposition, suite._criterion_decomposition),
     7: (_reference_mask_factorization, suite._criterion_mask_factorization),
+    8: (_reference_corner_extension, suite._criterion_corner_extension),
     9: (_reference_correlation_bound, suite._criterion_correlation_bound),
     12: (_reference_induction_step, suite._criterion_induction_step),
 }
@@ -379,3 +476,90 @@ def test_stacked_induction_verdicts_match(seed):
         assert got.tolist() == want
         verdicts += want
     assert verdicts.count(False) == len(failing)
+
+
+# one draw, as the suite's criteria call it: (method, args), each value read as the suite reads it
+_DRAWS = st.one_of(
+    st.tuples(st.just("integers"), st.integers(-5, 5), st.integers(1, 2**32)),
+    st.tuples(st.just("integers_size"), st.integers(-5, 5), st.integers(1, 9), st.integers(0, 5)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("permutation"), st.integers(1, 8)),
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(1, n))),
+    st.tuples(st.just("standard_normal"), st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)),
+)
+
+
+def _drawn(rng, draw):
+    """One draw's value as the suite reads it: integers through ``int``, a float as it
+    comes, a normal fill as its array's type, shape and bytes."""
+    name, *args = draw
+    if name == "integers":
+        lo, span = args
+        return int(rng.integers(lo, lo + span))
+    if name == "integers_size":
+        lo, span, size = args
+        return [int(v) for v in rng.integers(lo, lo + span, size=size)]
+    if name == "random":
+        value = rng.random()
+        return type(value), value
+    if name == "permutation":
+        return [int(v) for v in rng.permutation(*args)]
+    if name == "choice":
+        n, size = args
+        return [int(v) for v in rng.choice(n, size=size, replace=False)]
+    value = rng.standard_normal(*args)
+    return type(value), value.dtype, value.shape, value.tobytes()
+
+
+def _same_position(stream, gen):
+    """Both read the same half next (a kept one, or the low half of the same next word), then the same word."""
+    assert stream.integers(0, 2**32) == int(gen.integers(0, 2**32))
+    assert stream._raw() == gen.bit_generator.random_raw()
+
+
+class TestStream:
+    """``suite._Stream`` against numpy's ``Generator`` on the same seed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(_DRAWS, max_size=30))
+    def test_matches_the_generator_draw_by_draw(self, seed, draws):
+        stream, gen = _Stream([seed, 7]), np.random.default_rng([seed, 7])
+        for draw in draws:
+            assert _drawn(stream, draw) == _drawn(gen, draw), draw
+        _same_position(stream, gen)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_range_of_one_reads_nothing(self, seed):
+        stream, gen = _Stream([seed]), np.random.default_rng([seed])
+        assert stream.integers(3, 4) == 3
+        stream.integers(0, 10)  # keeps a high half
+        assert stream.integers(-2, -1) == -2
+        assert stream.integers(0, 1, size=3) == [0, 0, 0]
+        gen.integers(0, 10)
+        _same_position(stream, gen)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_choice_of_every_element(self, seed, n):
+        stream, gen = _Stream([seed]), np.random.default_rng([seed])
+        for size in (n, 2) if n >= 2 else (n,):
+            assert stream.choice(n, size=size, replace=False) == gen.choice(n, size=size, replace=False).tolist()
+        assert stream.choice(2, size=2, replace=False) == gen.choice(2, size=2, replace=False).tolist()
+        _same_position(stream, gen)
+
+    def test_lemires_rejection_runs_near_two_to_the_32(self):
+        stream, gen = _Stream([0]), np.random.default_rng([0])
+        words = []
+        raw = stream._raw
+        stream._raw = lambda: words.append(None) or raw()
+        got = [stream.integers(0, 3 * 2**30) for _ in range(400)]
+        assert got == gen.integers(0, 3 * 2**30, size=400).tolist()
+        assert len(words) > 200 + 20  # 400 halves fill 200 words; a quarter of tries is rejected
+        _same_position(stream, gen)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_normal_fill_leaves_the_kept_half(self, seed):
+        stream, gen = _Stream([seed]), np.random.default_rng([seed])
+        draws = [("integers", 0, 1000), ("standard_normal", (2, 3)), ("integers", 0, 1000), ("random",)]
+        assert [_drawn(stream, d) for d in draws] == [_drawn(gen, d) for d in draws]
+        _same_position(stream, gen)
