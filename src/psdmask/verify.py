@@ -136,10 +136,23 @@ def _draw(rng: np.random.Generator, n: int, domain: Domain, rank: int | None = N
     return rng.standard_normal((2 if domain.kind == DISC else 1, n, rank))
 
 
+def _real_factor(X: np.ndarray, domain: Domain) -> np.ndarray:
+    """A real domain's factor entries from their Gaussian draws X: as drawn over (-rho, rho), their
+    absolute values over [0, rho), shifted by 0.01 over (0, rho)."""
+    if domain.kind == OPEN_SYM:
+        return X
+    B = np.abs(X)
+    if domain.kind == OPEN_POS:
+        B += 0.01
+    return B
+
+
 def _formed(flat: np.ndarray, ranks: list, n: int, domain: Domain) -> np.ndarray:
     """The unsettled Grams (k, n, n), one gather and one matmul per rank, of k samples whose
     factor draws lie end to end in flat, each (parts, n, rank) as ``_draw`` fills it; complex
-    over the disc and real elsewhere."""
+    over the disc and real elsewhere.  A small real random stage is formed as one zero-padded
+    product per screening batch instead (``_random_battery``), whose leading blocks float64 matmul
+    gives the bits of these per-rank products; complex128 matmul does not."""
     parts = 2 if domain.kind == DISC else 1
     by_sample = np.array(ranks, dtype=np.intp)
     offsets = parts * n * (by_sample.cumsum() - by_sample)
@@ -147,14 +160,7 @@ def _formed(flat: np.ndarray, ranks: list, n: int, domain: Domain) -> np.ndarray
     for rank in set(ranks):
         at = np.flatnonzero(by_sample == rank)
         X = flat[offsets[at, None] + np.arange(parts * n * rank)].reshape(len(at), parts, n, rank)
-        if domain.kind == DISC:
-            B = X[:, 0] + 1j * X[:, 1]
-        elif domain.kind == OPEN_SYM:
-            B = X[:, 0]
-        else:
-            B = np.abs(X[:, 0])
-            if domain.kind == OPEN_POS:
-                B = B + 0.01
+        B = X[:, 0] + 1j * X[:, 1] if domain.kind == DISC else _real_factor(X[:, 0], domain)
         grams[at] = B @ np.swapaxes(B.conj(), -1, -2)
     return grams
 
@@ -197,8 +203,8 @@ def sample_psd(rng: np.random.Generator, n: int, domain: Domain, rank: int | Non
     return exact_hermitian(_into_domain(_grams([_draw(rng, n, domain, rank)], domain), domain)[0])
 
 
-def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray, list]:
-    """The unsettled Grams (samples_per_n, n, n) of n's random samples, and their ranks.
+def _random_draws(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray, list]:
+    """The factor draws of n's random samples, end to end as ``_formed`` reads them, and their ranks.
 
     Sample s is rank one when s is even or ``rank_one_only`` holds; otherwise
     its rank is drawn in 1..n just before its factor, as ``rng.integers(1,
@@ -237,6 +243,12 @@ def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray
         grow = step * (rank + (s + 1 < count))  # the factors of s and s + 1
         size, end = size + grow, end + grow
     fill(out=flat[end - size:end])
+    return flat[:end], ranks
+
+
+def _random_grams(n: int, domain: Domain, cfg: VerifyConfig) -> tuple[np.ndarray, list]:
+    """The unsettled Grams (samples_per_n, n, n) of n's random samples by ``_formed``, and their ranks."""
+    flat, ranks = _random_draws(n, domain, cfg)
     return _formed(flat, ranks, n, domain), ranks
 
 
@@ -244,17 +256,44 @@ def _sample_params(ranks: list, start: int, j: int) -> dict:
     return {"sample_index": start + j, "rank": ranks[start + j]}
 
 
+def _random_families(k: int) -> _Families:
+    return _Families(itertools.repeat("random_gram", k), {"random_gram": k})
+
+
 def _random_battery(domain: Domain, cfg: VerifyConfig):
-    """Yield (stack, n, family per matrix, params), ``_stack_rows(n)`` samples a stack: each n's
-    samples drawn and formed at once by ``_random_grams``, each stack settled on its own."""
-    for n in range(1, cfg.max_n + 1):
-        grams, ranks = _random_grams(n, domain, cfg)
-        rows = _stack_rows(n)
-        for start in range(0, cfg.samples_per_n, rows):
-            W = _into_domain(grams[start:start + rows], domain)
-            families = _Families(itertools.repeat("random_gram", len(W)), {"random_gram": len(W)})
-            yield W, n, families, partial(_sample_params, ranks, start)
-        del grams  # the next n's Grams are formed without this n's held (392 kB at n = 7 on the disc)
+    """Yield (stack, n, family per matrix, params), ``_stack_rows(n)`` samples a stack, each n's
+    samples drawn at once by ``_random_draws``; nothing, and no stream, at 0 samples per n.
+
+    Where two n's stacks fit one ``_section_hits`` batch (2 samples_per_n max_n^2 <= ``STACK_ENTRIES``)
+    on a real domain, the n of each batch are formed at once: their factors scattered in stream order
+    into one zero-padded (k, max_n, max_n) stack P, whose Grams P P^T are settled at once, each n's
+    stack the [rows, :n, :n] view.  The padding adds exact zeros to each entry's sum, and float64
+    matmul then gives each leading block the bits of ``_formed``'s per-rank products
+    (``test_padded_real_gram_blocks_match_per_rank_products``); complex128 matmul does not, so the
+    disc, like every larger budget, forms each n by ``_formed`` and settles each stack on its own."""
+    k, N = cfg.samples_per_n, cfg.max_n
+    if k == 0:
+        return
+    per = STACK_ENTRIES // (k * N * N)  # the n whose stacks fill one batch
+    if domain.kind == DISC or per < 2:
+        for n in range(1, N + 1):
+            grams, ranks = _random_grams(n, domain, cfg)
+            rows = _stack_rows(n)
+            for start in range(0, k, rows):
+                W = _into_domain(grams[start:start + rows], domain)
+                yield W, n, _random_families(len(W)), partial(_sample_params, ranks, start)
+            del grams  # the next n's Grams are formed without this n's held (392 kB at n = 7 on the disc)
+        return
+    index = np.arange(N)
+    for first in range(1, N + 1, per):
+        ns = range(first, min(first + per, N + 1))
+        draws = [_random_draws(n, domain, cfg) for n in ns]
+        sizes, ranks = np.repeat(ns, k)[:, None, None], np.ravel([r for _, r in draws])[:, None, None]
+        P = np.zeros((len(ns) * k, N, N))
+        P[(index[:, None] < sizes) & (index < ranks)] = _real_factor(np.concatenate([f for f, _ in draws]), domain)
+        M = _into_domain(P @ np.swapaxes(P, -1, -2), domain)
+        for j, (n, (_, drawn)) in enumerate(zip(ns, draws)):
+            yield M[j * k:(j + 1) * k, :n, :n], n, _random_families(k), partial(_sample_params, drawn, 0)
 
 
 # -- deterministic parameter grids ----------------------------------------------

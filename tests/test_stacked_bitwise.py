@@ -198,21 +198,32 @@ def _stack_count(cfg):
     return sum(math.ceil(cfg.samples_per_n / _stack_rows(n)) for n in range(1, cfg.max_n + 1))
 
 
-# the stream's edge cases, in both rank modes: no samples, no drawn rank (1), one drawn rank whose word's
-# kept half goes unused (2, 3), a last drawn rank with no sample after it (2, 4) and a partial last stack
-# (171 = 163 + 8 at n = 5; 151 fits one stack at every n)
+# the stream's edge cases, in both rank modes: no samples (and no stream made), no drawn rank (1), one drawn
+# rank whose word's kept half goes unused (2, 3), a last drawn rank with no sample after it (2, 4) and a partial
+# last stack (171 = 163 + 8 at n = 5; 151 fits one stack at every n).  Up to 163 samples at max_n 5 the real
+# domains form each batch's n's as one zero-padded stack; so do 10 and 64 samples at max_n 8, 65 does not
 _STREAM_CONFIGS = {"samples150": VerifyConfig(max_n=5, samples_per_n=150, seed=4),
                    **{f"samples{k}{'_rank_one_only' if one else ''}":
                       VerifyConfig(max_n=5, samples_per_n=k, seed=4 + k, rank_one_only=one)
-                      for k in (0, 1, 2, 3, 4, 151, 171) for one in (False, True)}}
+                      for k in (0, 1, 2, 3, 4, 151, 171) for one in (False, True)},
+                   **{f"max_n8_samples{k}{'_rank_one_only' if one else ''}":
+                      VerifyConfig(max_n=8, samples_per_n=k, seed=8 + k, rank_one_only=one)
+                      for k in (10, 64, 65) for one in (False, True)}}
 
 
 @pytest.mark.parametrize("cfg", _STREAM_CONFIGS.values(), ids=_STREAM_CONFIGS)
 @pytest.mark.parametrize("dom", [Domain.disc(1.0), Domain.disc(), Domain.open_sym(2.0),
-                                 Domain.half_open_nonneg(1.0), Domain.open_pos(1.0)],
-                         ids=["disc", "disc_inf", "open_sym", "half_open_nonneg", "open_pos"])
-def test_random_battery_matches_sample_psd_one_at_a_time(dom, cfg):
-    stacks = list(_random_battery(dom, cfg))
+                                 Domain.half_open_nonneg(1.0), Domain.open_pos(1.0),
+                                 *(make(rho) for make in (Domain.open_sym, Domain.half_open_nonneg, Domain.open_pos)
+                                   for rho in (1e-300, math.inf))],
+                         ids=["disc", "disc_inf", "open_sym", "half_open_nonneg", "open_pos",
+                              *(f"{kind}_{rho}" for kind in ("open_sym", "half_open_nonneg", "open_pos")
+                                for rho in ("tiny", "inf"))])
+def test_random_battery_matches_sample_psd_one_at_a_time(monkeypatch, dom, cfg):
+    with monkeypatch.context() as spied:
+        if cfg.samples_per_n == 0:
+            spied.setattr(verify.np.random, "default_rng", lambda *args: pytest.fail(f"stream {args} made"))
+        stacks = list(_random_battery(dom, cfg))
     assert len(stacks) == _stack_count(cfg)
     for n in range(1, cfg.max_n + 1):
         rng = _stream(cfg.seed, n)
@@ -301,11 +312,43 @@ def test_grams_match_gram_reference_on_one_stream(kind, rho, given_rank):
             assert _same_bits(stacked[j], old[i]), f"n={n} draw {i}"
 
 
+@pytest.mark.parametrize("factor", ["gaussian", "abs_plus_0.01"])
+def test_padded_real_gram_blocks_match_per_rank_products(rng, factor):
+    """The fact a small real random stage's padded route rests on: factors (k, n, rank) zero-padded into
+    (k, size, size), their real P P^T holds in each leading n x n block the bits of the per-rank product
+    B B^T that ``_formed`` makes, for every n <= size <= 8 and rank <= n."""
+    for size in SIZES:
+        for n in range(1, size + 1):
+            for rank in range(1, n + 1):
+                B = rng.standard_normal((40, n, rank))
+                if factor != "gaussian":
+                    B = np.abs(B) + 0.01
+                P = np.zeros((len(B), size, size))
+                P[:, :n, :rank] = B
+                padded = (P @ np.swapaxes(P, -1, -2))[:, :n, :n]
+                assert _same_bits(padded, B @ np.swapaxes(B.conj(), -1, -2)), f"size={size} n={n} rank={rank}"
+
+
+def test_padded_complex_gram_blocks_do_not_match_so_the_disc_forms_each_n_alone(rng):
+    """The same padding in complex128 moves bits of the per-rank products: at size 8 some n's blocks
+    differ (n in {2, 3, 5, 6, 7} with numpy 2.4 on OpenBLAS 0.3.31), so the disc keeps ``_formed``."""
+    differs = set()
+    for n in SIZES:
+        for rank in range(1, n + 1):
+            B = rng.standard_normal((40, n, rank)) + 1j * rng.standard_normal((40, n, rank))
+            P = np.zeros((len(B), 8, 8), dtype=complex)
+            P[:, :n, :rank] = B
+            padded = (P @ np.swapaxes(P.conj(), -1, -2))[:, :n, :n]
+            if not _same_bits(padded, B @ np.swapaxes(B.conj(), -1, -2)):
+                differs.add(n)
+    assert differs, "complex padded blocks keep the per-rank bits on this build; the disc's exclusion is then unneeded"
+
+
 # partial, single, exactly full and one-past-full stacks (256 and 257 at n = 4, 64 and 65 at n = 8; 63-65 stay,
-# one stack at n <= 4), no samples at all, and n = 1 alone, in both rank modes
+# one stack at n <= 4), no samples at all, n = 1 alone and a small max_n 8 stage (10), in both rank modes
 _EDGE_CONFIGS = {f"max_n{m}_samples{k}{'_rank_one_only' if one else ''}":
                  VerifyConfig(max_n=m, samples_per_n=k, seed=29 + k, rank_one_only=one)
-                 for m, ks in ((4, (0, 1, 2, 63, 64, 65, 255, 256, 257)), (8, (64, 65)), (1, (131,)))
+                 for m, ks in ((4, (0, 1, 2, 63, 64, 65, 255, 256, 257)), (8, (10, 64, 65)), (1, (131,)))
                  for k in ks for one in (False, True)}
 
 

@@ -1080,23 +1080,16 @@ class TestRandomStageScreen:
     @pytest.mark.parametrize("samples", [10, 64])
     def test_small_budgets_screen_the_random_stacks_in_padded_batches(self, monkeypatch, samples):
         # the random stage is a section with no probe: at 10 samples per n its eight stacks make one padded batch
-        # of 80 rows; at 64 each two n fill a batch of 8192 entries, screened before the next n's Grams are formed
-        rule, domain, cfg = contiguous_partition_rule(3), Domain.disc(1.0), VerifyConfig(samples_per_n=samples)
+        # of 80 rows; at 64 each two n fill a batch of 8192 entries, screened before the next n's factors are
+        # drawn, on the disc (each n formed alone) and on a real domain (each batch's n's formed at once)
+        rule, cfg = contiguous_partition_rule(3), VerifyConfig(samples_per_n=samples)
         g, f, N = Identity(), scaled_identity(-0.5), cfg.max_n
         patterns = {n: rule.pattern(n) for n in range(1, N + 1)}
-        images = [verify._raw_image(g, f, patterns[n].mask, W) for W, n, _, _ in verify._random_battery(domain, cfg)]
-        probes = []
-        for section in verify._battery_sections(domain, patterns, N):
-            probes += [len(W) for W, n, _, _ in section if n >= 2][:1]
-        per_batch = len(images) if samples == 10 else 2
-        want = []
-        for at in range(0, N, per_batch):
-            want += [*range(at + 1, at + per_batch + 1), verify._padded(images[at:at + per_batch], N)]
-        events, solved, real_grams = [], [], verify._random_grams
+        events, solved, real_draws = [], [], verify._random_draws
 
-        def grams_spy(n, domain, cfg):
+        def draws_spy(n, domain, cfg):
             events.append(n)
-            return real_grams(n, domain, cfg)
+            return real_draws(n, domain, cfg)
 
         def spy(H, tol):
             events.append((H.copy(), _cleared(H, tol)))
@@ -1106,17 +1099,31 @@ class TestRandomStageScreen:
             solved.append(len(H))
             return eig_extremes(H)
 
-        monkeypatch.setattr(verify, "_random_grams", grams_spy)
-        monkeypatch.setattr(verify, "_cleared", spy)
-        monkeypatch.setattr(verify, "eig_extremes", eig_spy)
-        assert verify_preservation(g, f, rule, domain, cfg).outcome == OUTCOME_PRESERVED
-        assert all(event[1] for event in events if not isinstance(event, int))  # every batch, battery or random, clears
-        got = events[events.index(1):]  # the random section, after the battery's
-        # n's Grams are formed only once the full batch before them is screened
-        assert [e if isinstance(e, int) else "screen" for e in got] == [
-            w if isinstance(w, int) else "screen" for w in want]
-        assert all(np.array_equal(e[0], w) for e, w in zip(got, want) if not isinstance(w, int))
-        assert solved == probes  # eigvalsh solves the battery sections' probes alone
+        for domain in (Domain.disc(1.0), Domain.open_pos(1.0)):
+            stacks = verify._random_battery(domain, cfg)
+            images = [verify._raw_image(g, f, patterns[n].mask, W) for W, n, _, _ in stacks]
+            probes = []
+            for section in verify._battery_sections(domain, patterns, N):
+                probes += [len(W) for W, n, _, _ in section if n >= 2][:1]
+            per_batch = len(images) if samples == 10 else 2
+            want = []
+            for at in range(0, N, per_batch):
+                want += [*range(at + 1, at + per_batch + 1), verify._padded(images[at:at + per_batch], N)]
+            with monkeypatch.context() as spied:
+                spied.setattr(verify, "_random_draws", draws_spy)
+                spied.setattr(verify, "_cleared", spy)
+                spied.setattr(verify, "eig_extremes", eig_spy)
+                assert verify_preservation(g, f, rule, domain, cfg).outcome == OUTCOME_PRESERVED
+            # every batch, battery or random, clears
+            assert all(event[1] for event in events if not isinstance(event, int))
+            got = events[events.index(1):]  # the random section, after the battery's
+            # n's factors are drawn only once the full batch before them is screened
+            assert [e if isinstance(e, int) else "screen" for e in got] == [
+                w if isinstance(w, int) else "screen" for w in want], domain
+            assert all(np.array_equal(e[0], w) for e, w in zip(got, want) if not isinstance(w, int))
+            assert solved == probes  # eigvalsh solves the battery sections' probes alone
+            events.clear()
+            solved.clear()
 
     def test_below_the_tol_floor_each_random_stack_is_evaluated_once(self, monkeypatch):
         dtypes = []
