@@ -521,35 +521,41 @@ def _raw_image(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: 
     return np.where(mask, g._stack_values(W), f._stack_values(W))
 
 
+def _complex_form(W: np.ndarray) -> np.ndarray:
+    """The stack W as it is judged: a float64 one's ``exact_hermitian``, a complex one itself."""
+    return exact_hermitian(W) if W.dtype.kind == "f" else W
+
+
 def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray, W: np.ndarray,
-                   tol: float, screened: bool = False, H: np.ndarray | None = None) -> tuple[int, float] | None:
+                   tol: float, screened: bool = False, H: np.ndarray | None = None,
+                   real: bool = False) -> tuple[int, float] | None:
     """Index and min eigenvalue of the first matrix of the stack W whose image (g where the mask
     holds, f elsewhere) fails the PSD test, or None; each matrix is judged bit for bit as alone.
 
-    The image is ``_raw_image``, unless H is it already.  A screened stack passes when
-    ``linalg._cleared`` clears that image (a float64 one settles to its exact complex form's
-    entries, signs of zero aside); any other is settled and decided by ``eig_extremes`` as that
-    complex form, whose signs of zero ``eigvalsh`` reads.  If a stack raises, its matrices are
-    checked again one at a time, so an error surfaces at its own matrix and only when no earlier
-    matrix refutes.
+    A screened stack passes when ``linalg._cleared`` clears its image, H if given.  A float64
+    stack is screened on ``_raw_image`` of itself, and so, with real, is a complex one on its real
+    part: real says its imaginary parts are all zero and g and f are exact built-ins, whose
+    float64 image then settles to the complex one's entries, signs of zero aside.  Any other stack
+    is screened on its own image.  A stack not cleared is settled and decided by ``eig_extremes``
+    on the image of its complex form (``_complex_form``), evaluated again where the screen's was
+    real; ``eigvalsh`` reads its signs of zero.  If a stack raises, its matrices are checked again
+    one at a time, so an error surfaces at its own matrix and only when no earlier matrix refutes.
     """
     screened = screened and tol >= _screen_floor(W.shape[-1])
-    if W.dtype.kind == "f" and not screened:
-        W = exact_hermitian(W)
+    real = screened and (real or W.dtype.kind == "f")  # screened on W's real part, judged on its complex form
     try:
         if H is None:
-            H = _raw_image(g, f, mask, W)
+            H = _raw_image(g, f, mask, W.real if real else _complex_form(W))
         if screened and _cleared(H, tol):
             return None
-        if W.dtype.kind == "f":
-            W = exact_hermitian(W)
-            H = _raw_image(g, f, mask, W)
+        if real:
+            H = _raw_image(g, f, mask, _complex_form(W))
         lo, hi = eig_extremes(_settle_hermitian(H))
     except Exception:  # g and f may raise anything; the rerun raises it in battery order
         if len(W) == 1:
             raise
         for j in range(len(W)):
-            hit = _first_failure(g, f, mask, W[j:j + 1], tol, screened)
+            hit = _first_failure(g, f, mask, W[j:j + 1], tol, screened, real=real)
             if hit is not None:
                 return j, hit[1]
         return None
@@ -560,11 +566,15 @@ def _first_failure(g: PreserverFunction, f: PreserverFunction, mask: np.ndarray,
     return j, float(lo[j])
 
 
-def _padded(images: list, size: int) -> np.ndarray:
-    """The stacks of images, each (k, n, n) with n <= size, as one (sum of k, size, size) stack:
-    each matrix in the leading n x n block of its slot, whose rest is the identity."""
-    P = np.zeros((sum(map(len, images)), size, size), dtype=np.result_type(*images))
-    P[:, range(size), range(size)] = 1.0
+def _padded(images, size: int, rows: int | None = None, dtype=None) -> np.ndarray:
+    """The stacks of images, each (k, n, n) with n <= size, as one (rows, size, size) stack of
+    dtype: each matrix in the leading n x n block of its slot, whose rest is the identity.  Each
+    image is written into its slot as it is drawn, so an iterator of them, given rows and dtype,
+    holds one at a time; a list's rows and dtype default to its total length and result type."""
+    if rows is None:
+        rows, dtype = sum(map(len, images)), np.result_type(*images)
+    P = np.zeros((rows, size, size), dtype=dtype)
+    P.reshape(rows, -1)[:, ::size + 1] = 1.0  # each slot's diagonal
     at = 0
     for H in images:
         P[at:at + len(H), :H.shape[-1], :H.shape[-1]] = H
@@ -573,22 +583,27 @@ def _padded(images: list, size: int) -> np.ndarray:
 
 
 def _section_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, stacks, tol: float, max_n: int,
-                  probe: bool = True):
+                  probe: bool = True, real: bool = False):
     """Yield each stack of one section with its ``_first_failure``, None where it passes.
 
     In a section with a probe, each 1 x 1 stack before its first stack at an n >= 2, the probe,
     is screened alone, and the probe is solved unscreened.  Every other stack joins a batch of at
     most ``STACK_ENTRIES`` entries padded to max_n x max_n, judged when the next stack does not
     fit, or when full, before the next stack is drawn.  One ``_cleared`` call may clear a batch of
-    several stacks; any other batch goes to ``_first_failure`` stack by stack, each image a view
-    of the padded batch.  Below ``_screen_floor(max_n)`` each batch is one stack.  An error that
-    ends the section is raised once the stacks before it are judged.
+    several stacks, its images written into the padded batch one stack at a time; any other batch
+    goes to ``_first_failure`` stack by stack, each image a view of the padded batch.  With real
+    (a real domain, g and f exact built-ins) every screen evaluates g and f on a stack's real part
+    and the padded batch is float64, as a real domain's random stacks are; a stack the screen does
+    not clear is evaluated again on its stored complex form.  Below ``_screen_floor(max_n)`` each
+    batch is one stack.  An error that ends the section is raised once the stacks before it are
+    judged.
     """
     def judged(batch):
         P = None
         if len(batch) > 1:
+            images = (_raw_image(g, f, patterns[n].mask, W.real if real else W) for W, n, _, _ in batch)
             try:
-                P = _padded([_raw_image(g, f, patterns[n].mask, W) for W, n, _, _ in batch], max_n)
+                P = _padded(images, max_n, sum(len(W) for W, *_ in batch), np.float64 if real else np.complex128)
             except Exception:  # g and f may raise anything; each stack's own judge raises it in battery order
                 pass
         if P is not None and _cleared(P, tol):
@@ -599,7 +614,7 @@ def _section_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, st
             W, n = stack[0], stack[1]
             H = None if P is None else P[at:at + len(W), :n, :n]
             at += len(W)
-            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, True, H)
+            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, True, H, real)
 
     cap = STACK_ENTRIES if tol >= _screen_floor(max_n) else 0
     batch, entries = [], 0
@@ -615,7 +630,7 @@ def _section_hits(g: PreserverFunction, f: PreserverFunction, patterns: dict, st
         W, n = stack[0], stack[1]
         if probe:  # a 1 x 1 stack before the probe is screened alone, and the probe is solved unscreened
             probe = n == 1
-            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, screened=probe)
+            yield stack, _first_failure(g, f, patterns[n].mask, W, tol, screened=probe, real=real)
             continue
         size = len(W) * max_n ** 2
         if entries + size > cap:
@@ -663,8 +678,9 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
     }
 
     randoms = _random_battery(domain, cfg)  # the last section, with no probe
+    real = domain.kind != DISC and _equivariant_by_construction(g) and _equivariant_by_construction(f)
     hits = itertools.chain.from_iterable(
-        _section_hits(g, f, patterns, stacks, cfg.tol, cfg.max_n, probe=stacks is not randoms)
+        _section_hits(g, f, patterns, stacks, cfg.tol, cfg.max_n, probe=stacks is not randoms, real=real)
         for stacks in (*_battery_sections(domain, patterns, cfg.max_n), randoms))
     # each stack's matrix j has provenance families[j], params(j), built only for the refuting j
     for (W, n, families, params), hit in hits:
@@ -676,7 +692,7 @@ def verify_preservation(g: PreserverFunction, f: PreserverFunction, rule: Patter
         stats["checked"] += checked
         if hit is not None:
             j, min_eig = hit
-            A = exact_hermitian(W[j]) if W.dtype.kind == "f" else W[j]  # a real sample as it was judged
+            A = _complex_form(W[j])  # a real sample as it was judged
             # witnesses are PSD by construction and never eigen-checked; a refuting input is, once
             if not is_psd(A, WITNESS_PSD_TOL).is_psd:
                 raise ArithmeticError(f"battery produced a non-PSD input in family {families[j]}")

@@ -1365,6 +1365,30 @@ class TestRealImageSettle:
             if _cleared(real, tol):  # and so a cleared real image is one eigvalsh passes on the complex form
                 assert psd_holds(*eig_extremes(judged), tol).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(g=_IMAGE_BUILTINS, f=_IMAGE_BUILTINS, kind=st.sampled_from(["open_sym", "half_open_nonneg", "open_pos"]),
+           rho=st.sampled_from([1.0, 2.0, math.inf]), rule=st.sampled_from(BUILTINS), max_n=st.integers(3, 8),
+           tol=st.sampled_from([1e-12, 1e-8, 1e-4]))
+    def test_a_battery_stacks_real_image_settles_to_its_complex_images_entry_for_entry(self, g, f, kind, rho, rule,
+                                                                                       max_n, tol):
+        # a real domain's battery stacks are stored complex, their imaginary parts zeros of either sign, and
+        # screened on their real parts where g and f are exact built-ins; a stack the screen does not clear is
+        # judged on its stored complex form, so that is the image the real one must settle to
+        domain, patterns = Domain(kind, rho), {n: rule.pattern(n) for n in range(1, max_n + 1)}
+        negative_zeros = False
+        for W, n, _, _ in _deterministic_battery(domain, patterns, max_n):
+            assert W.dtype == np.complex128 and not W.imag.any()
+            negative_zeros |= bool(np.signbit(W.imag).any())
+            with np.errstate(all="ignore"):
+                real, image = _image(g, f, patterns[n].mask, W.real), _image(g, f, patterns[n].mask, W)
+                finite = np.isfinite(real).all(axis=(1, 2))
+                assert real.dtype == np.float64 and (finite == np.isfinite(image).all(axis=(1, 2))).all()
+                settled, judged = _settle_hermitian(real[finite]), _settle_hermitian(image[finite])
+                assert np.array_equal(settled.real, judged.real) and np.array_equal(settled.imag, judged.imag)
+                if _cleared(real, tol):
+                    assert psd_holds(*eig_extremes(judged), tol).all()
+        assert negative_zeros
+
     def test_an_uncleared_real_stack_is_judged_as_its_exact_complex_form(self):
         # -z^300 conj(z) off the diagonal, 8e83 at the largest entry of this sample and an underflow to a signed
         # zero at the smallest: eigvalsh on its settled float64 image gives another min_eig, 3 ulp away
@@ -1398,3 +1422,83 @@ class TestRealImageSettle:
             calls.clear()
             hit = _first_failure(g, f, mask, W, tol, screened=True)
             assert calls == evaluated and (hit is None) == (evaluated[-1][1] == "float64")
+
+
+class TestBatteryRealScreen:
+    """On a real domain with exact built-ins g and f, each battery stack is screened on its real part: g and f are
+    evaluated once on it in float64, and once more, on the stored complex stack, only where the screen does not
+    clear it.  On the disc, and where g or f is not an exact built-in, each stack is evaluated once, in complex."""
+
+    # (z + z^8)/2 off the blocks of a 3-block partition refutes in the pair runs' second stack at n = 4, whose padded
+    # batch is not cleared (TestRandomStageScreen::test_a_refutation_in_a_screened_battery_stack_is_unchanged)
+    REFUTES = HerzSeries({(1, 0): 0.5, (8, 0): 0.5})
+    CFG = VerifyConfig(max_n=6, samples_per_n=40)
+
+    class Series(HerzSeries):  # a subclass, so not an exact built-in
+        pass
+
+    @staticmethod
+    def _run(monkeypatch, f, rule, domain):
+        """The verdict, per battery stack the call judged, in battery order, the dtypes g and f were evaluated in
+        on it, the dtype of each image ``_cleared`` saw, and how many stacks ``eig_extremes`` solved.  A stack
+        drawn after a refuting batch, which does not fit it, is never evaluated and is left out."""
+        stacks, evaluated, screened, solved = [], {}, [], []
+        sections, raw_image = verify._battery_sections, verify._raw_image
+
+        def recorded(section):
+            for stack in section:
+                stacks.append(stack[0])
+                evaluated[id(stack[0])] = []
+                yield stack
+
+        def image(g, f, mask, W):
+            owner = W if W.dtype.kind == "c" else W.base  # a battery stack's real part is a view of the stack
+            evaluated.get(id(owner), []).append(W.dtype.name)
+            return raw_image(g, f, mask, W)
+
+        def spy(H, tol):
+            screened.append(H.dtype.name)
+            return _cleared(H, tol)
+
+        def eig_spy(H):
+            solved.append(len(H))
+            return eig_extremes(H)
+
+        monkeypatch.setattr(verify, "_battery_sections", lambda *args: tuple(map(recorded, sections(*args))))
+        monkeypatch.setattr(verify, "_raw_image", image)
+        monkeypatch.setattr(verify, "_cleared", spy)
+        monkeypatch.setattr(verify, "eig_extremes", eig_spy)
+        verdict = verify_preservation(Identity(), f, rule, domain, TestBatteryRealScreen.CFG)
+        return verdict, [evaluated[id(W)] for W in stacks if evaluated[id(W)]], screened, solved
+
+    def test_a_preserved_call_screens_every_battery_stack_in_float64(self, monkeypatch):
+        verdict, evaluated, screened, solved = self._run(monkeypatch, scaled_identity(0.5),
+                                                         contiguous_partition_rule(2), Domain.open_pos(1.0))
+        assert verdict.outcome == OUTCOME_PRESERVED
+        # the section probes are solved unscreened in complex; every other stack is evaluated once, in float64
+        probes = [e for e in evaluated if e == ["complex128"]]
+        assert len(probes) == len(solved) == 3
+        assert all(e == ["float64"] for e in evaluated if e != ["complex128"])
+        assert screened and set(screened) == {"float64"}  # the battery's screens and the random stage's
+
+    @pytest.mark.parametrize("f, rule, n", [(REFUTES, overlapping_chain_rule(), 3),
+                                            (scaled_identity(-0.51), empty_rule(), 1)],
+                             ids=["in_a_padded_batch", "one_by_one"])
+    def test_a_stack_the_screen_does_not_clear_is_evaluated_once_more_in_complex(self, monkeypatch, f, rule, n):
+        # an all-ones stack refutes: at n = 3 in the padded batch of the section's stacks after its probe, at n = 1
+        # screened alone
+        verdict, evaluated, screened, solved = self._run(monkeypatch, f, rule, Domain.open_pos(1.0))
+        assert (verdict.counterexample.family, verdict.counterexample.n) == ("all_ones", n)
+        assert set(screened) == {"float64"}
+        assert all(e in (["complex128"], ["float64"], ["float64", "complex128"]) for e in evaluated)
+        probes, again = evaluated.count(["complex128"]), evaluated.count(["float64", "complex128"])
+        assert again == 1 and evaluated.index(["float64", "complex128"]) == n - 1  # the refuting stack, the n-th
+        assert len(solved) == probes + again  # the stack evaluated again is solved, on that complex image
+
+    @pytest.mark.parametrize("f, domain", [(REFUTES, Domain.disc(1.0)), (Series(REFUTES.coeffs), Domain.open_sym(1.0))],
+                             ids=["disc", "subclass_on_open_sym"])
+    def test_off_the_real_screen_each_stack_is_evaluated_once_in_complex(self, monkeypatch, f, domain):
+        verdict, evaluated, screened, solved = self._run(monkeypatch, f, contiguous_partition_rule(3), domain)
+        assert (verdict.counterexample.family, verdict.counterexample.n) == ("duplicated_pair_gram", 4)
+        assert evaluated and all(e == ["complex128"] for e in evaluated)
+        assert set(screened) == {"complex128"}
