@@ -14,7 +14,7 @@ eigenvalues ``eig_extremes`` computes.  Its private screen ``_cleared`` may
 pass a whole stack on one shifted Cholesky instead, only where that implies
 ``psd_holds`` on ``eigvalsh``'s output (it checks tol >= 16 n^3 eps, finite
 entries and exact conjugate symmetry itself); ``eigvalsh`` decides the rest.
-Smaller images padded with the identity to N x N, as verify batches its
+Smaller images zero-padded to N x N, diag(H, 0), as verify batches its
 stacks, clear only where each would, at tol >= 16 N^3 eps.
 """
 
@@ -201,13 +201,14 @@ def _cleared(H: np.ndarray, tol: float) -> bool:
     64 eps = 1.4e-14.  There a matrix cleared here may have a computed lo
     that fails the test by that much; this is not mended here.
 
-    Verify pads: a matrix of a padded stack is diag(H, I), H an n x n image
-    in the leading block of an N x N slot.  Its spectrum is H's and 1, its
-    largest diagonal entry max(d, 1), so its shift is H's own (tol/2) m, and
-    the bounds above hold with N's constants, at tol >= 16 N^3 eps: if the
-    N x N Cholesky completes, lambda_min(H) >= -s - N^2 gamma_{N+1} (m + s),
-    and ``eigvalsh`` on H alone meets its n x n bound.  So a padded stack
-    cleared here clears every H in it, for ``psd_holds`` on H's own extremes.
+    Verify pads: a matrix of a padded stack is diag(H, 0), H an n x n image
+    in the leading block of an N x N slot.  Its spectrum is H's and 0, its
+    largest diagonal entry max(d, 0), so its shift is H's own (tol/2) m, its
+    trailing pivots are s > 0, and the bounds above hold with N's constants,
+    at tol >= 16 N^3 eps: if the N x N Cholesky completes, lambda_min(H) >=
+    -s - N^2 gamma_{N+1} (m + s), and ``eigvalsh`` on H alone meets its n x n
+    bound.  So a padded stack cleared here clears every H in it, for
+    ``psd_holds`` on H's own extremes.
 
     The bound and the argument hold as well in real arithmetic, so a float64
     stack, or one whose imaginary parts are all zero, is factored as its real

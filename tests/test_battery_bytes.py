@@ -13,6 +13,7 @@ taken twice in one process, from cold plans and from kept ones.
 """
 
 import hashlib
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from psdmask.patterns import (
     proper_subpartition_rule,
     single_block_rule,
 )
-from psdmask.verify import _deterministic_battery, canonical_json
+from psdmask.verify import _battery_sections, canonical_json
 from psdmask.witnesses import (
     Witness,
     corner_extend_auto,
@@ -62,7 +63,7 @@ def witness_digest(rule, rho):
     patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
     digest = hashlib.sha256()
     count = 0
-    for stack, n, families, _params in _deterministic_battery(Domain.open_pos(rho), patterns, MAX_N):
+    for stack, n, families, _params in chain.from_iterable(_battery_sections(Domain.open_pos(rho), patterns, MAX_N)):
         for W, family in zip(stack, families):
             digest.update(f"{n}:{family}:".encode())
             digest.update(np.ascontiguousarray(W, dtype=np.complex128).tobytes())
@@ -115,7 +116,7 @@ def test_stacked_embedding_matches_reference(rule_name, domain):
     rule = RULES[rule_name]()
     patterns = {n: rule.pattern(n) for n in range(1, MAX_N + 1)}
     placed = 0
-    for stack, n, families, params in _deterministic_battery(domain, patterns, MAX_N):
+    for stack, n, families, params in chain.from_iterable(_battery_sections(domain, patterns, MAX_N)):
         for W, family, p in zip(stack, families, map(params, range(len(stack)))):
             if family not in BUILD:
                 continue
@@ -184,7 +185,7 @@ def stream_digest(domain, rule, max_n):
     digest = hashlib.sha256()
     count = 0
     # every stack is drawn before any params are built: each stack's params(j) must stay its own
-    for stack, n, families, params in list(_deterministic_battery(domain, patterns, max_n)):
+    for stack, n, families, params in list(chain.from_iterable(_battery_sections(domain, patterns, max_n))):
         for W, family, p in zip(stack, families, map(params, range(len(stack)))):
             digest.update(f"{n}:{family}:{canonical_json(Witness(W, family, p).to_json()['params'])}:".encode())
             digest.update(np.ascontiguousarray(W, dtype=np.complex128).tobytes())

@@ -315,16 +315,16 @@ class TestClearedScreen:
            tol=st.sampled_from([("floor", 1.0), ("floor", 4.0), 1e-8, 1e-4]))
     def test_a_cleared_padded_batch_passes_every_member(self, seed, size, members, tol):
         # verify screens a battery section's stacks of every n <= max_n at once, each in the leading block of a
-        # max_n x max_n slot whose rest is the identity; members are real (float64) or complex stacks
+        # max_n x max_n slot whose rest is zero; members are real (float64) or complex stacks
         tol = tol[1] * _tol_floor(size) if isinstance(tol, tuple) else tol
         g = np.random.default_rng(seed)
         stacks = []
         for n, k, complex_entries, scale, aligned, plant in members:
             H = np.array([_planted(g, min(n, size), complex_entries, scale, aligned, plant, tol) for _ in range(k)])
             stacks.append(H if complex_entries else H.real.copy())
-        padded, at = _padded(stacks, size), 0
-        for H in stacks:  # each member leads its slots, whose rest is the identity
-            want = np.array([np.eye(size)] * len(H), dtype=padded.dtype)
+        padded, at = _padded(iter(stacks), size, sum(map(len, stacks)), np.result_type(*stacks)), 0
+        for H in stacks:  # each member leads its slots, whose rest is zero
+            want = np.zeros((len(H), size, size), dtype=padded.dtype)
             want[:, :H.shape[-1], :H.shape[-1]] = H
             assert np.array_equal(padded[at:at + len(H)], want)
             at += len(H)

@@ -445,7 +445,8 @@ def test_random_grams_decode_ranks_as_integers_draws_them(monkeypatch, dom, n, w
     decoded, reference = _generator_reading(forced, before), _generator_reading(forced, before)
     monkeypatch.setattr(verify.np.random, "default_rng",
                         lambda entropy: decoded if entropy == [0, 6, n] else pytest.fail(f"stream {entropy}"))
-    grams, ranks = verify._random_grams(n, dom, cfg)
+    flat, ranks = verify._random_draws(n, dom, cfg)
+    grams = verify._formed(flat, ranks, n, dom)
     want = []
     for s in range(cfg.samples_per_n):  # in stream order: the rank, then the factor
         want.append(1 if s % 2 == 0 else int(reference.integers(1, n + 1)))

@@ -70,7 +70,7 @@ from psdmask.patterns import (
 )
 from psdmask.verify import (
     OUTCOME_PRESERVED,
-    _deterministic_battery,
+    _battery_sections,
     _first_failure,
     _stack_rows,
     VerifyConfig,
@@ -407,7 +407,8 @@ ANCHORED = {"duplicated_pair_gram", "tail_gram", "overlap_probe"}
 
 
 def battery(domain, rule, max_n=8):
-    return _deterministic_battery(domain, {n: rule.pattern(n) for n in range(1, max_n + 1)}, max_n)
+    patterns = {n: rule.pattern(n) for n in range(1, max_n + 1)}
+    return itertools.chain.from_iterable(_battery_sections(domain, patterns, max_n))
 
 
 def flat(stacks):
@@ -438,7 +439,7 @@ class TestStacksInDomain:
         domain = Domain(kind, rho)
         patterns = {n: rule.pattern(n) for n in range(1, max_n + 1)}
         cfg = VerifyConfig(max_n=max_n, samples_per_n=samples, seed=seed)
-        for stage in (_deterministic_battery(domain, patterns, max_n), verify._random_battery(domain, cfg)):
+        for stage in (*_battery_sections(domain, patterns, max_n), verify._random_battery(domain, cfg)):
             try:
                 for W, n, _, _ in stage:
                     assert W.shape[1:] == patterns[n].mask.shape == (n, n)
@@ -1071,7 +1072,8 @@ class TestRandomStageScreen:
             screens += batches
         screens += [[(W, n)] for W, n, _, _ in verify._random_battery(domain, cfg)]
         images = [[verify._raw_image(g, f, patterns[n].mask, W) for W, n in batch] for batch in screens]
-        want = [H[0] if len(H) == 1 else verify._padded(H, N) for H in images]
+        want = [H[0] if len(H) == 1 else verify._padded(H, N, sum(map(len, H)), np.result_type(*H))
+                for H in images]
         assert any(len(H) > 1 for H in images)
         assert len(seen) == len(want) and all(cleared for _, cleared in seen)
         assert all(np.array_equal(H, W) for (H, _), W in zip(seen, want))
@@ -1108,7 +1110,9 @@ class TestRandomStageScreen:
             per_batch = len(images) if samples == 10 else 2
             want = []
             for at in range(0, N, per_batch):
-                want += [*range(at + 1, at + per_batch + 1), verify._padded(images[at:at + per_batch], N)]
+                batch = images[at:at + per_batch]
+                padded = verify._padded(batch, N, sum(map(len, batch)), np.result_type(*batch))
+                want += [*range(at + 1, at + per_batch + 1), padded]
             with monkeypatch.context() as spied:
                 spied.setattr(verify, "_random_draws", draws_spy)
                 spied.setattr(verify, "_cleared", spy)
@@ -1143,10 +1147,46 @@ class TestRandomStageScreen:
         assert verdict.outcome == OUTCOME_PRESERVED  # a diagonal image: eigvalsh is exact
         # tol = 0 screens nothing, so each stack, battery or random, has g evaluated once, as its exact complex form
         patterns = {n: rule.pattern(n) for n in range(1, cfg.max_n + 1)}
-        battery = sum(1 for _ in _deterministic_battery(domain, patterns, cfg.max_n))
+        battery = sum(1 for section in _battery_sections(domain, patterns, cfg.max_n) for _ in section)
         randoms = sum(-(-cfg.samples_per_n // _stack_rows(n)) for n in range(1, cfg.max_n + 1))
         assert len(dtypes) == battery + randoms
         assert set(dtypes) == {np.dtype(np.complex128)}
+
+    @pytest.mark.parametrize("samples", [500, 10], ids=["default_budget", "samples_10"])
+    @pytest.mark.parametrize("domain", [Domain.open_sym(1.0), Domain.open_pos(1.0)], ids=lambda d: d.kind)
+    def test_off_the_real_screen_each_random_stack_is_evaluated_once_in_complex(self, monkeypatch, domain, samples):
+        # a Custom g and a HerzSeries subclass f are not exact built-ins, so a real domain's float64 random stacks
+        # are screened and judged on one image, of their exact complex form: at 500 samples per n each stack is
+        # screened alone, at 10 all eight make one padded batch
+        randoms, f_calls, g_entries = [], [], []
+        random_battery = verify._random_battery
+
+        def recorded(domain, cfg):
+            for stack in random_battery(domain, cfg):
+                randoms.append(stack[0].shape)
+                yield stack
+
+        def identity(z):
+            if randoms:  # the battery is judged before the first random stack is drawn
+                g_entries.append(z)
+            return z
+
+        class Series(HerzSeries):
+            def _values(self, Z):
+                if randoms and Z.ndim == 3:
+                    f_calls.append((Z.dtype.name, Z.shape))
+                return super()._values(Z)
+
+        rule, cfg = contiguous_partition_rule(3), VerifyConfig(samples_per_n=samples)
+        case = partial(verify_preservation, Custom(identity), Series({(1, 0): 0.5}), rule, domain, cfg)
+        with monkeypatch.context() as spied:
+            spied.setattr(verify, "_random_battery", recorded)
+            screened = _verdict_bytes(case())
+        assert json.loads(screened)["outcome"] == OUTCOME_PRESERVED
+        assert len(randoms) == (8 if samples == 10 else 16)
+        assert f_calls == [("complex128", shape) for shape in randoms]
+        assert len(g_entries) == sum(math.prod(shape) for shape in randoms)
+        assert screened == self._unscreened(monkeypatch, case)
 
     @staticmethod
     def _outcome(case):
@@ -1332,8 +1372,8 @@ _IMAGE_BUILTINS = st.recursive(
 def _real_stack(kind: str, rho: float, n: int, samples: int, seed: int) -> np.ndarray:
     """A random stage's real stack: its samples at n as verify draws and settles them."""
     domain = Domain(kind, rho)
-    grams, _ = verify._random_grams(n, domain, VerifyConfig(samples_per_n=samples, seed=seed))
-    return verify._into_domain(grams, domain)
+    flat, ranks = verify._random_draws(n, domain, VerifyConfig(samples_per_n=samples, seed=seed))
+    return verify._into_domain(verify._formed(flat, ranks, n, domain), domain)
 
 
 def _image(g, f, mask, W):
@@ -1376,7 +1416,7 @@ class TestRealImageSettle:
         # judged on its stored complex form, so that is the image the real one must settle to
         domain, patterns = Domain(kind, rho), {n: rule.pattern(n) for n in range(1, max_n + 1)}
         negative_zeros = False
-        for W, n, _, _ in _deterministic_battery(domain, patterns, max_n):
+        for W, n, _, _ in itertools.chain.from_iterable(_battery_sections(domain, patterns, max_n)):
             assert W.dtype == np.complex128 and not W.imag.any()
             negative_zeros |= bool(np.signbit(W.imag).any())
             with np.errstate(all="ignore"):
@@ -1395,7 +1435,7 @@ class TestRealImageSettle:
         W = _real_stack("open_sym", 2.0, 3, 8, 0)[3:4]
         g, f, mask = Identity(), ScalarMultiple(-1.0, HerzMonomial(1.0, 300, 1)), all_singletons_rule().pattern(3).mask
         with np.errstate(all="ignore"):
-            hit = _first_failure(g, f, mask, W, 1e-8, screened=True)
+            hit = _first_failure(g, f, mask, W, 1e-8, screened=True, real=True)
             want = _first_failure(g, f, mask, exact_hermitian(W), 1e-8, screened=True)
             lo, _ = eig_extremes(_settle_hermitian(_image(g, f, mask, W)))
         assert hit[0] == want[0] == 0 and np.float64(hit[1]).tobytes() == np.float64(want[1]).tobytes()
@@ -1420,8 +1460,12 @@ class TestRealImageSettle:
         ]
         for g, f, tol, evaluated in cases:
             calls.clear()
-            hit = _first_failure(g, f, mask, W, tol, screened=True)
+            hit = _first_failure(g, f, mask, W, tol, screened=True, real=True)
             assert calls == evaluated and (hit is None) == (evaluated[-1][1] == "float64")
+            # without real, as for a Custom or a subclass, the same stack is evaluated once, as its complex form
+            calls.clear()
+            assert _first_failure(g, f, mask, W, tol, screened=True) == hit
+            assert calls == [(g.m, "complex128"), (f.m, "complex128")]
 
 
 class TestBatteryRealScreen:

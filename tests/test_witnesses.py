@@ -17,7 +17,7 @@ from psdmask.functions import BOUNDARY_SLACK, Domain, Identity, scaled_identity
 from psdmask.linalg import all_ones, eig_extremes, exact_hermitian, is_psd, symmetrize
 from psdmask.operators import OperatorSpec, apply, star_pattern
 from psdmask.patterns import normalize, single_block_rule
-from psdmask.verify import _deterministic_battery
+from psdmask.verify import _battery_sections
 from psdmask.witnesses import (
     WITNESS_PSD_TOL,
     all_ones_witness,
@@ -346,8 +346,9 @@ class TestCornerExtendClosedForm:
         assert len(calls) == 1
         # the battery grows each of its 21 pair, tail and overlap witnesses from 3 x 3 to 8 x 8 once
         patterns = {n: single_block_rule({0, 1}).pattern(n) for n in range(1, 9)}
-        for _ in _deterministic_battery(Domain.open_pos(1.0), patterns, 8):
-            pass
+        for section in _battery_sections(Domain.open_pos(1.0), patterns, 8):
+            for _ in section:
+                pass
         assert len(calls) == 1 + 21 * 5
 
     def test_non_psd_input_rejected(self):
